@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test test-race test-faults race bench bench-shards bench-batch bench-updates vrecbench vrecbench-short bench-compare vrecload vrecload-smoke load-compare experiments experiments-paper fuzz examples clean
+.PHONY: all check build vet test test-race test-faults race bench bench-serve bench-serve-trace bench-serve-compare bench-shards bench-batch bench-updates vrecbench vrecbench-short bench-compare vrecload vrecload-smoke load-compare experiments experiments-paper fuzz examples clean
 
 all: check
 
@@ -31,6 +31,30 @@ race: test-race
 # One testing.B bench per paper table/figure plus ablations and microbenches.
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# The serving benchmark of BENCHMARK.json (bench/README.md): 2k / 20k clips
+# behind a real listener, answers checked, one JSON line of metrics per run.
+# It builds into .bench_build/ and is a module of its own, so `make test`
+# neither builds nor runs it. The targets below it are the superseded stack,
+# kept until ROADMAP item 1 removes them.
+#   make bench-serve WORKLOAD=browse_large SEED=3
+#   make bench-serve-compare BASE=bench/out/base.json CHANGE=bench/out/change.json
+WORKLOAD ?= browse_small
+SEED ?= 1
+RUN_SECONDS ?= 12
+bench-serve:
+	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(RUN_SECONDS) --trace 0
+
+# The same workload's per-layer ladder (gather / refine / republish / ...).
+bench-serve-trace:
+	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(RUN_SECONDS) --trace 1
+
+# ok / worse / unresolved per (workload, metric) between two --out records,
+# each appended to by alternating runs of the two commits.
+BASE ?= bench/out/base.json
+CHANGE ?= bench/out/change.json
+bench-serve-compare:
+	bash bench/run.sh --compare $(BASE) $(CHANGE)
 
 # Serving-path benchmark harness: fixed RecommendCtx workloads, JSON output
 # with ns/op, qps, allocs/op and latency percentiles (see README). Includes

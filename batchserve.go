@@ -161,6 +161,7 @@ func (e *Engine) RecommendBatchCtx(ctx context.Context, reqs []BatchRequest) []B
 			}
 			answers[m].Results = shared
 			answers[m].Meta.Degraded = out.Info.Degraded
+			answers[m].Meta.Candidates, answers[m].Meta.Refined = out.Info.Candidates, out.Info.Refined
 		}
 		if g.cancel != nil {
 			g.cancel()

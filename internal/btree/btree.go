@@ -133,8 +133,9 @@ func (t *Tree[V]) Get(key uint64) (V, bool) {
 	return zero, false
 }
 
-// Delete removes one slot holding key (the leftmost), reporting whether a
-// slot was removed.
+// Delete removes one slot holding key, reporting whether a slot was removed.
+// Which of several equal keys goes is unspecified: a run that straddles a
+// separator loses a slot from its rightmost leaf first.
 func (t *Tree[V]) Delete(key uint64) bool {
 	removed := t.delete(t.root, key)
 	if !removed {
@@ -150,8 +151,8 @@ func (t *Tree[V]) Delete(key uint64) bool {
 
 func (t *Tree[V]) minKeys() int { return t.order / 2 }
 
-// delete removes the leftmost slot with key under n and rebalances children
-// on the way out.
+// delete removes one slot with key under n and rebalances children on the
+// way out.
 func (t *Tree[V]) delete(n node[V], key uint64) bool {
 	switch nd := n.(type) {
 	case *leaf[V]:

@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -400,5 +401,112 @@ func TestDescendRange(t *testing.T) {
 	tr.DescendRange(4, 4, func(k uint64, v int) bool { got = append(got, k); return true })
 	if got != nil {
 		t.Errorf("empty range = %v", got)
+	}
+}
+
+// linearSeek is the obviously-right SeekAt: walk the leaf chain from the
+// front to the first slot >= key.
+func linearSeek[V any](tr *Tree[V], key uint64) Iterator[V] {
+	it := *tr.SeekFirst()
+	for it.Valid() && it.Key() < key {
+		it.Next()
+	}
+	return it
+}
+
+// leafSpan counts the leaves a run of key occupies.
+func leafSpan[V any](tr *Tree[V], key uint64) int {
+	leaves := 0
+	var last *leaf[V]
+	for it := linearSeek(tr, key); it.Valid() && it.Key() == key; it.Next() {
+		if it.leaf != last {
+			leaves++
+			last = it.leaf
+		}
+	}
+	return leaves
+}
+
+// Runs of one key that span many leaves — the LSB-tree's normal state: Z-order
+// keys collide by design — must not change where SeekAt lands: for every
+// probe (inside a run, equal to a separator, between runs, below the minimum,
+// above the maximum) the slot is the one a linear first->= walk finds, while
+// deletes borrow from and merge the leaves the runs live in.
+func TestSeekAtDuplicateRuns(t *testing.T) {
+	for _, order := range []int{4, 64} {
+		tr := New[int](order)
+		rng := rand.New(rand.NewSource(int64(order)))
+		runs := []uint64{10, 20, 21, 40, 1 << 40}
+		next := 0
+		check := func(stage string) {
+			t.Helper()
+			probes := []uint64{0, 9, 11, 19, 22, 39, 41, 1<<40 - 1, 1<<40 + 1, ^uint64(0)}
+			probes = append(probes, runs...)
+			for _, k := range probes {
+				got, want := tr.SeekAt(k), linearSeek(tr, k)
+				if got != want {
+					t.Fatalf("order %d, %s: SeekAt(%d) = leaf %p slot %d, linear walk finds leaf %p slot %d",
+						order, stage, k, got.leaf, got.idx, want.leaf, want.idx)
+				}
+			}
+		}
+		// Interleave the runs so every leaf split happens inside a run.
+		for i := 0; i < 5*order; i++ {
+			for _, k := range runs {
+				tr.Insert(k, next)
+				next++
+			}
+		}
+		for _, k := range runs {
+			if n := leafSpan(tr, k); n < 4 {
+				t.Fatalf("order %d: run of key %d spans %d leaves, want >= 4", order, k, n)
+			}
+		}
+		check("after inserts")
+		// Delete most of every run in random order — under-full leaves borrow
+		// and merge across the runs' separators — re-checking as the tree
+		// shrinks, and refill one run so splits follow merges.
+		for round := 0; round < 4*order; round++ {
+			k := runs[rng.Intn(len(runs))]
+			if !tr.Delete(k) {
+				t.Fatalf("order %d: Delete(%d) found nothing", order, k)
+			}
+			if round%3 == 0 {
+				tr.Insert(20, next)
+				next++
+			}
+			check("while deleting")
+		}
+		for tr.Delete(21) {
+			check("emptying a run")
+		}
+	}
+}
+
+// SeekAt must cost the same however long the run of duplicates it lands in:
+// ns/op is flat from run length 10 to 100,000 (the backward walk this
+// replaces was linear in it).
+func BenchmarkSeekDuplicates(b *testing.B) {
+	for _, run := range []int{10, 1000, 100000} {
+		b.Run(fmt.Sprintf("run%d", run), func(b *testing.B) {
+			tr := New[int](64)
+			for k := uint64(0); k < 3; k++ {
+				for i := 0; i < run; i++ {
+					tr.Insert(k, i)
+				}
+			}
+			// Distinct keys above the runs keep the tree's depth the same at
+			// every run length, so only the run is varied.
+			for i := 0; i < 300000-3*run; i++ {
+				tr.Insert(uint64(1000+i), i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				it := tr.SeekAt(1)
+				if !it.Valid() {
+					b.Fatal("seek missed")
+				}
+			}
+		})
 	}
 }

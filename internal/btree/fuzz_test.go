@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzTreeOps: a byte stream drives interleaved inserts/deletes; the tree
-// must always agree with a sorted-slice reference and keep its leaf chain
-// consistent.
+// must always agree with a sorted-slice reference — after every op SeekAt
+// must land on the reference's first slot >= key, with nothing >= key before
+// it in the leaf chain — and keep its leaf chain consistent.
 func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
@@ -16,7 +17,7 @@ func FuzzTreeOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		tr := New[int](4)
 		var ref []uint64
-		for _, b := range ops {
+		for op, b := range ops {
 			k := uint64(b & 0x3f) // small key space forces duplicates
 			if b&0x80 == 0 {
 				tr.Insert(k, int(k))
@@ -33,6 +34,24 @@ func FuzzTreeOps(f *testing.F) {
 				}
 				if want {
 					ref = append(ref[:i], ref[i+1:]...)
+				}
+			}
+			for _, probe := range []uint64{k, k + 1, 0, 0x40} {
+				i := sort.Search(len(ref), func(i int) bool { return ref[i] >= probe })
+				it := tr.SeekAt(probe)
+				if it.Valid() != (i < len(ref)) {
+					t.Fatalf("op %d: SeekAt(%d).Valid() = %v, reference slot %d of %d", op, probe, it.Valid(), i, len(ref))
+				}
+				if it.Valid() && it.Key() != ref[i] {
+					t.Fatalf("op %d: SeekAt(%d) at key %d, want reference slot %d (key %d)", op, probe, it.Key(), i, ref[i])
+				}
+				if !it.Valid() {
+					it = *tr.SeekLast()
+				} else if !it.Prev() {
+					continue
+				}
+				if it.Valid() && it.Key() >= probe {
+					t.Fatalf("op %d: SeekAt(%d) skipped an earlier slot with key %d", op, probe, it.Key())
 				}
 			}
 		}

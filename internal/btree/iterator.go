@@ -21,30 +21,25 @@ func (t *Tree[V]) Seek(key uint64) *Iterator[V] {
 // iterators in their own reusable structures (the LCP walker holds two per
 // query front) and must not allocate per seek.
 func (t *Tree[V]) SeekAt(key uint64) Iterator[V] {
+	// Descend by lower bound. Child i of an inner node holds keys in
+	// [keys[i-1], keys[i]] — closed on both sides, because a run of equal keys
+	// can straddle its separator — so every child left of the first separator
+	// >= key holds only smaller keys, and the first slot >= key is in that
+	// child or, when the child's own keys all fall short, the very next slot
+	// in the leaf chain. O(log n) however long the run of duplicates is.
 	n := t.root
 	for {
 		in, ok := n.(*inner[V])
 		if !ok {
 			break
 		}
-		n = in.children[in.childIndex(key)]
+		n = in.children[sort.Search(len(in.keys), func(i int) bool { return in.keys[i] >= key })]
 	}
 	lf := n.(*leaf[V])
 	i := sort.Search(len(lf.keys), func(i int) bool { return lf.keys[i] >= key })
 	it := Iterator[V]{leaf: lf, idx: i}
 	if i == len(lf.keys) {
 		it.Next() // roll over to the next leaf (or become invalid)
-	}
-	// With duplicate keys spilling across separators, the true first >= key
-	// slot can live one leaf to the left; Seek's descent already routes past
-	// separators equal to key, so stepping back while the previous slot is
-	// still >= key fixes the position.
-	for {
-		prev := it
-		if !prev.Prev() || prev.Key() < key {
-			break
-		}
-		it = prev
 	}
 	return it
 }

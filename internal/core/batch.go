@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"time"
 
-	"videorec/internal/faults"
-	"videorec/internal/signature"
 	"videorec/internal/social"
 	"videorec/internal/topk"
 )
@@ -35,12 +33,6 @@ type BatchOut struct {
 	Err     error
 }
 
-// soaRefine selects whether batched refinement scores through the view's
-// structure-of-arrays signature store (production default) or the per-record
-// compiled series. Tests flip it to prove the two layouts produce
-// bit-identical rankings; nothing else should touch it.
-var soaRefine = true
-
 // batchItemState is the per-query bookkeeping of one chunk: the query's
 // pooled scratch, its cancellation channels, its effective deadline (the
 // earlier of its own and the batch's), and its settlement status.
@@ -58,9 +50,9 @@ type batchItemState struct {
 }
 
 // batchScratch is the chunk-wide reusable state of a batched call, pooled
-// per view: per-dimension query masks, the shared-merge cursors, the refine
-// order permutation, one warm EMD scratch reused across every candidate of
-// the batch, and the result selector feeding per-query top-K output buffers.
+// per view: per-dimension query masks, the shared-merge cursors and the
+// refine order permutation. Everything per query lives in that query's
+// pooled queryScratch, exactly as in serial serving.
 type batchScratch struct {
 	states  []batchItemState
 	dimMask []uint64   // dim → chunk-membership mask; all-zero between calls
@@ -68,15 +60,6 @@ type batchScratch struct {
 	heads   [][]uint32 // posting-list cursors of the shared merge
 	masks   []uint64   // membership mask per cursor
 	order   []int      // refine order: earliest effective deadline first
-	kj      signature.KJScratch
-	resSel  *topk.Selector[Result]
-}
-
-func (bs *batchScratch) resultSelector() *topk.Selector[Result] {
-	if bs.resSel == nil {
-		bs.resSel = topk.New(0, worseResult)
-	}
-	return bs.resSel
 }
 
 // dead reports whether the item's own context or the batch context has been
@@ -100,8 +83,8 @@ func (st *batchItemState) failErr(bctx context.Context) error {
 
 // RecommendBatch answers every item against this view in one batched pass:
 // candidate generation is shared across the batch (one merge over the
-// touched posting lists, per-query membership masks) and refinement streams
-// the structure-of-arrays signature store with one warm EMD scratch. Each
+// touched posting lists, per-query membership masks) and each query is then
+// refined by the same bounded best-first search as a serial one. Each
 // item's answer is bit-identical to what RecommendCtx would return for the
 // same query, deadline and view — batching changes cost, never results.
 //
@@ -238,23 +221,23 @@ func (v *View) recommendChunk(bctx context.Context, items []BatchItem, outs []Ba
 		out.Info.Candidates = len(st.qs.merged)
 		canDegrade := st.useContent && st.useSocial && v.opts.DegradeMargin > 0
 		if canDegrade && st.hasDeadline && time.Until(st.deadline) < v.opts.DegradeMargin {
-			v.finishCoarseBatch(bctx, st, it, out, bs, true)
+			v.finishCoarseBatch(bctx, st, it, out, true)
 			continue
 		}
-		results, err := v.refineBatchItem(bctx, st, it, bs)
+		results, refined, err := v.refineBatchItem(bctx, st, it, out.Results)
 		if err != nil {
 			if canDegrade && err == context.DeadlineExceeded {
 				// The deadline expired mid-refinement: the coarse answer is
 				// still owed, computed without further polling (the serial
 				// path's context.WithoutCancel).
-				v.finishCoarseBatch(bctx, st, it, out, bs, false)
+				v.finishCoarseBatch(bctx, st, it, out, false)
 				continue
 			}
 			out.Results = out.Results[:0]
 			out.Err = err
 			continue
 		}
-		out.Results = topKResultsInto(out.Results, results, it.TopK, bs.resultSelector())
+		out.Results, out.Info.Refined = results, refined
 	}
 }
 
@@ -437,69 +420,24 @@ func (v *View) gatherBatchContent(bctx context.Context, gdone <-chan struct{}, i
 	}
 }
 
-// refineBatchItem scores one item's gathered candidates — the serial-order
-// step 3, streaming the SoA signature store with the chunk's shared EMD
-// scratch. Scoring arithmetic, candidate order and result slots are exactly
-// those of the serial refine, so rankings are bit-identical.
-func (v *View) refineBatchItem(bctx context.Context, st *batchItemState, it *BatchItem, bs *batchScratch) ([]Result, error) {
-	qs := st.qs
-	cands := qs.merged
-	gdone := bctx.Done()
-	var cancelled func() bool
-	if st.idone != nil || gdone != nil {
-		cancelled = func() bool { return st.dead(gdone) }
+// refineBatchItem is the serial refine for one batched item: the same
+// bounded search on the calling goroutine, cancelled by the item's own
+// context or the batch's, draining into the item's recycled output buffer.
+func (v *View) refineBatchItem(bctx context.Context, st *batchItemState, it *BatchItem, dst []Result) ([]Result, int, error) {
+	job := &st.qs.job
+	*job = refineJob{v: v, q: it.Query, qs: st.qs, useContent: st.useContent, useSocial: st.useSocial}
+	if gdone := bctx.Done(); st.idone != nil || gdone != nil {
+		job.cancelled = func() bool { return st.dead(gdone) }
+		job.cause = func() error { return st.failErr(bctx) }
 	}
-
-	var qc *signature.CompiledSeries
-	if st.useContent && compiledRefine {
-		qc = it.Query.compiled()
-	}
-	soa := v.soa
-	if !soaRefine {
-		soa = nil
-	}
-
-	results := qs.resultSlots(len(cands))
-	for i, idx := range cands {
-		if err := faults.Inject(faults.RefineScore); err != nil {
-			return nil, err
-		}
-		if cancelled != nil && cancelled() {
-			return nil, st.failErr(bctx)
-		}
-		rec := v.recs[idx]
-		var content, soc float64
-		if st.useContent && rec != nil {
-			var kj float64
-			var complete bool
-			if qc != nil && rec.Compiled != nil {
-				kj, complete = signature.KJCancelCompiled(qc, soa.compiledFor(idx, rec), v.opts.MatchThreshold, cancelled, &bs.kj)
-			} else {
-				kj, complete = signature.KJCancel(it.Query.Series, rec.Series, v.opts.MatchThreshold, cancelled)
-			}
-			if !complete {
-				return nil, st.failErr(bctx)
-			}
-			content = kj
-		}
-		if st.useSocial && rec != nil {
-			soc = v.socialRelevanceRec(it.Query, qs.qvec, rec)
-		}
-		results[i] = Result{
-			VideoID: v.intern.ids[idx],
-			Score:   v.fuse(content, soc),
-			Content: content,
-			Social:  soc,
-		}
-	}
-	return results, nil
+	return job.refine(it.TopK, 1, dst)
 }
 
 // finishCoarseBatch is finishCoarse for one batched item: the coarse social
 // ranking over its gathered candidates, flagged Degraded. poll mirrors the
 // serial path's two entries — live polling on the up-front degrade, none
 // after a mid-refinement expiry (WithoutCancel semantics).
-func (v *View) finishCoarseBatch(bctx context.Context, st *batchItemState, it *BatchItem, out *BatchOut, bs *batchScratch, poll bool) {
+func (v *View) finishCoarseBatch(bctx context.Context, st *batchItemState, it *BatchItem, out *BatchOut, poll bool) {
 	qs := st.qs
 	gdone := bctx.Done()
 	results := qs.resultSlots(len(qs.merged))
@@ -513,7 +451,7 @@ func (v *View) finishCoarseBatch(bctx context.Context, st *batchItemState, it *B
 		results[i] = Result{VideoID: v.intern.ids[idx], Score: soc, Social: soc}
 	}
 	out.Info.Degraded = true
-	out.Results = topKResultsInto(out.Results, results, it.TopK, bs.resultSelector())
+	out.Results = qs.topK(out.Results, results, it.TopK)
 }
 
 // growZeroed resizes an all-zero scratch slice. Entries are always restored

@@ -6,15 +6,6 @@ import (
 	"time"
 )
 
-// withSoARefine runs f under the given SoA-path selection and restores the
-// default afterwards.
-func withSoARefine(enabled bool, f func()) {
-	prev := soaRefine
-	soaRefine = enabled
-	defer func() { soaRefine = prev }()
-	f()
-}
-
 // batchVariants are the seven mode variants every batched golden claim is
 // checked against: the six of the compiled-refine golden plus social-only.
 var batchVariants = []struct {
@@ -45,8 +36,7 @@ func goldenQueries(t *testing.T, v *View, n int) []string {
 // Batched execution must be a pure scheduling change: for every mode variant
 // the per-query answers of one RecommendBatch call — results, scores,
 // component relevances, degraded flags — must be bit-identical to serial
-// RecommendCtx calls for the same queries, both through the SoA store and
-// through the per-record fallback.
+// RecommendCtx calls for the same queries.
 func TestBatchGolden(t *testing.T) {
 	const topK = 10
 	for _, tc := range batchVariants {
@@ -70,23 +60,19 @@ func TestBatchGolden(t *testing.T) {
 				}
 				serial = append(serial, res)
 			}
-			for _, soa := range []bool{true, false} {
-				var outs []BatchOut
-				withSoARefine(soa, func() { outs = v.RecommendBatch(context.Background(), items) })
-				for i, out := range outs {
-					if out.Err != nil {
-						t.Fatalf("soa=%v batch item %s: %v", soa, ids[i], out.Err)
-					}
-					if out.Info.Degraded {
-						t.Fatalf("soa=%v batch item %s unexpectedly degraded", soa, ids[i])
-					}
-					if !resultsEqual(out.Results, serial[i]) {
-						t.Fatalf("soa=%v query %s: batched and serial rankings differ\nbatched: %+v\nserial:  %+v",
-							soa, ids[i], out.Results, serial[i])
-					}
-					if len(out.Results) == 0 {
-						t.Fatalf("query %s returned no results", ids[i])
-					}
+			for i, out := range v.RecommendBatch(context.Background(), items) {
+				if out.Err != nil {
+					t.Fatalf("batch item %s: %v", ids[i], out.Err)
+				}
+				if out.Info.Degraded {
+					t.Fatalf("batch item %s unexpectedly degraded", ids[i])
+				}
+				if !resultsEqual(out.Results, serial[i]) {
+					t.Fatalf("query %s: batched and serial rankings differ\nbatched: %+v\nserial:  %+v",
+						ids[i], out.Results, serial[i])
+				}
+				if len(out.Results) == 0 {
+					t.Fatalf("query %s returned no results", ids[i])
 				}
 			}
 		})
@@ -207,9 +193,9 @@ func TestBatchGoldenDuplicates(t *testing.T) {
 	}
 }
 
-// The warm batched serving loop — recycled outs, pooled chunk scratch — must
-// not allocate: the SoA refinement path exists so steady-state serving moves
-// no bytes. Skipped under -race (detector bookkeeping allocates).
+// The warm batched serving loop — recycled outs, pooled chunk and query
+// scratch, bounded refinement included — must not allocate. Skipped under
+// -race (detector bookkeeping allocates).
 func TestBatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")

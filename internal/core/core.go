@@ -316,7 +316,6 @@ func (r *Recommender) IngestSeries(id string, series signature.Series, desc soci
 	}
 	s.lsb.Add(i, series)
 	s.built = false
-	s.soa = nil // record set changed; rebuilt by the next installSocial
 }
 
 // Record returns the stored record for a video id.

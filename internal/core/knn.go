@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,6 +22,10 @@ import (
 // computations costs more than it saves.
 const minParallelRefine = 16
 
+// refineRoundPerWorker sizes a parallel refinement round: each worker gets a
+// few candidates per spawn, and the stopping test runs between rounds.
+const refineRoundPerWorker = 4
+
 // cancelCheckStride bounds how many cheap candidate-gathering steps run
 // between context polls.
 const cancelCheckStride = 64
@@ -34,6 +39,9 @@ type RecommendInfo struct {
 	Degraded bool
 	// Candidates is the number of candidates gathered for refinement.
 	Candidates int
+	// Refined is how many of them got a κJ before the top-K was decided (0
+	// for a degraded answer).
+	Refined int
 }
 
 // scoredCand is one social candidate (by dense index) with its s̃J score.
@@ -42,11 +50,19 @@ type scoredCand struct {
 	s float64
 }
 
+// boundCand is one gathered candidate queued for refinement: its s̃J (exact,
+// and known before any κJ) and the fused score it can reach at most.
+type boundCand struct {
+	idx   uint32
+	soc   float64
+	bound float64
+}
+
 // queryScratch is everything one query needs beyond its inputs: the query
 // vector, the candidate and exclude bitsets, the merged candidate-index
-// buffer, the LCP walker, the social top-K selector, the refinement result
-// slots and a serial-path EMD scratch. It is pooled per view (View.scratch),
-// so steady-state candidate gathering allocates nothing.
+// buffer, the LCP walker, the social top-K selector, the refinement order,
+// result slots and selector, and a serial-path EMD scratch. It is pooled per
+// view (View.scratch), so a steady-state query allocates only its answer.
 type queryScratch struct {
 	qvec    social.Vector
 	cand    bitset.Set // candidate membership, keyed by dense index
@@ -56,9 +72,12 @@ type queryScratch struct {
 	merged  []uint32   // gathered candidates (exclusions already applied)
 	union   index.UnionScratch
 	walker  index.Walker
+	bounds  []boundCand // refinement order: best fused-score bound first
 	results []Result
 	sel     *topk.Selector[scoredCand]
+	resSel  *topk.Selector[Result]
 	kj      signature.KJScratch // serial refinement scratch, warm across queries
+	job     refineJob
 }
 
 // selector returns the scratch's social top-K selector, creating it on
@@ -112,6 +131,7 @@ func (v *View) putScratch(qs *queryScratch) {
 	qs.exclIdx = qs.exclIdx[:0]
 	qs.merged = qs.merged[:0]
 	qs.results = qs.results[:0]
+	qs.job = refineJob{} // drop the query's series and context closures
 	v.scratch.Put(qs)
 }
 
@@ -139,18 +159,18 @@ func (v *View) resolveExcludes(qs *queryScratch, exclude []string) {
 //     (ModeExact — the unoptimized CSF the paper starts from);
 //  2. expand content candidates from the LSB-tree in next-longest-common-
 //     prefix order;
-//  3. refine candidates with the fused FJ relevance across a bounded worker
-//     pool, keeping the top K.
+//  3. refine candidates with the fused FJ relevance, best score bound first,
+//     until the top K is decided (see refine).
 //
 // The repeat-until-K loop of Figure 6 has no tight termination bound under
 // LSH, so the implementation uses the explicit probe budgets of Options
 // (ContentProbe walker pops, CandidateLimit refinements), which plays the
 // role of the paper's stopping rule.
 //
-// Refinement is deterministic: each candidate's κJ/s̃J pair is computed
-// independently into a slot indexed by the candidate's position in the
-// gathered index list, so the parallel pool produces bit-identical rankings
-// to the serial path (Options.RefineWorkers = 1) regardless of scheduling.
+// Refinement is deterministic: a candidate is skipped only when its score
+// bound proves it cannot enter the top K, so the parallel pool produces
+// bit-identical rankings to the serial path (Options.RefineWorkers = 1)
+// regardless of scheduling.
 func (v *View) Recommend(q Query, topK int, exclude ...string) []Result {
 	res, _, _ := v.RecommendCtx(context.Background(), q, topK, exclude...)
 	return res
@@ -199,7 +219,18 @@ func (v *View) RecommendCtx(ctx context.Context, q Query, topK int, exclude ...s
 		}
 	}
 
-	results, err := v.refine(ctx, q, qs, useContent, useSocial)
+	done := ctx.Done()
+	job := &qs.job
+	*job = refineJob{v: v, q: q, qs: qs, useContent: useContent, useSocial: useSocial}
+	if done != nil {
+		job.cancelled = func() bool { return ctxDone(done) }
+		job.cause = ctx.Err
+	}
+	workers := v.opts.RefineWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	results, refined, err := job.refine(topK, workers, nil)
 	if err != nil {
 		// A deadline that expired mid-refinement still gets the coarse
 		// answer; cancellation and injected faults propagate as errors.
@@ -208,7 +239,8 @@ func (v *View) RecommendCtx(ctx context.Context, q Query, topK int, exclude ...s
 		}
 		return nil, info, err
 	}
-	return topKResults(results, topK), info, nil
+	info.Refined = refined
+	return results, info, nil
 }
 
 // GatherCandidates runs candidate generation only — steps 1–2 of the
@@ -336,7 +368,7 @@ func (v *View) finishCoarse(ctx context.Context, q Query, qs *queryScratch, topK
 		results[i] = Result{VideoID: v.intern.ids[idx], Score: soc, Social: soc}
 	}
 	info.Degraded = true
-	return topKResults(results, topK), *info, nil
+	return qs.topK(nil, results, topK), *info, nil
 }
 
 // resultSlots returns the scratch's result buffer resized to n.
@@ -358,161 +390,200 @@ func worseResult(a, b Result) bool {
 	return a.VideoID > b.VideoID
 }
 
-// topKResults selects the topK best results under (score desc, id asc). When
-// the candidate set exceeds topK — the normal serving shape, hundreds of
-// refined candidates for a top-10 answer — a bounded heap selects the winners
-// in O(n log topK) instead of sorting everything; the order is total, so the
-// output is identical to sort-and-truncate. The returned slice is always
-// freshly allocated — the input may be pooled scratch storage.
-func topKResults(results []Result, topK int) []Result {
-	if len(results) <= topK {
-		out := append([]Result(nil), results...)
-		sort.Slice(out, func(a, b int) bool { return worseResult(out[b], out[a]) })
-		return out
-	}
-	sel := topk.New(topK, worseResult)
-	for _, r := range results {
-		sel.Offer(r)
-	}
-	return sel.Sorted()
-}
-
-// topKResultsInto is topKResults writing into dst's storage through a caller
-// owned selector — the batched path's allocation-free variant. The output
-// contents are identical to topKResults on the same input.
-func topKResultsInto(dst, results []Result, topK int, sel *topk.Selector[Result]) []Result {
-	if len(results) <= topK {
-		dst = append(dst[:0], results...)
-		sort.Slice(dst, func(a, b int) bool { return worseResult(dst[b], dst[a]) })
-		return dst
-	}
-	sel.Reset(topK)
+// topK selects the topK best of results under (score desc, id asc) through
+// the scratch's selector, draining into dst's storage; a nil dst gets a fresh
+// slice (results may be pooled storage, so the answer never aliases it). The
+// order is total, so the output equals sort-and-truncate.
+func (qs *queryScratch) topK(dst, results []Result, topK int) []Result {
+	sel := qs.resultSelector(topK)
 	for _, r := range results {
 		sel.Offer(r)
 	}
 	return sel.SortedInto(dst[:0])
 }
 
-// compiledRefine selects the κJ implementation refine uses: the compiled
+// resultSelector returns the scratch's (score desc, id asc) selector, emptied
+// and sized for topK.
+func (qs *queryScratch) resultSelector(topK int) *topk.Selector[Result] {
+	if qs.resSel == nil {
+		qs.resSel = topk.New(0, worseResult)
+	}
+	qs.resSel.Reset(topK)
+	return qs.resSel
+}
+
+// compiledRefine selects the κJ implementation refinement uses: the compiled
 // zero-allocation kernel over the view's cached signature.CompiledSeries
 // (production default) or the reference uncompiled path over raw Series.
 // Tests flip it to prove the two produce bit-identical rankings; nothing else
 // should touch it.
 var compiledRefine = true
 
-// refine computes the fused relevance of every gathered candidate.
-// Candidates are claimed from a shared atomic cursor (κJ cost varies with
-// series length, so static chunking would leave workers idle) and each
-// result lands in the slot of its candidate's position in qs.merged, keeping
-// the output independent of scheduling. Workers poll ctx between candidates
-// and, through signature.KJCancelCompiled, between individual EMD
-// evaluations; the first cancellation or injected fault stops every worker
-// claiming further work.
+// refineJob is one query's step-3 refinement: the inputs every candidate's
+// score needs, and how the caller (serial query or batched item) cancels.
+// It lives in the pooled queryScratch so that refinement workers can share
+// it without a per-query allocation.
+type refineJob struct {
+	v                     *View
+	q                     Query
+	qs                    *queryScratch
+	useContent, useSocial bool
+	cancelled             func() bool  // nil when nothing can cancel the query
+	cause                 func() error // the error a cancellation surfaces as
+
+	qc *signature.CompiledSeries
+}
+
+// refine returns the topK best gathered candidates under the fused relevance
+// and how many candidates it had to score to know them.
 //
-// Steady-state refinement allocates nothing but the worker goroutines: the
-// query's series is compiled once per query, every stored candidate's
-// compiled series is cached in the view and resolved by dense index (no
-// string re-hash per score), the result slots live in the pooled query
-// scratch, and each worker draws a warm signature.KJScratch from the view's
-// per-worker pool (strictly private while held — never shared).
-func (v *View) refine(ctx context.Context, q Query, qs *queryScratch, useContent, useSocial bool) ([]Result, error) {
-	cands := qs.merged
-	done := ctx.Done()
-	var cancelled func() bool
-	if done != nil {
-		cancelled = func() bool { return ctxDone(done) }
+// s̃J is exact before any EMD runs and signature.KJUpperBound bounds κJ from
+// the compiled sketches alone, so fuse(κJ_ub, s̃J) bounds every candidate's
+// score (fuse is monotone in κJ, rounding included). Candidates are visited
+// best bound first and scored with the unchanged kernel; the first candidate
+// whose bound is strictly below the running K-th score ends the search — it
+// and everything after it cannot enter the list. An equal bound is still
+// scored: at equal scores the smaller id wins. Skipping is the only thing the
+// bound does, so ids, scores and both component relevances are exactly those
+// of scoring every candidate.
+//
+// With workers > 1 (and enough candidates to be worth it) the ordered list is
+// consumed in rounds: the candidates of a round are scored concurrently into
+// slots, then offered to the selector in order, and the stopping test runs
+// between rounds — a schedule-independent superset of the serial visit.
+// Workers poll for cancellation between candidates and, through
+// signature.KJCancelCompiled, between EMD evaluations; the first cancellation
+// or injected fault fails the query. Everything but the goroutines lives in
+// pooled scratch; the answer drains into dst's storage (fresh when nil).
+func (j *refineJob) refine(topK, workers int, dst []Result) ([]Result, int, error) {
+	v, qs := j.v, j.qs
+	if j.useContent {
+		j.qc = j.q.compiled()
 	}
-
-	var qc *signature.CompiledSeries
-	if useContent && compiledRefine {
-		qc = q.compiled()
+	bounds := qs.bounds[:0]
+	for i, idx := range qs.merged {
+		if i%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
+			return nil, 0, j.cause()
+		}
+		c := boundCand{idx: idx}
+		if rec := v.recs[idx]; rec != nil {
+			var ub float64
+			if j.useContent {
+				ub = signature.KJUpperBound(j.qc, rec.Compiled, v.opts.MatchThreshold, &qs.kj)
+			}
+			if j.useSocial {
+				c.soc = v.socialRelevanceRec(j.q, qs.qvec, rec)
+			}
+			c.bound = v.fuse(ub, c.soc)
+		}
+		bounds = append(bounds, c)
 	}
+	qs.bounds = bounds
+	slices.SortFunc(bounds, func(a, b boundCand) int {
+		if c := cmp.Compare(b.bound, a.bound); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
 
+	round := 1
+	if workers > 1 && len(bounds) >= minParallelRefine {
+		round = workers * refineRoundPerWorker
+	}
+	sel := qs.resultSelector(topK)
+	refined := 0
+	for len(bounds) > 0 {
+		n := 0
+		for n < round && n < len(bounds) && (sel.Len() < topK || bounds[n].bound >= sel.Worst().Score) {
+			n++
+		}
+		if n == 0 {
+			break
+		}
+		results := qs.resultSlots(n)
+		if err := j.scoreRound(bounds[:n], results, workers); err != nil {
+			return nil, refined, err
+		}
+		for _, r := range results {
+			sel.Offer(r)
+		}
+		refined += n
+		bounds = bounds[n:]
+	}
+	return sel.SortedInto(dst[:0]), refined, nil
+}
+
+// scoreRound scores one round of candidates into their result slots: a
+// round of one (every serial round) on the calling goroutine, a wider one
+// across the worker pool. Workers claim from a shared atomic cursor (κJ cost
+// varies with series length) and each draws a warm signature.KJScratch from
+// the view's pool, strictly private while held.
+func (j *refineJob) scoreRound(cands []boundCand, results []Result, workers int) error {
+	if len(cands) == 1 {
+		r, err := j.score(cands[0], &j.qs.kj)
+		results[0] = r
+		return err
+	}
 	var failure atomic.Pointer[error]
-	fail := func(err error) {
-		e := err
-		failure.CompareAndSwap(nil, &e)
-	}
-
-	results := qs.resultSlots(len(cands))
-	score := func(i int, scratch *signature.KJScratch) bool {
-		if err := faults.Inject(faults.RefineScore); err != nil {
-			fail(err)
-			return false
-		}
-		if cancelled != nil && cancelled() {
-			fail(ctx.Err())
-			return false
-		}
-		idx := cands[i]
-		rec := v.recs[idx]
-		var content, soc float64
-		if useContent && rec != nil {
-			var kj float64
-			var complete bool
-			if qc != nil && rec.Compiled != nil {
-				kj, complete = signature.KJCancelCompiled(qc, rec.Compiled, v.opts.MatchThreshold, cancelled, scratch)
-			} else {
-				kj, complete = signature.KJCancel(q.Series, rec.Series, v.opts.MatchThreshold, cancelled)
-			}
-			if !complete {
-				fail(ctx.Err())
-				return false
-			}
-			content = kj
-		}
-		if useSocial && rec != nil {
-			soc = v.socialRelevanceRec(q, qs.qvec, rec)
-		}
-		results[i] = Result{
-			VideoID: v.intern.ids[idx],
-			Score:   v.fuse(content, soc),
-			Content: content,
-			Social:  soc,
-		}
-		return true
-	}
-
-	workers := v.opts.RefineWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 || len(cands) < minParallelRefine {
-		for i := range cands {
-			if !score(i, &qs.kj) {
-				return nil, *failure.Load()
-			}
-		}
-		return results, nil
-	}
-
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, len(cands)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			scratch := v.kjScratch.Get().(*signature.KJScratch)
-			defer v.kjScratch.Put(scratch)
+			scratch := j.v.kjScratch.Get().(*signature.KJScratch)
+			defer j.v.kjScratch.Put(scratch)
 			for failure.Load() == nil {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(cands) {
 					return
 				}
-				if !score(i, scratch) {
+				r, err := j.score(cands[i], scratch)
+				if err != nil {
+					e := err // keep the per-iteration err off the heap
+					failure.CompareAndSwap(nil, &e)
 					return
 				}
+				results[i] = r
 			}
 		}()
 	}
 	wg.Wait()
 	if p := failure.Load(); p != nil {
-		return nil, *p
+		return *p
 	}
-	return results, nil
+	return nil
+}
+
+// score computes one candidate's fused relevance: κJ through the compiled
+// kernel (the cached series resolved by dense index, no string re-hash),
+// fused with the s̃J the bound pass already computed.
+func (j *refineJob) score(c boundCand, scratch *signature.KJScratch) (Result, error) {
+	v := j.v
+	if err := faults.Inject(faults.RefineScore); err != nil {
+		return Result{}, err
+	}
+	if j.cancelled != nil && j.cancelled() {
+		return Result{}, j.cause()
+	}
+	var content float64
+	if rec := v.recs[c.idx]; j.useContent && rec != nil {
+		var complete bool
+		if compiledRefine {
+			content, complete = signature.KJCancelCompiled(j.qc, rec.Compiled, v.opts.MatchThreshold, j.cancelled, scratch)
+		} else {
+			content, complete = signature.KJCancel(j.q.Series, rec.Series, v.opts.MatchThreshold, j.cancelled)
+		}
+		if !complete {
+			return Result{}, j.cause()
+		}
+	}
+	return Result{
+		VideoID: v.intern.ids[c.idx],
+		Score:   v.fuse(content, c.soc),
+		Content: content,
+		Social:  c.soc,
+	}, nil
 }
 
 // RecommendID recommends for a stored video, excluding the video itself.

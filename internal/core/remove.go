@@ -28,7 +28,6 @@ func (r *Recommender) RemoveVideo(id string) bool {
 		s.tombstones.Add(i)
 		s.tombCount++
 	}
-	s.soa = nil // record set changed; rebuilt by the next installSocial
 	return true
 }
 

@@ -160,7 +160,6 @@ func (r *Recommender) installSocial() {
 	r.vectorizeAll()
 	r.state.look = r.state.lookupFunc()
 	r.state.built = true
-	r.state.soa = buildSoA(r.state.recs)
 }
 
 // SortedIDs returns the ingested video ids in a stable order (useful for

@@ -73,25 +73,18 @@ type View struct {
 	tombCount  int
 	built      bool
 
-	// soa is the structure-of-arrays layout of the compiled signatures,
-	// consumed by batched refinement. Built by installSocial, shared
-	// copy-on-write across clones (immutable once published), and nil
-	// whenever the record set has mutated since the last build — readers
-	// fall back to the per-record layout, which scores identically.
-	soa *soaStore
-
 	// look caches lookupFunc's closure for the query path — vectorizing the
 	// query descriptor must not allocate a fresh closure per query. Set by
 	// installSocial and rebuilt on clone (it binds the view's own table).
 	look social.Lookup
 
-	// scratch hands out per-query gather scratch (candidate bitset, qvec,
-	// merged index buffer, LCP walker, social selector); kjScratch hands out
-	// per-refinement-worker EMD scratch; batch hands out the chunk-wide
-	// state of a batched call (per-dimension query masks, merge cursors,
-	// a shared EMD scratch and result selector). All are per-view so every
-	// pooled buffer is already sized for this view's id space, and all
-	// survive only as long as the view — a clone starts fresh pools.
+	// scratch hands out per-query scratch (candidate bitset, qvec, merged
+	// index buffer, LCP walker, social selector, refinement order and result
+	// selector); kjScratch hands out per-refinement-worker EMD scratch; batch
+	// hands out the chunk-wide state of a batched call (per-dimension query
+	// masks, merge cursors). All are per-view so every pooled buffer is
+	// already sized for this view's id space, and all survive only as long
+	// as the view — a clone starts fresh pools.
 	scratch   *sync.Pool
 	kjScratch *sync.Pool
 	batch     *sync.Pool
@@ -123,7 +116,6 @@ func (v *View) clone() *View {
 		tombstones:  v.tombstones.Clone(),
 		tombCount:   v.tombCount,
 		built:       v.built,
-		soa:         v.soa, // immutable once built; invalidated by record mutations
 	}
 	nv.newPools()
 	if len(v.recs) > 0 {

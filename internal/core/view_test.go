@@ -30,10 +30,11 @@ func buildSmallTweaked(t testing.TB, mode Mode, tweak func(*Options)) (*Recommen
 	return r, c
 }
 
-// Parallel step-3 refinement must be byte-identical to the serial path:
-// each candidate's κJ/s̃J pair is computed into its own pre-assigned slot,
-// so worker scheduling cannot perturb a single bit of the ranking. FullScan
-// forces the candidate set well past minParallelRefine.
+// Parallel step-3 refinement must be byte-identical to the serial path: a
+// round's scores land in pre-assigned slots and a candidate is skipped only
+// when its bound proves it cannot rank, so worker scheduling cannot perturb a
+// single bit of the ranking. FullScan forces the candidate set well past
+// minParallelRefine.
 func TestParallelRefinementMatchesSerial(t *testing.T) {
 	for _, mode := range []Mode{ModeSARHash, ModeSAR, ModeExact} {
 		t.Run(mode.String(), func(t *testing.T) {

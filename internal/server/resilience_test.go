@@ -182,6 +182,9 @@ func TestDegradedResponseNearDeadline(t *testing.T) {
 	if hits, _, _ := srv.cache.stats(); hits != 0 {
 		t.Errorf("cache hits = %d, want 0 — a degraded answer was cached", hits)
 	}
+	if c, r := srv.candidates.Load(), srv.refined.Load(); c == 0 || r != 0 {
+		t.Errorf("candidates/refined = %d/%d, want gathered candidates and no κJ on degraded answers", c, r)
+	}
 }
 
 // A handler panic becomes a 500 and the server keeps serving.

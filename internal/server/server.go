@@ -150,10 +150,12 @@ type Server struct {
 
 	snapMu sync.Mutex // serializes POST /snapshot
 
-	shed     atomic.Int64 // requests rejected by admission control
-	brownout atomic.Int64 // admitted requests deliberately browned out
-	degraded atomic.Int64 // queries answered with the coarse ranking
-	panics   atomic.Int64 // handler panics recovered
+	shed       atomic.Int64 // requests rejected by admission control
+	brownout   atomic.Int64 // admitted requests deliberately browned out
+	degraded   atomic.Int64 // queries answered with the coarse ranking
+	candidates atomic.Int64 // clips gathered for refinement, over computed (not cached) answers
+	refined    atomic.Int64 // clips of those that needed a κJ before the top-K was decided
+	panics     atomic.Int64 // handler panics recovered
 
 	// lastUpdate is the summary of the most recent successful POST /updates
 	// batch; /stats surfaces its maintenance wall time and graph counters.
@@ -346,19 +348,27 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		s.queryError(w, err)
 		return
 	}
-	if meta.Degraded {
+	s.observe(meta)
+	if !meta.Degraded {
 		// Degraded answers are deadline (or shard-failure) artifacts, not
 		// view state — caching them would serve coarse or partial results to
 		// clients with generous budgets against a healthy fleet.
-		s.degraded.Add(1)
-	} else {
 		s.cache.put(cacheKey(meta.ViewVersion, id, k), recs)
 	}
-	s.queries.Add(1)
 	writeJSON(w, RecommendResponse{
 		Results: recs, Degraded: meta.Degraded, ViewVersion: meta.ViewVersion,
 		ShardsFailed: meta.ShardsFailed, ShardsTotal: meta.ShardsTotal,
 	})
+}
+
+// observe folds one computed answer into the /stats counters.
+func (s *Server) observe(meta videorec.RecommendMeta) {
+	s.queries.Add(1)
+	if meta.Degraded {
+		s.degraded.Add(1)
+	}
+	s.candidates.Add(int64(meta.Candidates))
+	s.refined.Add(int64(meta.Refined))
 }
 
 // recommendCtx routes one stored-clip query through the coalescer when
@@ -404,10 +414,7 @@ func (s *Server) handleRecommendClip(w http.ResponseWriter, r *http.Request) {
 		s.queryError(w, err)
 		return
 	}
-	if meta.Degraded {
-		s.degraded.Add(1)
-	}
-	s.queries.Add(1)
+	s.observe(meta)
 	writeJSON(w, RecommendResponse{
 		Results: recs, Degraded: meta.Degraded, ViewVersion: meta.ViewVersion,
 		ShardsFailed: meta.ShardsFailed, ShardsTotal: meta.ShardsTotal,
@@ -588,6 +595,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"inFlight":        ov.InFlight,
 		"shedTotal":       s.shed.Load(),
 		"degradedTotal":   s.degraded.Load(),
+		"candidatesTotal": s.candidates.Load(),
+		"refinedTotal":    s.refined.Load(),
 		"panicsRecovered": s.panics.Load(),
 		// Overload control: the live adaptive limit, queue state, and
 		// brownout activity. All zero when admission control is off.

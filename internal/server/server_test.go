@@ -268,6 +268,8 @@ type serverStats struct {
 	CacheHits        int64  `json:"cacheHits"`
 	CacheMisses      int64  `json:"cacheMisses"`
 	CacheSize        int    `json:"cacheSize"`
+	CandidatesTotal  int64  `json:"candidatesTotal"`
+	RefinedTotal     int64  `json:"refinedTotal"`
 	ShardFailTotal   uint64 `json:"shardFailTotal"`
 	BreakerOpenTotal uint64 `json:"breakerOpenTotal"`
 	QuorumLostTotal  uint64 `json:"quorumLostTotal"`
@@ -295,6 +297,45 @@ func getStats(t *testing.T, ts *httptest.Server) serverStats {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// /stats must show how much of the gathered candidate set refinement had to
+// score: candidatesTotal counts every clip gathered for a computed answer,
+// refinedTotal those that needed a κJ (at least the clips returned, never
+// more than gathered), summed over shards on a sharded backend; an answer
+// served from the cache did no work and adds nothing.
+func TestStatsRefinementCounters(t *testing.T) {
+	single, _ := newTestServer(t, "")
+	sharded, _ := newShardedServer(t, 4)
+	for name, ts := range map[string]*httptest.Server{"engine": single, "router": sharded} {
+		populate(t, ts)
+		fetch := func() int {
+			resp, err := http.Get(ts.URL + "/recommend?id=clip-0&k=2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var rr RecommendResponse
+			if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+				t.Fatal(err)
+			}
+			return len(rr.Results)
+		}
+		returned := int64(fetch())
+		st := getStats(t, ts)
+		// Five other clips exist and the corpus is far below any candidate
+		// budget, so every one of them is gathered exactly once.
+		if st.CandidatesTotal != 5 {
+			t.Errorf("%s: candidatesTotal = %d after one query over 6 clips, want 5", name, st.CandidatesTotal)
+		}
+		if st.RefinedTotal < returned || st.RefinedTotal > st.CandidatesTotal {
+			t.Errorf("%s: refinedTotal = %d, want between %d returned and %d gathered", name, st.RefinedTotal, returned, st.CandidatesTotal)
+		}
+		fetch()
+		if st2 := getStats(t, ts); st2.CacheHits != 1 || st2.CandidatesTotal != st.CandidatesTotal || st2.RefinedTotal != st.RefinedTotal {
+			t.Errorf("%s: cached answer moved the counters: %+v -> %+v", name, st, st2)
+		}
+	}
 }
 
 // Mutations must not purge the result cache: entries are keyed by view

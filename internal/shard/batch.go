@@ -252,9 +252,10 @@ func (r *Router) RecommendBatchCtx(ctx context.Context, reqs []videorec.BatchReq
 	need := res.quorum(len(views))
 	for gi, g := range ordered {
 		var (
-			okShards  int
-			degraded  bool
-			shardErrs []error
+			okShards            int
+			degraded            bool
+			candidates, refined int
+			shardErrs           []error
 		)
 		for i := range shardOuts {
 			a := &shardOuts[i]
@@ -268,6 +269,8 @@ func (r *Router) RecommendBatchCtx(ctx context.Context, reqs []videorec.BatchReq
 				if a.outs[gi].Info.Degraded {
 					degraded = true
 				}
+				candidates += a.outs[gi].Info.Candidates
+				refined += a.outs[gi].Info.Refined
 			}
 		}
 		var groupErr error
@@ -293,7 +296,7 @@ func (r *Router) RecommendBatchCtx(ctx context.Context, reqs []videorec.BatchReq
 					}
 				}
 			})
-			meta.Degraded = degraded
+			meta.Degraded, meta.Candidates, meta.Refined = degraded, candidates, refined
 			shared = make([]videorec.Recommendation, len(merged))
 			for i, res := range merged {
 				shared[i] = videorec.Recommendation{

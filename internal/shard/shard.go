@@ -621,6 +621,8 @@ func (r *Router) fanOut(ctx context.Context, s *shardSet, views []*core.View, q 
 			if a.info.Degraded {
 				meta.Degraded = true
 			}
+			meta.Candidates += a.info.Candidates
+			meta.Refined += a.info.Refined
 			continue
 		}
 		// The parent context dying fails every outstanding shard at once;

@@ -1,0 +1,254 @@
+package signature
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"videorec/internal/emd"
+)
+
+// kjCentroidOnly is the compiled κJ kernel as it stood before the quantile
+// sketch: the centroid test of [35] and nothing else in front of the EMD. It
+// is the filter-free reference the sketch filter must reproduce bit for bit.
+func kjCentroidOnly(s1, s2 *CompiledSeries, matchThreshold float64) float64 {
+	if s1 == nil || s2 == nil || len(s1.Sigs) == 0 || len(s2.Sigs) == 0 {
+		return 0
+	}
+	var pairs pairHeap
+	for i := range s1.Sigs {
+		for j := range s2.Sigs {
+			if matchThreshold > 0 && 1/(1+math.Abs(s1.Sigs[i].Mean-s2.Sigs[j].Mean)) < matchThreshold {
+				continue
+			}
+			if sim := SimCCompiled(&s1.Sigs[i], &s2.Sigs[j]); sim >= matchThreshold {
+				pairs = append(pairs, kjPair{i, j, sim})
+			}
+		}
+	}
+	sort.Sort(&pairs)
+	usedI := make([]bool, len(s1.Sigs))
+	usedJ := make([]bool, len(s2.Sigs))
+	var num float64
+	matched := 0
+	for _, p := range pairs {
+		if usedI[p.i] || usedJ[p.j] {
+			continue
+		}
+		usedI[p.i], usedJ[p.j] = true, true
+		num += p.sim
+		matched++
+	}
+	return num / float64(len(s1.Sigs)+len(s2.Sigs)-matched)
+}
+
+// adversarialSignature draws from the shapes that sit on the sketch's edges:
+// a single cuboid, all values equal, weights that put a bin boundary exactly
+// on a cuboid boundary, zero-weight cuboids at either end, invalid weights,
+// masses off 1 inside and outside the solver's tolerance, and large offsets.
+func adversarialSignature(rng *rand.Rand) Signature {
+	n := 1 + rng.Intn(40)
+	switch rng.Intn(10) {
+	case 0:
+		return Signature{Cuboids: []Cuboid{{V: rng.NormFloat64() * 8, Mu: 1}}}
+	case 1: // equal values
+		v := math.Round(rng.NormFloat64() * 4)
+		sig := Signature{Cuboids: make([]Cuboid, n)}
+		for i := range sig.Cuboids {
+			sig.Cuboids[i] = Cuboid{V: v, Mu: 1 / float64(n)}
+		}
+		return sig
+	case 2: // equal weights on a grid of 64 blocks: bin edges fall on cuboid edges
+		sig := Signature{Cuboids: make([]Cuboid, 8*(1+rng.Intn(4)))}
+		for i := range sig.Cuboids {
+			sig.Cuboids[i] = Cuboid{V: math.Round(rng.NormFloat64()*6) / 4, Mu: 1 / float64(len(sig.Cuboids))}
+		}
+		return sig
+	case 3: // zero-weight cuboids far outside the support
+		sig := randomSignature(rng, n)
+		sig.Cuboids = append(sig.Cuboids, Cuboid{V: 1e12, Mu: 0}, Cuboid{V: -1e12, Mu: 0})
+		return sig
+	case 4: // invalid: negative weight, zero mass or empty
+		switch rng.Intn(3) {
+		case 0:
+			sig := randomSignature(rng, n)
+			sig.Cuboids[rng.Intn(n)].Mu = -0.1
+			return sig
+		case 1:
+			return Signature{Cuboids: []Cuboid{{V: 1, Mu: 0}}}
+		}
+		return Signature{}
+	case 5: // mass mismatch inside the tolerance
+		sig := randomSignature(rng, n)
+		f := 1 + (rng.Float64()-0.5)*1e-6
+		for i := range sig.Cuboids {
+			sig.Cuboids[i].Mu *= f
+		}
+		return sig
+	case 6: // mass mismatch outside the tolerance (SimC = 0 against mass 1)
+		sig := randomSignature(rng, n)
+		f := []float64{0.5, 2, 1 + 1e-5}[rng.Intn(3)]
+		for i := range sig.Cuboids {
+			sig.Cuboids[i].Mu *= f
+		}
+		return sig
+	case 7: // values at the top of the cuboid range
+		sig := randomSignature(rng, n)
+		for i := range sig.Cuboids {
+			sig.Cuboids[i].V = 255 - math.Abs(sig.Cuboids[i].V)
+		}
+		return sig
+	}
+	sig := randomSignature(rng, n)
+	for i := range sig.Cuboids {
+		sig.Cuboids[i].V *= 4
+	}
+	return sig
+}
+
+// shifted returns sig moved by d: the EMD to the original is exactly d·mass
+// and so is the sketch bound — the pair sits on the filter's knife edge when
+// d = 1/threshold − 1.
+func shifted(sig Signature, d float64) Signature {
+	out := Signature{Cuboids: append([]Cuboid(nil), sig.Cuboids...)}
+	for i := range out.Cuboids {
+		out.Cuboids[i].V += d
+	}
+	return out
+}
+
+// Over random and adversarial pairs: the sketch distance never exceeds the
+// EMD the kernel computes, and whenever pairBound rejects a pair its SimC is
+// below the threshold — the two facts that make the filter exact.
+func TestPropertySketchBoundSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	thresholds := []float64{0.05, 0.3, 0.5, 0.8, 0.99, 1}
+	const pairs = 120000
+	rejected, reachable := 0, 0
+	for n := 0; n < pairs; n++ {
+		sa := adversarialSignature(rng)
+		var sb Signature
+		switch rng.Intn(4) {
+		case 0:
+			th := thresholds[rng.Intn(len(thresholds))]
+			sb = shifted(sa, 1/th-1)
+		case 1:
+			sb = shifted(sa, rng.NormFloat64())
+		default:
+			sb = adversarialSignature(rng)
+		}
+		a, b := Compile(sa), Compile(sb)
+		sim := SimCCompiled(&a, &b)
+		if a.OK && b.OK && !emd.MassMismatch(a.Mass, b.Mass) {
+			d := emd.Distance1DSorted(a.V, a.W, b.V, b.W, a.Mass/b.Mass)
+			if lb := sketchDistance(&a, &b); lb > d*(1+1e-12)+1e-12 {
+				t.Fatalf("pair %d: sketch distance %v exceeds EMD %v\na=%+v\nb=%+v", n, lb, d, sa, sb)
+			}
+		}
+		for _, th := range thresholds {
+			ub, ok := pairBound(&a, &b, th)
+			if sim >= th {
+				reachable++
+			}
+			if !ok {
+				rejected++
+				if sim >= th && 1/(1+math.Abs(a.Mean-b.Mean)) >= th {
+					t.Fatalf("pair %d, threshold %v: sketch rejected a pair with SimC %v\na=%+v\nb=%+v", n, th, sim, sa, sb)
+				}
+			} else if ub < sim {
+				t.Fatalf("pair %d, threshold %v: bound %v below SimC %v", n, th, ub, sim)
+			}
+		}
+	}
+	if rejected == 0 || reachable == 0 {
+		t.Fatalf("degenerate sample: %d rejected, %d reachable", rejected, reachable)
+	}
+}
+
+func adversarialSeries(rng *rand.Rand, pool []Signature) Series {
+	s := make(Series, rng.Intn(12))
+	for i := range s {
+		switch {
+		case len(pool) > 0 && rng.Intn(3) == 0: // near-duplicate of an earlier signature
+			s[i] = shifted(pool[rng.Intn(len(pool))], rng.NormFloat64()*0.2)
+		default:
+			s[i] = adversarialSignature(rng)
+		}
+	}
+	return s
+}
+
+// The filtered kernel equals the filter-free reference bit for bit, and
+// KJUpperBound is never below it — over series mixing near-duplicates,
+// knife-edge shifts, invalid and mass-mismatched signatures, empty series
+// included.
+func TestPropertyKJFilterAndUpperBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var scratch KJScratch
+	pairs, positive := 0, 0
+	for run := 0; run < 4000; run++ {
+		r1 := adversarialSeries(rng, nil)
+		r2 := adversarialSeries(rng, r1)
+		s1, s2 := CompileSeries(r1), CompileSeries(r2)
+		pairs += len(r1) * len(r2)
+		for _, th := range []float64{-1, 0, 0.3, 0.5, 0.9, 1} {
+			want := kjCentroidOnly(s1, s2, th)
+			got, ok := KJCancelCompiled(s1, s2, th, nil, &scratch)
+			if !ok || got != want {
+				t.Fatalf("run %d, threshold %v: filtered κJ = %v, reference %v", run, th, got, want)
+			}
+			if ub := KJUpperBound(s1, s2, th, &scratch); ub < got {
+				t.Fatalf("run %d, threshold %v: upper bound %v below κJ %v", run, th, ub, got)
+			}
+			if got > 0 {
+				positive++
+			}
+		}
+	}
+	if pairs < 100000 || positive < 1000 {
+		t.Fatalf("sample too thin: %d signature pairs, %d positive κJ", pairs, positive)
+	}
+}
+
+// On extracted signatures the bound must actually prune: unrelated clips get
+// a bound well under a re-edit's κJ, which is what lets refinement stop.
+func TestKJUpperBoundSeparates(t *testing.T) {
+	opts := DefaultOptions()
+	q := CompileSeries(Extract(synth(1, 1), opts))
+	same := CompileSeries(Extract(synth(1, 1), opts))
+	other := CompileSeries(Extract(synth(9, 2), opts))
+	if ub, kj := KJUpperBound(q, same, DefaultMatchThreshold, nil), KJCompiled(q, same, DefaultMatchThreshold); ub < kj || kj == 0 {
+		t.Fatalf("identical series: bound %v, κJ %v", ub, kj)
+	}
+	if ub := KJUpperBound(q, other, DefaultMatchThreshold, nil); ub >= 1 {
+		t.Fatalf("unrelated series: bound %v prunes nothing", ub)
+	}
+}
+
+// The bound runs once per gathered candidate and must not allocate with a
+// warm scratch.
+func TestKJUpperBoundZeroAlloc(t *testing.T) {
+	opts := DefaultOptions()
+	a := CompileSeries(Extract(synth(1, 1), opts))
+	b := CompileSeries(Extract(synth(2, 2), opts))
+	var scratch KJScratch
+	KJUpperBound(a, b, DefaultMatchThreshold, &scratch)
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() { sink += KJUpperBound(a, b, DefaultMatchThreshold, &scratch) }); allocs != 0 {
+		t.Fatalf("KJUpperBound allocates %.1f/op with scratch, want 0", allocs)
+	}
+	_ = sink
+}
+
+func BenchmarkKJUpperBound(b *testing.B) {
+	opts := DefaultOptions()
+	s1 := CompileSeries(Extract(synth(1, 1), opts))
+	s2 := CompileSeries(Extract(synth(2, 2), opts))
+	var scratch KJScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		KJUpperBound(s1, s2, DefaultMatchThreshold, &scratch)
+	}
+}

@@ -56,6 +56,10 @@ func (s *Selector[T]) Offer(x T) {
 // Len returns the number of items currently kept.
 func (s *Selector[T]) Len() int { return len(s.h) }
 
+// Worst returns the lowest-ranked kept item — the one a better offer evicts
+// once the selector is full. The selector must not be empty.
+func (s *Selector[T]) Worst() T { return s.h[0] }
+
 // Items returns the kept items in heap order — no ranking order guaranteed.
 // Use it when only membership matters (e.g. filling a candidate set). The
 // slice aliases the selector's storage; do not Offer afterwards.

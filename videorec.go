@@ -317,6 +317,13 @@ type RecommendMeta struct {
 	// leaves both zero.
 	ShardsFailed int
 	ShardsTotal  int
+	// Candidates is how many clips candidate generation gathered for the
+	// query and Refined how many of them needed a κJ before the top-K was
+	// decided (summed over shards; Refined is 0 on a deadline-degraded
+	// answer). Refined/Candidates drifting towards 1 means the score bound
+	// has stopped pruning on this corpus.
+	Candidates int
+	Refined    int
 }
 
 // Recommend returns the topK most relevant stored videos for a stored clip,
@@ -354,7 +361,7 @@ func (e *Engine) RecommendCtx(ctx context.Context, clipID string, topK int) ([]R
 	if err != nil {
 		return nil, meta, err
 	}
-	meta.Degraded = info.Degraded
+	meta.Degraded, meta.Candidates, meta.Refined = info.Degraded, info.Candidates, info.Refined
 	return convert(res), meta, nil
 }
 
@@ -391,7 +398,7 @@ func (e *Engine) RecommendClipCtx(ctx context.Context, clip Clip, topK int) ([]R
 	if err != nil {
 		return nil, meta, err
 	}
-	meta.Degraded = info.Degraded
+	meta.Degraded, meta.Candidates, meta.Refined = info.Degraded, info.Candidates, info.Refined
 	return convert(res), meta, nil
 }
 
