@@ -366,7 +366,7 @@ func BenchmarkBTreeLCPWalk(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := tr.Seek(rng.Uint64())
+		it := tr.SeekAt(rng.Uint64())
 		for j := 0; j < 32 && it.Valid(); j++ {
 			it.Next()
 		}

@@ -3,10 +3,106 @@ package btree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// slot is one (key, value) pair; tests give every insert a distinct value so
+// the order inside a run of equal keys is checked too.
+type slot struct {
+	k uint64
+	v int
+}
+
+// seekLast positions at the largest key: down the right edge.
+func seekLast[V any](t *Tree[V]) Iterator[V] {
+	var it Iterator[V]
+	n := t.root
+	for n.children != nil {
+		it.path[it.depth] = step[V]{n, len(n.children) - 1}
+		it.depth++
+		n = n.children[len(n.children)-1]
+	}
+	if len(n.keys) > 0 {
+		it.leaf, it.idx = n, len(n.keys)-1
+	}
+	return it
+}
+
+// forward is the full scan from the smallest key.
+func forward(t *Tree[int]) []slot {
+	var out []slot
+	for it := t.SeekAt(0); it.Valid(); it.Next() {
+		out = append(out, slot{it.Key(), it.Value()})
+	}
+	return out
+}
+
+// backward is the full scan from the largest key.
+func backward(t *Tree[int]) []slot {
+	var out []slot
+	for it := seekLast(t); it.Valid(); it.Prev() {
+		out = append(out, slot{it.Key(), it.Value()})
+	}
+	return out
+}
+
+// model is the obviously-right tree: a sorted slice where a new slot lands
+// after the existing equal keys.
+type model []slot
+
+func (m model) insert(k uint64, v int) model {
+	i := sort.Search(len(m), func(i int) bool { return m[i].k > k })
+	return slices.Insert(m, i, slot{k, v})
+}
+
+// checkAgainst holds a tree to its model: length, the forward scan, the
+// backward scan, and from each probe's SeekAt position the exact sequences
+// Next and Prev walk from there.
+func checkAgainst(t testing.TB, name string, tr *Tree[int], m model, probes []uint64) {
+	t.Helper()
+	if tr.Len() != len(m) {
+		t.Fatalf("%s: Len = %d, want %d", name, tr.Len(), len(m))
+	}
+	if got := forward(tr); !slices.Equal(got, []slot(m)) {
+		t.Fatalf("%s: forward scan\n got %v\nwant %v", name, got, m)
+	}
+	back := backward(tr)
+	slices.Reverse(back)
+	if !slices.Equal(back, []slot(m)) {
+		t.Fatalf("%s: backward scan (reversed)\n got %v\nwant %v", name, back, m)
+	}
+	for _, p := range probes {
+		i := sort.Search(len(m), func(i int) bool { return m[i].k >= p })
+		it := tr.SeekAt(p)
+		if it.Valid() != (i < len(m)) {
+			t.Fatalf("%s: SeekAt(%d).Valid() = %v, model slot %d of %d", name, p, it.Valid(), i, len(m))
+		}
+		if !it.Valid() {
+			continue
+		}
+		down := it
+		for j := i; j < len(m); j++ {
+			if got := (slot{it.Key(), it.Value()}); got != m[j] {
+				t.Fatalf("%s: SeekAt(%d) + %d Next = %v, want %v", name, p, j-i, got, m[j])
+			}
+			if it.Next() != (j+1 < len(m)) {
+				t.Fatalf("%s: SeekAt(%d): Next validity wrong at model slot %d", name, p, j+1)
+			}
+		}
+		for j := i; j >= 0; j-- {
+			if got := (slot{down.Key(), down.Value()}); got != m[j] {
+				t.Fatalf("%s: SeekAt(%d) + %d Prev = %v, want %v", name, p, i-j, got, m[j])
+			}
+			if down.Prev() != (j > 0) {
+				t.Fatalf("%s: SeekAt(%d): Prev validity wrong at model slot %d", name, p, j-1)
+			}
+		}
+	}
+}
 
 func TestInsertGetSmall(t *testing.T) {
 	tr := New[string](4)
@@ -16,11 +112,11 @@ func TestInsertGetSmall(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
 	}
-	if v, ok := tr.Get(5); !ok || v != "b" {
-		t.Errorf("Get(5) = (%q, %v)", v, ok)
+	if it := tr.SeekAt(5); !it.Valid() || it.Key() != 5 || it.Value() != "b" {
+		t.Errorf("SeekAt(5) missed the stored slot")
 	}
-	if _, ok := tr.Get(7); ok {
-		t.Error("Get(7) should miss")
+	if it := tr.SeekAt(7); !it.Valid() || it.Key() != 10 {
+		t.Error("SeekAt(7) should land on 10: 7 is not stored")
 	}
 }
 
@@ -33,17 +129,14 @@ func TestInsertManySorted(t *testing.T) {
 	if tr.Len() != n {
 		t.Fatalf("Len = %d, want %d", tr.Len(), n)
 	}
-	// Full ascending scan must visit every key in order.
-	want := uint64(0)
-	tr.Ascend(func(k uint64, v int) bool {
-		if k != want || v != int(want) {
-			t.Fatalf("scan saw (%d,%d), want %d", k, v, want)
+	scan := forward(tr)
+	if len(scan) != n {
+		t.Fatalf("scan visited %d keys, want %d", len(scan), n)
+	}
+	for i, s := range scan {
+		if s.k != uint64(i) || s.v != i {
+			t.Fatalf("scan[%d] = %v", i, s)
 		}
-		want++
-		return true
-	})
-	if want != n {
-		t.Errorf("scan visited %d keys, want %d", want, n)
 	}
 }
 
@@ -55,45 +148,17 @@ func TestDuplicateKeys(t *testing.T) {
 	tr.Insert(3, -1)
 	tr.Insert(9, -2)
 	count := 0
-	tr.AscendRange(7, 8, func(k uint64, v int) bool {
+	for it := tr.SeekAt(7); it.Valid() && it.Key() == 7; it.Next() {
+		if it.Value() != count {
+			t.Fatalf("duplicate %d carries value %d: insertion order lost", count, it.Value())
+		}
 		count++
-		return true
-	})
+	}
 	if count != 50 {
 		t.Errorf("found %d duplicates of key 7, want 50", count)
 	}
-	// Delete them all, one at a time.
-	for i := 0; i < 50; i++ {
-		if !tr.Delete(7) {
-			t.Fatalf("Delete(7) #%d failed", i)
-		}
-	}
-	if tr.Delete(7) {
-		t.Error("extra Delete(7) succeeded")
-	}
-	if tr.Len() != 2 {
-		t.Errorf("Len = %d, want 2", tr.Len())
-	}
-}
-
-func TestDeleteRebalances(t *testing.T) {
-	tr := New[int](4)
-	const n = 500
-	for i := 0; i < n; i++ {
-		tr.Insert(uint64(i*2), i)
-	}
-	// Delete in an order that forces borrows and merges.
-	perm := rand.New(rand.NewSource(3)).Perm(n)
-	for _, i := range perm {
-		if !tr.Delete(uint64(i * 2)) {
-			t.Fatalf("Delete(%d) failed", i*2)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d after deleting everything", tr.Len())
-	}
-	if it := tr.SeekFirst(); it.Valid() {
-		t.Error("iterator valid on empty tree")
+	if tr.Len() != 52 {
+		t.Errorf("Len = %d, want 52", tr.Len())
 	}
 }
 
@@ -111,13 +176,13 @@ func TestSeekSemantics(t *testing.T) {
 		{30, 30, true}, {31, 0, false},
 	}
 	for _, c := range cases {
-		it := tr.Seek(c.seek)
+		it := tr.SeekAt(c.seek)
 		if it.Valid() != c.ok {
-			t.Errorf("Seek(%d).Valid = %v, want %v", c.seek, it.Valid(), c.ok)
+			t.Errorf("SeekAt(%d).Valid = %v, want %v", c.seek, it.Valid(), c.ok)
 			continue
 		}
 		if c.ok && it.Key() != c.want {
-			t.Errorf("Seek(%d) = %d, want %d", c.seek, it.Key(), c.want)
+			t.Errorf("SeekAt(%d) = %d, want %d", c.seek, it.Key(), c.want)
 		}
 	}
 }
@@ -128,9 +193,9 @@ func TestIteratorBidirectional(t *testing.T) {
 	for _, k := range keys {
 		tr.Insert(k, int(k))
 	}
-	it := tr.Seek(7)
+	it := tr.SeekAt(7)
 	if !it.Valid() || it.Key() != 7 {
-		t.Fatalf("Seek(7) invalid")
+		t.Fatalf("SeekAt(7) invalid")
 	}
 	if !it.Next() || it.Key() != 9 {
 		t.Errorf("Next -> %v", it.Key())
@@ -141,273 +206,151 @@ func TestIteratorBidirectional(t *testing.T) {
 	if !it.Prev() || it.Key() != 5 {
 		t.Errorf("Prev -> %v", it.Key())
 	}
-	// Walk off the front.
-	it = tr.SeekFirst()
-	if it.Prev() {
-		t.Error("Prev past the first key should invalidate")
+	// Walk off the front: the iterator is dead in both directions.
+	it = tr.SeekAt(0)
+	if it.Prev() || it.Next() {
+		t.Error("Prev past the first key should invalidate for good")
 	}
 	// Walk off the back.
-	it = tr.SeekLast()
+	it = seekLast(tr)
 	if it.Key() != 13 {
-		t.Errorf("SeekLast = %d", it.Key())
+		t.Errorf("last key = %d", it.Key())
 	}
-	if it.Next() {
-		t.Error("Next past the last key should invalidate")
+	if it.Next() || it.Prev() {
+		t.Error("Next past the last key should invalidate for good")
 	}
 }
 
+// An iterator is a value: a copy keeps its own path, so the walker's
+// "bwd = fwd" gives two independent positions.
 func TestIteratorClone(t *testing.T) {
 	tr := New[int](4)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 100; i++ {
 		tr.Insert(uint64(i), i)
 	}
-	it := tr.Seek(4)
-	cl := it.Clone()
-	it.Next()
-	if cl.Key() != 4 {
-		t.Errorf("clone moved with original: %d", cl.Key())
+	it := tr.SeekAt(40)
+	cl := it
+	for i := 0; i < 30; i++ { // across several leaves
+		it.Next()
 	}
-}
-
-func TestAscendRangeBounds(t *testing.T) {
-	tr := New[int](4)
-	for i := 0; i < 20; i++ {
-		tr.Insert(uint64(i), i)
+	if cl.Key() != 40 {
+		t.Errorf("copy moved with original: %d", cl.Key())
 	}
-	var got []uint64
-	tr.AscendRange(5, 9, func(k uint64, v int) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []uint64{5, 6, 7, 8}
-	if len(got) != len(want) {
-		t.Fatalf("range = %v, want %v", got, want)
+	for i := 0; i < 30; i++ {
+		cl.Prev()
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("range = %v, want %v", got, want)
-		}
-	}
-	// Early stop.
-	n := 0
-	tr.AscendRange(0, 100, func(uint64, int) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("early stop visited %d", n)
+	if it.Key() != 70 || cl.Key() != 10 {
+		t.Errorf("after diverging walks: original at %d (want 70), copy at %d (want 10)", it.Key(), cl.Key())
 	}
 }
 
 func TestEmptyTree(t *testing.T) {
 	tr := New[int](4)
-	if tr.Delete(1) {
-		t.Error("Delete on empty succeeded")
+	if it := tr.SeekAt(0); it.Valid() || it.Next() || it.Prev() {
+		t.Error("SeekAt on empty is valid")
 	}
-	if it := tr.Seek(0); it.Valid() {
-		t.Error("Seek on empty is valid")
+	if it := seekLast(tr); it.Valid() {
+		t.Error("last slot of an empty tree is valid")
 	}
-	if it := tr.SeekLast(); it.Valid() {
-		t.Error("SeekLast on empty is valid")
-	}
-}
-
-// Property: under a random workload of inserts and deletes, the tree's full
-// scan always equals a sorted reference multiset, and Seek matches a linear
-// search.
-func TestPropertyMatchesReference(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := New[int](4 + rng.Intn(8))
-		var ref []uint64 // sorted multiset
-		for op := 0; op < 500; op++ {
-			k := uint64(rng.Intn(60))
-			if rng.Intn(3) > 0 { // 2/3 inserts
-				tr.Insert(k, int(k))
-				i := sort.Search(len(ref), func(i int) bool { return ref[i] >= k })
-				ref = append(ref, 0)
-				copy(ref[i+1:], ref[i:])
-				ref[i] = k
-			} else {
-				got := tr.Delete(k)
-				i := sort.Search(len(ref), func(i int) bool { return ref[i] >= k })
-				want := i < len(ref) && ref[i] == k
-				if got != want {
-					return false
-				}
-				if want {
-					ref = append(ref[:i], ref[i+1:]...)
-				}
-			}
-		}
-		if tr.Len() != len(ref) {
-			return false
-		}
-		// Scan equality.
-		var scan []uint64
-		tr.Ascend(func(k uint64, v int) bool {
-			scan = append(scan, k)
-			return true
-		})
-		if len(scan) != len(ref) {
-			return false
-		}
-		for i := range ref {
-			if scan[i] != ref[i] {
-				return false
-			}
-		}
-		// Seek equality on a few probes.
-		for probe := 0; probe < 10; probe++ {
-			k := uint64(rng.Intn(70))
-			it := tr.Seek(k)
-			i := sort.Search(len(ref), func(i int) bool { return ref[i] >= k })
-			if i == len(ref) {
-				if it.Valid() {
-					return false
-				}
-			} else if !it.Valid() || it.Key() != ref[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: backward iteration from the end reproduces the reverse of the
-// forward scan even after heavy deletion (leaf chain stays consistent).
-func TestPropertyLeafChainConsistent(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := New[int](4)
-		live := map[int]int{} // key -> count
-		for i := 0; i < 300; i++ {
-			k := rng.Intn(50)
-			tr.Insert(uint64(k), k)
-			live[k]++
-		}
-		for i := 0; i < 200; i++ {
-			k := rng.Intn(50)
-			if tr.Delete(uint64(k)) {
-				live[k]--
-				if live[k] == 0 {
-					delete(live, k)
-				}
-			}
-		}
-		var fwd []uint64
-		tr.Ascend(func(k uint64, v int) bool { fwd = append(fwd, k); return true })
-		var bwd []uint64
-		for it := tr.SeekLast(); it.Valid(); it.Prev() {
-			bwd = append(bwd, it.Key())
-		}
-		if len(fwd) != len(bwd) {
-			return false
-		}
-		for i := range fwd {
-			if fwd[i] != bwd[len(bwd)-1-i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkInsert(b *testing.B) {
-	tr := New[int](64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Insert(uint64(i*2654435761), i)
-	}
-}
-
-func BenchmarkSeek(b *testing.B) {
-	tr := New[int](64)
-	for i := 0; i < 100000; i++ {
-		tr.Insert(uint64(i), i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Seek(uint64(i % 100000))
+	cl := tr.Clone()
+	if it := cl.SeekAt(0); cl.Len() != 0 || it.Valid() {
+		t.Error("clone of an empty tree is not empty")
 	}
 }
 
 func TestDescend(t *testing.T) {
 	tr := New[int](4)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 100; i++ {
 		tr.Insert(uint64(i), i)
 	}
-	var got []uint64
-	tr.Descend(func(k uint64, v int) bool {
-		got = append(got, k)
-		return true
-	})
-	for i, k := range got {
-		if k != uint64(9-i) {
-			t.Fatalf("Descend[%d] = %d, want %d", i, k, 9-i)
-		}
+	back := backward(tr)
+	if len(back) != 100 {
+		t.Fatalf("backward walk visited %d slots, want 100", len(back))
 	}
-	n := 0
-	tr.Descend(func(uint64, int) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Errorf("early stop visited %d", n)
+	for i, s := range back {
+		if s.k != uint64(99-i) {
+			t.Fatalf("backward[%d] = %d, want %d", i, s.k, 99-i)
+		}
 	}
 }
 
-func TestDescendRange(t *testing.T) {
-	tr := New[int](4)
-	for i := 0; i < 20; i++ {
-		tr.Insert(uint64(i), i)
-	}
-	var got []uint64
-	tr.DescendRange(8, 4, func(k uint64, v int) bool {
-		got = append(got, k)
-		return true
-	})
-	want := []uint64{8, 7, 6, 5}
-	if len(got) != len(want) {
-		t.Fatalf("DescendRange = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DescendRange = %v, want %v", got, want)
+// Property: under arbitrary interleavings of Insert and Clone — inserts go to
+// any generation, clones fork any generation — every tree, however old and
+// however many descendants have since rewritten the paths it shares, yields
+// exactly its own model's sequence forwards and backwards from any SeekAt.
+func TestPropertyMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		type gen struct {
+			tr *Tree[int]
+			m  model
 		}
-	}
-	// hi beyond the max key starts at the top.
-	got = nil
-	tr.DescendRange(100, 17, func(k uint64, v int) bool {
-		got = append(got, k)
+		gens := []gen{{tr: New[int](4 + rng.Intn(8))}}
+		next := 0
+		for op := 0; op < 600; op++ {
+			g := &gens[rng.Intn(len(gens))]
+			if len(gens) < 12 && rng.Intn(40) == 0 {
+				gens = append(gens, gen{tr: g.tr.Clone(), m: slices.Clone(g.m)})
+				continue
+			}
+			k := uint64(rng.Intn(60))
+			g.tr.Insert(k, next)
+			g.m = g.m.insert(k, next)
+			next++
+		}
+		if len(gens) < 4 {
+			return true // too few forks to prove anything; other seeds cover it
+		}
+		probes := make([]uint64, 12)
+		for i := range probes {
+			probes[i] = uint64(rng.Intn(70))
+		}
+		for i, g := range gens {
+			checkAgainst(t, fmt.Sprintf("seed %d generation %d", seed, i), g.tr, g.m, probes)
+		}
 		return true
-	})
-	if len(got) != 2 || got[0] != 19 || got[1] != 18 {
-		t.Errorf("open-hi DescendRange = %v", got)
 	}
-	// Duplicates of hi are all visited.
-	tr.Insert(8, 80)
-	tr.Insert(8, 81)
-	count := 0
-	tr.DescendRange(8, 7, func(k uint64, v int) bool {
-		count++
-		return true
-	})
-	if count != 3 {
-		t.Errorf("duplicates of hi visited %d times, want 3", count)
-	}
-	// Empty range.
-	got = nil
-	tr.DescendRange(4, 4, func(k uint64, v int) bool { got = append(got, k); return true })
-	if got != nil {
-		t.Errorf("empty range = %v", got)
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// linearSeek is the obviously-right SeekAt: walk the leaf chain from the
-// front to the first slot >= key.
+// Property: a chain of clones, each extending its parent — the shape the
+// core engine produces, one clone per publish — leaves every ancestor's
+// backward walk the mirror of its forward walk: the paths iterators climb
+// through stay consistent in trees whose nodes later generations copied.
+func TestPropertyLeafChainConsistent(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr := New[int](4)
+		var chain []*Tree[int]
+		for i := 0; i < 500; i++ {
+			if i%100 == 99 {
+				chain = append(chain, tr)
+				tr = tr.Clone()
+			}
+			k := rng.Intn(50)
+			tr.Insert(uint64(k), i)
+		}
+		chain = append(chain, tr)
+		for g, tr := range chain {
+			fwd, bwd := forward(tr), backward(tr)
+			slices.Reverse(bwd)
+			if len(fwd) != min(500, (g+1)*100-1) || !slices.Equal(fwd, bwd) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// linearSeek is the obviously-right SeekAt: walk from the front to the first
+// slot >= key.
 func linearSeek[V any](tr *Tree[V], key uint64) Iterator[V] {
-	it := *tr.SeekFirst()
+	it := tr.SeekAt(0)
 	for it.Valid() && it.Key() < key {
 		it.Next()
 	}
@@ -417,7 +360,7 @@ func linearSeek[V any](tr *Tree[V], key uint64) Iterator[V] {
 // leafSpan counts the leaves a run of key occupies.
 func leafSpan[V any](tr *Tree[V], key uint64) int {
 	leaves := 0
-	var last *leaf[V]
+	var last *node[V]
 	for it := linearSeek(tr, key); it.Valid() && it.Key() == key; it.Next() {
 		if it.leaf != last {
 			leaves++
@@ -430,15 +373,16 @@ func leafSpan[V any](tr *Tree[V], key uint64) int {
 // Runs of one key that span many leaves — the LSB-tree's normal state: Z-order
 // keys collide by design — must not change where SeekAt lands: for every
 // probe (inside a run, equal to a separator, between runs, below the minimum,
-// above the maximum) the slot is the one a linear first->= walk finds, while
-// deletes borrow from and merge the leaves the runs live in.
+// above the maximum) the position, path included, is the one a linear
+// first->= walk reaches, in the writer's tree and in every frozen ancestor
+// while clones keep splitting the leaves the runs live in.
 func TestSeekAtDuplicateRuns(t *testing.T) {
 	for _, order := range []int{4, 64} {
 		tr := New[int](order)
 		rng := rand.New(rand.NewSource(int64(order)))
 		runs := []uint64{10, 20, 21, 40, 1 << 40}
 		next := 0
-		check := func(stage string) {
+		check := func(stage string, tr *Tree[int]) {
 			t.Helper()
 			probes := []uint64{0, 9, 11, 19, 22, 39, 41, 1<<40 - 1, 1<<40 + 1, ^uint64(0)}
 			probes = append(probes, runs...)
@@ -462,24 +406,142 @@ func TestSeekAtDuplicateRuns(t *testing.T) {
 				t.Fatalf("order %d: run of key %d spans %d leaves, want >= 4", order, k, n)
 			}
 		}
-		check("after inserts")
-		// Delete most of every run in random order — under-full leaves borrow
-		// and merge across the runs' separators — re-checking as the tree
-		// shrinks, and refill one run so splits follow merges.
+		check("after inserts", tr)
+		// Freeze a generation every few inserts and keep growing random runs
+		// in the clone, re-checking the writer and every frozen ancestor.
+		var frozen []*Tree[int]
 		for round := 0; round < 4*order; round++ {
-			k := runs[rng.Intn(len(runs))]
-			if !tr.Delete(k) {
-				t.Fatalf("order %d: Delete(%d) found nothing", order, k)
+			if round%order == 0 {
+				frozen = append(frozen, tr)
+				tr = tr.Clone()
 			}
-			if round%3 == 0 {
-				tr.Insert(20, next)
-				next++
+			tr.Insert(runs[rng.Intn(len(runs))], next)
+			next++
+			check("writer while cloning", tr)
+			for _, old := range frozen {
+				check("frozen ancestor", old)
 			}
-			check("while deleting")
 		}
-		for tr.Delete(21) {
-			check("emptying a run")
+	}
+}
+
+// A frozen tree is walked lock-free while its clone takes 50k inserts: the
+// readers must see exactly the frozen contents on every pass, and under -race
+// any write into a node the frozen tree can reach is reported.
+func TestFrozenCloneWalkedWhileWriterInserts(t *testing.T) {
+	frozen := New[int](16)
+	rng := rand.New(rand.NewSource(9))
+	var m model
+	for i := 0; i < 5000; i++ {
+		k := uint64(rng.Intn(2000))
+		frozen.Insert(k, i)
+		m = m.insert(k, i)
+	}
+	writer := frozen.Clone()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for pass := 0; ; pass++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Alternate directions from a seek in the middle and full scans.
+				start := uint64((g*500 + pass*37) % 2000)
+				i := sort.Search(len(m), func(i int) bool { return m[i].k >= start })
+				it := frozen.SeekAt(start)
+				back := it
+				for j := i; j < len(m); j++ {
+					if !it.Valid() || it.Key() != m[j].k || it.Value() != m[j].v {
+						t.Errorf("reader %d: forward slot %d diverged from the frozen contents", g, j)
+						return
+					}
+					it.Next()
+				}
+				for j := i; j >= 0 && i < len(m); j-- {
+					if !back.Valid() || back.Key() != m[j].k || back.Value() != m[j].v {
+						t.Errorf("reader %d: backward slot %d diverged from the frozen contents", g, j)
+						return
+					}
+					back.Prev()
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < 50000; i++ {
+		writer.Insert(uint64(rng.Intn(2000)), -i)
+	}
+	close(stop)
+	wg.Wait()
+	if writer.Len() != 55000 || frozen.Len() != 5000 {
+		t.Fatalf("Len: writer %d (want 55000), frozen %d (want 5000)", writer.Len(), frozen.Len())
+	}
+}
+
+// The walker embeds iterators by value and steps them on the query path:
+// a seek plus a long walk in both directions — leaf crossings included —
+// must not allocate.
+func TestIteratorWalkAllocs(t *testing.T) {
+	tr := New[int](8)
+	for i := 0; i < 5000; i++ {
+		tr.Insert(uint64(i%700), i)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		fwd := tr.SeekAt(350)
+		bwd := fwd
+		for i := 0; i < 512; i++ {
+			fwd.Next()
+			bwd.Prev()
 		}
+		if !fwd.Valid() || !bwd.Valid() {
+			t.Fatal("walk ran off the tree")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SeekAt + 512 Next/Prev steps allocate %.0f times, want 0", allocs)
+	}
+}
+
+func BenchmarkInsert(b *testing.B) {
+	tr := New[int](64)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Insert(uint64(i*2654435761), i)
+	}
+}
+
+// One publish: clone the tree, insert one key into the clone. Cost must be a
+// root-to-leaf path, whatever the tree holds.
+func BenchmarkCloneInsert(b *testing.B) {
+	for _, n := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			tr := New[int](64)
+			for i := 0; i < n; i++ {
+				tr.Insert(uint64(i*2654435761), i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr = tr.Clone()
+				tr.Insert(uint64(i*40503), i)
+			}
+		})
+	}
+}
+
+func BenchmarkSeek(b *testing.B) {
+	tr := New[int](64)
+	for i := 0; i < 100000; i++ {
+		tr.Insert(uint64(i), i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.SeekAt(uint64(i % 100000))
 	}
 }
 

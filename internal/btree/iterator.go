@@ -2,79 +2,54 @@ package btree
 
 import "sort"
 
-// Iterator is a position in the tree's leaf chain. It supports forward and
+// Iterator is a position in the tree's key order. It supports forward and
 // backward movement — KNN search in the LSB-index expands from the query
-// position in both directions.
+// position in both directions. Leaves are not linked to their neighbours (a
+// leaf reachable from two trees cannot name one successor), so the iterator
+// carries its root-to-leaf path inline and crosses a leaf boundary through
+// the lowest ancestor with a child on that side. It is a plain value:
+// assignment copies it, and it never allocates. An iterator that has stepped
+// off either end stays invalid.
 type Iterator[V any] struct {
-	leaf *leaf[V]
-	idx  int
+	leaf  *node[V] // nil when invalid
+	idx   int      // slot in leaf
+	depth int      // inner nodes above leaf
+	path  [maxHeight - 1]step[V]
 }
 
-// Seek returns an iterator at the first slot with key >= key. The iterator
-// is invalid when every key is smaller.
-func (t *Tree[V]) Seek(key uint64) *Iterator[V] {
-	it := t.SeekAt(key)
-	return &it
+// step is one inner node of the path and the child taken out of it.
+type step[V any] struct {
+	n  *node[V]
+	ci int
 }
 
-// SeekAt is Seek returning the iterator by value, for callers that embed
-// iterators in their own reusable structures (the LCP walker holds two per
-// query front) and must not allocate per seek.
+// SeekAt returns an iterator at the first slot with key >= key, by value, so
+// callers can embed iterators in their own reusable structures (the LCP
+// walker holds two per query front). The iterator is invalid when every key
+// is smaller.
 func (t *Tree[V]) SeekAt(key uint64) Iterator[V] {
-	// Descend by lower bound. Child i of an inner node holds keys in
-	// [keys[i-1], keys[i]] — closed on both sides, because a run of equal keys
-	// can straddle its separator — so every child left of the first separator
-	// >= key holds only smaller keys, and the first slot >= key is in that
-	// child or, when the child's own keys all fall short, the very next slot
-	// in the leaf chain. O(log n) however long the run of duplicates is.
+	// Descend by lower bound: every child left of the first separator >= key
+	// holds only smaller keys, so the first slot >= key is in that child or,
+	// when the child's own keys all fall short, the very next slot in key
+	// order. O(log n) however long the run of duplicates is.
+	var it Iterator[V]
 	n := t.root
-	for {
-		in, ok := n.(*inner[V])
-		if !ok {
-			break
-		}
-		n = in.children[sort.Search(len(in.keys), func(i int) bool { return in.keys[i] >= key })]
+	for n.children != nil {
+		ci := sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
+		it.path[it.depth] = step[V]{n, ci}
+		it.depth++
+		n = n.children[ci]
 	}
-	lf := n.(*leaf[V])
-	i := sort.Search(len(lf.keys), func(i int) bool { return lf.keys[i] >= key })
-	it := Iterator[V]{leaf: lf, idx: i}
-	if i == len(lf.keys) {
-		it.Next() // roll over to the next leaf (or become invalid)
+	it.leaf = n
+	it.idx = sort.Search(len(n.keys), func(i int) bool { return n.keys[i] >= key })
+	if it.idx == len(n.keys) {
+		it.nextLeaf() // or become invalid
 	}
 	return it
 }
 
-// SeekFirst positions at the smallest key.
-func (t *Tree[V]) SeekFirst() *Iterator[V] {
-	n := t.root
-	for {
-		in, ok := n.(*inner[V])
-		if !ok {
-			break
-		}
-		n = in.children[0]
-	}
-	return &Iterator[V]{leaf: n.(*leaf[V]), idx: 0}
-}
-
-// SeekLast positions at the largest key.
-func (t *Tree[V]) SeekLast() *Iterator[V] {
-	n := t.root
-	for {
-		in, ok := n.(*inner[V])
-		if !ok {
-			break
-		}
-		n = in.children[len(in.children)-1]
-	}
-	lf := n.(*leaf[V])
-	return &Iterator[V]{leaf: lf, idx: len(lf.keys) - 1}
-}
-
 // Valid reports whether the iterator points at a slot.
-func (it *Iterator[V]) Valid() bool {
-	return it.leaf != nil && it.idx >= 0 && it.idx < len(it.leaf.keys)
-}
+func (it *Iterator[V]) Valid() bool { return it.leaf != nil }
 
 // Key returns the key at the current slot. The iterator must be Valid.
 func (it *Iterator[V]) Key() uint64 { return it.leaf.keys[it.idx] }
@@ -88,12 +63,32 @@ func (it *Iterator[V]) Next() bool {
 	if it.leaf == nil {
 		return false
 	}
-	it.idx++
-	for it.leaf != nil && it.idx >= len(it.leaf.keys) {
-		it.leaf = it.leaf.next
-		it.idx = 0
+	if it.idx++; it.idx < len(it.leaf.keys) {
+		return true
 	}
-	return it.Valid()
+	return it.nextLeaf()
+}
+
+// nextLeaf moves to the first slot of the following leaf: up to the lowest
+// ancestor with a child to the right, then down that child's left edge. Only
+// an empty tree has an empty leaf.
+func (it *Iterator[V]) nextLeaf() bool {
+	for d := it.depth - 1; d >= 0; d-- {
+		s := &it.path[d]
+		if s.ci+1 == len(s.n.children) {
+			continue
+		}
+		s.ci++
+		n := s.n.children[s.ci]
+		for d++; n.children != nil; d++ {
+			it.path[d] = step[V]{n, 0}
+			n = n.children[0]
+		}
+		it.leaf, it.idx = n, 0
+		return true
+	}
+	it.leaf = nil
+	return false
 }
 
 // Prev moves to the preceding slot, reporting whether the iterator is still
@@ -102,80 +97,23 @@ func (it *Iterator[V]) Prev() bool {
 	if it.leaf == nil {
 		return false
 	}
-	it.idx--
-	for it.leaf != nil && it.idx < 0 {
-		it.leaf = it.leaf.prev
-		if it.leaf != nil {
-			it.idx = len(it.leaf.keys) - 1
-		}
+	if it.idx--; it.idx >= 0 {
+		return true
 	}
-	return it.Valid()
-}
-
-// Clone returns an independent copy of the iterator position.
-func (it *Iterator[V]) Clone() *Iterator[V] {
-	c := *it
-	return &c
-}
-
-// AscendRange calls f for every slot with lo <= key < hi in ascending order,
-// stopping early if f returns false.
-func (t *Tree[V]) AscendRange(lo, hi uint64, f func(key uint64, v V) bool) {
-	for it := t.Seek(lo); it.Valid() && it.Key() < hi; it.Next() {
-		if !f(it.Key(), it.Value()) {
-			return
-		}
-	}
-}
-
-// Ascend calls f for every slot in ascending key order, stopping early if f
-// returns false.
-func (t *Tree[V]) Ascend(f func(key uint64, v V) bool) {
-	for it := t.SeekFirst(); it.Valid(); it.Next() {
-		if !f(it.Key(), it.Value()) {
-			return
-		}
-	}
-}
-
-// Descend calls f for every slot in descending key order, stopping early if
-// f returns false.
-func (t *Tree[V]) Descend(f func(key uint64, v V) bool) {
-	for it := t.SeekLast(); it.Valid(); it.Prev() {
-		if !f(it.Key(), it.Value()) {
-			return
-		}
-	}
-}
-
-// DescendRange calls f for every slot with lo < key <= hi in descending
-// order, stopping early if f returns false.
-func (t *Tree[V]) DescendRange(hi, lo uint64, f func(key uint64, v V) bool) {
-	it := t.Seek(hi)
-	switch {
-	case it.Valid() && it.Key() == hi:
-		// start at the last duplicate of hi
-		for {
-			next := it.Clone()
-			if !next.Next() || next.Key() != hi {
-				break
-			}
-			it = next
-		}
-	default:
-		// first key > hi (or past the end) — step back to <= hi
-		if !it.Valid() {
-			it = t.SeekLast()
-		} else if !it.Prev() {
-			return
-		}
-	}
-	for ; it.Valid() && it.Key() > lo; it.Prev() {
-		if it.Key() > hi {
+	for d := it.depth - 1; d >= 0; d-- {
+		s := &it.path[d]
+		if s.ci == 0 {
 			continue
 		}
-		if !f(it.Key(), it.Value()) {
-			return
+		s.ci--
+		n := s.n.children[s.ci]
+		for d++; n.children != nil; d++ {
+			it.path[d] = step[V]{n, len(n.children) - 1}
+			n = n.children[len(n.children)-1]
 		}
+		it.leaf, it.idx = n, len(n.keys)-1
+		return true
 	}
+	it.leaf = nil
+	return false
 }

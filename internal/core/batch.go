@@ -271,7 +271,7 @@ func (v *View) gatherBatch(bctx context.Context, gdone <-chan struct{}, bs *batc
 			if st.skip {
 				continue
 			}
-			for i, rec := range v.recs {
+			for i, rec := range v.recs.All() {
 				if i%cancelCheckStride == 0 && st.dead(gdone) {
 					v.settleBatchErr(st, &outs[b], bctx)
 					break
@@ -287,7 +287,7 @@ func (v *View) gatherBatch(bctx context.Context, gdone <-chan struct{}, bs *batc
 
 	for b := range states {
 		if !states[b].skip {
-			states[b].qs.cand.Grow(len(v.intern.ids))
+			states[b].qs.cand.Grow(v.ids.Len())
 		}
 	}
 	if !v.opts.ContentWeightOnly {
@@ -367,7 +367,7 @@ func (v *View) gatherBatchSocial(bctx context.Context, gdone <-chan struct{}, bs
 				continue
 			}
 			st.offers++
-			st.sel.Offer(scoredCand{i: lo, s: social.ApproxJaccard(st.qs.qvec, v.recs[lo].Vec)})
+			st.sel.Offer(scoredCand{i: lo, s: social.ApproxJaccard(st.qs.qvec, v.recs.At(lo).Vec)})
 		}
 	}
 	bs.heads = bs.heads[:0]
@@ -447,8 +447,8 @@ func (v *View) finishCoarseBatch(bctx context.Context, st *batchItemState, it *B
 			out.Err = st.failErr(bctx)
 			return
 		}
-		soc := v.socialRelevanceRec(it.Query, qs.qvec, v.recs[idx])
-		results[i] = Result{VideoID: v.intern.ids[idx], Score: soc, Social: soc}
+		soc := v.socialRelevanceRec(it.Query, qs.qvec, v.recs.At(idx))
+		results[i] = Result{VideoID: v.ids.At(idx), Score: soc, Social: soc}
 	}
 	out.Info.Degraded = true
 	out.Results = qs.topK(out.Results, results, it.TopK)

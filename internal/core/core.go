@@ -7,10 +7,10 @@
 // The package is split along the read/write axis: Recommender is the
 // write-side builder that ingests videos, builds the social machinery and
 // applies incremental updates; View is the immutable query-side state a
-// Freeze call publishes. Recommender methods mutate copy-on-write — the
-// first mutation after a Freeze clones everything the frozen View shares —
-// so published views serve concurrent readers lock-free while the builder
-// moves on.
+// Freeze call publishes. Recommender methods mutate copy-on-write — after a
+// Freeze every write copies the one node, chain, list or record it changes,
+// never the corpus — so published views serve concurrent readers lock-free
+// while the builder moves on.
 package core
 
 import (
@@ -19,6 +19,7 @@ import (
 	"sort"
 	"time"
 
+	"videorec/internal/btree"
 	"videorec/internal/community"
 	"videorec/internal/hashing"
 	"videorec/internal/index"
@@ -119,6 +120,8 @@ type Record struct {
 	Compiled *signature.CompiledSeries
 	Desc     social.Descriptor
 	Vec      social.Vector
+
+	seq uint64 // position in ingestion order (View.ordered)
 }
 
 // Query is a recommendation input: the user-selected clip's signature series
@@ -175,6 +178,10 @@ type Recommender struct {
 	maint *community.Maintainer
 
 	touched map[int]bool // dimensions changed by the latest maintenance pass
+
+	// pairCounts is DeriveConnections' dense pair-count matrix, kept across
+	// batches and all zero between them.
+	pairCounts []uint32
 }
 
 // newLSBFor builds the content index for the given options (shared by the
@@ -221,10 +228,9 @@ func NewRecommender(opts Options) *Recommender {
 		opts.DegradeMargin = DefaultDegradeMargin
 	}
 	st := &View{
-		opts:        opts,
-		intern:      newIntern(),
-		internOwned: true,
-		lsb:         newLSBFor(opts),
+		opts: opts,
+		byID: btree.New[uint32](64),
+		lsb:  newLSBFor(opts),
 	}
 	st.newPools()
 	return &Recommender{opts: opts, state: st}
@@ -232,21 +238,17 @@ func NewRecommender(opts Options) *Recommender {
 
 // internID resolves a video id to its dense index, minting the next index if
 // the id is new. Indices are forever: a removed id keeps its slot and gets it
-// back on re-ingest. Minting appends to the intern table, which may still be
-// shared with published views — copy-on-intern makes the table private first,
-// so readers keep walking the table they froze.
+// back on re-ingest. Minting writes one page of each table and one path of
+// the id index; published views keep the pages and nodes they froze.
 func (r *Recommender) internID(id string) uint32 {
 	s := r.state
-	if i, ok := s.intern.idx[id]; ok {
+	if i, ok := s.index(id); ok {
 		return i
 	}
-	if !s.internOwned {
-		s.intern = s.intern.clone()
-		s.internOwned = true
-	}
-	i := uint32(len(s.intern.ids))
-	s.intern.ids = append(s.intern.ids, id)
-	s.intern.idx[id] = i
+	i := uint32(s.ids.Len())
+	s.ids.Append(id)
+	s.recs.Append(nil)
+	s.byID.Insert(hashID(id), i)
 	return i
 }
 
@@ -261,19 +263,19 @@ func (r *Recommender) Built() bool { return r.state.built }
 
 // Freeze publishes the current state as an immutable View. The returned View
 // answers queries forever from the state at the freeze point; the
-// recommender's next mutation transparently clones whatever the View shares
-// (copy-on-write) before applying itself. Freezing is O(1) — the clone cost
-// is paid lazily, by the first mutation after the freeze, and only once per
-// freeze→mutate transition.
+// recommender's later mutations copy whatever they change of what the View
+// shares (copy-on-write) before applying themselves. Freezing is O(1), and
+// so — up to a few flat integer tables, see View.clone — is the first
+// mutation's move to a fresh build state.
 func (r *Recommender) Freeze() *View {
 	r.frozen = true
 	return r.state
 }
 
-// beforeWrite makes the build state privately owned again: if the current
-// state was published by Freeze, every structure a reader could be walking
-// is cloned and the maintainer rebound to the private partition copy. Every
-// mutating method calls it first.
+// beforeWrite moves the build state off a published View: if the current
+// state was handed out by Freeze, the writer continues on a clone that
+// shares its structures copy-on-write, and the maintainer is rebound to the
+// clone's partition. Every mutating method calls it first.
 func (r *Recommender) beforeWrite() {
 	if !r.frozen {
 		return
@@ -302,18 +304,20 @@ func (r *Recommender) IngestSeries(id string, series signature.Series, desc soci
 	r.beforeWrite()
 	s := r.state
 	i := r.internID(id)
-	if int(i) >= len(s.recs) {
-		s.recs = append(s.recs, make([]*Record, int(i)+1-len(s.recs))...)
-	}
-	if s.recs[i] == nil {
-		s.order = append(s.order, id)
-	}
-	s.recs[i] = &Record{
+	rec := &Record{
 		ID:       id,
 		Series:   series,
 		Compiled: signature.CompileSeries(series),
 		Desc:     desc,
 	}
+	if old := s.recs.At(i); old != nil {
+		rec.seq = old.seq // replacing a stored clip keeps its place
+	} else {
+		rec.seq = s.nextSeq
+		s.nextSeq++
+		s.live++
+	}
+	s.recs.Set(i, rec)
 	s.lsb.Add(i, series)
 	s.built = false
 }
@@ -342,9 +346,11 @@ func (r *Recommender) BuildSocial() {
 // BuildSocialFrom(CollectAudiences()) is BuildSocial.
 func (r *Recommender) CollectAudiences() map[string][]string {
 	s := r.state
-	audiences := make(map[string][]string, len(s.order))
-	for _, id := range s.order {
-		audiences[id] = capAudience(s.record(id).Desc.Users(), r.opts.UIGMaxAudience)
+	audiences := make(map[string][]string, s.live)
+	for _, rec := range s.recs.All() {
+		if rec != nil {
+			audiences[rec.ID] = capAudience(rec.Desc.Users(), r.opts.UIGMaxAudience)
+		}
 	}
 	return audiences
 }
@@ -430,8 +436,9 @@ func capAudience(users []string, max int) []string {
 	return out
 }
 
-// rebuildDictionaries refreshes the hash table and the linear dictionary
-// from the current partition.
+// rebuildDictionaries refreshes the hash table and — in ModeSAR, whose
+// lookup is its only reader — the linear dictionary from the current
+// partition.
 func (r *Recommender) rebuildDictionaries() {
 	s := r.state
 	s.table = hashing.NewTable(r.opts.HashBuckets, 17)
@@ -445,23 +452,28 @@ func (r *Recommender) rebuildDictionaries() {
 	for _, u := range users {
 		cno := assign[u]
 		s.table.Insert(u, cno)
-		s.dict = append(s.dict, dictEntry{user: u, cno: cno})
+		if r.opts.Mode == ModeSAR {
+			s.dict = append(s.dict, dictEntry{user: u, cno: cno})
+		}
 	}
 }
 
 // vectorizeAll recomputes every video's descriptor vector and rebuilds the
-// inverted files. Iterating in dense-index order makes every posting-list
+// inverted files. Records are replaced, not edited: a published view may
+// hold the old ones. Iterating in dense-index order makes every posting-list
 // insert hit the sorted-append fast path.
 func (r *Recommender) vectorizeAll() {
 	s := r.state
 	s.inv = index.NewInverted(s.part.Dim)
 	lookup := s.lookupFunc()
-	for i, rec := range s.recs {
+	for i, rec := range s.recs.All() {
 		if rec == nil {
 			continue
 		}
-		rec.Vec = social.Vectorize(rec.Desc, lookup, s.part.Dim)
-		s.inv.Add(uint32(i), rec.Vec)
+		cp := *rec
+		cp.Vec = social.Vectorize(cp.Desc, lookup, s.part.Dim)
+		s.recs.Set(uint32(i), &cp)
+		s.inv.Add(uint32(i), cp.Vec)
 	}
 }
 

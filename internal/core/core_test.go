@@ -86,7 +86,7 @@ func TestRecommendPanicsWithoutBuild(t *testing.T) {
 
 func TestRecommendExcludesQueryVideo(t *testing.T) {
 	r, _ := buildSmall(t, ModeSARHash)
-	id := r.state.order[0]
+	id := r.state.orderIDs()[0]
 	for _, res := range r.RecommendID(id, 10) {
 		if res.VideoID == id {
 			t.Fatalf("query video %s recommended to itself", id)
@@ -96,7 +96,7 @@ func TestRecommendExcludesQueryVideo(t *testing.T) {
 
 func TestRecommendTopKOrderedAndBounded(t *testing.T) {
 	r, _ := buildSmall(t, ModeSARHash)
-	res := r.RecommendID(r.state.order[1], 7)
+	res := r.RecommendID(r.state.orderIDs()[1], 7)
 	if len(res) > 7 {
 		t.Fatalf("returned %d > topK", len(res))
 	}
@@ -174,7 +174,7 @@ func TestSARModesAgreeOnScores(t *testing.T) {
 
 func TestExactModeScoresAllVideos(t *testing.T) {
 	r, _ := buildSmall(t, ModeExact)
-	id := r.state.order[0]
+	id := r.state.orderIDs()[0]
 	res := r.RecommendID(id, r.Len())
 	if len(res) != r.Len()-1 {
 		t.Errorf("exact mode refined %d videos, want %d", len(res), r.Len()-1)
@@ -245,7 +245,7 @@ func TestNaiveJaccardMatchesLinear(t *testing.T) {
 
 func TestApplyUpdatesGrowsDescriptors(t *testing.T) {
 	r, c := buildSmall(t, ModeSARHash)
-	target := r.state.order[0]
+	target := r.state.orderIDs()[0]
 	before := r.state.record(target).Desc.Len()
 	newUsers := []string{"brand-new-1", "brand-new-2", c.Users[0]}
 	rep := r.ApplyUpdates(map[string][]string{target: newUsers})
@@ -304,7 +304,7 @@ func TestVideosPerDim(t *testing.T) {
 
 func TestRecommendZeroK(t *testing.T) {
 	r, _ := buildSmall(t, ModeSARHash)
-	if res := r.RecommendID(r.state.order[0], 0); res != nil {
+	if res := r.RecommendID(r.state.orderIDs()[0], 0); res != nil {
 		t.Errorf("topK=0 returned %v", res)
 	}
 }
@@ -340,4 +340,13 @@ func BenchmarkBuildSocial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r.BuildSocial()
 	}
+}
+
+// orderIDs is the ingestion order of the live videos, by id.
+func (v *View) orderIDs() []string {
+	var ids []string
+	for _, i := range v.ordered() {
+		ids = append(ids, v.ids.At(i))
+	}
+	return ids
 }

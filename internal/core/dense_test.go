@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"testing"
 
@@ -28,7 +29,7 @@ func referenceCandidates(v *View, q Query, exclude ...string) map[string]bool {
 	}
 	candidates := map[string]bool{}
 	if opts.FullScan || (opts.Mode == ModeExact && useSocial) {
-		for _, id := range v.order {
+		for _, id := range v.orderIDs() {
 			candidates[id] = true
 		}
 	} else {
@@ -41,7 +42,7 @@ func referenceCandidates(v *View, q Query, exclude ...string) map[string]bool {
 				s  float64
 			}
 			var cands []scored
-			for _, id := range v.order {
+			for _, id := range v.orderIDs() {
 				rec := v.record(id)
 				inUnion := false
 				for d, x := range qvec {
@@ -75,7 +76,7 @@ func referenceCandidates(v *View, q Query, exclude ...string) map[string]bool {
 				if !ok {
 					break
 				}
-				id := v.intern.ids[e.Video]
+				id := v.ids.At(e.Video)
 				if v.tombstones.Has(e.Video) || candidates[id] {
 					continue
 				}
@@ -191,7 +192,7 @@ func gatherSet(t *testing.T, v *View, q Query, exclude ...string) map[string]boo
 	}
 	out := map[string]bool{}
 	for _, i := range qs.merged {
-		out[v.intern.ids[i]] = true
+		out[v.ids.At(i)] = true
 	}
 	return out
 }
@@ -305,35 +306,45 @@ func TestGatherCandidatesZeroAlloc(t *testing.T) {
 }
 
 // TestInternSharedAcrossClones verifies the copy-on-write id table: clones
-// share the intern table until a genuinely new id is minted, published views
-// keep their table intact, and re-ingesting known ids never copies.
+// share every page of it until a genuinely new id is minted, a mint copies
+// only the page it lands in, published views never see the new id, and
+// re-ingesting known ids mints nothing.
 func TestInternSharedAcrossClones(t *testing.T) {
 	r, _ := buildSmall(t, ModeSARHash)
 	v1 := r.Freeze()
-	tab := v1.intern
+	n := v1.ids.Len()
 
-	// Mutation that mints nothing: table stays shared.
+	// Mutation that mints nothing: every page stays shared.
 	target := r.SortedIDs()[0]
 	rec, _ := r.Record(target)
 	r.IngestSeries(target, rec.Series, rec.Desc)
-	if r.state.intern != tab {
-		t.Error("re-ingesting a known id copied the intern table")
+	if r.state.ids.Len() != n || !slices.Equal(r.state.ids.pages, v1.ids.pages) {
+		t.Error("re-ingesting a known id wrote the id table")
 	}
 
-	// Minting a new id copies the table; the published view keeps the old one.
+	// Minting a new id copies the last page; the published views keep theirs.
 	v2 := r.Freeze()
 	r.IngestSeries("brand-new-video", rec.Series, rec.Desc)
-	if r.state.intern == tab {
-		t.Error("minting a new id did not copy the shared intern table")
+	last := len(v2.ids.pages) - 1
+	if r.state.ids.pages[last] == v2.ids.pages[last] {
+		t.Error("minting a new id wrote a page the published view shares")
 	}
-	if v1.intern != tab || v2.intern != tab {
-		t.Error("published views lost their intern table")
+	if !slices.Equal(r.state.ids.pages[:last], v2.ids.pages[:last]) {
+		t.Error("minting a new id copied pages it did not write")
 	}
-	if _, ok := v1.intern.idx["brand-new-video"]; ok {
-		t.Error("new id leaked into the frozen view's table")
+	for _, v := range []*View{v1, v2} {
+		if _, ok := v.index("brand-new-video"); ok || v.ids.Len() != n {
+			t.Error("new id leaked into a frozen view's table")
+		}
+		if i, ok := v.index(target); !ok || v.ids.At(i) != target {
+			t.Error("frozen view lost an existing id")
+		}
 	}
-	if i, ok := r.state.intern.idx[target]; !ok || r.state.intern.ids[i] != target {
-		t.Error("copied table lost an existing id")
+	if i, ok := r.state.index("brand-new-video"); !ok || int(i) != n {
+		t.Errorf("new id resolves to (%d, %v), want the next dense index %d", i, ok, n)
+	}
+	if i, ok := r.state.index(target); !ok || r.state.ids.At(i) != target {
+		t.Error("writer lost an existing id")
 	}
 }
 
@@ -342,7 +353,7 @@ func TestInternSharedAcrossClones(t *testing.T) {
 func TestDenseIndexStableAcrossRemoveReingest(t *testing.T) {
 	r, _ := buildSmall(t, ModeSARHash)
 	id := r.SortedIDs()[2]
-	before, ok := r.state.intern.idx[id]
+	before, ok := r.state.index(id)
 	if !ok {
 		t.Fatal("id not interned")
 	}
@@ -351,15 +362,15 @@ func TestDenseIndexStableAcrossRemoveReingest(t *testing.T) {
 	if !r.RemoveVideo(id) {
 		t.Fatal("remove failed")
 	}
-	if r.state.recs[before] != nil {
+	if r.state.recs.At(before) != nil {
 		t.Fatal("dense slot not cleared on removal")
 	}
 	r.IngestSeries(id, series, desc)
-	after := r.state.intern.idx[id]
+	after, _ := r.state.index(id)
 	if after != before {
 		t.Errorf("dense index changed across remove/re-ingest: %d -> %d", before, after)
 	}
-	if r.state.recs[after] == nil {
+	if r.state.recs.At(after) == nil {
 		t.Error("dense slot not repopulated")
 	}
 }
@@ -370,7 +381,7 @@ func TestVideosPerDimMatchesPostings(t *testing.T) {
 	v := buildGolden(t, nil)
 	got := v.VideosPerDim()
 	want := make([]int, v.part.Dim)
-	for _, rec := range v.recs {
+	for _, rec := range v.recs.All() {
 		if rec == nil {
 			continue
 		}

@@ -86,15 +86,14 @@ type queryScratch struct {
 // the full sort's prefix, bit-identical to the pre-dense string-sorted path.
 func (qs *queryScratch) selector(v *View, k int) *topk.Selector[scoredCand] {
 	if qs.sel == nil {
-		// Capture the view, not a snapshot of its id slice: on the write-side
-		// view the intern table can grow between queries, and the pooled
-		// selector must always read the current table.
+		// Capture the view, not a copy of its id table: on the write-side
+		// view the table can grow between queries, and the pooled selector
+		// must always read the current one.
 		qs.sel = topk.New(k, func(a, b scoredCand) bool {
 			if a.s != b.s {
 				return a.s < b.s
 			}
-			ids := v.intern.ids
-			return ids[a.i] > ids[b.i]
+			return v.ids.At(a.i) > v.ids.At(b.i)
 		})
 		return qs.sel
 	}
@@ -141,9 +140,9 @@ func (v *View) resolveExcludes(qs *queryScratch, exclude []string) {
 	if len(exclude) == 0 {
 		return
 	}
-	qs.excl.Grow(len(v.intern.ids))
+	qs.excl.Grow(v.ids.Len())
 	for _, id := range exclude {
-		if i, ok := v.intern.idx[id]; ok {
+		if i, ok := v.index(id); ok {
 			qs.excl.Add(i)
 			qs.exclIdx = append(qs.exclIdx, i)
 		}
@@ -277,7 +276,7 @@ func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) (useConten
 	case v.opts.FullScan || (v.opts.Mode == ModeExact && useSocial):
 		// Unoptimized CSF (or an effectiveness run that wants exhaustive
 		// ranking): every stored video is refined.
-		for i, rec := range v.recs {
+		for i, rec := range v.recs.All() {
 			if i%cancelCheckStride == 0 && ctxDone(done) {
 				return false, false, ctx.Err()
 			}
@@ -287,7 +286,7 @@ func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) (useConten
 			qs.merged = append(qs.merged, uint32(i))
 		}
 	default:
-		qs.cand.Grow(len(v.intern.ids))
+		qs.cand.Grow(v.ids.Len())
 		if useSocial {
 			// Step 1: social candidates ranked by s̃J; keep the budgeted top.
 			// The inverted-file union is a k-way merge of sorted posting
@@ -301,7 +300,7 @@ func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) (useConten
 				if i%cancelCheckStride == 0 && ctxDone(done) {
 					return false, false, ctx.Err()
 				}
-				sel.Offer(scoredCand{i: idx, s: social.ApproxJaccard(qs.qvec, v.recs[idx].Vec)})
+				sel.Offer(scoredCand{i: idx, s: social.ApproxJaccard(qs.qvec, v.recs.At(idx).Vec)})
 			}
 			for _, sc := range sel.Items() {
 				qs.addCandidate(sc.i)
@@ -364,8 +363,8 @@ func (v *View) finishCoarse(ctx context.Context, q Query, qs *queryScratch, topK
 		if i%cancelCheckStride == 0 && ctxDone(done) {
 			return nil, *info, ctx.Err()
 		}
-		soc := v.socialRelevanceRec(q, qs.qvec, v.recs[idx])
-		results[i] = Result{VideoID: v.intern.ids[idx], Score: soc, Social: soc}
+		soc := v.socialRelevanceRec(q, qs.qvec, v.recs.At(idx))
+		results[i] = Result{VideoID: v.ids.At(idx), Score: soc, Social: soc}
 	}
 	info.Degraded = true
 	return qs.topK(nil, results, topK), *info, nil
@@ -466,7 +465,7 @@ func (j *refineJob) refine(topK, workers int, dst []Result) ([]Result, int, erro
 			return nil, 0, j.cause()
 		}
 		c := boundCand{idx: idx}
-		if rec := v.recs[idx]; rec != nil {
+		if rec := v.recs.At(idx); rec != nil {
 			var ub float64
 			if j.useContent {
 				ub = signature.KJUpperBound(j.qc, rec.Compiled, v.opts.MatchThreshold, &qs.kj)
@@ -567,7 +566,7 @@ func (j *refineJob) score(c boundCand, scratch *signature.KJScratch) (Result, er
 		return Result{}, j.cause()
 	}
 	var content float64
-	if rec := v.recs[c.idx]; j.useContent && rec != nil {
+	if rec := v.recs.At(c.idx); j.useContent && rec != nil {
 		var complete bool
 		if compiledRefine {
 			content, complete = signature.KJCancelCompiled(j.qc, rec.Compiled, v.opts.MatchThreshold, j.cancelled, scratch)
@@ -579,7 +578,7 @@ func (j *refineJob) score(c boundCand, scratch *signature.KJScratch) (Result, er
 		}
 	}
 	return Result{
-		VideoID: v.intern.ids[c.idx],
+		VideoID: v.ids.At(c.idx),
 		Score:   v.fuse(content, c.soc),
 		Content: content,
 		Social:  c.soc,

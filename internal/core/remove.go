@@ -6,24 +6,19 @@ package core
 // them). The video's dense index survives removal — re-ingesting the id
 // reclaims the same slot. It reports whether the id existed.
 func (r *Recommender) RemoveVideo(id string) bool {
-	i, ok := r.state.intern.idx[id]
-	if !ok || r.state.recs[i] == nil {
+	i, ok := r.state.index(id)
+	if !ok || r.state.recs.At(i) == nil {
 		return false
 	}
 	r.beforeWrite()
 	s := r.state
-	rec := s.recs[i]
-	s.recs[i] = nil
-	for j, o := range s.order {
-		if o == id {
-			s.order = append(s.order[:j], s.order[j+1:]...)
-			break
-		}
-	}
+	rec := s.recs.At(i)
+	s.recs.Set(i, nil)
+	s.live--
 	if s.inv != nil && rec.Vec != nil {
 		s.inv.Remove(i, rec.Vec)
 	}
-	s.tombstones.Grow(len(s.intern.ids))
+	s.tombstones.Grow(s.ids.Len())
 	if !s.tombstones.Has(i) {
 		s.tombstones.Add(i)
 		s.tombCount++
@@ -44,9 +39,8 @@ func (r *Recommender) compactLSB() {
 		return
 	}
 	fresh := newLSBFor(r.opts)
-	for _, id := range s.order {
-		i := s.intern.idx[id]
-		fresh.Add(i, s.recs[i].Series)
+	for _, i := range s.ordered() {
+		fresh.Add(i, s.recs.At(i).Series)
 	}
 	s.lsb = fresh
 	s.tombstones = nil

@@ -6,7 +6,7 @@ import (
 
 func TestRemoveVideoBasics(t *testing.T) {
 	r, _ := buildSmall(t, ModeSARHash)
-	victim := r.state.order[2]
+	victim := r.state.orderIDs()[2]
 	before := r.Len()
 	if !r.RemoveVideo(victim) {
 		t.Fatal("RemoveVideo returned false for existing id")
@@ -21,7 +21,7 @@ func TestRemoveVideoBasics(t *testing.T) {
 		t.Errorf("Tombstones = %d, want 1", r.Tombstones())
 	}
 	// The removed video never appears in results.
-	for _, id := range r.state.order[:3] {
+	for _, id := range r.state.orderIDs()[:3] {
 		for _, res := range r.RecommendID(id, r.Len()) {
 			if res.VideoID == victim {
 				t.Fatalf("removed video %s recommended for %s", victim, id)
@@ -32,7 +32,7 @@ func TestRemoveVideoBasics(t *testing.T) {
 
 func TestRemoveThenBuildCompacts(t *testing.T) {
 	r, _ := buildSmall(t, ModeSARHash)
-	victim := r.state.order[0]
+	victim := r.state.orderIDs()[0]
 	sigCountBefore := 0
 	if rec, ok := r.Record(victim); ok {
 		sigCountBefore = len(rec.Series)
@@ -47,7 +47,7 @@ func TestRemoveThenBuildCompacts(t *testing.T) {
 		t.Errorf("LSB entries = %d, want %d", got, lsbBefore-sigCountBefore)
 	}
 	// Still answers queries.
-	if res := r.RecommendID(r.state.order[0], 5); len(res) == 0 {
+	if res := r.RecommendID(r.state.orderIDs()[0], 5); len(res) == 0 {
 		t.Error("no recommendations after compaction")
 	}
 }

@@ -56,17 +56,17 @@ func (r *Recommender) Snapshot() *Snapshot {
 	st := r.state
 	s := &Snapshot{
 		Options: r.opts,
-		Order:   append([]string(nil), st.order...),
 		Built:   st.built,
 	}
-	for _, id := range st.order {
-		rec := st.record(id)
+	for _, i := range st.ordered() {
+		rec := st.recs.At(i)
+		s.Order = append(s.Order, rec.ID)
 		series := make(signature.Series, len(rec.Series))
 		for i, sig := range rec.Series {
 			series[i] = signature.Signature{Cuboids: append([]signature.Cuboid(nil), sig.Cuboids...)}
 		}
 		s.Records = append(s.Records, RecordSnapshot{
-			ID:     id,
+			ID:     rec.ID,
 			Series: series,
 			Users:  append([]string(nil), rec.Desc.Users()...),
 		})
@@ -140,12 +140,14 @@ func (r *Recommender) installSocial() {
 	r.maint = community.NewMaintainer(r.graph, r.state.part, community.Hooks{
 		AssignUser: func(u string, cno int) {
 			r.state.table.Insert(u, cno)
-			r.state.dict = append(r.state.dict, dictEntry{user: u, cno: cno})
+			if r.opts.Mode == ModeSAR {
+				r.state.dict = append(r.state.dict, dictEntry{user: u, cno: cno})
+			}
 			r.touched[cno] = true
 		},
 		ReplaceCommunity: func(old, new int) {
 			r.state.table.ReplaceCno(old, new)
-			for i := range r.state.dict {
+			for i := range r.state.dict { // empty outside ModeSAR
 				if r.state.dict[i].cno == old {
 					r.state.dict[i].cno = new
 				}

@@ -110,15 +110,23 @@ func (r *Recommender) DeriveConnections(newComments map[string][]string) []commu
 	// is pure integer work. Small batches (the common case: n distinct
 	// participants with n² counts fitting in a couple of MB) accumulate into
 	// a dense n×n matrix, turning the whole derivation into increments plus
-	// one ordered sweep — no key buffer, no sort. Larger batches fall back
-	// to packed keys with one sort + run-length count. Both produce the
-	// identical (U asc, V asc) integer-weight edge list.
+	// one ordered sweep — no key buffer, no sort. The matrix is the
+	// recommender's own buffer (derivation runs under the writer's lock),
+	// all zero between calls: the sweep visits only the rows a batch hit and
+	// zeroes each count as it emits it. Larger batches fall back to packed
+	// keys with one sort + run-length count. Both produce the identical
+	// (U asc, V asc) integer-weight edge list.
 	n := len(uniq)
 	const denseLimit = 724 // n² uint32 counts ≤ ~2MB
 	var counts []uint32    // dense: counts[a*n+b] for a < b
+	var rowHit []bool      // dense: row a holds a non-zero count
+	var pairs int          // dense: non-zero counts
 	var keys []uint64      // fallback: packed rank pairs
 	if n <= denseLimit {
-		counts = make([]uint32, n*n)
+		if len(r.pairCounts) < n*n {
+			r.pairCounts = make([]uint32, n*n)
+		}
+		counts, rowHit = r.pairCounts[:n*n], make([]bool, n)
 	}
 	var freshR, oldR []uint32
 	for _, gr := range groups {
@@ -148,7 +156,12 @@ func (r *Recommender) DeriveConnections(newComments map[string][]string) []commu
 					if a > b {
 						a, b = b, a
 					}
-					counts[int(a)*n+int(b)]++
+					c := &counts[int(a)*n+int(b)]
+					if *c == 0 {
+						rowHit[a] = true
+						pairs++
+					}
+					*c++
 				} else {
 					keys = append(keys, pairKey(ru, rv))
 				}
@@ -157,7 +170,12 @@ func (r *Recommender) DeriveConnections(newComments map[string][]string) []commu
 			// already canonical.
 			for _, rv := range freshR[i+1:] {
 				if counts != nil {
-					counts[int(ru)*n+int(rv)]++
+					c := &counts[int(ru)*n+int(rv)]
+					if *c == 0 {
+						rowHit[ru] = true
+						pairs++
+					}
+					*c++
 				} else {
 					keys = append(keys, pairKey(ru, rv))
 				}
@@ -166,12 +184,16 @@ func (r *Recommender) DeriveConnections(newComments map[string][]string) []commu
 	}
 
 	if counts != nil {
-		var edges []community.Edge
+		edges := make([]community.Edge, 0, pairs)
 		for a := 0; a < n; a++ {
+			if !rowHit[a] {
+				continue
+			}
 			row := counts[a*n : (a+1)*n]
 			for b := a + 1; b < n; b++ {
 				if c := row[b]; c != 0 {
 					edges = append(edges, community.Edge{U: uniq[a], V: uniq[b], W: float64(c)})
+					row[b] = 0
 				}
 			}
 		}
@@ -289,11 +311,6 @@ func (r *Recommender) ApplyEdges(edges []community.Edge, newComments map[string]
 	r.state.mustBuild()
 	r.beforeWrite()
 	s := r.state
-	vids := make([]string, 0, len(newComments))
-	for vid := range newComments {
-		vids = append(vids, vid)
-	}
-	sort.Strings(vids)
 
 	// Step 2: maintenance with dimension tracking (the BuildSocial hooks
 	// record every changed dimension into r.touched).
@@ -303,52 +320,62 @@ func (r *Recommender) ApplyEdges(edges []community.Edge, newComments map[string]
 	maintDur := time.Since(maintStart)
 	touched := r.touched
 
-	// Step 3: grow descriptors and re-vectorize affected videos. Dirty
-	// tracking is by dense index; re-posting in ascending index order keeps
-	// the sorted posting-list edits cache-friendly.
-	dirty := map[uint32]bool{}
-	for _, vid := range vids {
-		if i, ok := s.intern.idx[vid]; ok && s.recs[i] != nil {
-			rec := s.recs[i]
-			rec.Desc = rec.Desc.Add(newComments[vid]...)
-			dirty[i] = true
+	// Step 3: grow descriptors and re-vectorize affected videos: the live
+	// commented ones and — posted ⇔ Vec[d] > 0 — every posting of a touched
+	// dimension. Dirty tracking is by dense index; re-posting in ascending
+	// index order keeps the sorted posting-list edits cache-friendly.
+	var dirty []uint32
+	for vid := range newComments {
+		if i, ok := s.index(vid); ok && s.recs.At(i) != nil {
+			dirty = append(dirty, i)
 		}
 	}
-	if len(touched) > 0 {
-		for i, rec := range s.recs {
-			if rec == nil {
-				continue
-			}
-			for d := range touched {
-				if d < len(rec.Vec) && rec.Vec[d] > 0 {
-					dirty[uint32(i)] = true
-					break
-				}
-			}
-		}
-	}
+	dirty = append(dirty, s.touchedPostings(touched)...)
+	slices.Sort(dirty)
+	dirty = slices.Compact(dirty)
 	s.inv.Grow(s.part.Dim)
-	dirtyIdx := make([]uint32, 0, len(dirty))
-	for i := range dirty {
-		dirtyIdx = append(dirtyIdx, i)
-	}
-	sort.Slice(dirtyIdx, func(a, b int) bool { return dirtyIdx[a] < dirtyIdx[b] })
 	lookup := s.lookupFunc()
-	for _, i := range dirtyIdx {
-		rec := s.recs[i]
-		s.inv.Remove(i, rec.Vec)
-		rec.Vec = social.Vectorize(rec.Desc, lookup, s.part.Dim)
-		s.inv.Add(i, rec.Vec)
+	var gone social.Vector // the dimensions a video leaves, reused across the loop
+	for _, i := range dirty {
+		// A published view may hold the old record: replace, never edit.
+		cp := *s.recs.At(i)
+		if fresh, ok := newComments[cp.ID]; ok {
+			cp.Desc = cp.Desc.Add(fresh...)
+		}
+		// Unpost only where the new vector stops posting; Add skips the lists
+		// that already hold the video, so a membership that did not change
+		// copies no posting list.
+		gone = append(gone[:0], cp.Vec...)
+		cp.Vec = social.Vectorize(cp.Desc, lookup, s.part.Dim)
+		for d := range gone {
+			if d < len(cp.Vec) && cp.Vec[d] > 0 {
+				gone[d] = 0
+			}
+		}
+		s.inv.Remove(i, gone)
+		s.inv.Add(i, cp.Vec)
+		s.recs.Set(i, &cp)
 	}
 	return UpdateReport{
 		Maintenance:         st,
-		VideosRevectorized:  len(dirtyIdx),
+		VideosRevectorized:  len(dirty),
 		DimensionsTouched:   len(touched),
 		MaintenanceDuration: maintDur,
 		GraphUsers:          r.graph.NumUsers(),
 		GraphEdges:          r.graph.NumEdges(),
 		GraphOverlay:        r.graph.OverlayLen(),
 	}
+}
+
+// touchedPostings lists the videos posted under any of the given dimensions,
+// unsorted and with repeats: O(postings of the touched lists), not a pass
+// over the corpus.
+func (v *View) touchedPostings(touched map[int]bool) []uint32 {
+	var out []uint32
+	for d := range touched {
+		out = append(out, v.inv.Postings(d)...)
+	}
+	return out
 }
 
 // VideosPerDim reports how many videos each inverted-file dimension holds —

@@ -83,6 +83,13 @@ func TestSumConnectionsMergeDeterminism(t *testing.T) {
 		if len(full) == 0 {
 			continue
 		}
+		// r derives into the count matrix its earlier trials used, at a
+		// different stride each time; a copy without one starts from zeroes.
+		clean := *r
+		clean.pairCounts = nil
+		if got := clean.DeriveConnections(batch); !edgesEqual(got, full) {
+			t.Fatalf("trial %d: reused count matrix changed the derivation:\ngot  %+v\nwant %+v", trial, full, got)
+		}
 
 		// Slice the full list into 1–4 parts at random, flipping random
 		// edges' orientation; derived weights are small integers, so

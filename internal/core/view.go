@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
+	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 
 	"videorec/internal/bitset"
+	"videorec/internal/btree"
 	"videorec/internal/community"
 	"videorec/internal/hashing"
 	"videorec/internal/index"
@@ -13,35 +17,12 @@ import (
 	"videorec/internal/video"
 )
 
-// intern is the dense video-id table: every ingested id is assigned the
-// next uint32 index, forever. Indices are stable across removal and
-// re-ingest (a resurrected id reuses its slot), so every index structure —
-// posting lists, tombstones, the record table — can be integer-addressed.
-//
-// The table is shared copy-on-write across view clones exactly like the
-// compiled signatures: clone hands out the same pointer, and the first
-// mutation that mints a new id copies the table before appending (see
-// Recommender.internID). Most mutations (updates, removals) mint nothing
-// and share the table indefinitely.
-type intern struct {
-	ids []string          // dense index → video id
-	idx map[string]uint32 // video id → dense index
-}
+// idSeed keys the hash the id index is ordered by. It is drawn per process:
+// ids arrive from outside, and a fixed hash would let a caller pile crafted
+// ids onto one key.
+var idSeed = maphash.MakeSeed()
 
-func newIntern() *intern {
-	return &intern{idx: make(map[string]uint32)}
-}
-
-func (t *intern) clone() *intern {
-	cp := &intern{
-		ids: append([]string(nil), t.ids...),
-		idx: make(map[string]uint32, len(t.idx)),
-	}
-	for id, i := range t.idx {
-		cp.idx[id] = i
-	}
-	return cp
-}
+func hashID(id string) uint64 { return maphash.String(idSeed, id) }
 
 // View is the frozen, immutable state one recommendation query needs: the
 // signature series and social descriptors of every stored video, the LSB
@@ -51,22 +32,31 @@ func (t *intern) clone() *intern {
 // reachable from it is ever mutated — any number of goroutines may call its
 // query methods concurrently without locking.
 //
-// The write side enforces this with copy-on-write: once a View has been
-// handed out by Freeze, the next mutation first clones every structure the
-// View references (see clone) and applies itself to the private copy, so the
-// published View keeps answering queries from the state it froze.
+// The write side enforces this with copy-on-write at the grain of a write:
+// once a View has been handed out by Freeze, the next mutation moves to a
+// clone that shares every structure with it (see clone), and each write
+// copies just the tree node, hash chain, posting list or record it changes,
+// so the published View keeps answering queries from the state it froze.
 type View struct {
 	opts Options
 
-	intern      *intern   // dense id table, shared COW (see internID)
-	internOwned bool      // this view may append to intern without copying
-	recs        []*Record // dense index → record; nil marks a dead slot
-	order       []string  // ingestion order of live videos: deterministic builds
+	// The dense video-id table: every ingested id is assigned the next uint32
+	// index, forever. Indices are stable across removal and re-ingest (a
+	// resurrected id reuses its slot), so every index structure — posting
+	// lists, tombstones, the record table — is integer-addressed. ids maps
+	// index → id; byID maps the id's hash back (a persistent tree: minting an
+	// id copies one root-to-leaf path, whatever the corpus holds).
+	ids  cowVec[string]
+	byID *btree.Tree[uint32]
+
+	recs    cowVec[*Record] // dense index → record; nil marks a dead slot
+	live    int             // records in recs
+	nextSeq uint64          // ingestion-order position of the next new record
 
 	lsb   *index.LSB
 	inv   *index.Inverted
 	table *hashing.Table
-	dict  []dictEntry // linear-scan dictionary for ModeSAR
+	dict  []dictEntry // linear-scan dictionary, kept in ModeSAR only
 	part  *community.Partition
 
 	tombstones bitset.Set // removed videos with LSB entries pending compaction
@@ -98,38 +88,30 @@ func (v *View) newPools() {
 	v.batch = &sync.Pool{New: func() any { return new(batchScratch) }}
 }
 
-// clone returns a View whose mutable structures are all privately owned:
-// record structs, ingestion order, the LSB trees, the inverted-file table,
-// the hash table, the linear dictionary, the partition assignment and the
-// tombstone bitset are copied; immutable payloads (signature series, social
-// descriptors, SAR vectors, posting lists, the intern table — all replaced
-// wholesale, never edited in place) are shared copy-on-write. The write side
-// calls this exactly once per freeze→mutate transition.
+// clone returns the View the writer grows next. Everything reachable from v
+// stays immutable, so the clone shares it and costs a few headers, not the
+// corpus: the LSB trees, the id index, the hash table's chains, the posting
+// lists and the pages of the id and record tables are handed over as they
+// are, and a later write copies the node, chain, list or page it lands in;
+// records are replaced, never edited (see Record). What is still copied flat
+// is the tombstone bitset (one bit per clip), the partition's assignment
+// vector (4 B per user) and — in ModeSAR only — the linear dictionary. The
+// write side calls this exactly once per freeze→mutate transition.
 func (v *View) clone() *View {
 	nv := &View{
-		opts:        v.opts,
-		intern:      v.intern, // shared until a new id is interned
-		internOwned: false,
-		order:       append([]string(nil), v.order...),
-		lsb:         v.lsb.Clone(),
-		dict:        append([]dictEntry(nil), v.dict...),
-		tombstones:  v.tombstones.Clone(),
-		tombCount:   v.tombCount,
-		built:       v.built,
+		opts:       v.opts,
+		ids:        v.ids.clone(),
+		byID:       v.byID.Clone(),
+		recs:       v.recs.clone(),
+		live:       v.live,
+		nextSeq:    v.nextSeq,
+		lsb:        v.lsb.Clone(),
+		dict:       append([]dictEntry(nil), v.dict...),
+		tombstones: v.tombstones.Clone(),
+		tombCount:  v.tombCount,
+		built:      v.built,
 	}
 	nv.newPools()
-	if len(v.recs) > 0 {
-		// One backing array for every record struct: two allocations total
-		// instead of one per record.
-		backing := make([]Record, len(v.recs))
-		nv.recs = make([]*Record, len(v.recs))
-		for i, rec := range v.recs {
-			if rec != nil {
-				backing[i] = *rec
-				nv.recs[i] = &backing[i]
-			}
-		}
-	}
 	if v.inv != nil {
 		nv.inv = v.inv.Clone()
 	}
@@ -149,10 +131,36 @@ func (v *View) clone() *View {
 	return nv
 }
 
+// index resolves a video id to its dense index.
+func (v *View) index(id string) (uint32, bool) {
+	h := hashID(id)
+	for it := v.byID.SeekAt(h); it.Valid() && it.Key() == h; it.Next() {
+		if i := it.Value(); v.ids.At(i) == id {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// ordered returns the dense indices of the live records in ingestion order — the order bulk
+// rebuilds and snapshots must follow to stay deterministic. A re-ingested id
+// that was still stored keeps its place; one that had been removed rejoins
+// at the end.
+func (v *View) ordered() []uint32 {
+	out := make([]uint32, 0, v.live)
+	for i, rec := range v.recs.All() {
+		if rec != nil {
+			out = append(out, uint32(i))
+		}
+	}
+	slices.SortFunc(out, func(a, b uint32) int { return cmp.Compare(v.recs.At(a).seq, v.recs.At(b).seq) })
+	return out
+}
+
 // record returns the dense-indexed record for a video id, or nil.
 func (v *View) record(id string) *Record {
-	if i, ok := v.intern.idx[id]; ok {
-		return v.recs[i]
+	if i, ok := v.index(id); ok {
+		return v.recs.At(i)
 	}
 	return nil
 }
@@ -161,7 +169,7 @@ func (v *View) record(id string) *Record {
 func (v *View) Options() Options { return v.opts }
 
 // Len returns the number of stored videos in the view.
-func (v *View) Len() int { return len(v.order) }
+func (v *View) Len() int { return v.live }
 
 // Built reports whether the social machinery had been built when the view
 // was frozen; Recommend in a SAR mode panics on an unbuilt view exactly as
@@ -183,7 +191,12 @@ func (v *View) Partition() *community.Partition { return v.part }
 
 // SortedIDs returns the stored video ids in a stable order.
 func (v *View) SortedIDs() []string {
-	ids := append([]string(nil), v.order...)
+	ids := make([]string, 0, v.live)
+	for _, rec := range v.recs.All() {
+		if rec != nil {
+			ids = append(ids, rec.ID)
+		}
+	}
 	sort.Strings(ids)
 	return ids
 }

@@ -5,6 +5,8 @@
 // sub-community id.
 package hashing
 
+import "videorec/internal/bitset"
+
 // Shift amounts of the shift-add-xor step function. L=5, R=2 are the
 // constants recommended in [21] for ASCII keys.
 const (
@@ -34,8 +36,14 @@ type entry struct {
 // Table is a chained hash table mapping user names to sub-community ids.
 // New triads are inserted at the head of their bucket, exactly as described
 // in §4.2.3. The zero value is not usable; call NewTable.
+//
+// Tables are shared copy-on-write at chain granularity: Clone copies the
+// bucket-head array only, and the first write that lands in a bucket either
+// side still shares (Insert, Delete, a ReplaceCno hit) copies that one chain
+// before changing it.
 type Table struct {
 	buckets []*entry
+	private bitset.Set // since the last Clone: buckets whose chains were copied; nil before the first
 	seed    uint32
 	size    int
 }
@@ -52,24 +60,31 @@ func NewTable(nBuckets int, seed uint32) *Table {
 // Len returns the number of stored keys.
 func (t *Table) Len() int { return t.size }
 
-// Clone returns an independent copy of the table. Triads are duplicated
-// chain by chain (Insert and ReplaceCno rewrite cno fields in place, so the
-// chains cannot be shared); each cloned chain preserves its triad order.
+// Clone returns an independent copy of the table in O(buckets): the two
+// share every chain and both forget which they own, so whichever side writes
+// a bucket first copies its chain (triad order preserved) and the other never
+// sees the change. Of the receiver only the ownership marks are replaced,
+// which Lookup never loads — readers may be probing the receiver during the
+// call.
 func (t *Table) Clone() *Table {
-	cp := &Table{buckets: make([]*entry, len(t.buckets)), seed: t.seed, size: t.size}
-	for b, head := range t.buckets {
-		var tail *entry
-		for e := head; e != nil; e = e.next {
-			ne := &entry{key: e.key, cno: e.cno}
-			if tail == nil {
-				cp.buckets[b] = ne
-			} else {
-				tail.next = ne
-			}
-			tail = ne
-		}
+	cp := *t
+	cp.buckets = append([]*entry(nil), t.buckets...)
+	t.private, cp.private = bitset.Make(len(t.buckets)), bitset.Make(len(t.buckets))
+	return &cp
+}
+
+// own makes bucket b's chain private before a write to it.
+func (t *Table) own(b uint32) {
+	if t.private == nil || t.private.Has(b) {
+		return
 	}
-	return cp
+	t.private.Add(b)
+	tail := &t.buckets[b]
+	for e := *tail; e != nil; e = e.next {
+		ne := &entry{key: e.key, cno: e.cno}
+		*tail = ne
+		tail = &ne.next
+	}
 }
 
 // Buckets returns the number of chains.
@@ -83,6 +98,7 @@ func (t *Table) bucket(key string) uint32 {
 // otherwise a new triad is pushed at the head of the appropriate bucket.
 func (t *Table) Insert(key string, cno int) {
 	b := t.bucket(key)
+	t.own(b)
 	for e := t.buckets[b]; e != nil; e = e.next {
 		if e.key == key {
 			e.cno = cno
@@ -107,6 +123,7 @@ func (t *Table) Lookup(key string) (int, bool) {
 // Delete removes key, reporting whether it was present.
 func (t *Table) Delete(key string) bool {
 	b := t.bucket(key)
+	t.own(b)
 	var prev *entry
 	for e := t.buckets[b]; e != nil; e = e.next {
 		if e.key == key {
@@ -129,8 +146,16 @@ func (t *Table) Delete(key string) bool {
 // sub-communities replaces their ids with a single new id.
 func (t *Table) ReplaceCno(old, new int) int {
 	n := 0
-	for _, head := range t.buckets {
-		for e := head; e != nil; e = e.next {
+	for b, head := range t.buckets {
+		hit := false
+		for e := head; e != nil && !hit; e = e.next {
+			hit = e.cno == old
+		}
+		if !hit {
+			continue
+		}
+		t.own(uint32(b))
+		for e := t.buckets[b]; e != nil; e = e.next {
 			if e.cno == old {
 				e.cno = new
 				n++

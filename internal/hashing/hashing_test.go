@@ -224,6 +224,111 @@ func TestPropertyTableMatchesMap(t *testing.T) {
 	}
 }
 
+// Property: clones are isolated at every generation. Tables fork by Clone and
+// any of them — the oldest included — keeps taking Insert, ReplaceCno and
+// Delete; each must keep matching its own reference map, key for key, chain
+// order aside (Range visits exactly the map's pairs).
+func TestPropertyCloneIsolated(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		type gen struct {
+			tb  *Table
+			ref map[string]int
+		}
+		gens := []gen{{NewTable(1+rng.Intn(8), uint32(rng.Int31())), map[string]int{}}}
+		for op := 0; op < 400; op++ {
+			g := gens[rng.Intn(len(gens))]
+			key := fmt.Sprintf("u%d", rng.Intn(40))
+			switch rng.Intn(8) {
+			case 0:
+				if len(gens) < 8 {
+					ref := make(map[string]int, len(g.ref))
+					for k, v := range g.ref {
+						ref[k] = v
+					}
+					gens = append(gens, gen{g.tb.Clone(), ref})
+				}
+			case 1:
+				old, new := rng.Intn(10), rng.Intn(10)
+				want := 0
+				for k, v := range g.ref {
+					if v == old {
+						g.ref[k] = new
+						want++
+					}
+				}
+				if got := g.tb.ReplaceCno(old, new); got != want {
+					t.Errorf("seed %d: ReplaceCno(%d, %d) changed %d entries, want %d", seed, old, new, got, want)
+					return false
+				}
+			case 2:
+				_, had := g.ref[key]
+				delete(g.ref, key)
+				if g.tb.Delete(key) != had {
+					return false
+				}
+			default:
+				cno := rng.Intn(10)
+				g.tb.Insert(key, cno)
+				g.ref[key] = cno
+			}
+		}
+		for i, g := range gens {
+			if g.tb.Len() != len(g.ref) {
+				t.Errorf("seed %d: table %d holds %d keys, its reference %d", seed, i, g.tb.Len(), len(g.ref))
+				return false
+			}
+			seen := 0
+			ok := true
+			g.tb.Range(func(key string, cno int) bool {
+				seen++
+				want, has := g.ref[key]
+				got, found := g.tb.Lookup(key)
+				ok = ok && has && found && cno == want && got == want
+				return ok
+			})
+			if !ok || seen != len(g.ref) {
+				t.Errorf("seed %d: table %d diverged from its reference map", seed, i)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A frozen table is probed lock-free while its clone is rewritten: under
+// -race any write into a triad the frozen table can reach is reported.
+func TestFrozenTableProbedWhileCloneWrites(t *testing.T) {
+	frozen := NewTable(64, 17)
+	for i := 0; i < 2000; i++ {
+		frozen.Insert(fmt.Sprintf("user-%d", i), i%60)
+	}
+	writer := frozen.Clone()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for pass := 0; pass < 20; pass++ {
+			for i := 0; i < 2000; i++ {
+				if cno, ok := frozen.Lookup(fmt.Sprintf("user-%d", i)); !ok || cno != i%60 {
+					t.Errorf("frozen table lost user-%d -> %d (got %d, %v)", i, i%60, cno, ok)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		writer.Insert(fmt.Sprintf("user-%d", i), 99)
+		writer.Insert(fmt.Sprintf("fresh-%d", i), 7)
+		if i%100 == 0 {
+			writer.ReplaceCno(i%60, 61)
+		}
+	}
+	<-done
+}
+
 func BenchmarkTableLookup(b *testing.B) {
 	tb := NewTable(4096, 17)
 	for i := 0; i < 10000; i++ {

@@ -114,10 +114,11 @@ func (ix *LSB) KeyFingerprint() uint64 { return ix.fp }
 // every signature).
 func (ix *LSB) Len() int { return ix.trees[0].Len() }
 
-// Clone returns an independent copy of the index: the B⁺-trees are deep
-// copied while the hash families and the embedder — immutable after
-// construction — are shared. Mutating either copy never affects the other,
-// which is what the copy-on-write read views rely on.
+// Clone returns an independent copy of the index in O(trees): the B⁺-trees
+// are persistent — a clone shares every node and an Add copies only the
+// paths it writes — and the hash families and the embedder are immutable
+// after construction. Mutating either copy never affects the other, which is
+// what the copy-on-write read views rely on.
 func (ix *LSB) Clone() *LSB {
 	cp := &LSB{
 		trees:     make([]*btree.Tree[SigEntry], len(ix.trees)),

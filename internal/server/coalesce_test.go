@@ -226,6 +226,25 @@ func TestCoalesceFlushAtMaxBatch(t *testing.T) {
 		}
 		wg.Wait()
 	}()
+	// Four uncoordinated clients can split 1 + 2 + 1: a query that arrives
+	// while the others execute, after their batch detached, starts a batch of
+	// its own and — by the coalescer's contract — waits for a partner. Keep
+	// partners coming until the four are answered: each one bypasses or fills
+	// the waiting batch to MaxBatch. Were MaxBatch not to flush, the four
+	// would still sit out the 30 s window.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel() // abandons a partner that is itself waiting for one
+	go func() {
+		for n := 0; ctx.Err() == nil; n++ {
+			// Alternating ids: the one-entry result cache never answers one.
+			url := fmt.Sprintf("%s/recommend?id=clip-%d&k=3", ts.URL, 4+n%2)
+			req, _ := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
