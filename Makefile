@@ -148,6 +148,7 @@ fuzz:
 	$(GO) test ./internal/store/ -fuzz FuzzLoad -fuzztime 10s
 	$(GO) test ./internal/store/ -fuzz FuzzReplayJournal -fuzztime 10s
 	$(GO) test ./internal/store/ -fuzz FuzzReadTail -fuzztime 10s
+	$(GO) test ./internal/store/ -fuzz FuzzJournalLine -fuzztime 10s
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -5,15 +5,19 @@
 // (Figure 5) with the cost model of Equation 8.
 package community
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Edge is a weighted UIG edge: W counts the videos both users are
 // interested in. Edges are string-named because they cross the journal and
-// replication wire (the v3 entry format); inside the package everything
-// runs on dense interned ids.
+// replication wire (the v3 entry format, whose field names the tags give);
+// inside the package everything runs on dense interned ids.
 type Edge struct {
-	U, V string
-	W    float64
+	U string  `json:"u"`
+	V string  `json:"v"`
+	W float64 `json:"w"`
 }
 
 // Graph is the user interest graph: nodes are social users, edge weights
@@ -328,6 +332,22 @@ func (g *Graph) Edges() []Edge {
 
 // NumEdges returns the undirected edge count.
 func (g *Graph) NumEdges() int { return g.edges }
+
+// Equal reports whether h interns the same users under the same ids and
+// holds the same weighted edges, however either splits them between CSR
+// base and overlay.
+func (g *Graph) Equal(h *Graph) bool {
+	if g.edges != h.edges || !slices.Equal(g.users.names, h.users.names) {
+		return false
+	}
+	same := true
+	for i := uint32(0); same && int(i) < g.users.Len(); i++ {
+		g.neighborsDense(i, func(j uint32, w float64) {
+			same = same && h.weightDense(i, j) == w
+		})
+	}
+	return same
+}
 
 // Neighbors calls f for every neighbor of u with the edge weight.
 func (g *Graph) Neighbors(u string, f func(v string, w float64)) {

@@ -2,6 +2,7 @@ package community
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -119,6 +120,13 @@ func (p *Partition) Clone() *Partition {
 		users:         p.users,
 		assign:        append([]int32(nil), p.assign...),
 	}
+}
+
+// SameAssignment reports whether q assigns every dense user id exactly as p
+// does. Ids name the same users only when both partitions' tables intern in
+// the same order (Graph.Equal checks that).
+func (p *Partition) SameAssignment(q *Partition) bool {
+	return slices.Equal(p.assign, q.assign)
 }
 
 // Sizes returns the member count per sub-community id.

@@ -16,12 +16,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"videorec/internal/btree"
 	"videorec/internal/community"
-	"videorec/internal/hashing"
 	"videorec/internal/index"
 	"videorec/internal/signature"
 	"videorec/internal/social"
@@ -162,8 +160,8 @@ type Result struct {
 }
 
 // Recommender is the write side of the content-social recommender: it owns
-// the mutable build state (the View being grown plus the user interest graph
-// and its maintainer) and publishes immutable Views for querying. It is not
+// the mutable build state (the View being grown) and the social state it
+// vectorizes against, and publishes immutable Views for querying. It is not
 // safe for concurrent use — callers serialize mutations and hand frozen
 // Views to readers.
 type Recommender struct {
@@ -174,12 +172,9 @@ type Recommender struct {
 	// must copy-on-write before touching anything the View references.
 	frozen bool
 
-	graph *community.Graph
-	maint *community.Maintainer
+	social *Social // nil before BuildSocial; possibly shared with other shards
 
-	touched map[int]bool // dimensions changed by the latest maintenance pass
-
-	// pairCounts is DeriveConnections' dense pair-count matrix, kept across
+	// pairCounts is DeriveFrom's dense pair-count matrix, kept across
 	// batches and all zero between them.
 	pairCounts []uint32
 }
@@ -188,11 +183,6 @@ type Recommender struct {
 // constructor and compaction).
 func newLSBFor(opts Options) *index.LSB {
 	return index.NewLSB(opts.LSB)
-}
-
-type dictEntry struct {
-	user string
-	cno  int
 }
 
 // NewRecommender creates an empty recommender.
@@ -274,17 +264,13 @@ func (r *Recommender) Freeze() *View {
 
 // beforeWrite moves the build state off a published View: if the current
 // state was handed out by Freeze, the writer continues on a clone that
-// shares its structures copy-on-write, and the maintainer is rebound to the
-// clone's partition. Every mutating method calls it first.
+// shares its structures copy-on-write. Every mutating method calls it first.
 func (r *Recommender) beforeWrite() {
 	if !r.frozen {
 		return
 	}
 	r.state = r.state.clone()
 	r.frozen = false
-	if r.maint != nil {
-		r.maint.SetPartition(r.state.part)
-	}
 }
 
 // IngestVideo extracts the signature series from the clip, stores it with
@@ -335,15 +321,15 @@ func (r *Recommender) Partition() *community.Partition { return r.state.part }
 // It must be called before Recommend in the SAR modes and before
 // ApplyUpdates.
 func (r *Recommender) BuildSocial() {
-	r.BuildSocialFrom(r.CollectAudiences())
+	r.UseSocial(NewSocial(r.opts, r.CollectAudiences()))
 }
 
 // CollectAudiences returns the per-video commenter audiences of everything
 // ingested, capped exactly as BuildSocial caps them (UIGMaxAudience) but NOT
 // yet filtered by MinUserVideos — that filter must see the whole corpus, so
 // a sharded deployment applies it to the union of every shard's map inside
-// BuildSocialFrom. For a single engine,
-// BuildSocialFrom(CollectAudiences()) is BuildSocial.
+// NewSocial. For a single engine, UseSocial(NewSocial(opts,
+// CollectAudiences())) is BuildSocial.
 func (r *Recommender) CollectAudiences() map[string][]string {
 	s := r.state
 	audiences := make(map[string][]string, s.live)
@@ -355,39 +341,42 @@ func (r *Recommender) CollectAudiences() map[string][]string {
 	return audiences
 }
 
-// BuildSocialFrom builds the social machinery over an explicit audience map
-// — the shard-local build: every shard of a partitioned deployment receives
-// the same global map (the union of all shards' CollectAudiences) and
-// derives an identical user interest graph, partition, hash table and
-// linear dictionary, because construction is deterministic given the map's
-// contents. That is the property that makes per-shard SAR vectors — and
-// hence merged scatter-gather rankings — bit-identical to a single engine
-// holding the whole corpus. Videos present in the map but not stored
-// locally contribute to the graph only; vectorization covers local records.
-func (r *Recommender) BuildSocialFrom(audiences map[string][]string) {
+// UseSocial points the recommender at s and rebuilds the per-record
+// structures around it — compacted LSB trees, SAR vectors, inverted files.
+// It only reads s, so the shards of a deployment run it against one Social
+// concurrently: after a build (a fresh s) and after a drain (the maintained
+// s, which a fresh extraction would not reproduce).
+func (r *Recommender) UseSocial(s *Social) {
 	r.beforeWrite()
 	r.compactLSB()
-	s := r.state
-	audiences = FilterAudiences(audiences, r.opts.MinUserVideos)
-	r.graph = community.BuildUIG(audiences)
-	s.part = community.ExtractSubCommunities(r.graph, r.opts.K)
-	r.installSocial()
+	r.social = s
+	r.state.adoptSocial(s)
+	r.vectorizeAll()
+	r.state.built = true
 }
 
-// Reindex rebuilds the derived structures — dictionaries, SAR vectors,
-// inverted files, compacted LSB trees — around the EXISTING graph and
-// partition, without re-extracting sub-communities. This is the shard-drain
-// primitive: when videos re-intern onto a surviving shard, its incrementally
-// maintained partition (which a fresh extraction would not reproduce) must
-// survive, and only the per-record index state needs recomputing. Panics if
-// the social machinery was never built.
-func (r *Recommender) Reindex() {
-	if r.state.part == nil {
-		panic("core: Reindex requires a prior BuildSocial")
+// Social returns the social state the recommender vectorizes against (nil
+// before BuildSocial).
+func (r *Recommender) Social() *Social { return r.social }
+
+// ShareSocial points the recommender at s in place of its own social state
+// once the two are checked to agree, so no record needs re-vectorizing: how
+// shards restored one by one come to share one state. A disagreement is
+// returned and changes nothing.
+func (r *Recommender) ShareSocial(s *Social) error {
+	if r.social == s {
+		return nil
+	}
+	if r.social == nil || s == nil {
+		return fmt.Errorf("core: cannot share a social state with an unbuilt recommender")
+	}
+	if err := s.agrees(r.social); err != nil {
+		return fmt.Errorf("core: social states disagree: %w", err)
 	}
 	r.beforeWrite()
-	r.compactLSB()
-	r.installSocial()
+	r.social = s
+	r.state.adoptSocial(s)
+	return nil
 }
 
 // FilterAudiences drops users appearing in fewer than min videos from every
@@ -434,28 +423,6 @@ func capAudience(users []string, max int) []string {
 		out = append(out, users[i*len(users)/max])
 	}
 	return out
-}
-
-// rebuildDictionaries refreshes the hash table and — in ModeSAR, whose
-// lookup is its only reader — the linear dictionary from the current
-// partition.
-func (r *Recommender) rebuildDictionaries() {
-	s := r.state
-	s.table = hashing.NewTable(r.opts.HashBuckets, 17)
-	s.dict = nil
-	assign := s.part.AssignMap()
-	users := make([]string, 0, len(assign))
-	for u := range assign {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	for _, u := range users {
-		cno := assign[u]
-		s.table.Insert(u, cno)
-		if r.opts.Mode == ModeSAR {
-			s.dict = append(s.dict, dictEntry{user: u, cno: cno})
-		}
-	}
 }
 
 // vectorizeAll recomputes every video's descriptor vector and rebuilds the

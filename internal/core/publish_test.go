@@ -155,7 +155,7 @@ func TestTouchedPostingsMatchRecordScan(t *testing.T) {
 		rep := r.ApplyUpdates(batch)
 		unions += rep.Maintenance.Unions
 		splits += rep.Maintenance.Splits
-		touched := r.touched // what the maintenance pass just reported
+		touched := r.social.touched // what the maintenance pass just reported
 
 		// The selection ApplyEdges made, recomputed on the state it saw.
 		walked := pre.touchedPostings(touched)

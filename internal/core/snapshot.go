@@ -76,8 +76,8 @@ func (r *Recommender) Snapshot() *Snapshot {
 		s.Dim = st.part.Dim
 		s.K = st.part.K
 		s.LightestIntra = st.part.LightestIntra
-		s.GraphEdges = r.graph.Edges()
-		s.GraphUsers = append([]string(nil), r.graph.Users()...)
+		s.GraphEdges = r.social.graph.Edges()
+		s.GraphUsers = append([]string(nil), r.social.graph.Users()...)
 	}
 	return s
 }
@@ -112,56 +112,20 @@ func FromSnapshot(s *Snapshot) (*Recommender, error) {
 
 	// Restore the UIG and partition, then rebuild derived structures the
 	// same way BuildSocial does.
-	r.graph = community.NewGraph()
+	g := community.NewGraph()
 	for _, u := range s.GraphUsers {
-		r.graph.AddUser(u)
+		g.AddUser(u)
 	}
 	for _, e := range s.GraphEdges {
-		r.graph.AddEdgeWeight(e.U, e.V, e.W)
+		g.AddEdgeWeight(e.U, e.V, e.W)
 	}
 	for u, c := range s.Assign {
 		if c < 0 || c >= s.Dim {
 			return nil, fmt.Errorf("core: snapshot assigns %q to invalid sub-community %d (dim %d)", u, c, s.Dim)
 		}
 	}
-	r.state.part = community.NewPartition(r.graph.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign)
-	r.installSocial()
+	r.UseSocial(newSocial(r.opts, g, community.NewPartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign)))
 	return r, nil
-}
-
-// installSocial wires the derived social structures (hash table, linear
-// dictionary, maintainer hooks, vectors, inverted files) around the current
-// graph and partition. BuildSocial and FromSnapshot share it. The hooks
-// close over the recommender — not over any particular View — so they keep
-// patching the current build state across copy-on-write clones.
-func (r *Recommender) installSocial() {
-	r.rebuildDictionaries()
-	r.touched = map[int]bool{}
-	r.maint = community.NewMaintainer(r.graph, r.state.part, community.Hooks{
-		AssignUser: func(u string, cno int) {
-			r.state.table.Insert(u, cno)
-			if r.opts.Mode == ModeSAR {
-				r.state.dict = append(r.state.dict, dictEntry{user: u, cno: cno})
-			}
-			r.touched[cno] = true
-		},
-		ReplaceCommunity: func(old, new int) {
-			r.state.table.ReplaceCno(old, new)
-			for i := range r.state.dict { // empty outside ModeSAR
-				if r.state.dict[i].cno == old {
-					r.state.dict[i].cno = new
-				}
-			}
-		},
-		TouchDimensions: func(ids ...int) {
-			for _, d := range ids {
-				r.touched[d] = true
-			}
-		},
-	})
-	r.vectorizeAll()
-	r.state.look = r.state.lookupFunc()
-	r.state.built = true
 }
 
 // SortedIDs returns the ingested video ids in a stable order (useful for

@@ -45,12 +45,18 @@ func (r *Recommender) ApplyUpdates(newComments map[string][]string) UpdateReport
 	return r.ApplyEdges(r.DeriveConnections(newComments), newComments)
 }
 
-// DeriveConnections runs step 1 of the maintenance pass in isolation: the
-// new social connections a comment batch induces, derived from the batch and
-// the prior audiences of the commented videos — which live only in this
-// recommender. Videos the recommender does not hold are skipped, so a shard
-// derives exactly its slice of the global edge set; SumConnections merges
-// the slices back into the edge list a whole-corpus engine would derive.
+// DeriveConnections runs step 1 of the maintenance pass over the videos
+// this recommender stores (DeriveFrom with its own records).
+func (r *Recommender) DeriveConnections(newComments map[string][]string) []community.Edge {
+	r.state.mustBuild()
+	return r.DeriveFrom(newComments, r.state.record)
+}
+
+// DeriveFrom runs step 1 of the maintenance pass: the new social connections
+// a comment batch induces, given each commented video's current record
+// (record returns nil for a video nobody stores, whose comments are
+// skipped). A sharded deployment resolves every video on the shard that
+// holds it and so derives the whole corpus's edge list in one pass.
 //
 // Accumulation runs over batch-local dense ranks: every participant name is
 // ranked by its position in the batch's sorted unique name list, pairs
@@ -58,9 +64,7 @@ func (r *Recommender) ApplyUpdates(newComments map[string][]string) UpdateReport
 // string-pair hash map. Rank order is name order, so the key-sorted output
 // is exactly the (U asc, V asc) edge list the map-and-sort implementation
 // produced.
-func (r *Recommender) DeriveConnections(newComments map[string][]string) []community.Edge {
-	r.state.mustBuild()
-	s := r.state
+func (r *Recommender) DeriveFrom(newComments map[string][]string, record func(id string) *Record) []community.Edge {
 	vids := make([]string, 0, len(newComments))
 	for vid := range newComments {
 		vids = append(vids, vid)
@@ -77,7 +81,7 @@ func (r *Recommender) DeriveConnections(newComments map[string][]string) []commu
 	groups := make([]group, 0, len(vids))
 	seen := map[string]uint32{} // becomes the rank map after numbering
 	for _, vid := range vids {
-		rec := s.record(vid)
+		rec := record(vid)
 		if rec == nil {
 			continue
 		}
@@ -217,27 +221,6 @@ func (r *Recommender) DeriveConnections(newComments map[string][]string) []commu
 	return edges
 }
 
-// rankNames sorts and dedupes the name list, returning it with a name →
-// position index. Positions are name-ordered, so sorting packed rank pairs
-// sorts by names.
-func rankNames(names []string) ([]string, map[string]uint32) {
-	sort.Strings(names)
-	w := 0
-	for i, s := range names {
-		if i > 0 && names[i-1] == s && w > 0 {
-			continue
-		}
-		names[w] = s
-		w++
-	}
-	names = names[:w]
-	rank := make(map[string]uint32, len(names))
-	for i, s := range names {
-		rank[s] = uint32(i)
-	}
-	return names, rank
-}
-
 func pairKey(a, b uint32) uint64 {
 	if a > b {
 		a, b = b, a
@@ -245,96 +228,46 @@ func pairKey(a, b uint32) uint64 {
 	return uint64(a)<<32 | uint64(b)
 }
 
-// SumConnections merges per-shard edge slices into one deterministic edge
-// list, summing the weights of pairs that several shards contributed (the
-// same user pair can share videos on different shards). Merging commutative
-// sums and re-sorting reproduces exactly the edge list DeriveConnections
-// computes over an unpartitioned corpus.
-//
-// Unlike derivation, no filtering happens here: self-loops and empty names
-// pass through unchanged (normalized to canonical orientation), and each
-// pair's weights are added in input encounter order — the merged list is
-// byte-for-byte what the string-keyed accumulator produced, floating-point
-// addition order included.
-func SumConnections(parts ...[]community.Edge) []community.Edge {
-	total := 0
-	for _, edges := range parts {
-		total += len(edges)
-	}
-	names := make([]string, 0, 2*total)
-	for _, edges := range parts {
-		for _, e := range edges {
-			names = append(names, e.U, e.V)
-		}
-	}
-	uniq, rank := rankNames(names)
-
-	type keyed struct {
-		key uint64
-		w   float64
-	}
-	items := make([]keyed, 0, total)
-	for _, edges := range parts {
-		for _, e := range edges {
-			items = append(items, keyed{key: pairKey(rank[e.U], rank[e.V]), w: e.W})
-		}
-	}
-	// Stable: weights of one pair must accumulate in encounter order.
-	sort.SliceStable(items, func(a, b int) bool { return items[a].key < items[b].key })
-
-	edges := make([]community.Edge, 0, len(items))
-	for i := 0; i < len(items); {
-		j := i
-		w := 0.0
-		for j < len(items) && items[j].key == items[i].key {
-			w += items[j].w
-			j++
-		}
-		edges = append(edges, community.Edge{
-			U: uniq[items[i].key>>32],
-			V: uniq[uint32(items[i].key)],
-			W: w,
-		})
-		i = j
-	}
-	return edges
-}
-
 // ApplyEdges runs steps 2–3 of the maintenance pass against an explicit
 // edge list: sub-community maintenance, then descriptor growth and
-// re-vectorization. For a single engine ApplyUpdates derives the edges and
-// calls this; a shard of a partitioned deployment receives the globally
-// summed edge list (so every shard's replicated partition evolves
-// identically) along with only its own slice of the comment batch (comments
-// for videos it does not hold are ignored by the descriptor-growth loop).
+// re-vectorization. ApplyUpdates derives the edges and calls this; journal
+// replay and replicas of a shard call it with the batch's global edge list
+// as the shard journaled it, along with only the shard's own slice of the
+// comments (comments for videos it does not hold are ignored).
 func (r *Recommender) ApplyEdges(edges []community.Edge, newComments map[string][]string) UpdateReport {
+	r.state.mustBuild()
+	rep := r.social.Maintain(edges)
+	rep.VideosRevectorized = r.ApplyComments(newComments)
+	return rep
+}
+
+// ApplyComments runs step 3 of the maintenance pass after the social
+// state's latest Maintain: it adopts the maintained partition, table and
+// dictionary, grows the descriptors of the commented videos this recommender
+// stores, and re-vectorizes and re-posts those and every video posted under
+// a touched dimension. It reads the Social and writes only this
+// recommender, so the shards sharing one Social run it in parallel. It
+// returns the number of videos re-vectorized.
+func (r *Recommender) ApplyComments(newComments map[string][]string) int {
 	r.state.mustBuild()
 	r.beforeWrite()
 	s := r.state
+	s.adoptSocial(r.social)
 
-	// Step 2: maintenance with dimension tracking (the BuildSocial hooks
-	// record every changed dimension into r.touched).
-	r.touched = map[int]bool{}
-	maintStart := time.Now()
-	st := r.maint.ApplyConnections(edges)
-	maintDur := time.Since(maintStart)
-	touched := r.touched
-
-	// Step 3: grow descriptors and re-vectorize affected videos: the live
-	// commented ones and — posted ⇔ Vec[d] > 0 — every posting of a touched
-	// dimension. Dirty tracking is by dense index; re-posting in ascending
-	// index order keeps the sorted posting-list edits cache-friendly.
+	// The live commented videos and — posted ⇔ Vec[d] > 0 — every posting
+	// of a touched dimension. Dirty tracking is by dense index; re-posting in
+	// ascending index order keeps the sorted posting-list edits
+	// cache-friendly.
 	var dirty []uint32
 	for vid := range newComments {
 		if i, ok := s.index(vid); ok && s.recs.At(i) != nil {
 			dirty = append(dirty, i)
 		}
 	}
-	dirty = append(dirty, s.touchedPostings(touched)...)
+	dirty = append(dirty, s.touchedPostings(r.social.touched)...)
 	slices.Sort(dirty)
 	dirty = slices.Compact(dirty)
 	s.inv.Grow(s.part.Dim)
-	lookup := s.lookupFunc()
 	var gone social.Vector // the dimensions a video leaves, reused across the loop
 	for _, i := range dirty {
 		// A published view may hold the old record: replace, never edit.
@@ -346,7 +279,7 @@ func (r *Recommender) ApplyEdges(edges []community.Edge, newComments map[string]
 		// that already hold the video, so a membership that did not change
 		// copies no posting list.
 		gone = append(gone[:0], cp.Vec...)
-		cp.Vec = social.Vectorize(cp.Desc, lookup, s.part.Dim)
+		cp.Vec = social.Vectorize(cp.Desc, s.look, s.part.Dim)
 		for d := range gone {
 			if d < len(cp.Vec) && cp.Vec[d] > 0 {
 				gone[d] = 0
@@ -356,15 +289,7 @@ func (r *Recommender) ApplyEdges(edges []community.Edge, newComments map[string]
 		s.inv.Add(i, cp.Vec)
 		s.recs.Set(i, &cp)
 	}
-	return UpdateReport{
-		Maintenance:         st,
-		VideosRevectorized:  len(dirty),
-		DimensionsTouched:   len(touched),
-		MaintenanceDuration: maintDur,
-		GraphUsers:          r.graph.NumUsers(),
-		GraphEdges:          r.graph.NumEdges(),
-		GraphOverlay:        r.graph.OverlayLen(),
-	}
+	return len(dirty)
 }
 
 // touchedPostings lists the videos posted under any of the given dimensions,
@@ -386,8 +311,9 @@ func (r *Recommender) VideosPerDim() []int { return r.state.VideosPerDim() }
 // edges, and directed overlay entries awaiting CSR compaction. All zero
 // before BuildSocial.
 func (r *Recommender) GraphStats() (users, edges, overlay int) {
-	if r.graph == nil {
+	if r.social == nil {
 		return 0, 0, 0
 	}
-	return r.graph.NumUsers(), r.graph.NumEdges(), r.graph.OverlayLen()
+	g := r.social.graph
+	return g.NumUsers(), g.NumEdges(), g.OverlayLen()
 }

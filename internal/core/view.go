@@ -53,8 +53,12 @@ type View struct {
 	live    int             // records in recs
 	nextSeq uint64          // ingestion-order position of the next new record
 
-	lsb   *index.LSB
-	inv   *index.Inverted
+	lsb *index.LSB
+	inv *index.Inverted
+
+	// The social state's partition, table and dictionary as of the last
+	// adoptSocial: shared with the Social, which copies them before it
+	// changes them.
 	table *hashing.Table
 	dict  []dictEntry // linear-scan dictionary, kept in ModeSAR only
 	part  *community.Partition
@@ -90,13 +94,13 @@ func (v *View) newPools() {
 
 // clone returns the View the writer grows next. Everything reachable from v
 // stays immutable, so the clone shares it and costs a few headers, not the
-// corpus: the LSB trees, the id index, the hash table's chains, the posting
-// lists and the pages of the id and record tables are handed over as they
-// are, and a later write copies the node, chain, list or page it lands in;
-// records are replaced, never edited (see Record). What is still copied flat
-// is the tombstone bitset (one bit per clip), the partition's assignment
-// vector (4 B per user) and — in ModeSAR only — the linear dictionary. The
-// write side calls this exactly once per freeze→mutate transition.
+// corpus: the LSB trees, the id index, the posting lists and the pages of
+// the id and record tables are handed over as they are, and a later write
+// copies the node, list or page it lands in; records are replaced, never
+// edited (see Record). The partition, hash table and dictionary belong to
+// the Social, which copies them at the start of its next pass. What is
+// still copied flat is the tombstone bitset (one bit per clip). The write
+// side calls this exactly once per freeze→mutate transition.
 func (v *View) clone() *View {
 	nv := &View{
 		opts:       v.opts,
@@ -106,7 +110,10 @@ func (v *View) clone() *View {
 		live:       v.live,
 		nextSeq:    v.nextSeq,
 		lsb:        v.lsb.Clone(),
-		dict:       append([]dictEntry(nil), v.dict...),
+		table:      v.table,
+		dict:       v.dict,
+		part:       v.part,
+		look:       v.look,
 		tombstones: v.tombstones.Clone(),
 		tombCount:  v.tombCount,
 		built:      v.built,
@@ -115,20 +122,14 @@ func (v *View) clone() *View {
 	if v.inv != nil {
 		nv.inv = v.inv.Clone()
 	}
-	if v.table != nil {
-		nv.table = v.table.Clone()
-	}
-	if v.part != nil {
-		// Copies the dense assignment slice and marks the shared user table
-		// so the writer's next mint copies it — the frozen reader never sees
-		// the table grow.
-		nv.part = v.part.Clone()
-	}
-	if v.look != nil {
-		// Rebind to the clone's own table/dict/partition copies.
-		nv.look = nv.lookupFunc()
-	}
 	return nv
+}
+
+// adoptSocial points the view at the social state's current partition,
+// table and dictionary, and binds the query-path lookup to them.
+func (v *View) adoptSocial(s *Social) {
+	v.part, v.table, v.dict = s.part, s.table, s.dict
+	v.look = v.lookupFunc()
 }
 
 // index resolves a video id to its dense index.
@@ -285,8 +286,9 @@ func (v *View) lookupFunc() social.Lookup {
 	case ModeSARHash:
 		return v.table.Lookup
 	case ModeSAR:
+		dict := v.dict
 		return func(u string) (int, bool) {
-			for _, e := range v.dict {
+			for _, e := range dict {
 				if e.user == u {
 					return e.cno, true
 				}

@@ -164,8 +164,15 @@ func TestReplicaRebootstrapsAfterCompaction(t *testing.T) {
 	done2 := make(chan struct{})
 	go func() { defer close(done2); rep2.Run(ctx2) }()
 	waitCaughtUp(t, rep2.Engine(), primary.AppliedSeq())
-	if boots, _, _ := rep2.Stats(); boots == 0 {
-		t.Fatal("replica caught up without re-bootstrapping — compaction path untested")
+	// The reload publishes the bootstrapped cursor just before the bootstrap
+	// counts itself, so the count may trail the cursor by a moment: wait for
+	// it under the same deadline.
+	deadline := time.Now().Add(30 * time.Second)
+	for boots, _, _ := rep2.Stats(); boots == 0; boots, _, _ = rep2.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatal("replica caught up without re-bootstrapping — compaction path untested")
+		}
+		time.Sleep(time.Millisecond)
 	}
 	assertIdenticalRankings(t, primary, rep2.Engine())
 	cancel2()

@@ -280,6 +280,34 @@ func TestUpdatesErrorPaths(t *testing.T) {
 	}
 }
 
+// An /updates body over the cap answers 413 without touching the engine —
+// no new view, no journal cursor advance — and a batch within it still
+// applies.
+func TestUpdatesBodyCap(t *testing.T) {
+	ts, srv := newResilientServer(t, Config{})
+	populate(t, ts)
+	version, seq := srv.eng.Version(), srv.eng.AppliedSeq()
+	huge := map[string][]string{"clip-0": make([]string, maxUpdatesBody/3)} // 4 bytes each
+	for i := range huge["clip-0"] {
+		huge["clip-0"][i] = "u"
+	}
+	body, _ := json.Marshal(huge)
+	if resp := post(t, ts.URL+"/updates", body); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte batch: status %d, want 413", len(body), resp.StatusCode)
+	}
+	if srv.eng.Version() != version || srv.eng.AppliedSeq() != seq {
+		t.Fatalf("refused batch moved the engine: version %d → %d, seq %d → %d",
+			version, srv.eng.Version(), seq, srv.eng.AppliedSeq())
+	}
+	body, _ = json.Marshal(map[string][]string{"clip-0": {"newcomer", "ann"}})
+	if resp := post(t, ts.URL+"/updates", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ordinary batch: status %d, want 200", resp.StatusCode)
+	}
+	if srv.eng.Version() == version {
+		t.Fatal("ordinary batch published no view")
+	}
+}
+
 // /snapshot error paths: save failure → 500, then recovery; concurrent
 // snapshots serialize rather than clobbering each other's temp files.
 func TestSnapshotErrorAndSerialization(t *testing.T) {

@@ -421,10 +421,20 @@ func (s *Server) handleRecommendClip(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxUpdatesBody caps a POST /updates body. A comment batch is a few bytes
+// per comment — a 64-comment batch is a few KB — so 1 MiB holds tens of
+// thousands of comments; a larger body is refused before it reaches the
+// writer.
+const maxUpdatesBody = 1 << 20
+
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	var comments map[string][]string
-	if err := json.NewDecoder(r.Body).Decode(&comments); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode comments: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdatesBody)).Decode(&comments); err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, fmt.Errorf("decode comments: %w", err))
 		return
 	}
 	sum, err := s.eng.ApplyUpdates(comments)

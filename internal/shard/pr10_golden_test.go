@@ -13,6 +13,7 @@ import (
 
 	"videorec"
 	"videorec/internal/community"
+	"videorec/internal/core"
 )
 
 // TestUpdateGoldenFile pins the observable behavior of the user-interest
@@ -115,22 +116,58 @@ func pr10Rankings(t *testing.T, r *Router, queries []string, skip map[string]boo
 	return out
 }
 
-// pr10DeriveGlobal reproduces the derive+sum half of Router.ApplyUpdates
+// pr10DeriveGlobal reproduces the derivation half of Router.ApplyUpdates
 // without mutating anything: the edge list every shard is about to journal
-// and apply. Derivation is a pure read of descriptors, so hashing it before
-// the apply observes exactly what the apply will use.
-func pr10DeriveGlobal(t *testing.T, r *Router, batch map[string][]string) []community.Edge {
-	t.Helper()
+// and the shared state to maintain. Derivation is a pure read of the owners'
+// records, so hashing it before the apply observes exactly what the apply
+// will use.
+func pr10DeriveGlobal(r *Router, batch map[string][]string) []community.Edge {
 	s := r.set()
-	parts := make([][]community.Edge, len(s.engines))
-	for i, e := range s.engines {
-		p, err := e.DeriveConnections(batch)
-		if err != nil {
-			t.Fatalf("derive shard %d: %v", i, err)
+	view, _ := s.engines[0].CurrentView()
+	return core.NewRecommender(view.Options()).DeriveFrom(batch, func(id string) *core.Record {
+		if i := s.owner(id); i >= 0 {
+			v, _ := s.engines[i].CurrentView()
+			rec, _ := v.Record(id)
+			return rec
 		}
-		parts[i] = p
+		return nil
+	})
+}
+
+// forcedUnionBatch pins steps 2–3 of the maintenance algorithm (union +
+// compensating split), which the organic monthly batches never reach: they
+// carry no single edge heavier than the extraction-time lightest
+// intra-community weight. It picks pairs of users from different
+// sub-communities of assign and has each pair co-comment on a block of
+// videos, giving the derived batch edge a weight equal to the block size —
+// far above the union threshold.
+func forcedUnionBatch(f *fixture, assign map[string]int) map[string][]string {
+	users := make([]string, 0, len(assign))
+	for u := range assign {
+		users = append(users, u)
 	}
-	return videorec.MergeConnections(parts...)
+	sort.Strings(users)
+	batch := map[string][]string{}
+	vi := 0
+	for pair := 0; pair < 3 && vi+8 <= len(f.clips); pair++ {
+		uA := users[pair*7%len(users)]
+		uB := ""
+		for _, u := range users {
+			if assign[u] != assign[uA] {
+				uB = u
+				break
+			}
+		}
+		if uB == "" {
+			break
+		}
+		for j := 0; j < 8; j++ {
+			id := f.clips[vi].ID
+			batch[id] = append(batch[id], uA, uB)
+			vi++
+		}
+	}
+	return batch
 }
 
 func pr10Scenario(t *testing.T, f *fixture, strat videorec.Strategy, n int, journalDir string) ([]pr10Step, map[string]string) {
@@ -171,7 +208,7 @@ func pr10Scenario(t *testing.T, f *fixture, strat videorec.Strategy, n int, jour
 	record("build", nil, "", nil)
 
 	applyBatch := func(op string, batch map[string][]string) {
-		edges := pr10DeriveGlobal(t, r, batch)
+		edges := pr10DeriveGlobal(r, batch)
 		sum, err := r.ApplyUpdates(batch)
 		if err != nil {
 			t.Fatalf("%s: %v", op, err)
@@ -212,39 +249,7 @@ func pr10Scenario(t *testing.T, f *fixture, strat videorec.Strategy, n int, jour
 	apply("update2", src+1)
 	apply("update3", src+2)
 
-	// The organic monthly batches never carry a single edge heavier than the
-	// extraction-time lightest intra-community weight, so steps 2–3 of the
-	// maintenance algorithm (union + compensating split) would go unpinned.
-	// Force them: pick pairs of users from different sub-communities and have
-	// each pair co-comment on a block of videos, giving the derived batch
-	// edge a weight equal to the block size — far above the union threshold.
-	assign := pr10AssignMap(pr10Partition(shard0()))
-	users := make([]string, 0, len(assign))
-	for u := range assign {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	unionBatch := map[string][]string{}
-	vi := 0
-	for pair := 0; pair < 3 && vi+8 <= len(f.clips); pair++ {
-		uA := users[pair*7%len(users)]
-		uB := ""
-		for _, u := range users {
-			if assign[u] != assign[uA] {
-				uB = u
-				break
-			}
-		}
-		if uB == "" {
-			break
-		}
-		for j := 0; j < 8; j++ {
-			id := f.clips[vi].ID
-			unionBatch[id] = append(unionBatch[id], uA, uB)
-			vi++
-		}
-	}
-	applyBatch("forced-union", unionBatch)
+	applyBatch("forced-union", forcedUnionBatch(f, pr10AssignMap(pr10Partition(shard0()))))
 	apply("post-union", src)
 
 	journals := map[string]string{}

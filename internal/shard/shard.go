@@ -8,14 +8,12 @@
 // The merged ranking is bit-identical to a single engine holding the whole
 // corpus. Two properties carry that guarantee:
 //
-//   - The social machinery is global. Build unions every shard's capped
-//     audience map and hands the same map to each shard, whose deterministic
-//     construction (sorted graph assembly, sorted edge extraction) yields
-//     identical user-interest-graph, partition, hash-table and dictionary
-//     copies. Updates likewise derive per-shard edge slices, sum them into
-//     the exact whole-corpus edge list, and apply that list to every shard's
-//     copy — so all copies evolve in lockstep and per-shard SAR scores equal
-//     single-engine SAR scores.
+//   - The social machinery is global: every shard points at one social
+//     state (graph, partition, hash table, dictionary). Build builds it once
+//     over the union of every shard's capped audience map; an update batch
+//     derives the whole corpus's edge list once, reading each commented
+//     video's audience on the shard that holds it, and runs the Figure 5
+//     pass once — so per-shard SAR scores equal single-engine SAR scores.
 //
 //   - Scoring is pointwise. A candidate's fused FJ depends only on the query
 //     and its own record (plus the shared social machinery), never on which
@@ -48,7 +46,6 @@ import (
 	"time"
 
 	"videorec"
-	"videorec/internal/community"
 	"videorec/internal/core"
 	"videorec/internal/faults"
 	"videorec/internal/topk"
@@ -149,6 +146,10 @@ type Router struct {
 	mu  sync.Mutex // serializes mutations, build, drain and journal management
 	cur atomic.Pointer[shardSet]
 	res atomic.Pointer[Resilience]
+
+	// shared records that the shards point at one social state (from Build
+	// on, or once shareLocked has run). Guarded by mu.
+	shared bool
 
 	// Fault-tolerance counters, monotonic across topology changes (per-shard
 	// breakers reset when the topology is republished; these never do).
@@ -326,14 +327,14 @@ func (r *Router) Built() bool {
 	return true
 }
 
-// SubCommunities returns the SAR dimensionality — identical on every shard,
-// read from the first.
+// SubCommunities returns the SAR dimensionality of the social state the
+// shards share, read through the first shard's view.
 func (r *Router) SubCommunities() int {
 	return r.set().engines[0].SubCommunities()
 }
 
-// GraphStats reports the user-interest graph size. Every shard maintains an
-// identical replicated graph copy, so the first shard speaks for all.
+// GraphStats reports the size of the user-interest graph the shards share,
+// read through the first shard.
 func (r *Router) GraphStats() (users, edges, overlay int) {
 	return r.set().engines[0].GraphStats()
 }
@@ -390,10 +391,9 @@ func (r *Router) Remove(clipID string) error {
 	return s.engines[i].Remove(clipID)
 }
 
-// Build constructs the social machinery globally: the union of every
-// shard's audience map (disjoint by video — each video lives on one shard)
-// is handed to every shard, which builds an identical partition copy over
-// it in parallel.
+// Build constructs the social machinery globally: one build over the union
+// of every shard's audience map, which every shard then shares and indexes
+// its own records against in parallel.
 func (r *Router) Build() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -401,21 +401,28 @@ func (r *Router) Build() {
 }
 
 func (r *Router) buildLocked(s *shardSet) {
-	global := map[string][]string{}
+	videorec.BuildShared(s.engines)
+	r.shared = true
+}
+
+// shareLocked points the built shards of a restored router (LoadFile,
+// NewFromEngines) at one social state, once, after checking that their
+// copies agree: after ReplayJournals, or at the first update or drain. A
+// disagreement fails the caller and leaves the router unshared.
+func (r *Router) shareLocked(s *shardSet) error {
+	if r.shared {
+		return nil
+	}
 	for _, e := range s.engines {
-		for vid, aud := range e.Audiences() {
-			global[vid] = aud
+		if !e.Built() {
+			return nil
 		}
 	}
-	var wg sync.WaitGroup
-	for _, e := range s.engines {
-		wg.Add(1)
-		go func(e *videorec.Engine) {
-			defer wg.Done()
-			e.BuildFromAudiences(global)
-		}(e)
+	if err := videorec.ShareSocial(s.engines); err != nil {
+		return fmt.Errorf("shard: shards restored with diverging social state: %w", err)
 	}
-	wg.Wait()
+	r.shared = true
+	return nil
 }
 
 // RecommendCtx answers a stored-clip query by scatter-gather: the owning
@@ -777,84 +784,25 @@ func MergeTopK(topK int, lists func(yield func([]core.Result))) []core.Result {
 	return sel.Sorted()
 }
 
-// ApplyUpdates runs one maintenance batch globally, in three steps mirroring
-// the single-engine pass: every shard derives the edge slice its videos
-// induce (parallel), the slices are summed into the whole-corpus edge list,
-// and every shard journals + applies that list with its local slice of the
-// comments (parallel). Maintenance statistics are identical on every shard
-// (same edges, same graph copy) and reported once; re-vectorization counts
-// sum across shards.
+// ApplyUpdates runs one maintenance batch over every shard, doing its
+// social work once (videorec.ApplyShared) with each commented video read on
+// the shard that holds it. Re-vectorization counts sum across shards.
 func (r *Router) ApplyUpdates(newComments map[string][]string) (videorec.UpdateSummary, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.set()
-	n := len(s.engines)
-
-	parts := make([][]community.Edge, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, e := range s.engines {
-		wg.Add(1)
-		go func(i int, e *videorec.Engine) {
-			defer wg.Done()
-			parts[i], errs[i] = e.DeriveConnections(newComments)
-		}(i, e)
+	if err := r.shareLocked(s); err != nil {
+		return videorec.UpdateSummary{}, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return videorec.UpdateSummary{}, err
-		}
-	}
-	edges := videorec.MergeConnections(parts...)
-
-	// Split the batch by owning shard; comments on unknown videos go nowhere,
-	// exactly as a single engine ignores them.
-	local := make([]map[string][]string, n)
-	for i := range local {
-		local[i] = map[string][]string{}
-	}
-	for vid, users := range newComments {
-		if i := s.owner(vid); i >= 0 {
-			local[i][vid] = users
-		}
-	}
-
-	sums := make([]videorec.UpdateSummary, n)
-	for i, e := range s.engines {
-		wg.Add(1)
-		go func(i int, e *videorec.Engine) {
-			defer wg.Done()
-			sums[i], errs[i] = e.ApplyConnections(edges, local[i])
-		}(i, e)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return videorec.UpdateSummary{}, err
-		}
-	}
-	// Graph sizes and maintenance stats are identical on every shard (same
-	// edges, same graph copy), so sums[0] already carries them; the shards
-	// maintain in parallel, so the batch's maintenance cost is the slowest
-	// shard's, and re-vectorization counts sum.
-	out := sums[0]
-	out.VideosRevectorized = 0
-	for _, sum := range sums {
-		out.VideosRevectorized += sum.VideosRevectorized
-		if sum.MaintenanceDuration > out.MaintenanceDuration {
-			out.MaintenanceDuration = sum.MaintenanceDuration
-		}
-	}
-	return out, nil
+	return videorec.ApplyShared(s.engines, s.owner, newComments)
 }
 
 // DrainShard takes shard i out of the topology: its videos re-intern into
-// the surviving shards (placed by the new modulus), the derived indexes are
-// rebuilt around the partitions the survivors already hold, and finally the
-// drained shard's journal is flushed and closed — the audience map is
-// unchanged by relocation, so every survivor derives the same partition as
-// before and rankings are unaffected (scores are placement-independent).
+// the surviving shards (placed by the new modulus), the survivors rebuild
+// their derived indexes around the social state they share — read, not
+// rebuilt: the maintained partition, table and dictionary stay as they are —
+// and finally the drained shard's journal is flushed and closed. Rankings
+// are unaffected (scores are placement-independent).
 // Returns the number of videos moved. The drained engine is detached, not
 // destroyed; its snapshot/journal files are the operator's to archive.
 //
@@ -874,6 +822,9 @@ func (r *Router) DrainShard(i int) (moved int, err error) {
 	}
 	if len(s.engines) == 1 {
 		return 0, ErrLastShard
+	}
+	if err := r.shareLocked(s); err != nil {
+		return 0, err
 	}
 	drained := s.engines[i]
 	wasBuilt := drained.Built()
@@ -944,12 +895,12 @@ func (r *Router) DrainShard(i int) (moved int, err error) {
 		}
 	}
 	// Re-ingestion marks the receiving shards unbuilt. Restore them by
-	// reindexing around the partition they already hold — NOT by a fresh
-	// build: the partition has been incrementally maintained since the last
-	// Build, and a fresh sub-community extraction over today's audiences
-	// would not reproduce it (maintenance and re-extraction converge
-	// differently by design). Reindexing preserves every shard's maintained
-	// copy, so post-drain rankings are bit-identical to pre-drain.
+	// reindexing around the social state they share — NOT by a fresh build:
+	// the partition has been incrementally maintained since the last Build,
+	// and a fresh sub-community extraction over today's audiences would not
+	// reproduce it (maintenance and re-extraction converge differently by
+	// design). Reindexing only reads the shared state, so the survivors run
+	// it in parallel and post-drain rankings are bit-identical to pre-drain.
 	if wasBuilt {
 		var wg sync.WaitGroup
 		errs := make([]error, len(survivors))
@@ -980,8 +931,9 @@ func (r *Router) DrainShard(i int) (moved int, err error) {
 // AddShard grows the topology by one empty shard configured like the
 // existing ones. Existing videos stay where they are (lookups fall back to
 // scanning); only new ingests place against the grown modulus. When the
-// deployment is built, the new shard receives the global social build so it
-// can serve and maintain immediately.
+// deployment is built, it is rebuilt — one social build that every shard,
+// the new one included, shares — so the new shard can serve and maintain
+// immediately.
 func (r *Router) AddShard(opts videorec.Options) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1088,19 +1040,25 @@ func LoadFile(path string) (*Router, error) {
 // ReplayJournals replays each shard's journal ("<base>.shard<i>") through
 // its entry-aware update path, returning the total batches applied. Call
 // after LoadFile and before AttachJournals, mirroring the single-engine
-// restart sequence.
+// restart sequence. Each shard replays standalone — its entries are
+// self-contained, and shard sequence numbers can diverge on edge-less
+// batches — and only then do the shards share one social state, after a
+// check that their copies agree (an error if they do not). A router whose
+// shards already share refuses a journal with batches left to apply
+// (videorec.ErrSharedSocial) instead of maintaining them once per shard.
 func (r *Router) ReplayJournals(base string) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	s := r.set()
 	total := 0
-	for i, e := range r.set().engines {
+	for i, e := range s.engines {
 		n, err := e.ReplayJournal(ShardPath(base, i))
 		total += n
 		if err != nil {
 			return total, fmt.Errorf("shard: replay shard %d journal: %w", i, err)
 		}
 	}
-	return total, nil
+	return total, r.shareLocked(s)
 }
 
 // AttachJournals attaches each shard's journal at "<base>.shard<i>".

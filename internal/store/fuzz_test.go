@@ -2,8 +2,10 @@ package store
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"testing"
+	"unicode/utf8"
 
 	"videorec/internal/core"
 )
@@ -64,6 +66,59 @@ func FuzzReplayJournal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = ReplayJournal(bytes.NewReader(data), func(map[string][]string) error { return nil })
 		_, _ = ReplayJournalSeq(bytes.NewReader(data), func(uint64, map[string][]string) error { return nil })
+	})
+}
+
+// FuzzJournalLine: for any batch — names of arbitrary bytes, any weight,
+// sequence and shape — the journal's encoder writes exactly the
+// json.Marshal line, and a line whose names are valid UTF-8 verifies and
+// decodes on read. (json.Marshal rewrites invalid UTF-8 to U+FFFD, so two
+// such names can collide, or sort differently once decoded; no encoder can
+// make those lines verify.)
+func FuzzJournalLine(f *testing.F) {
+	f.Add(uint64(1), "v", "ann", "ben", 1.0, byte(0xff))
+	f.Add(uint64(7), "<clip&1>", `q"uote`, `back\slash`, 0.1, byte(0x5a))
+	f.Add(uint64(1<<63), "line\u2028sep", "zoë", "日本語", 1e21, byte(0x0f))
+	f.Add(uint64(2), "", "", "", 1e-7, byte(0))
+	f.Fuzz(func(t *testing.T, seq uint64, a, b, c string, w float64, shape byte) {
+		if math.IsNaN(w) || math.IsInf(w, 0) || seq == 0 {
+			return // json.Marshal refuses them, derivation never makes one, and entries count from 1
+		}
+		var comments map[string][]string
+		switch shape & 3 {
+		case 1:
+			comments = map[string][]string{}
+		case 2:
+			comments = map[string][]string{a: {b, c}}
+		case 3:
+			comments = map[string][]string{a: nil, b: {}, c: {a}}
+		}
+		var edges []Edge
+		switch shape >> 2 & 3 {
+		case 1:
+			edges = []Edge{}
+		case 2:
+			edges = []Edge{{U: a, V: b, W: w}}
+		case 3:
+			edges = []Edge{{U: a, V: b, W: w}, {U: b, V: c, W: -w}, {U: c, V: a, W: w / 3}}
+		}
+		encoded, err := EncodeEdges(edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := encodeEntry(seq, comments, encoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := marshalEntry(t, seq, comments, edges); !bytes.Equal(line, want) {
+			t.Fatalf("encoder wrote\n%s\njson.Marshal writes\n%s", line, want)
+		}
+		if !utf8.ValidString(a) || !utf8.ValidString(b) || !utf8.ValidString(c) {
+			return
+		}
+		if _, _, err := parseRecord(bytes.TrimSuffix(line, []byte("\n"))); err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
 	})
 }
 

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"sync"
 
+	"videorec/internal/community"
 	"videorec/internal/faults"
 )
 
@@ -38,16 +39,11 @@ type Journal struct {
 	path string // non-empty for file-backed journals (enables Compact)
 }
 
-// Edge is the wire form of one derived social connection — a user pair and
-// the weight a comment batch added to it. Shard journals carry the globally
-// summed edge list alongside each shard's local comment slice, so a
-// single-shard replica can maintain its sub-community copy without seeing
-// the rest of the corpus.
-type Edge struct {
-	U string  `json:"u"`
-	V string  `json:"v"`
-	W float64 `json:"w"`
-}
+// Edge is one derived social connection — a user pair and the weight a
+// comment batch added to it. Shard journals carry the batch's global edge
+// list alongside each shard's local comment slice, so a single-shard replica
+// can maintain its sub-community copy without seeing the rest of the corpus.
+type Edge = community.Edge
 
 // record is the wire form of one journal line. Four shapes share it:
 //
@@ -67,29 +63,59 @@ type record struct {
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// recordCRC computes the CRC32C of an entry: the sequence number and the
+// entryCRC computes the CRC32C of an entry: the sequence number and the
 // canonical JSON encoding of the batch (json.Marshal sorts map keys, so the
 // encoding — and therefore the checksum — is deterministic across the
 // append/replay round trip). Edge-carrying entries append the edge encoding
-// after a separator; edge-less entries checksum exactly as v2 did, so old
-// journals verify unchanged.
-func recordCRC(seq uint64, comments map[string][]string, edges []Edge) (uint32, error) {
+// after a separator; edge-less entries (edges == nil) checksum exactly as v2
+// did, so old journals verify unchanged.
+func entryCRC(seq uint64, comments, edges []byte) uint32 {
+	var head [24]byte
+	crc := crc32.Update(0, castagnoli, append(strconv.AppendUint(head[:0], seq, 10), ':'))
+	crc = crc32.Update(crc, castagnoli, comments)
+	if edges != nil {
+		crc = crc32.Update(crc, castagnoli, []byte{'|'})
+		crc = crc32.Update(crc, castagnoli, edges)
+	}
+	return crc
+}
+
+// EncodeEdges returns the JSON encoding of an edge list that a journal entry
+// carries and checksums (nil for an empty list: no edges), so a sharded
+// deployment encodes a batch's list once for every shard's journal.
+func EncodeEdges(edges []Edge) ([]byte, error) {
+	if len(edges) == 0 {
+		return nil, nil
+	}
+	return json.Marshal(edges)
+}
+
+// encodeEntry renders one journal line: byte for byte what
+// json.Marshal(record{Seq: seq, CRC: &crc, Comments: comments, Edges: …})
+// followed by a newline produces for an entry (seq ≥ 1), but with the
+// comments encoded once for both the checksum and the line, and the
+// pre-encoded edges (an EncodeEdges result) copied in rather than
+// re-marshalled. Empty comments and edges are omitted, as omitempty would.
+func encodeEntry(seq uint64, comments map[string][]string, edges []byte) ([]byte, error) {
+	if len(comments) == 0 {
+		comments = nil // checksummed as "null", omitted from the line
+	}
+	if len(edges) == 0 {
+		edges = nil
+	}
 	body, err := json.Marshal(comments)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	buf := strconv.AppendUint(nil, seq, 10)
-	buf = append(buf, ':')
-	buf = append(buf, body...)
+	line := strconv.AppendUint(append(make([]byte, 0, len(body)+len(edges)+64), `{"seq":`...), seq, 10)
+	line = strconv.AppendUint(append(line, `,"crc":`...), uint64(entryCRC(seq, body, edges)), 10)
+	if comments != nil {
+		line = append(append(line, `,"comments":`...), body...)
+	}
 	if edges != nil {
-		eb, err := json.Marshal(edges)
-		if err != nil {
-			return 0, err
-		}
-		buf = append(buf, '|')
-		buf = append(buf, eb...)
+		line = append(append(line, `,"edges":`...), edges...)
 	}
-	return crc32.Checksum(buf, castagnoli), nil
+	return append(line, '}', '\n'), nil
 }
 
 // parseRecord decodes one journal line and verifies its checksum when
@@ -102,11 +128,17 @@ func parseRecord(line []byte) (rec record, isMarker bool, err error) {
 		return rec, true, nil
 	}
 	if rec.CRC != nil {
-		want, err := recordCRC(rec.Seq, rec.Comments, rec.Edges)
+		body, err := json.Marshal(rec.Comments)
 		if err != nil {
 			return rec, false, err
 		}
-		if want != *rec.CRC {
+		var edges []byte
+		if rec.Edges != nil {
+			if edges, err = json.Marshal(rec.Edges); err != nil {
+				return rec, false, err
+			}
+		}
+		if want := entryCRC(rec.Seq, body, edges); want != *rec.CRC {
 			return rec, false, fmt.Errorf("crc mismatch on seq %d: file says %08x, payload is %08x", rec.Seq, *rec.CRC, want)
 		}
 	}
@@ -173,11 +205,12 @@ func (j *Journal) Append(comments map[string][]string) error {
 }
 
 // AppendEntry logs one batch — comments plus, for shard journals, the
-// globally derived edge list — under the next sequence number. Unlike
-// Append, a batch with edges but no local comments still claims a sequence
-// number: every shard's journal advances in lockstep with the global batch
-// sequence even when the batch touched no video on this shard.
-func (j *Journal) AppendEntry(comments map[string][]string, edges []Edge) error {
+// globally derived edge list as EncodeEdges encoded it — under the next
+// sequence number. Unlike Append, a batch with edges but no local comments
+// still claims a sequence number: every shard's journal advances in lockstep
+// with the global batch sequence even when the batch touched no video on
+// this shard.
+func (j *Journal) AppendEntry(comments map[string][]string, edges []byte) error {
 	if len(comments) == 0 && len(edges) == 0 {
 		return nil
 	}
@@ -202,7 +235,7 @@ func (j *Journal) AppendAt(seq uint64, comments map[string][]string) error {
 
 // AppendEntryAt is AppendEntry under an explicit (primary-assigned)
 // sequence number; see AppendAt for the contiguity contract.
-func (j *Journal) AppendEntryAt(seq uint64, comments map[string][]string, edges []Edge) error {
+func (j *Journal) AppendEntryAt(seq uint64, comments map[string][]string, edges []byte) error {
 	if len(comments) == 0 && len(edges) == 0 {
 		return nil
 	}
@@ -217,24 +250,12 @@ func (j *Journal) AppendEntryAt(seq uint64, comments map[string][]string, edges 
 	return j.appendLocked(seq, comments, edges)
 }
 
-func (j *Journal) appendLocked(seq uint64, comments map[string][]string, edges []Edge) error {
-	// Normalize empty to nil: omitempty drops empty collections from the
-	// line, so the CRC must be computed over what a reader will decode.
-	if len(comments) == 0 {
-		comments = nil
-	}
-	if len(edges) == 0 {
-		edges = nil
-	}
-	crc, err := recordCRC(seq, comments, edges)
+func (j *Journal) appendLocked(seq uint64, comments map[string][]string, edges []byte) error {
+	line, err := encodeEntry(seq, comments, edges)
 	if err != nil {
 		return fmt.Errorf("store: encode journal entry: %w", err)
 	}
-	b, err := json.Marshal(record{Seq: seq, CRC: &crc, Comments: comments, Edges: edges})
-	if err != nil {
-		return fmt.Errorf("store: encode journal entry: %w", err)
-	}
-	if _, err := j.bw.Write(append(b, '\n')); err != nil {
+	if _, err := j.bw.Write(line); err != nil {
 		return fmt.Errorf("store: append journal: %w", err)
 	}
 	if err := j.bw.Flush(); err != nil {

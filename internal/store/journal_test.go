@@ -2,11 +2,15 @@ package store
 
 import (
 	"bytes"
-
+	"encoding/json"
+	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
 	"videorec/internal/faults"
 )
 
@@ -320,5 +324,147 @@ func TestReplayLegacyJournalWithoutCRC(t *testing.T) {
 	raw, _ := os.ReadFile(path)
 	if !bytes.Contains(raw, []byte(`"crc":`)) {
 		t.Fatal("new record written without a checksum")
+	}
+}
+
+// marshalEntry is the reference a journal line must equal byte for byte:
+// the record struct through json.Marshal, with the checksum computed over
+// the separately marshalled comments and edges.
+func marshalEntry(t testing.TB, seq uint64, comments map[string][]string, edges []Edge) []byte {
+	t.Helper()
+	if len(comments) == 0 {
+		comments = nil
+	}
+	if len(edges) == 0 {
+		edges = nil
+	}
+	body, err := json.Marshal(comments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := strconv.AppendUint(nil, seq, 10)
+	sum = append(append(sum, ':'), body...)
+	if edges != nil {
+		eb, err := json.Marshal(edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum = append(append(sum, '|'), eb...)
+	}
+	crc := crc32.Checksum(sum, castagnoli)
+	line, err := json.Marshal(record{Seq: seq, CRC: &crc, Comments: comments, Edges: edges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(line, '\n')
+}
+
+// checkEntry encodes one entry through the journal's encoder and holds it to
+// the reference line, then to the reader: the line must parse, verify its
+// checksum and decode to the same batch.
+func checkEntry(t testing.TB, seq uint64, comments map[string][]string, edges []Edge) {
+	t.Helper()
+	encoded, err := EncodeEdges(edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, err := encodeEntry(seq, comments, encoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := marshalEntry(t, seq, comments, edges); !bytes.Equal(line, want) {
+		t.Fatalf("seq %d: encoder wrote\n%s\njson.Marshal writes\n%s", seq, line, want)
+	}
+	rec, marker, err := parseRecord(bytes.TrimSuffix(line, []byte("\n")))
+	if err != nil || marker {
+		t.Fatalf("seq %d: parse %q: marker %v, %v", seq, line, marker, err)
+	}
+	if rec.Seq != seq || len(rec.Comments) != len(comments) || len(rec.Edges) != len(edges) {
+		t.Fatalf("seq %d: decoded %+v", seq, rec)
+	}
+}
+
+// journalNames exercise every escape the encoder applies: HTML-sensitive
+// characters, quotes and backslashes, the JavaScript line separators, and
+// non-ASCII text.
+var journalNames = []string{"", "ann", "<b>", "a&b", `q"uote`, `back\slash`, "line\u2028sep", "para\u2029sep", "zoë", "日本語", "tab\tnl\n"}
+
+// Property: for random batches — nil and empty comments, nil and empty
+// edges, names needing every escape, weights that are not small integers,
+// any sequence number an entry can carry (≥ 1) — the journal line is
+// exactly the json.Marshal line and verifies on read.
+func TestEncodeEntryMatchesMarshal(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	name := func() string { return journalNames[rng.Intn(len(journalNames))] }
+	weights := []float64{1, 2, 0.1, 1e-7, 1e21, 123456.789, 5e-324, 1.7976931348623157e308}
+	checkEntry(t, 1, nil, nil)
+	checkEntry(t, 2, map[string][]string{}, []Edge{})
+	checkEntry(t, 3, nil, []Edge{{U: "a", V: "b", W: 1}})
+	checkEntry(t, 4, map[string][]string{"v": nil}, nil)
+	checkEntry(t, 5, map[string][]string{"v": {}}, nil)
+	for trial := 0; trial < 500; trial++ {
+		var comments map[string][]string
+		if rng.Intn(4) > 0 {
+			comments = map[string][]string{}
+			for v := rng.Intn(4); v > 0; v-- {
+				var users []string
+				for u := rng.Intn(4); u > 0; u-- {
+					users = append(users, name())
+				}
+				comments[name()] = users
+			}
+		}
+		var edges []Edge
+		if rng.Intn(3) > 0 {
+			edges = []Edge{}
+			for e := rng.Intn(6); e > 0; e-- {
+				edges = append(edges, Edge{U: name(), V: name(), W: weights[rng.Intn(len(weights))]})
+			}
+		}
+		checkEntry(t, max(1, rng.Uint64()>>rng.Intn(64)), comments, edges)
+	}
+}
+
+// Every line of a short seeded sharded history, as the implementation that
+// marshalled each shard's record whole wrote it, re-encodes to the same
+// bytes: the line format, the checksum and the escaping are unchanged.
+func TestEncodeEntryReproducesShardJournalFixture(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "shardjournal", "journal.shard*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no fixture journals (%v)", err)
+	}
+	lines := 0
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			rec, marker, err := parseRecord(bytes.TrimSuffix(line, []byte("\n")))
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			if marker {
+				continue
+			}
+			encoded, err := EncodeEdges(rec.Edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := encodeEntry(rec.Seq, rec.Comments, encoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, line) {
+				t.Fatalf("%s seq %d re-encodes as\n%s\nfixture has\n%s", path, rec.Seq, got, line)
+			}
+			lines++
+		}
+	}
+	if lines < 8 {
+		t.Fatalf("fixture holds only %d entries", lines)
 	}
 }

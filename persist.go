@@ -132,6 +132,8 @@ func (e *Engine) AttachJournal(path string) error {
 // numbers at or below the snapshot's stamped cursor — are skipped instead
 // of double-applied, so a snapshot saved after journaling started restarts
 // cleanly against the full journal. Returns the number of batches applied.
+// A shard replays before the shards share their social state; after, a
+// batch left to replay fails with ErrSharedSocial.
 func (e *Engine) ReplayJournal(path string) (int, error) {
 	start := e.applied.Load()
 	applied := 0
@@ -144,10 +146,13 @@ func (e *Engine) ReplayJournal(path string) (int, error) {
 		if !e.rec.Built() {
 			return ErrNotBuilt
 		}
+		if e.shared {
+			return ErrSharedSocial
+		}
 		if edges != nil {
-			// Shard-journal entry: replay under the globally summed edge list
-			// it was appended with, exactly as ApplyConnections applied it.
-			e.rec.ApplyEdges(coreEdges(edges), comments)
+			// Shard-journal entry: replay under the batch's global edge list
+			// it was appended with, exactly as ApplyShared maintained it.
+			e.rec.ApplyEdges(edges, comments)
 		} else {
 			e.rec.ApplyUpdates(comments)
 		}

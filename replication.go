@@ -70,7 +70,7 @@ func (e *Engine) Reload(r io.Reader) error {
 	if prev := e.cur.Load().version; version <= prev {
 		version = prev + 1
 	}
-	e.rec = rec
+	e.rec, e.shared = rec, false
 	e.cur.Store(&engineView{view: rec.Freeze(), version: version})
 	e.applied.Store(snap.JournalSeq)
 	if e.journal != nil {

@@ -1,7 +1,9 @@
 package videorec
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"videorec/internal/community"
 	"videorec/internal/core"
@@ -11,13 +13,130 @@ import (
 )
 
 // Sharding bridge: the surface a scatter-gather router (internal/shard)
-// drives on each shard engine. A sharded deployment holds N independent
-// Engines, each owning a hash slice of the corpus with its own dense id
-// table, indexes, journal and COW view; the router coordinates the three
-// operations that must see the whole corpus — the social build (union of
-// audiences), update maintenance (globally summed edges), and the query
-// fan-out (per-view gather/refine, merged top-K). Everything here reuses
-// the single-engine machinery; none of it changes single-engine behavior.
+// drives on each shard engine. A sharded deployment holds N Engines, each
+// owning a hash slice of the corpus with its own dense id table, indexes,
+// journal and COW view, and all pointing at one social state (core.Social).
+// The router coordinates what must see the whole corpus — the social build,
+// update maintenance, the query fan-out — reusing the single-engine
+// machinery; none of it changes single-engine behavior.
+
+// ErrSharedSocial reports a standalone update to an engine that shares its
+// social state with other shards: it would maintain every sharer's state but
+// re-vectorize one shard. Shared engines update through ApplyShared.
+var ErrSharedSocial = errors.New("videorec: engine shares its social state with other shards; update through ApplyShared")
+
+// lockAll takes every engine's writer lock in order and returns the release.
+func lockAll(engines []*Engine) (unlock func()) {
+	for _, e := range engines {
+		e.writeMu.Lock()
+	}
+	return func() {
+		for _, e := range engines {
+			e.writeMu.Unlock()
+		}
+	}
+}
+
+// eachParallel runs fn for every engine concurrently and waits for all.
+func eachParallel(engines []*Engine, fn func(i int, e *Engine)) {
+	var wg sync.WaitGroup
+	for i, e := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, e)
+		}()
+	}
+	wg.Wait()
+}
+
+// BuildShared runs one social build over the union of the engines' audience
+// maps (disjoint by video) and installs it in every engine, which indexes
+// its own records against it in parallel and publishes.
+func BuildShared(engines []*Engine) {
+	defer lockAll(engines)()
+	global := map[string][]string{}
+	for _, e := range engines {
+		for vid, aud := range e.rec.CollectAudiences() {
+			global[vid] = aud
+		}
+	}
+	s := core.NewSocial(engines[0].rec.Options(), global)
+	eachParallel(engines, func(_ int, e *Engine) {
+		e.rec.UseSocial(s)
+		e.shared = len(engines) > 1
+		e.publishLocked()
+	})
+}
+
+// ShareSocial points every engine at the first engine's social state once
+// each engine's own copy — restored from its snapshot and journal — is
+// checked to agree with it. An engine that disagrees fails the call.
+func ShareSocial(engines []*Engine) error {
+	defer lockAll(engines)()
+	lead := engines[0].rec.Social()
+	for i, e := range engines[1:] {
+		if err := e.rec.ShareSocial(lead); err != nil {
+			return fmt.Errorf("videorec: shard %d: %w", i+1, err)
+		}
+		engines[0].shared, e.shared = true, true
+	}
+	return nil
+}
+
+// ApplyShared runs one comment batch over engines sharing one social state,
+// doing its social work once: one derivation reads each commented video on
+// the engine owner names (-1: nobody holds it; its comments are ignored), the
+// edge list is encoded once for every engine's journal entry, one Figure 5
+// pass runs, and then the engines re-vectorize their own records in
+// parallel. A journal failure returns before the pass changes anything.
+func ApplyShared(engines []*Engine, owner func(id string) int, newComments map[string][]string) (UpdateSummary, error) {
+	defer lockAll(engines)()
+	lead := engines[0].rec
+	for _, e := range engines {
+		if !e.rec.Built() {
+			return UpdateSummary{}, ErrNotBuilt
+		}
+		if e.rec.Social() != lead.Social() {
+			return UpdateSummary{}, errors.New("videorec: ApplyShared over engines that do not share a social state")
+		}
+	}
+	local := make([]map[string][]string, len(engines))
+	for vid, users := range newComments {
+		if i := owner(vid); i >= 0 {
+			if local[i] == nil {
+				local[i] = map[string][]string{}
+			}
+			local[i][vid] = users
+		}
+	}
+	edges := lead.DeriveFrom(newComments, func(id string) *core.Record {
+		if i := owner(id); i >= 0 {
+			rec, _ := engines[i].rec.Record(id)
+			return rec
+		}
+		return nil
+	})
+	encoded, err := store.EncodeEdges(edges)
+	if err != nil {
+		return UpdateSummary{}, fmt.Errorf("videorec: journal: %w", err)
+	}
+	for i, e := range engines {
+		if err := e.logBatchLocked(local[i], encoded); err != nil {
+			return UpdateSummary{}, err
+		}
+	}
+	rep := lead.Social().Maintain(edges)
+	revectorized := make([]int, len(engines))
+	eachParallel(engines, func(i int, e *Engine) {
+		revectorized[i] = e.rec.ApplyComments(local[i])
+		e.publishLocked()
+	})
+	for _, n := range revectorized {
+		rep.VideosRevectorized += n
+	}
+	return summaryFromReport(rep), nil
+}
 
 // PreparedClip is a clip after validation and signature extraction — what
 // travels from the router's extraction step to the owning shard's
@@ -64,50 +183,25 @@ func (e *Engine) AddPrepared(p PreparedClip) error {
 	return nil
 }
 
-// Audiences returns the per-video commenter audiences of everything this
-// engine holds, capped exactly as Build caps them. A router unions every
-// shard's map into the global audience map the social build needs.
-func (e *Engine) Audiences() map[string][]string {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	return e.rec.CollectAudiences()
-}
-
-// BuildFromAudiences runs the social build over an explicit global audience
-// map and publishes the result — the shard-side half of a sharded Build.
-// Every shard receiving the same map derives an identical user interest
-// graph, partition, and dictionaries (construction is deterministic), which
-// is what makes per-shard SAR vectors — and merged scatter-gather rankings —
-// bit-identical to a single engine holding the whole corpus.
-func (e *Engine) BuildFromAudiences(audiences map[string][]string) {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	e.rec.BuildSocialFrom(audiences)
-	e.publishLocked()
-}
-
-// Reindex rebuilds the derived index state — vectors, dictionaries,
-// inverted files — around the engine's existing graph and partition, and
-// publishes the result. The shard-drain re-intern path: survivors receive
-// relocated records and must index them under the incrementally maintained
-// partition they already hold (a fresh sub-community extraction would not
-// reproduce it). Returns ErrNotBuilt before the first Build.
+// Reindex rebuilds the derived index state — SAR vectors, inverted files,
+// compacted LSB trees — around the engine's social state, which it reads
+// but never changes, and publishes the result: the shard-drain re-intern
+// path, which must keep the maintained partition a fresh extraction would
+// not reproduce. Returns ErrNotBuilt before the first Build.
 func (e *Engine) Reindex() error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	if e.rec.Partition() == nil {
+	if e.rec.Social() == nil {
 		return ErrNotBuilt
 	}
-	e.rec.Reindex()
+	e.rec.UseSocial(e.rec.Social())
 	e.publishLocked()
 	return nil
 }
 
 // DeriveConnections derives the social connections a comment batch induces
-// against this shard's slice of the corpus (comments on videos stored
-// elsewhere contribute nothing here — their owning shard derives those). A
-// router sums every shard's slice with MergeConnections to reconstruct
-// exactly the edge list a whole-corpus engine would derive.
+// against this engine's records (comments on videos stored elsewhere
+// contribute nothing).
 func (e *Engine) DeriveConnections(newComments map[string][]string) ([]community.Edge, error) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -117,42 +211,8 @@ func (e *Engine) DeriveConnections(newComments map[string][]string) ([]community
 	return e.rec.DeriveConnections(newComments), nil
 }
 
-// MergeConnections sums per-shard edge slices into the global deterministic
-// edge list (weights of pairs contributed by several shards add).
-func MergeConnections(parts ...[]community.Edge) []community.Edge {
-	return core.SumConnections(parts...)
-}
-
-// ApplyConnections is the shard-side half of a sharded ApplyUpdates: it
-// journals and applies one maintenance batch under the globally summed edge
-// list. Every shard applies the same edges to its identical graph/partition
-// copy — so all copies evolve in lockstep — while localComments (the slice
-// of the batch touching videos this shard holds; comments for foreign
-// videos are ignored) grows only local descriptors. The journal entry
-// carries both pieces, making each shard's journal self-contained: a
-// single-shard replica replays or tails it without seeing the rest of the
-// corpus.
-func (e *Engine) ApplyConnections(edges []community.Edge, localComments map[string][]string) (UpdateSummary, error) {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	if !e.rec.Built() {
-		return UpdateSummary{}, ErrNotBuilt
-	}
-	if e.journal != nil {
-		if err := e.journal.AppendEntry(localComments, storeEdges(edges)); err != nil {
-			return UpdateSummary{}, fmt.Errorf("videorec: journal: %w", err)
-		}
-		e.applied.Store(e.journal.Seq())
-	} else {
-		e.applied.Add(1)
-	}
-	rep := e.rec.ApplyEdges(edges, localComments)
-	e.publishLocked()
-	return summaryFromReport(rep), nil
-}
-
 // ApplyReplicatedEntry is ApplyReplicated for shard-journal entries: a
-// shipped batch that carries the globally derived edge list alongside the
+// shipped batch that carries the batch's global edge list alongside the
 // shard's local comments. Edge-less entries apply through the whole-corpus
 // path exactly as ApplyReplicated does.
 func (e *Engine) ApplyReplicatedEntry(seq uint64, comments map[string][]string, edges []store.Edge) (bool, error) {
@@ -160,6 +220,9 @@ func (e *Engine) ApplyReplicatedEntry(seq uint64, comments map[string][]string, 
 	defer e.writeMu.Unlock()
 	if !e.rec.Built() {
 		return false, ErrNotBuilt
+	}
+	if e.shared {
+		return false, ErrSharedSocial
 	}
 	cur := e.applied.Load()
 	if seq <= cur {
@@ -169,12 +232,16 @@ func (e *Engine) ApplyReplicatedEntry(seq uint64, comments map[string][]string, 
 		return false, fmt.Errorf("%w: applied through %d, shipped %d", ErrReplicationGap, cur, seq)
 	}
 	if e.journal != nil {
-		if err := e.journal.AppendEntryAt(seq, comments, edges); err != nil {
+		encoded, err := store.EncodeEdges(edges)
+		if err == nil {
+			err = e.journal.AppendEntryAt(seq, comments, encoded)
+		}
+		if err != nil {
 			return false, fmt.Errorf("videorec: journal: %w", err)
 		}
 	}
 	if edges != nil {
-		e.rec.ApplyEdges(coreEdges(edges), comments)
+		e.rec.ApplyEdges(edges, comments)
 	} else {
 		e.rec.ApplyUpdates(comments)
 	}
@@ -239,28 +306,4 @@ func (e *Engine) ShardEngine(i int) (*Engine, bool) {
 		return nil, false
 	}
 	return e, true
-}
-
-// storeEdges converts derived connections to the journal wire form.
-func storeEdges(in []community.Edge) []store.Edge {
-	if in == nil {
-		return nil
-	}
-	out := make([]store.Edge, len(in))
-	for i, e := range in {
-		out[i] = store.Edge{U: e.U, V: e.V, W: e.W}
-	}
-	return out
-}
-
-// coreEdges converts journal wire edges back to derived connections.
-func coreEdges(in []store.Edge) []community.Edge {
-	if in == nil {
-		return nil
-	}
-	out := make([]community.Edge, len(in))
-	for i, e := range in {
-		out[i] = community.Edge{U: e.U, V: e.V, W: e.W}
-	}
-	return out
 }

@@ -194,6 +194,10 @@ type Engine struct {
 	journal *store.Journal    // nil unless AttachJournal was called
 	jpath   string            // journal file path, "" unless attached
 
+	// shared marks rec's social state as shared with other shard engines:
+	// standalone updates fail with ErrSharedSocial. Guarded by writeMu.
+	shared bool
+
 	cur atomic.Pointer[engineView] // the published view; never nil after New/Load
 
 	// applied is the journal sequence number of the last update batch this
@@ -298,6 +302,7 @@ func (e *Engine) Build() {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	e.rec.BuildSocial()
+	e.shared = false
 	e.publishLocked()
 }
 
@@ -425,17 +430,30 @@ func (e *Engine) ApplyUpdates(newComments map[string][]string) (UpdateSummary, e
 	if !e.rec.Built() {
 		return UpdateSummary{}, ErrNotBuilt
 	}
-	if e.journal != nil {
-		if err := e.journal.Append(newComments); err != nil {
-			return UpdateSummary{}, fmt.Errorf("videorec: journal: %w", err)
-		}
-		e.applied.Store(e.journal.Seq())
-	} else {
-		e.applied.Add(1)
+	if e.shared {
+		return UpdateSummary{}, ErrSharedSocial
+	}
+	if err := e.logBatchLocked(newComments, nil); err != nil {
+		return UpdateSummary{}, err
 	}
 	rep := e.rec.ApplyUpdates(newComments)
 	e.publishLocked()
 	return summaryFromReport(rep), nil
+}
+
+// logBatchLocked journals one batch ahead of applying it — edges is the
+// batch's encoded edge list on a shard, nil on a whole-corpus engine — and
+// advances the replication cursor to it. Callers hold writeMu.
+func (e *Engine) logBatchLocked(comments map[string][]string, edges []byte) error {
+	if e.journal == nil {
+		e.applied.Add(1)
+		return nil
+	}
+	if err := e.journal.AppendEntry(comments, edges); err != nil {
+		return fmt.Errorf("videorec: journal: %w", err)
+	}
+	e.applied.Store(e.journal.Seq())
+	return nil
 }
 
 // GraphStats reports the current user-interest graph size: nodes, undirected
