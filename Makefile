@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test test-race test-faults race bench bench-serve bench-serve-trace bench-serve-compare bench-shards bench-batch bench-updates vrecbench vrecbench-short bench-compare vrecload vrecload-smoke load-compare experiments experiments-paper fuzz examples clean
+.PHONY: all check build vet test test-race test-faults race bench bench-serve bench-serve-trace bench-serve-compare bench-shards bench-updates vrecbench vrecbench-short bench-compare vrecload vrecload-smoke load-compare experiments experiments-paper fuzz examples clean
 
 all: check
 
@@ -58,9 +58,8 @@ bench-serve-compare:
 
 # Serving-path benchmark harness: fixed RecommendCtx workloads, JSON output
 # with ns/op, qps, allocs/op and latency percentiles (see README). Includes
-# the shards/{1,4,16} scatter-gather workloads, the shards/faulty
-# degraded-path workload, and the unbatched/{1,8,64} vs batch/{1,8,64}
-# batched-serving pairs.
+# the shards/{1,4,16} scatter-gather workloads and the shards/faulty
+# degraded-path workload.
 vrecbench:
 	$(GO) run ./cmd/vrecbench -out BENCH_PR8.json
 
@@ -90,13 +89,6 @@ OLD ?= BENCH_PR7.json
 NEW ?= BENCH_PR8.json
 bench-compare:
 	$(GO) run ./cmd/benchcompare -old $(OLD) -new $(NEW)
-
-# The batching speedup table: diff the batch/N rows against the unbatched/N
-# rows of one report (same Zipf query stream, same engine — the qps ratio is
-# the aggregate gain of coalesced execution at round size N).
-BENCH ?= BENCH_PR8.json
-bench-batch:
-	$(GO) run ./cmd/benchcompare -old $(BENCH) -new $(BENCH) -old-prefix unbatched/ -new-prefix batch/
 
 # HTTP-level storm harness: regenerate the three BENCH_LOAD scenarios —
 # unloaded baseline, a comment storm against the fixed limiter, and the same

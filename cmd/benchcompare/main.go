@@ -13,16 +13,6 @@
 //	go run ./cmd/benchcompare -old BENCH_PR3.json -new BENCH_PR5.json
 //	go run ./cmd/benchcompare -old BENCH_LOAD_PR9.json -new BENCH_LOAD.json
 //
-// With -old-prefix/-new-prefix the tool compares two workload FAMILIES —
-// possibly within one report: rows are filtered to the given name prefix and
-// the prefix is stripped before matching, so
-//
-//	go run ./cmd/benchcompare -old BENCH_PR8.json -new BENCH_PR8.json \
-//	    -old-prefix unbatched/ -new-prefix batch/
-//
-// diffs batch/N against unbatched/N per round size N — the batching speedup
-// table of `make bench-batch`.
-//
 // Exit status is 0 whenever the tool has something sensible to say — also
 // when the baseline file does not exist yet (first run on a branch, CI cache
 // miss) or when the two reports share no workload names (a renamed suite):
@@ -40,7 +30,6 @@ import (
 	"log"
 	"os"
 	"sort"
-	"strings"
 )
 
 type result struct {
@@ -84,23 +73,6 @@ func load(path string) (*report, error) {
 	return &r, nil
 }
 
-// filterPrefix restricts a report to one workload family: rows not carrying
-// the prefix are dropped, matching rows lose it — so two families (e.g.
-// unbatched/N vs batch/N) line up by their shared suffix.
-func filterPrefix(rep *report, prefix string) {
-	if prefix == "" {
-		return
-	}
-	kept := rep.Results[:0]
-	for _, r := range rep.Results {
-		if strings.HasPrefix(r.Name, prefix) {
-			r.Name = strings.TrimPrefix(r.Name, prefix)
-			kept = append(kept, r)
-		}
-	}
-	rep.Results = kept
-}
-
 // delta formats a relative change, signed, as a percentage. A negative
 // ns_per_op or allocs_per_op delta is an improvement.
 func delta(oldV, newV float64) string {
@@ -115,10 +87,8 @@ func delta(oldV, newV float64) string {
 
 func main() {
 	var (
-		oldPath   = flag.String("old", "", "baseline vrecbench JSON")
-		newPath   = flag.String("new", "", "candidate vrecbench JSON")
-		oldPrefix = flag.String("old-prefix", "", "keep only baseline workloads with this name prefix (stripped before matching)")
-		newPrefix = flag.String("new-prefix", "", "keep only candidate workloads with this name prefix (stripped before matching)")
+		oldPath = flag.String("old", "", "baseline vrecbench JSON")
+		newPath = flag.String("new", "", "candidate vrecbench JSON")
 	)
 	flag.Parse()
 	if *oldPath == "" || *newPath == "" {
@@ -153,11 +123,9 @@ func main() {
 				*oldPath, kindName(oldRep.Kind), *newPath, kindName(newRep.Kind))
 			return
 		}
-		compareLoad(*oldPath, oldRep, *newPath, newRep, *oldPrefix, *newPrefix)
+		compareLoad(*oldPath, oldRep, *newPath, newRep)
 		return
 	}
-	filterPrefix(oldRep, *oldPrefix)
-	filterPrefix(newRep, *newPrefix)
 
 	oldBy := make(map[string]result, len(oldRep.Results))
 	for _, r := range oldRep.Results {
@@ -214,28 +182,10 @@ func kindName(kind string) string {
 	return kind
 }
 
-// filterScenarioPrefix is filterPrefix for load-report scenario rows.
-func filterScenarioPrefix(rep *report, prefix string) {
-	if prefix == "" {
-		return
-	}
-	kept := rep.Scenarios[:0]
-	for _, s := range rep.Scenarios {
-		if strings.HasPrefix(s.Name, prefix) {
-			s.Name = strings.TrimPrefix(s.Name, prefix)
-			kept = append(kept, s)
-		}
-	}
-	rep.Scenarios = kept
-}
-
 // compareLoad diffs two vrecload reports scenario by scenario: goodput and
 // the latency-percentile family, the numbers the overload-control acceptance
 // criteria are written against.
-func compareLoad(oldPath string, oldRep *report, newPath string, newRep *report, oldPrefix, newPrefix string) {
-	filterScenarioPrefix(oldRep, oldPrefix)
-	filterScenarioPrefix(newRep, newPrefix)
-
+func compareLoad(oldPath string, oldRep *report, newPath string, newRep *report) {
 	oldBy := make(map[string]scenario, len(oldRep.Scenarios))
 	for _, s := range oldRep.Scenarios {
 		oldBy[s.Name] = s

@@ -16,15 +16,6 @@
 // and the latency percentiles show the circuit breaker sidelining the slow
 // shard.
 //
-// The unbatched/N and batch/N workload pairs measure batched execution: the
-// same Zipf-skewed query stream (fixed seed, s=1.2 — the head-heavy request
-// mix of a sharing community) is answered N queries per op, either as N
-// serial Engine.RecommendCtx calls or as one Engine.RecommendBatchCtx round
-// that deduplicates repeated (clip, k) requests and shares candidate
-// generation across the cohort. ns_per_op is per ROUND for these rows; qps
-// counts queries, so the batch/N ÷ unbatched/N qps ratio is the aggregate
-// speedup of batching at that cohort size.
-//
 // Usage:
 //
 //	go run ./cmd/vrecbench -out BENCH_PR8.json
@@ -39,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -174,7 +164,7 @@ func main() {
 			continue
 		}
 		v := build(wl.mutate)
-		r := runWorkload(wl.name, wl.iters, func(i int) (bool, error) {
+		rep.Results = append(rep.Results, logRow(runWorkload(wl.name, wl.iters, func(i int) (bool, error) {
 			ctx := context.Background()
 			if wl.deadline > 0 {
 				var cancel context.CancelFunc
@@ -191,72 +181,7 @@ func main() {
 				return false, fmt.Errorf("query %s returned no results", id)
 			}
 			return info.Degraded, err
-		})
-		rep.Results = append(rep.Results, r)
-		log.Printf("%-28s %10.0f ns/op  %8.1f qps  %7.0f allocs/op  p99 %s",
-			r.Name, r.NsPerOp, r.QPS, r.AllocsPerOp, time.Duration(r.P99Ns))
-	}
-
-	// Batched-serving workload pairs: one Zipf-skewed stream, replayed
-	// identically through the serial and the batched entry points at round
-	// sizes 1, 8 and 64. The skew (s=1.2 over the corpus, fixed seed) mirrors
-	// a sharing community's head-heavy request mix, so larger rounds carry
-	// repeats the engine-level dedup collapses and near-misses the shared
-	// posting-list merge amortizes. One op = one round of N queries; qps
-	// counts queries (see runWorkloadN), so rows are comparable across N.
-	if keep("unbatched/") || keep("batch/") {
-		eng := videorec.New(videorec.Options{SubCommunities: 12, RefineWorkers: 1})
-		for _, it := range col.Items {
-			if err := eng.AddPrepared(videorec.PreparedClip{ID: it.ID, Series: series[it.ID], Desc: descs[it.ID]}); err != nil {
-				log.Fatalf("batch ingest %s: %v", it.ID, err)
-			}
-		}
-		eng.Build()
-		const maxRound = 64
-		zr := rand.New(rand.NewSource(17))
-		zipf := rand.NewZipf(zr, 1.2, 1, uint64(len(queries)-1))
-		stream := make([]string, (iters+3)*maxRound) // +3 rounds of warm-up headroom
-		for i := range stream {
-			stream[i] = queries[zipf.Uint64()]
-		}
-		for _, n := range []int{1, 8, 64} {
-			n := n
-			round := func(i int) []string {
-				base := (i * n) % (len(stream) - n + 1)
-				return stream[base : base+n]
-			}
-			rep.Results = append(rep.Results, logRow(runWorkloadN(fmt.Sprintf("unbatched/%d", n), iters, n, func(i int) (bool, error) {
-				deg := false
-				for _, id := range round(i) {
-					res, info, err := eng.RecommendCtx(context.Background(), id, *topK)
-					if err != nil {
-						return false, err
-					}
-					if len(res) == 0 {
-						return false, fmt.Errorf("query %s returned no results", id)
-					}
-					deg = deg || info.Degraded
-				}
-				return deg, nil
-			})))
-			reqs := make([]videorec.BatchRequest, n)
-			rep.Results = append(rep.Results, logRow(runWorkloadN(fmt.Sprintf("batch/%d", n), iters, n, func(i int) (bool, error) {
-				for j, id := range round(i) {
-					reqs[j] = videorec.BatchRequest{ClipID: id, TopK: *topK}
-				}
-				deg := false
-				for _, a := range eng.RecommendBatchCtx(context.Background(), reqs) {
-					if a.Err != nil {
-						return false, a.Err
-					}
-					if len(a.Results) == 0 {
-						return false, fmt.Errorf("batched query returned no results")
-					}
-					deg = deg || a.Meta.Degraded
-				}
-				return deg, nil
-			})))
-		}
+		})))
 	}
 
 	// Scatter-gather workloads: the full sharded serving path — routed
@@ -464,14 +389,6 @@ func main() {
 // runWorkload times iters calls of op, recording wall-clock latency per call
 // and heap-allocation deltas across the whole loop.
 func runWorkload(name string, iters int, op func(i int) (bool, error)) result {
-	return runWorkloadN(name, iters, 1, op)
-}
-
-// runWorkloadN is runWorkload for ops that answer queriesPerOp queries per
-// call (the unbatched/N and batch/N rounds): latency percentiles and
-// ns_per_op stay per OP, while qps is scaled to count queries — the number
-// that stays comparable between a round of N and a single-query op.
-func runWorkloadN(name string, iters, queriesPerOp int, op func(i int) (bool, error)) result {
 	// A few warm-up calls populate caches (lazy compiles, map growth) so the
 	// measured loop sees steady state.
 	for i := 0; i < min(iters, 3); i++ {
@@ -508,7 +425,7 @@ func runWorkloadN(name string, iters, queriesPerOp int, op func(i int) (bool, er
 		Name:        name,
 		Iters:       iters,
 		NsPerOp:     float64(total.Nanoseconds()) / float64(iters),
-		QPS:         float64(iters*queriesPerOp) / total.Seconds(),
+		QPS:         float64(iters) / total.Seconds(),
 		AllocsPerOp: float64(after.Mallocs-before.Mallocs) / float64(iters),
 		BytesPerOp:  float64(after.TotalAlloc-before.TotalAlloc) / float64(iters),
 		P50Ns:       pct(0.50),

@@ -8,8 +8,7 @@
 //	      [-brownout] [-brownout-margin 10ms]
 //	      [-max-k 100] [-replica-of http://primary:8080] [-max-replica-lag 64]
 //	      [-shard-margin 0] [-shard-quorum 0] [-breaker-threshold 5]
-//	      [-breaker-backoff 200ms] [-batch-window 0] [-max-batch 64]
-//	      [-pprof localhost:6060]
+//	      [-breaker-backoff 200ms] [-pprof localhost:6060]
 //
 // With -demo N the server starts pre-loaded with an N-hour synthetic
 // community, ready to answer /recommend immediately. The resilience flags
@@ -47,14 +46,6 @@
 // in the response) as long as that many shards answered — below quorum the
 // query 503s with Retry-After. -shard-quorum 0 keeps the strict default:
 // every shard must answer.
-//
-// With -batch-window D (e.g. 500us) concurrent /recommend queries against
-// the same view coalesce for up to D and execute as one batch — candidate
-// generation is shared and identical (id, k) requests are computed once —
-// flushing early once -max-batch queries have gathered. A lone query bypasses
-// the window, so single-user latency is unchanged; under concurrency the
-// window trades up to D of added latency for aggregate throughput. /stats
-// reports batchedTotal, batchFlushes, avgBatchSize and batchBypassTotal.
 //
 // With -replica-of the process runs as a read-only replica: it bootstraps
 // from the primary's snapshot, tails its journal, rejects mutating requests
@@ -109,8 +100,6 @@ func main() {
 	shardQuorum := flag.Int("shard-quorum", 0, "min shards that must answer; partial answers above it are degraded (0 = all shards required)")
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive shard failures that open its circuit breaker (0 = default 5, <0 = disabled)")
 	breakerBackoff := flag.Duration("breaker-backoff", 0, "initial open interval before a breaker's half-open probe (0 = default 200ms)")
-	batchWindow := flag.Duration("batch-window", 0, "coalesce concurrent queries for up to this long into one batch (0 = no batching; single queries always bypass)")
-	maxBatch := flag.Int("max-batch", 0, "flush a coalescing batch early at this many queries (0 = default 64; needs -batch-window)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
 	flag.Parse()
 
@@ -138,8 +127,6 @@ func main() {
 		QueryTimeout:   *queryTimeout,
 		MaxK:           *maxK,
 		RetryAfter:     *retryAfter,
-		BatchWindow:    *batchWindow,
-		MaxBatch:       *maxBatch,
 	}
 
 	if *shards < 1 {

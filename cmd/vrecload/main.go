@@ -7,9 +7,9 @@
 //
 // Unlike vrecbench (in-process microbenchmarks of the engine), vrecload
 // measures the whole serving path over real HTTP: admission control, the
-// adaptive concurrency limiter, deadline-aware queueing, brownout, query
-// coalescing, caching, and the handlers. It is how the overload-control
-// subsystem is proven end to end.
+// adaptive concurrency limiter, deadline-aware queueing, brownout, caching,
+// and the handlers. It is how the overload-control subsystem is proven end
+// to end.
 //
 // Two generator modes:
 //
@@ -21,7 +21,7 @@
 //
 // In both modes the storm window also streams comment bursts through POST
 // /updates, forcing view republishes under fire (cache generations lapse,
-// coalescing re-keys, social graphs rebuild incrementally).
+// social graphs rebuild incrementally).
 //
 // With no -addr the harness self-serves: it synthesizes a corpus, mounts a
 // full server in-process on a loopback listener, and drives it over real
@@ -198,7 +198,6 @@ func main() {
 		queryTimeout   = flag.Duration("query-timeout", 250*time.Millisecond, "self-serve: per-query deadline")
 		cacheSize      = flag.Int("cache-size", 24, "self-serve: result LRU capacity — keep it below -videos so the Zipf tail misses and the engine actually works")
 		serviceTime    = flag.Duration("service-time", 0, "self-serve: add this much synthetic per-query handler latency (simulates a production-sized corpus on small machines; the sleep holds the admission slot but yields the CPU, so real queueing pressure forms even on one core)")
-		batchWindow    = flag.Duration("batch-window", 0, "self-serve: query coalescing window (0 = off)")
 		retryAfterFlag = flag.Duration("retry-after", time.Second, "self-serve: Retry-After fallback before drain-rate signal exists")
 	)
 	flag.Parse()
@@ -224,7 +223,6 @@ func main() {
 			Brownout:       *brownout,
 			BrownoutMargin: *brownoutMargin,
 			QueryTimeout:   *queryTimeout,
-			BatchWindow:    *batchWindow,
 			RetryAfter:     *retryAfterFlag,
 			CacheSize:      *cacheSize,
 		})

@@ -26,7 +26,7 @@ func withWorkers(v *View, workers int) *View {
 // κJ for every reference candidate, full sort). And it must actually stop
 // early where there is something to skip.
 func TestBoundedRefineMatchesExhaustive(t *testing.T) {
-	for _, tc := range batchVariants {
+	for _, tc := range modeVariants {
 		t.Run(tc.name, func(t *testing.T) {
 			base := buildGolden(t, tc.mutate)
 			for _, id := range goldenQueries(t, base, 6) {
@@ -133,7 +133,7 @@ func coarseReference(v *View, q Query, topK int, exclude ...string) []Result {
 // A deadline that expires while the bounded search is running must produce
 // the degraded answer the exhaustive refine produced: all gathered
 // candidates ranked by s̃J, none dropped because refinement had skipped or
-// not yet reached them — serial and batched alike.
+// not yet reached them.
 func TestBoundedRefineDegradesMidRefine(t *testing.T) {
 	defer faults.Reset()
 	v := withWorkers(buildGolden(t, nil), 1)
@@ -156,16 +156,6 @@ func TestBoundedRefineDegradesMidRefine(t *testing.T) {
 	}
 	if !resultsEqual(got, want) {
 		t.Fatalf("degraded answer differs from the coarse reference\ngot:  %+v\nwant: %+v", got, want)
-	}
-
-	bctx, bcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer bcancel()
-	out := v.RecommendBatch(context.Background(), []BatchItem{{Ctx: bctx, Query: q, TopK: 10, Exclude: []string{id}}})[0]
-	if out.Err != nil || !out.Info.Degraded || out.Info.Refined != 0 {
-		t.Fatalf("batched item: err %v, info %+v", out.Err, out.Info)
-	}
-	if !resultsEqual(out.Results, want) {
-		t.Fatalf("batched degraded answer differs from the coarse reference\ngot:  %+v\nwant: %+v", out.Results, want)
 	}
 }
 

@@ -143,26 +143,10 @@ func referenceRecommend(v *View, q Query, topK int, exclude ...string) []Result 
 // relevances, same order.
 func TestDenseRecommendMatchesReference(t *testing.T) {
 	const topK = 10
-	variants := []struct {
-		name   string
-		mutate func(*Options)
-	}{
-		{"exact", func(o *Options) { o.Mode = ModeExact }},
-		{"sar", func(o *Options) { o.Mode = ModeSAR }},
-		{"sarhash", func(o *Options) { o.Mode = ModeSARHash }},
-		{"sarhash-serial", func(o *Options) { o.Mode = ModeSARHash; o.RefineWorkers = 1 }},
-		{"sarhash-fullscan", func(o *Options) { o.Mode = ModeSARHash; o.FullScan = true }},
-		{"content-only", func(o *Options) { o.Mode = ModeSARHash; o.ContentWeightOnly = true }},
-		{"social-only", func(o *Options) { o.Mode = ModeSARHash; o.SocialOnly = true }},
-	}
-	for _, tc := range variants {
+	for _, tc := range modeVariants {
 		t.Run(tc.name, func(t *testing.T) {
 			v := buildGolden(t, tc.mutate)
-			ids := v.SortedIDs()
-			if len(ids) > 8 {
-				ids = ids[:8]
-			}
-			for _, id := range ids {
+			for _, id := range goldenQueries(t, v, 8) {
 				q, ok := v.QueryFor(id)
 				if !ok {
 					t.Fatalf("missing record %s", id)

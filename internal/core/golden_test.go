@@ -31,13 +31,33 @@ func buildGolden(t testing.TB, mutate func(*Options)) *View {
 	return r.Freeze()
 }
 
-// withCompiledRefine runs f under the given refine-path selection and
-// restores the default afterwards.
-func withCompiledRefine(enabled bool, f func()) {
-	prev := compiledRefine
-	compiledRefine = enabled
-	defer func() { compiledRefine = prev }()
-	f()
+// modeVariants are the seven mode variants the golden and bound claims are
+// checked against: every Mode, serial and parallel refinement, full scan,
+// and each single-signal baseline.
+var modeVariants = []struct {
+	name   string
+	mutate func(*Options)
+}{
+	{"exact", func(o *Options) { o.Mode = ModeExact }},
+	{"sar", func(o *Options) { o.Mode = ModeSAR }},
+	{"sarhash", func(o *Options) { o.Mode = ModeSARHash }},
+	{"sarhash-serial", func(o *Options) { o.Mode = ModeSARHash; o.RefineWorkers = 1 }},
+	{"sarhash-fullscan", func(o *Options) { o.Mode = ModeSARHash; o.FullScan = true }},
+	{"content-only", func(o *Options) { o.Mode = ModeSARHash; o.ContentWeightOnly = true }},
+	{"social-only", func(o *Options) { o.Mode = ModeSARHash; o.SocialOnly = true }},
+}
+
+// goldenQueries returns the first n stored ids in sorted order.
+func goldenQueries(t *testing.T, v *View, n int) []string {
+	t.Helper()
+	ids := v.SortedIDs()
+	if len(ids) > n {
+		ids = ids[:n]
+	}
+	if len(ids) == 0 {
+		t.Fatal("empty fixture")
+	}
+	return ids
 }
 
 func resultsEqual(a, b []Result) bool {
@@ -52,44 +72,29 @@ func resultsEqual(a, b []Result) bool {
 	return true
 }
 
-// The compiled refinement path must be a pure representation change: for
-// every mode, candidate policy and worker count, the ranked results — ids,
-// fused scores and both component relevances — must be bit-identical to the
-// uncompiled reference path. Both paths route SimC through the same merge
-// kernel over identically stable-sorted cuboids, so not even floating-point
-// summation order differs.
+// Refinement's compiled layout must be a pure representation change: for
+// every mode, candidate policy and worker count, asking for every gathered
+// candidate (so the bound skips none and each one's κJ comes from the
+// compiled kernel over the view's cached series) must return ids, fused
+// scores and both component relevances bit-identical to the exhaustive
+// reference, which scores with the raw-series signature.KJ. Both kernels
+// route SimC through the same merge over identically stable-sorted cuboids,
+// so not even floating-point summation order differs.
 func TestCompiledRefineGolden(t *testing.T) {
-	const topK = 10
-	variants := []struct {
-		name   string
-		mutate func(*Options)
-	}{
-		{"exact", func(o *Options) { o.Mode = ModeExact }},
-		{"sar", func(o *Options) { o.Mode = ModeSAR }},
-		{"sarhash", func(o *Options) { o.Mode = ModeSARHash }},
-		{"sarhash-serial", func(o *Options) { o.Mode = ModeSARHash; o.RefineWorkers = 1 }},
-		{"sarhash-fullscan", func(o *Options) { o.Mode = ModeSARHash; o.FullScan = true }},
-		{"content-only", func(o *Options) { o.Mode = ModeSARHash; o.ContentWeightOnly = true }},
-	}
-	for _, tc := range variants {
+	for _, tc := range modeVariants {
 		t.Run(tc.name, func(t *testing.T) {
 			v := buildGolden(t, tc.mutate)
-			ids := v.SortedIDs()
-			if len(ids) > 8 {
-				ids = ids[:8]
-			}
-			for _, id := range ids {
+			for _, id := range goldenQueries(t, v, 8) {
 				q, ok := v.QueryFor(id)
 				if !ok {
 					t.Fatalf("missing record %s", id)
 				}
-				var fast, slow []Result
-				withCompiledRefine(true, func() { fast = v.Recommend(q, topK, id) })
-				withCompiledRefine(false, func() { slow = v.Recommend(q, topK, id) })
-				if !resultsEqual(fast, slow) {
-					t.Fatalf("query %s: compiled and uncompiled rankings differ\ncompiled:   %+v\nuncompiled: %+v", id, fast, slow)
+				all := len(referenceCandidates(v, q, id))
+				got := v.Recommend(q, all, id)
+				if want := referenceRecommend(v, q, all, id); !resultsEqual(got, want) {
+					t.Fatalf("query %s: compiled refinement differs from the raw-κJ reference\ncompiled:  %+v\nreference: %+v", id, got, want)
 				}
-				if len(fast) == 0 {
+				if len(got) == 0 {
 					t.Fatalf("query %s returned no results", id)
 				}
 			}
@@ -98,17 +103,18 @@ func TestCompiledRefineGolden(t *testing.T) {
 }
 
 // A zero-value Query (no precompiled series) must take the compile-on-demand
-// path and still match the reference bit-for-bit.
+// path and still match the raw-κJ reference bit-for-bit.
 func TestCompiledRefineGoldenAdHoc(t *testing.T) {
 	v := buildGolden(t, nil)
 	id := v.SortedIDs()[0]
 	rec, _ := v.Record(id)
 	raw := Query{Series: rec.Series, Desc: rec.Desc} // comp deliberately nil
-	var fast, slow []Result
-	withCompiledRefine(true, func() { fast = v.Recommend(raw, 10, id) })
-	withCompiledRefine(false, func() { slow = v.Recommend(raw, 10, id) })
-	if !resultsEqual(fast, slow) {
-		t.Fatalf("ad-hoc query: compiled %+v != uncompiled %+v", fast, slow)
+	got := v.Recommend(raw, 10, id)
+	if want := referenceRecommend(v, raw, 10, id); !resultsEqual(got, want) {
+		t.Fatalf("ad-hoc query: compiled %+v != reference %+v", got, want)
+	}
+	if len(got) == 0 {
+		t.Fatal("ad-hoc query returned no results")
 	}
 }
 

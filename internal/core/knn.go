@@ -179,7 +179,7 @@ func (v *View) Recommend(q Query, topK int, exclude ...string) []Result {
 //
 //   - Cancellation is cooperative through the whole pipeline: candidate
 //     gathering polls the context between probes and every refinement worker
-//     polls it between EMD evaluations (signature.KJCancel), so a canceled
+//     polls it between EMD evaluations (signature.KJCancelCompiled), so a canceled
 //     request stops burning CPU within about one EMD evaluation and returns
 //     ctx.Err().
 //   - Degradation is the deadline policy: when the deadline is already
@@ -229,7 +229,7 @@ func (v *View) RecommendCtx(ctx context.Context, q Query, topK int, exclude ...s
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	results, refined, err := job.refine(topK, workers, nil)
+	results, refined, err := job.refine(topK, workers)
 	if err != nil {
 		// A deadline that expired mid-refinement still gets the coarse
 		// answer; cancellation and injected faults propagate as errors.
@@ -358,16 +358,16 @@ func ctxDone(done <-chan struct{}) bool {
 // margin. ctx is still honored (a hard cancel beats degradation).
 func (v *View) finishCoarse(ctx context.Context, q Query, qs *queryScratch, topK int, info *RecommendInfo) ([]Result, RecommendInfo, error) {
 	done := ctx.Done()
-	results := qs.resultSlots(len(qs.merged))
+	sel := qs.resultSelector(topK)
 	for i, idx := range qs.merged {
 		if i%cancelCheckStride == 0 && ctxDone(done) {
 			return nil, *info, ctx.Err()
 		}
 		soc := v.socialRelevanceRec(q, qs.qvec, v.recs.At(idx))
-		results[i] = Result{VideoID: v.ids.At(idx), Score: soc, Social: soc}
+		sel.Offer(Result{VideoID: v.ids.At(idx), Score: soc, Social: soc})
 	}
 	info.Degraded = true
-	return qs.topK(nil, results, topK), *info, nil
+	return sel.Sorted(), *info, nil
 }
 
 // resultSlots returns the scratch's result buffer resized to n.
@@ -380,8 +380,8 @@ func (qs *queryScratch) resultSlots(n int) []Result {
 	return qs.results
 }
 
-// worseResult is the total result order shared by the serial and batched
-// top-K selections: a ranks strictly below b under (score desc, id asc).
+// worseResult is the total result order of every top-K selection: a ranks
+// strictly below b under (score desc, id asc).
 func worseResult(a, b Result) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
@@ -389,20 +389,10 @@ func worseResult(a, b Result) bool {
 	return a.VideoID > b.VideoID
 }
 
-// topK selects the topK best of results under (score desc, id asc) through
-// the scratch's selector, draining into dst's storage; a nil dst gets a fresh
-// slice (results may be pooled storage, so the answer never aliases it). The
-// order is total, so the output equals sort-and-truncate.
-func (qs *queryScratch) topK(dst, results []Result, topK int) []Result {
-	sel := qs.resultSelector(topK)
-	for _, r := range results {
-		sel.Offer(r)
-	}
-	return sel.SortedInto(dst[:0])
-}
-
 // resultSelector returns the scratch's (score desc, id asc) selector, emptied
-// and sized for topK.
+// and sized for topK. The order is total, so its output equals
+// sort-and-truncate; Sorted drains it into a fresh slice, so the answer never
+// aliases pooled storage.
 func (qs *queryScratch) resultSelector(topK int) *topk.Selector[Result] {
 	if qs.resSel == nil {
 		qs.resSel = topk.New(0, worseResult)
@@ -411,17 +401,10 @@ func (qs *queryScratch) resultSelector(topK int) *topk.Selector[Result] {
 	return qs.resSel
 }
 
-// compiledRefine selects the κJ implementation refinement uses: the compiled
-// zero-allocation kernel over the view's cached signature.CompiledSeries
-// (production default) or the reference uncompiled path over raw Series.
-// Tests flip it to prove the two produce bit-identical rankings; nothing else
-// should touch it.
-var compiledRefine = true
-
 // refineJob is one query's step-3 refinement: the inputs every candidate's
-// score needs, and how the caller (serial query or batched item) cancels.
-// It lives in the pooled queryScratch so that refinement workers can share
-// it without a per-query allocation.
+// score needs, and how the query cancels. It lives in the pooled
+// queryScratch so that refinement workers can share it without a per-query
+// allocation.
 type refineJob struct {
 	v                     *View
 	q                     Query
@@ -452,9 +435,9 @@ type refineJob struct {
 // between rounds — a schedule-independent superset of the serial visit.
 // Workers poll for cancellation between candidates and, through
 // signature.KJCancelCompiled, between EMD evaluations; the first cancellation
-// or injected fault fails the query. Everything but the goroutines lives in
-// pooled scratch; the answer drains into dst's storage (fresh when nil).
-func (j *refineJob) refine(topK, workers int, dst []Result) ([]Result, int, error) {
+// or injected fault fails the query. Everything but the goroutines and the
+// returned answer lives in pooled scratch.
+func (j *refineJob) refine(topK, workers int) ([]Result, int, error) {
 	v, qs := j.v, j.qs
 	if j.useContent {
 		j.qc = j.q.compiled()
@@ -509,7 +492,7 @@ func (j *refineJob) refine(topK, workers int, dst []Result) ([]Result, int, erro
 		refined += n
 		bounds = bounds[n:]
 	}
-	return sel.SortedInto(dst[:0]), refined, nil
+	return sel.Sorted(), refined, nil
 }
 
 // scoreRound scores one round of candidates into their result slots: a
@@ -568,11 +551,7 @@ func (j *refineJob) score(c boundCand, scratch *signature.KJScratch) (Result, er
 	var content float64
 	if rec := v.recs.At(c.idx); j.useContent && rec != nil {
 		var complete bool
-		if compiledRefine {
-			content, complete = signature.KJCancelCompiled(j.qc, rec.Compiled, v.opts.MatchThreshold, j.cancelled, scratch)
-		} else {
-			content, complete = signature.KJCancel(j.q.Series, rec.Series, v.opts.MatchThreshold, j.cancelled)
-		}
+		content, complete = signature.KJCancelCompiled(j.qc, rec.Compiled, v.opts.MatchThreshold, j.cancelled, scratch)
 		if !complete {
 			return Result{}, j.cause()
 		}

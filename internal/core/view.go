@@ -74,14 +74,12 @@ type View struct {
 
 	// scratch hands out per-query scratch (candidate bitset, qvec, merged
 	// index buffer, LCP walker, social selector, refinement order and result
-	// selector); kjScratch hands out per-refinement-worker EMD scratch; batch
-	// hands out the chunk-wide state of a batched call (per-dimension query
-	// masks, merge cursors). All are per-view so every pooled buffer is
-	// already sized for this view's id space, and all survive only as long
-	// as the view — a clone starts fresh pools.
+	// selector); kjScratch hands out per-refinement-worker EMD scratch. Both
+	// are per-view so every pooled buffer is already sized for this view's id
+	// space, and both survive only as long as the view — a clone starts fresh
+	// pools.
 	scratch   *sync.Pool
 	kjScratch *sync.Pool
-	batch     *sync.Pool
 }
 
 // newPools builds the view's scratch pools. Called by NewRecommender and
@@ -89,7 +87,6 @@ type View struct {
 func (v *View) newPools() {
 	v.scratch = &sync.Pool{New: func() any { return new(queryScratch) }}
 	v.kjScratch = &sync.Pool{New: func() any { return new(signature.KJScratch) }}
-	v.batch = &sync.Pool{New: func() any { return new(batchScratch) }}
 }
 
 // clone returns the View the writer grows next. Everything reachable from v

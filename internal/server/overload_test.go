@@ -69,64 +69,69 @@ func errorBody(t *testing.T, resp *http.Response) map[string]string {
 	return body
 }
 
-// Limiter/coalescer interaction, deterministically: a request shed at
-// admission never reaches the forming batch, a queued request joins the
-// batch only once admitted, and the batch flush releases exactly the slots
-// its members held.
+// gatedBackend wraps a real engine and parks every RecommendCtx call until
+// the test lets it go: a value sent on release frees one parked call, closing
+// release frees them all. Each call first announces its clip id on entered,
+// so a test can hold queries in flight deterministically while more arrive.
+type gatedBackend struct {
+	*videorec.Engine
+	// entered holds one id per call that reached the backend; 16 is more
+	// calls than any test makes, so an announcement never blocks.
+	entered chan string
+	release chan struct{}
+}
+
+func newGatedBackend() *gatedBackend {
+	return &gatedBackend{
+		Engine:  videorec.New(videorec.Options{SubCommunities: 6}),
+		entered: make(chan string, 16),
+		release: make(chan struct{}),
+	}
+}
+
+func (g *gatedBackend) RecommendCtx(ctx context.Context, clipID string, topK int) ([]videorec.Recommendation, videorec.RecommendMeta, error) {
+	g.entered <- clipID
+	<-g.release
+	return g.Engine.RecommendCtx(ctx, clipID, topK)
+}
+
+// Limiter slot accounting, deterministically: a request shed at admission
+// never holds a slot or reaches the backend, and a served request releases
+// exactly its own slot — to the queued request, and to nobody else.
 //
-// Choreography (MaxInFlight 2, MaxQueue 1, MaxBatch 2, window far beyond
-// the test): A is admitted and parks inside the gated backend (serial
-// bypass); B is admitted and opens a batch, waiting for a second member; C
-// is admitted-queued behind the full limiter; D finds the queue full and is
-// shed. Releasing A frees a slot, C joins B's batch, the batch flushes at
-// MaxBatch — so the one batch must hold exactly {B, C}, and afterwards the
-// controller must drain to zero in-flight and zero queued.
-func TestLimiterCoalescerSlotAccounting(t *testing.T) {
-	eng := videorec.New(videorec.Options{SubCommunities: 6})
-	g := &gatedBackend{Engine: eng, firstIn: make(chan struct{}), release: make(chan struct{})}
-	srv := NewWithConfig(g, Config{
-		MaxInFlight: 2,
-		MaxQueue:    1,
-		BatchWindow: 30 * time.Second, // flush only via MaxBatch
-		MaxBatch:    2,
-		RetryAfter:  3 * time.Second,
-	})
+// Choreography (MaxInFlight 2, MaxQueue 1): A and B are admitted and park
+// inside the gated backend; C queues behind the full limiter; D finds the
+// queue full and is shed. Freeing one parked call must hand its slot to C
+// (two in flight, none queued), and once everything is released the
+// controller must drain to zero in flight and zero queued.
+func TestLimiterSlotAccounting(t *testing.T) {
+	g := newGatedBackend()
+	srv := NewWithConfig(g, Config{MaxInFlight: 2, MaxQueue: 1, RetryAfter: 3 * time.Second})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	populate(t, ts)
 
-	type result struct {
-		status int
-		body   RecommendResponse
-	}
-	get := func(id string, out chan<- result) {
+	statuses := make(chan int, 3)
+	get := func(id string) {
 		resp, err := http.Get(fmt.Sprintf("%s/recommend?id=%s&k=3", ts.URL, id))
 		if err != nil {
 			t.Error(err)
-			out <- result{}
+			statuses <- 0
 			return
 		}
-		defer resp.Body.Close()
-		r := result{status: resp.StatusCode}
-		if resp.StatusCode == http.StatusOK {
-			_ = json.NewDecoder(resp.Body).Decode(&r.body)
-		}
-		out <- r
+		resp.Body.Close()
+		statuses <- resp.StatusCode
 	}
 
-	// A: admitted, bypasses the (empty) batcher, parks in the gated backend.
-	aCh := make(chan result, 1)
-	go get("clip-0", aCh)
-	<-g.firstIn
+	// A and B: admitted into both slots, parked in the gated backend.
+	go get("clip-0")
+	go get("clip-1")
+	if parked := map[string]bool{<-g.entered: true, <-g.entered: true}; !parked["clip-0"] || !parked["clip-1"] {
+		t.Fatalf("parked calls %v, want clip-0 and clip-1", parked)
+	}
 
-	// B: admitted into the second slot, opens a batch and waits for a member.
-	bCh := make(chan result, 1)
-	go get("clip-1", bCh)
-	waitForCond(t, "B admitted", func() bool { return srv.ctl.InFlight() == 2 })
-
-	// C: the limiter is full — queued at admission, NOT in the batch.
-	cCh := make(chan result, 1)
-	go get("clip-2", cCh)
+	// C: the limiter is full — queued at admission, not in the backend.
+	go get("clip-2")
 	waitForCond(t, "C queued", func() bool { return srv.ctl.Snapshot().QueueDepth == 1 })
 
 	// D: queue full — shed with 503, a "shed" body, and a Retry-After hint.
@@ -145,40 +150,30 @@ func TestLimiterCoalescerSlotAccounting(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// The batch must still be empty of C and D: nothing has flushed.
-	if batched, flushes, _ := srv.batch.stats(); batched != 0 || flushes != 0 {
-		t.Fatalf("batch flushed early: batched=%d flushes=%d", batched, flushes)
+	// Free one parked call: its slot, and only its slot, passes to C.
+	g.release <- struct{}{}
+	if id := <-g.entered; id != "clip-2" {
+		t.Fatalf("after one release the backend saw %s, want the queued clip-2", id)
+	}
+	if s := srv.ctl.Snapshot(); s.InFlight != 2 || s.QueueDepth != 0 {
+		t.Fatalf("after one release: %d in flight, %d queued; want 2 and 0", s.InFlight, s.QueueDepth)
 	}
 
-	// Release A: its slot frees, C is admitted, joins B's batch, and the
-	// batch flushes at MaxBatch=2.
 	close(g.release)
-	a, b, c := <-aCh, <-bCh, <-cCh
-	for name, r := range map[string]result{"A": a, "B": b, "C": c} {
-		if r.status != http.StatusOK {
-			t.Errorf("%s status %d, want 200", name, r.status)
+	for i := 0; i < 3; i++ {
+		if st := <-statuses; st != http.StatusOK {
+			t.Errorf("served request status %d, want 200", st)
 		}
 	}
-
-	// Exactly one batch, holding exactly B and C — the shed D and the
-	// bypassed A must not appear in it.
-	g.batchMu.Lock()
-	batches := g.batches
-	g.batchMu.Unlock()
-	if len(batches) != 1 || len(batches[0]) != 2 {
-		t.Fatalf("backend saw batches %v, want one batch of 2", batches)
-	}
-	got := map[string]bool{batches[0][0].ClipID: true, batches[0][1].ClipID: true}
-	if !got["clip-1"] || !got["clip-2"] {
-		t.Errorf("batch members %v, want {clip-1, clip-2}", got)
-	}
-
-	// The flush released exactly its members' slots: the controller drains
-	// to zero with nothing stuck.
+	// Every served request released its slot; the shed D never reached the
+	// backend.
 	waitForCond(t, "controller drained", func() bool {
 		s := srv.ctl.Snapshot()
 		return s.InFlight == 0 && s.QueueDepth == 0
 	})
+	if n := len(g.entered); n != 0 {
+		t.Errorf("%d more calls reached the backend, want none (D was shed)", n)
+	}
 	if srv.shed.Load() != 1 {
 		t.Errorf("shed counter = %d, want exactly 1 (only D)", srv.shed.Load())
 	}
@@ -190,8 +185,7 @@ func TestLimiterCoalescerSlotAccounting(t *testing.T) {
 // coarse social-only ranking — degraded:true, content scores zero, never
 // cached.
 func TestBrownoutServesCoarseUnderPressure(t *testing.T) {
-	eng := videorec.New(videorec.Options{SubCommunities: 6})
-	g := &gatedBackend{Engine: eng, firstIn: make(chan struct{}), release: make(chan struct{})}
+	g := newGatedBackend()
 	srv := NewWithConfig(g, Config{
 		MaxInFlight:  1,
 		MaxQueue:     8, // tier 1 enters at depth 4, exits at depth 2
@@ -214,7 +208,7 @@ func TestBrownoutServesCoarseUnderPressure(t *testing.T) {
 		resp.Body.Close()
 		aCh <- resp.StatusCode
 	}()
-	<-g.firstIn
+	<-g.entered
 
 	// Queue four more: depth 4 crosses the tier-1 entry threshold.
 	var wg sync.WaitGroup
@@ -289,9 +283,13 @@ func TestBrownoutServesCoarseUnderPressure(t *testing.T) {
 func TestStatsReportOverloadControl(t *testing.T) {
 	ts, _ := newResilientServer(t, Config{MaxInFlight: 2, MaxQueue: 4, LimitCeiling: 8})
 	populate(t, ts)
-	batchGet(t, ts, "clip-0", 3)
+	resp, err := http.Get(ts.URL + "/recommend?id=clip-0&k=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 
-	resp, err := http.Get(ts.URL + "/stats")
+	resp, err = http.Get(ts.URL + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

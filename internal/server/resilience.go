@@ -76,9 +76,7 @@ func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
 			// Brownout: tier 1 degrades the requests that already paid a
 			// queue wait (they are the marginal load), tier 2 degrades
 			// everyone. Shrinking the deadline into the engine's degrade
-			// margin reuses the existing coarse path end to end — through
-			// the coalescer too, since each member's context rides into the
-			// batch and the per-item degrade decision is made against it.
+			// margin reuses the existing coarse path end to end.
 			if tier := s.ctl.Tier(); tier >= 2 || (tier >= 1 && waited > 0) {
 				s.brownout.Add(1)
 				ctx, cancel := context.WithDeadline(r.Context(), time.Now().Add(s.cfg.BrownoutMargin))

@@ -308,6 +308,40 @@ func TestUpdatesBodyCap(t *testing.T) {
 	}
 }
 
+// A clip body over the cap answers 413 on both clip routes without touching
+// the engine — no ingest, no new view — and an ordinary clip still answers
+// 201 / 200.
+func TestClipBodyCap(t *testing.T) {
+	ts, srv := newResilientServer(t, Config{})
+	populate(t, ts)
+	one := clipJSON(t, "too-big", 0, 7, "ann")
+	var c ClipJSON
+	if err := json.Unmarshal(one, &c); err != nil {
+		t.Fatal(err)
+	}
+	frames := c.Frames
+	for range maxClipBody / len(one) {
+		c.Frames = append(c.Frames, frames...)
+	}
+	huge, _ := json.Marshal(c)
+	version, videos := srv.eng.Version(), srv.eng.Len()
+	for _, route := range []string{"/videos", "/recommend?k=4"} {
+		if resp := post(t, ts.URL+route, huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%d-byte clip on %s: status %d, want 413", len(huge), route, resp.StatusCode)
+		}
+	}
+	if srv.eng.Version() != version || srv.eng.Len() != videos {
+		t.Fatalf("refused clips moved the engine: version %d → %d, videos %d → %d",
+			version, srv.eng.Version(), videos, srv.eng.Len())
+	}
+	if resp := post(t, ts.URL+"/recommend?k=4", clipJSON(t, "visitor", 0, 99, "", "ann")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ordinary ad-hoc clip: status %d, want 200", resp.StatusCode)
+	}
+	if resp := post(t, ts.URL+"/videos", clipJSON(t, "clip-new", 1, 42, "ben", "cal")); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("ordinary clip: status %d, want 201", resp.StatusCode)
+	}
+}
+
 // /snapshot error paths: save failure → 500, then recovery; concurrent
 // snapshots serialize rather than clobbering each other's temp files.
 func TestSnapshotErrorAndSerialization(t *testing.T) {

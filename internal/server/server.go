@@ -83,18 +83,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// CacheSize is the result LRU capacity; 0 defaults to 512.
 	CacheSize int
-	// BatchWindow enables query coalescing: concurrent stored-clip queries
-	// against the same view version gather for up to this long and execute as
-	// one backend batch, sharing candidate generation and deduplicating
-	// identical (clip, k) requests. 0 disables coalescing (every query runs
-	// serially, the pre-batching behavior). Single queries bypass the window
-	// either way. Sensible values are sub-millisecond — the window trades
-	// that much added latency under concurrency for aggregate throughput.
-	BatchWindow time.Duration
-	// MaxBatch caps how many queries one batch may hold before it flushes
-	// without waiting out the window. 0 defaults to 64 (the core engine's
-	// shared-gather chunk size). Ignored unless BatchWindow > 0.
-	MaxBatch int
 	// ReadOnly rejects every state-mutating endpoint (POST /videos, /build,
 	// /updates) with 403 — the replica serving mode, where mutations arrive
 	// only through journal shipping. POST /snapshot stays available: it
@@ -115,6 +103,8 @@ type Backend interface {
 	Add(videorec.Clip) error
 	Build()
 	RecommendCtx(ctx context.Context, clipID string, topK int) ([]videorec.Recommendation, videorec.RecommendMeta, error)
+	// RecommendBatchCtx is RecommendCtx over each request in turn. No handler
+	// calls it; the serving benchmark times query rounds through it.
 	RecommendBatchCtx(ctx context.Context, reqs []videorec.BatchRequest) []videorec.BatchAnswer
 	RecommendClipCtx(ctx context.Context, clip videorec.Clip, topK int) ([]videorec.Recommendation, videorec.RecommendMeta, error)
 	ApplyUpdates(newComments map[string][]string) (videorec.UpdateSummary, error)
@@ -146,7 +136,6 @@ type Server struct {
 	queries atomic.Int64
 	cache   *resultCache
 	ctl     *overload.Controller // nil when MaxInFlight <= 0
-	batch   *batcher             // nil unless Config.BatchWindow > 0
 
 	snapMu sync.Mutex // serializes POST /snapshot
 
@@ -198,7 +187,6 @@ func NewWithConfig(eng Backend, cfg Config) *Server {
 			AdjustWindow:       cfg.AdjustWindow,
 			RetryAfterFallback: cfg.RetryAfter,
 		}),
-		batch: newBatcher(eng, cfg.BatchWindow, cfg.MaxBatch),
 	}
 }
 
@@ -300,10 +288,38 @@ func (s *Server) mutating(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// maxClipBody caps a POST /videos or POST /recommend clip body. The largest
+// clip the repository's tests send — 56 frames of 32×32 pixels
+// (video.DefaultSynthOptions), about 19 bytes per pixel as JSON — is
+// 1.07 MB; 4 MiB leaves close to 4× headroom, room for about 200 such
+// frames.
+const maxClipBody = 4 << 20
+
+// maxUpdatesBody caps a POST /updates body. A comment batch is a few bytes
+// per comment — a 64-comment batch is a few KB — so 1 MiB holds tens of
+// thousands of comments.
+const maxUpdatesBody = 1 << 20
+
+// decodeBody decodes a JSON request body of at most limit bytes into v,
+// answering 413 for a body over the limit and 400 for any other decode
+// failure; it reports whether v was decoded. A refused body never reaches
+// the engine.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	httpError(w, status, fmt.Errorf("decode %s: %w", what, err))
+	return false
+}
+
 func (s *Server) handleAddVideo(w http.ResponseWriter, r *http.Request) {
 	var c ClipJSON
-	if err := json.NewDecoder(r.Body).Decode(&c); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode clip: %w", err))
+	if !decodeBody(w, r, maxClipBody, "clip", &c) {
 		return
 	}
 	if err := s.eng.Add(c.clip()); err != nil {
@@ -340,10 +356,9 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, RecommendResponse{Results: recs, ViewVersion: version})
 		return
 	}
-	// Miss: compute against the live view — coalesced with concurrent
-	// queries when batching is on — and store under the version that
+	// Miss: compute against the live view and store under the version that
 	// actually answered (a mutation may have landed since the lookup).
-	recs, meta, err := s.recommendCtx(r.Context(), id, k)
+	recs, meta, err := s.eng.RecommendCtx(r.Context(), id, k)
 	if err != nil {
 		s.queryError(w, err)
 		return
@@ -371,15 +386,6 @@ func (s *Server) observe(meta videorec.RecommendMeta) {
 	s.refined.Add(int64(meta.Refined))
 }
 
-// recommendCtx routes one stored-clip query through the coalescer when
-// batching is enabled, or straight to the backend otherwise.
-func (s *Server) recommendCtx(ctx context.Context, clipID string, topK int) ([]videorec.Recommendation, videorec.RecommendMeta, error) {
-	if s.batch != nil {
-		return s.batch.recommend(ctx, clipID, topK)
-	}
-	return s.eng.RecommendCtx(ctx, clipID, topK)
-}
-
 // queryError maps a recommendation failure to its HTTP response. Quorum
 // loss is an overload-shaped outcome — the shards may be recovering behind
 // their breakers — so like shed requests it carries the load-derived
@@ -400,8 +406,7 @@ func (s *Server) queryError(w http.ResponseWriter, err error) {
 
 func (s *Server) handleRecommendClip(w http.ResponseWriter, r *http.Request) {
 	var c ClipJSON
-	if err := json.NewDecoder(r.Body).Decode(&c); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode clip: %w", err))
+	if !decodeBody(w, r, maxClipBody, "clip", &c) {
 		return
 	}
 	k, err := s.queryK(r, 10)
@@ -421,20 +426,9 @@ func (s *Server) handleRecommendClip(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// maxUpdatesBody caps a POST /updates body. A comment batch is a few bytes
-// per comment — a 64-comment batch is a few KB — so 1 MiB holds tens of
-// thousands of comments; a larger body is refused before it reaches the
-// writer.
-const maxUpdatesBody = 1 << 20
-
 func (s *Server) handleUpdates(w http.ResponseWriter, r *http.Request) {
 	var comments map[string][]string
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdatesBody)).Decode(&comments); err != nil {
-		status := http.StatusBadRequest
-		if errors.As(err, new(*http.MaxBytesError)) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, fmt.Errorf("decode comments: %w", err))
+	if !decodeBody(w, r, maxUpdatesBody, "comments", &comments) {
 		return
 	}
 	sum, err := s.eng.ApplyUpdates(comments)
@@ -491,10 +485,6 @@ type ShardStats struct {
 	Failures         uint64             `json:"failures,omitempty"`
 	BreakerOpens     uint64             `json:"breakerOpens,omitempty"`
 	RetryInMs        int64              `json:"retryInMs,omitempty"`
-
-	// BatchDispatches counts batched fan-out calls this shard has executed
-	// since its topology generation was published; absent on a single engine.
-	BatchDispatches uint64 `json:"batchDispatches,omitempty"`
 }
 
 // healthReporter is the optional per-shard breaker surface (the router).
@@ -515,12 +505,6 @@ type quorumReporter interface {
 	Quorum() (required, healthy int)
 }
 
-// batchDispatchReporter is the optional per-shard batch-dispatch surface
-// (the router).
-type batchDispatchReporter interface {
-	BatchDispatches() []uint64
-}
-
 // graphReporter is the optional user-interest-graph size surface; both the
 // single engine and the router implement it.
 type graphReporter interface {
@@ -533,10 +517,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var health []shard.ShardHealth
 	if hr, ok := s.eng.(healthReporter); ok {
 		health = hr.Health()
-	}
-	var batchDispatches []uint64
-	if bd, ok := s.eng.(batchDispatchReporter); ok {
-		batchDispatches = bd.BatchDispatches()
 	}
 	shards := make([]ShardStats, 0, s.eng.NumShards())
 	for i := 0; i < s.eng.NumShards(); i++ {
@@ -562,19 +542,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			st.BreakerOpens = h.Opens
 			st.RetryInMs = h.RetryInMs
 		}
-		if i < len(batchDispatches) {
-			st.BatchDispatches = batchDispatches[i]
-		}
 		shards = append(shards, st)
 	}
 	var shardFail, breakerOpen, quorumLost uint64
 	if fc, ok := s.eng.(faultCounter); ok {
 		shardFail, breakerOpen, quorumLost = fc.FaultCounters()
-	}
-	batched, flushes, bypass := s.batch.stats()
-	var avgBatch float64
-	if flushes > 0 {
-		avgBatch = float64(batched) / float64(flushes)
 	}
 	var graphUsers, graphEdges, graphOverlay int
 	if gr, ok := s.eng.(graphReporter); ok {
@@ -621,11 +593,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"queueEvictedTotal": ov.EvictedTotal,
 		"brownoutTier":      ov.Tier,
 		"brownoutTotal":     s.brownout.Load(),
-		// Batch coalescing: all zero unless Config.BatchWindow is set.
-		"batchedTotal":     batched,
-		"batchFlushes":     flushes,
-		"avgBatchSize":     avgBatch,
-		"batchBypassTotal": bypass,
 		// Shard fault counters: zero on a single-engine backend.
 		"shardFailTotal":   shardFail,
 		"breakerOpenTotal": breakerOpen,

@@ -391,3 +391,53 @@ func TestRouterVersionFingerprint(t *testing.T) {
 		t.Error("fingerprint unchanged across a drain")
 	}
 }
+
+// RecommendBatchCtx is RecommendCtx in a loop on both backends: every answer
+// — results, meta and error — equals the serial call's, an unknown id fails
+// only its own answer (wrapping ErrNotFound), and a batch context that is
+// already done fails every answer with its error.
+func TestRecommendBatchCtxMatchesRecommendCtx(t *testing.T) {
+	f := loadFixture(t, 21)
+	type backend interface {
+		RecommendCtx(context.Context, string, int) ([]videorec.Recommendation, videorec.RecommendMeta, error)
+		RecommendBatchCtx(context.Context, []videorec.BatchRequest) []videorec.BatchAnswer
+	}
+	reqs := []videorec.BatchRequest{{ClipID: "no-such-clip", TopK: 10}}
+	for _, id := range f.queries {
+		reqs = append(reqs, videorec.BatchRequest{ClipID: id, TopK: 10})
+	}
+	reqs = append(reqs, videorec.BatchRequest{ClipID: f.queries[0], TopK: 3})
+	for name, be := range map[string]backend{
+		"engine":   buildRef(t, f, videorec.Options{}),
+		"router/4": buildRouter(t, f, 4, videorec.Options{}),
+	} {
+		answers := be.RecommendBatchCtx(context.Background(), reqs)
+		if len(answers) != len(reqs) {
+			t.Fatalf("%s: %d answers for %d requests", name, len(answers), len(reqs))
+		}
+		for i, req := range reqs {
+			want, wantMeta, wantErr := be.RecommendCtx(context.Background(), req.ClipID, req.TopK)
+			a := answers[i]
+			if fmt.Sprint(a.Err) != fmt.Sprint(wantErr) || a.Meta != wantMeta || len(a.Results) != len(want) {
+				t.Fatalf("%s: request %d (%s, k=%d): answer (%d results, %+v, %v), serial (%d results, %+v, %v)",
+					name, i, req.ClipID, req.TopK, len(a.Results), a.Meta, a.Err, len(want), wantMeta, wantErr)
+			}
+			for r := range want {
+				if a.Results[r] != want[r] {
+					t.Fatalf("%s: request %d rank %d: %+v, serial %+v", name, i, r, a.Results[r], want[r])
+				}
+			}
+		}
+		if !errors.Is(answers[0].Err, videorec.ErrNotFound) {
+			t.Fatalf("%s: unknown id: err %v, want ErrNotFound", name, answers[0].Err)
+		}
+
+		done, cancel := context.WithCancel(context.Background())
+		cancel()
+		for i, a := range be.RecommendBatchCtx(done, reqs[1:]) {
+			if !errors.Is(a.Err, context.Canceled) || a.Results != nil {
+				t.Fatalf("%s: request %d under a done context: %d results, err %v", name, i, len(a.Results), a.Err)
+			}
+		}
+	}
+}

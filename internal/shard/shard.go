@@ -163,10 +163,6 @@ type Router struct {
 type shardSet struct {
 	engines  []*videorec.Engine
 	breakers []*breaker // one per engine; reset with the topology
-	// batchDispatched counts batched fan-out dispatches per shard — how many
-	// whole-batch calls each shard's view has executed. Like the breakers it
-	// resets when the topology is republished; /stats surfaces it per shard.
-	batchDispatched []atomic.Uint64
 	// epoch counts topology changes (drain, add). It feeds the version
 	// fingerprint so a query served by an old topology never shares a cache
 	// key with one served by the new.
@@ -219,12 +215,7 @@ func (r *Router) newSet(engines []*videorec.Engine, epoch uint64) *shardSet {
 	for i := range breakers {
 		breakers[i] = newBreaker(*res)
 	}
-	return &shardSet{
-		engines:         engines,
-		breakers:        breakers,
-		batchDispatched: make([]atomic.Uint64, len(engines)),
-		epoch:           epoch,
-	}
+	return &shardSet{engines: engines, breakers: breakers, epoch: epoch}
 }
 
 // SetResilience replaces the router's fault-tolerance configuration. Breaker
@@ -459,6 +450,19 @@ func (r *Router) RecommendCtx(ctx context.Context, clipID string, topK int) ([]v
 		q = views[0].PrimeContentKeys(q)
 	}
 	return r.fanOut(ctx, s, views, q, topK, clipID, meta)
+}
+
+// RecommendBatchCtx answers the requests one after another: answer i is
+// exactly RecommendCtx(ctx, reqs[i].ClipID, reqs[i].TopK), one fan-out each,
+// like Engine.RecommendBatchCtx — the loop the serving benchmark times
+// through server.Backend.
+func (r *Router) RecommendBatchCtx(ctx context.Context, reqs []videorec.BatchRequest) []videorec.BatchAnswer {
+	answers := make([]videorec.BatchAnswer, len(reqs))
+	for i, req := range reqs {
+		a := &answers[i]
+		a.Results, a.Meta, a.Err = r.RecommendCtx(ctx, req.ClipID, req.TopK)
+	}
+	return answers
 }
 
 // RecommendClipCtx answers an ad-hoc-clip query: extraction and query
@@ -745,18 +749,6 @@ func (r *Router) Quorum() (required, healthy int) {
 		}
 	}
 	return required, healthy
-}
-
-// BatchDispatches reports how many batched fan-out dispatches each shard has
-// executed since the current topology generation was published — the
-// per-shard slice of the serving layer's batch observability.
-func (r *Router) BatchDispatches() []uint64 {
-	s := r.set()
-	out := make([]uint64, len(s.batchDispatched))
-	for i := range s.batchDispatched {
-		out[i] = s.batchDispatched[i].Load()
-	}
-	return out
 }
 
 // FaultCounters returns the router's monotonic fault-tolerance counters:

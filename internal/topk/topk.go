@@ -65,25 +65,14 @@ func (s *Selector[T]) Worst() T { return s.h[0] }
 // slice aliases the selector's storage; do not Offer afterwards.
 func (s *Selector[T]) Items() []T { return s.h }
 
-// Sorted drains the selector and returns the kept items best-first. The
-// selector is empty afterwards.
+// Sorted drains the selector and returns the kept items best-first in a
+// fresh slice (nil when nothing is kept). The selector is empty afterwards.
 func (s *Selector[T]) Sorted() []T {
-	return s.SortedInto(nil)
-}
-
-// SortedInto is Sorted draining into dst's storage: when dst has the
-// capacity no allocation happens, so a caller answering a stream of queries
-// (the batched serving path) can recycle one result buffer per slot. The
-// returned slice must be used in place of dst; the selector is empty
-// afterwards.
-func (s *Selector[T]) SortedInto(dst []T) []T {
-	n := len(s.h)
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
+	var dst []T
+	if n := len(s.h); n > 0 {
 		dst = make([]T, n)
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := len(dst) - 1; i >= 0; i-- {
 		dst[i] = s.h[0]
 		last := len(s.h) - 1
 		s.h[0] = s.h[last]

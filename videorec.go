@@ -370,6 +370,33 @@ func (e *Engine) RecommendCtx(ctx context.Context, clipID string, topK int) ([]R
 	return convert(res), meta, nil
 }
 
+// BatchRequest is one stored-clip query of a RecommendBatchCtx call.
+type BatchRequest struct {
+	ClipID string
+	TopK   int
+}
+
+// BatchAnswer is one request's answer from RecommendBatchCtx.
+type BatchAnswer struct {
+	Results []Recommendation
+	Meta    RecommendMeta
+	Err     error
+}
+
+// RecommendBatchCtx answers the requests one after another: answer i is
+// exactly RecommendCtx(ctx, reqs[i].ClipID, reqs[i].TopK), with no
+// deduplication and no shared work. Serving calls RecommendCtx; this loop
+// stays on server.Backend because the serving benchmark (bench/) times
+// rounds of queries through it.
+func (e *Engine) RecommendBatchCtx(ctx context.Context, reqs []BatchRequest) []BatchAnswer {
+	answers := make([]BatchAnswer, len(reqs))
+	for i, r := range reqs {
+		a := &answers[i]
+		a.Results, a.Meta, a.Err = e.RecommendCtx(ctx, r.ClipID, r.TopK)
+	}
+	return answers
+}
+
 // RecommendClip recommends for an ad-hoc clip that is not in the collection
 // — the anonymous-user scenario the paper targets: the query is whatever the
 // visitor is currently watching. Extraction and search both run lock-free
