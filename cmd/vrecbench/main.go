@@ -255,8 +255,8 @@ func main() {
 	}
 
 	// Candidate-generation micro-workloads: steps 1–2 in isolation.
-	// candidates/social exercises the posting-list k-way merge plus the
-	// bounded s̃J selection; candidates/content exercises the heap-driven LCP
+	// candidates/social exercises the impact-posting s̃J accumulation plus
+	// the bounded s̃J selection; candidates/content exercises the heap-driven LCP
 	// walk with bitset dedupe. Both run against a warm pooled scratch, so
 	// allocs_per_op directly reports the steady-state gathering allocations
 	// (the dense-ID design holds this at zero).

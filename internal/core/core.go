@@ -238,6 +238,7 @@ func (r *Recommender) internID(id string) uint32 {
 	i := uint32(s.ids.Len())
 	s.ids.Append(id)
 	s.recs.Append(nil)
+	s.mass.Append(0)
 	s.byID.Insert(hashID(id), i)
 	return i
 }
@@ -303,7 +304,7 @@ func (r *Recommender) IngestSeries(id string, series signature.Series, desc soci
 		s.nextSeq++
 		s.live++
 	}
-	s.recs.Set(i, rec)
+	s.setRecord(i, rec)
 	s.lsb.Add(i, series)
 	s.built = false
 }
@@ -439,7 +440,7 @@ func (r *Recommender) vectorizeAll() {
 		}
 		cp := *rec
 		cp.Vec = social.Vectorize(cp.Desc, lookup, s.part.Dim)
-		s.recs.Set(uint32(i), &cp)
+		s.setRecord(uint32(i), &cp)
 		s.inv.Add(uint32(i), cp.Vec)
 	}
 }

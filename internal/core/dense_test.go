@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -97,8 +98,8 @@ func referenceCandidates(v *View, q Query, exclude ...string) map[string]bool {
 // referenceRecommend scores the reference candidate set directly — uncompiled
 // κJ, mode-appropriate social relevance, Equation 9 fusion — and ranks by a
 // full sort under (score desc, id asc). It is the executable specification
-// the dense pipeline (bitset candidates, k-way posting merge, heap walker,
-// pooled scratch, heap top-K) must reproduce bit for bit.
+// the dense pipeline (bitset candidates, sparse s̃J over impact postings,
+// heap walker, pooled scratch, heap top-K) must reproduce bit for bit.
 func referenceRecommend(v *View, q Query, topK int, exclude ...string) []Result {
 	opts := v.Options()
 	useSocial := !opts.ContentWeightOnly
@@ -120,7 +121,7 @@ func referenceRecommend(v *View, q Query, topK int, exclude ...string) []Result 
 			content = signature.KJ(q.Series, rec.Series, opts.MatchThreshold)
 		}
 		if useSocial {
-			soc = v.socialRelevanceRec(q, qvec, rec)
+			soc = v.SocialRelevance(q, qvec, id)
 		}
 		results = append(results, Result{VideoID: id, Score: v.fuse(content, soc), Content: content, Social: soc})
 	}
@@ -196,8 +197,8 @@ func sameSet(a, b map[string]bool) bool {
 // TestGatherMatchesReferenceUnderMutation is the candidate-set property test:
 // through removals, re-ingestion of a removed id (which revives its dense
 // slot while its tombstone persists until compaction) and incremental updates
-// (which can grow the inverted files), the dense k-way-merge gather must
-// return exactly the candidate set of the map-based reference — including
+// (which can grow the inverted files), the sparse-s̃J gather must return
+// exactly the candidate set of the map-based reference — including
 // exclusion handling.
 func TestGatherMatchesReferenceUnderMutation(t *testing.T) {
 	r, c := buildSmall(t, ModeSARHash)
@@ -259,7 +260,7 @@ func TestGatherMatchesReferenceUnderMutation(t *testing.T) {
 }
 
 // TestGatherCandidatesZeroAlloc pins warm-path candidate gathering — query
-// vectorization, posting-list union, social top-K selection, the LCP walk
+// vectorization, s̃J accumulation, social top-K selection, the LCP walk
 // and the merged-list build — to zero allocations per query.
 func TestGatherCandidatesZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -410,4 +411,102 @@ func BenchmarkGatherCandidates(b *testing.B) {
 			}
 		})
 	}
+}
+
+// checkSparseInputs checks what the sparse s̃J of step 1 assumes of a view:
+// every stored SAR vector is integral, the mass column holds Σ Vec (0 for a
+// dead slot), every posting carries its video's count, and every query
+// vector the gather builds is integral with |q| = Σ qvec.
+func checkSparseInputs(t *testing.T, stage string, v *View, strangers []string) {
+	t.Helper()
+	if v.mass.Len() != v.ids.Len() {
+		t.Fatalf("%s: mass column has %d slots, id table %d", stage, v.mass.Len(), v.ids.Len())
+	}
+	integral := func(x float64) bool { return x >= 0 && x == math.Trunc(x) && x < 1<<32 }
+	for i, rec := range v.recs.All() {
+		if rec == nil {
+			if m := v.mass.At(uint32(i)); m != 0 {
+				t.Fatalf("%s: dead slot %d has mass %d", stage, i, m)
+			}
+			continue
+		}
+		var sum float64
+		for d, x := range rec.Vec {
+			if !integral(x) {
+				t.Fatalf("%s: %s Vec[%d] = %v is not a count", stage, rec.ID, d, x)
+			}
+			sum += x
+			if x == 0 {
+				continue
+			}
+			j, ok := slices.BinarySearch(v.inv.Postings(d), uint32(i))
+			if !ok || v.inv.Counts(d)[j] != uint32(x) {
+				t.Fatalf("%s: %s Vec[%d] = %v, not posted with that count", stage, rec.ID, d, x)
+			}
+		}
+		if m := v.mass.At(uint32(i)); float64(m) != sum {
+			t.Fatalf("%s: %s mass %d, Σ Vec = %v", stage, rec.ID, m, sum)
+		}
+	}
+	queries := []Query{{Desc: social.NewDescriptor("", strangers...)}}
+	for _, id := range v.SortedIDs()[:8] {
+		q, _ := v.QueryFor(id)
+		q.Desc = q.Desc.Add(strangers...)
+		queries = append(queries, q)
+	}
+	for _, q := range queries {
+		qs := v.getScratch()
+		if _, _, err := v.gather(context.Background(), q, qs); err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for d, x := range qs.qvec {
+			if !integral(x) {
+				t.Fatalf("%s: query vector [%d] = %v is not a count", stage, d, x)
+			}
+			sum += x
+		}
+		if float64(qs.qmass) != sum {
+			t.Fatalf("%s: |q| = %d, Σ qvec = %v", stage, qs.qmass, sum)
+		}
+		v.putScratch(qs)
+	}
+}
+
+// TestSparseInputsHoldUnderMutation runs checkSparseInputs through every
+// path that writes a SAR vector: the build, comment batches (with unknown
+// users), removal, re-ingest of a removed id, a forced compaction and a
+// snapshot reload.
+func TestSparseInputsHoldUnderMutation(t *testing.T) {
+	r, c := buildSmall(t, ModeSARHash)
+	strangers := []string{"stranger-a", "stranger-b"}
+	checkSparseInputs(t, "build", r.Freeze(), strangers)
+
+	ids := r.SortedIDs()
+	for step := 0; step < 3; step++ {
+		batch := map[string][]string{}
+		for k, id := range ids[step*5 : step*5+5] {
+			batch[id] = []string{c.Users[(step*7+k)%len(c.Users)], c.Users[(step*11+3*k)%len(c.Users)], strangers[k%2]}
+		}
+		r.ApplyUpdates(batch)
+		checkSparseInputs(t, "ApplyUpdates", r.Freeze(), strangers)
+	}
+
+	removed := ids[2]
+	rec, _ := r.Record(removed)
+	r.RemoveVideo(removed)
+	r.RemoveVideo(ids[4])
+	checkSparseInputs(t, "RemoveVideo", r.Freeze(), strangers)
+	r.IngestSeries(removed, rec.Series, rec.Desc.Add(c.Users[0]))
+	r.BuildSocial() // compacts the tombstoned LSB entries
+	if r.Tombstones() != 0 {
+		t.Fatalf("%d tombstones after the rebuild", r.Tombstones())
+	}
+	checkSparseInputs(t, "re-ingest and compaction", r.Freeze(), strangers)
+
+	loaded, err := FromSnapshot(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSparseInputs(t, "snapshot reload", loaded.Freeze(), strangers)
 }

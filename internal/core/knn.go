@@ -59,18 +59,21 @@ type boundCand struct {
 }
 
 // queryScratch is everything one query needs beyond its inputs: the query
-// vector, the candidate and exclude bitsets, the merged candidate-index
-// buffer, the LCP walker, the social top-K selector, the refinement order,
-// result slots and selector, and a serial-path EMD scratch. It is pooled per
-// view (View.scratch), so a steady-state query allocates only its answer.
+// vector and its s̃J accumulator, the candidate and exclude bitsets, the
+// merged candidate-index buffer, the LCP walker, the social top-K selector,
+// the refinement order, result slots and selector, and a serial-path EMD
+// scratch. It is pooled per view (View.scratch), so a steady-state query
+// allocates only its answer.
 type queryScratch struct {
 	qvec    social.Vector
+	qmass   uint32     // |q| = Σ qvec
+	acc     []uint32   // Σ_d min(q_d, v_d) per dense index; zero off hit
+	hit     []uint32   // slots of acc the query made non-zero, first touch first
 	cand    bitset.Set // candidate membership, keyed by dense index
 	excl    bitset.Set // per-query exclusions, keyed by dense index
 	exclIdx []uint32   // bits set in excl, for cheap clearing
 	touched []uint32   // bits set in cand, for cheap clearing
 	merged  []uint32   // gathered candidates (exclusions already applied)
-	union   index.UnionScratch
 	walker  index.Walker
 	bounds  []boundCand // refinement order: best fused-score bound first
 	results []Result
@@ -117,12 +120,17 @@ func (v *View) getScratch() *queryScratch {
 	return v.scratch.Get().(*queryScratch)
 }
 
-// putScratch clears the scratch by undoing exactly the bits it set —
-// O(candidates), not O(collection) — and returns it to the pool.
+// putScratch clears the scratch by undoing exactly the bits and sums it set —
+// O(candidates + touched clips), not O(collection) — and returns it to the
+// pool.
 func (v *View) putScratch(qs *queryScratch) {
 	for _, i := range qs.touched {
 		qs.cand.Remove(i)
 	}
+	for _, i := range qs.hit {
+		qs.acc[i] = 0
+	}
+	qs.hit = qs.hit[:0]
 	for _, i := range qs.exclIdx {
 		qs.excl.Remove(i)
 	}
@@ -266,12 +274,15 @@ func (v *View) GatherCandidates(ctx context.Context, q Query, exclude ...string)
 func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) (useContent, useSocial bool, err error) {
 	useSocial = !v.opts.ContentWeightOnly
 	useContent = !v.opts.SocialOnly
+	done := ctx.Done()
 	if useSocial && v.opts.Mode != ModeExact {
 		v.mustBuild()
 		qs.qvec = social.VectorizeInto(qs.qvec, q.Desc, v.look, v.part.Dim)
+		if !v.accumulate(done, qs) {
+			return false, false, ctx.Err()
+		}
 	}
 
-	done := ctx.Done()
 	switch {
 	case v.opts.FullScan || (v.opts.Mode == ModeExact && useSocial):
 		// Unoptimized CSF (or an effectiveness run that wants exhaustive
@@ -289,18 +300,14 @@ func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) (useConten
 		qs.cand.Grow(v.ids.Len())
 		if useSocial {
 			// Step 1: social candidates ranked by s̃J; keep the budgeted top.
-			// The inverted-file union is a k-way merge of sorted posting
-			// lists, and only CandidateLimit winners survive, so a bounded
+			// Every clip the accumulation touched shares a dimension with
+			// the query; only CandidateLimit winners survive, so a bounded
 			// heap selects them in O(n log limit). The (s desc, id asc)
 			// order is total, so the kept set is exactly the full sort's
-			// prefix.
-			socCands := v.inv.Union(qs.qvec, &qs.union)
+			// prefix whatever order the clips are offered in.
 			sel := qs.selector(v, v.opts.CandidateLimit)
-			for i, idx := range socCands {
-				if i%cancelCheckStride == 0 && ctxDone(done) {
-					return false, false, ctx.Err()
-				}
-				sel.Offer(scoredCand{i: idx, s: social.ApproxJaccard(qs.qvec, v.recs.At(idx).Vec)})
+			for _, idx := range qs.hit {
+				sel.Offer(scoredCand{i: idx, s: qs.sparseSJ(v, idx)})
 			}
 			for _, sc := range sel.Items() {
 				qs.addCandidate(sc.i)
@@ -338,6 +345,68 @@ func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) (useConten
 	return useContent, useSocial, nil
 }
 
+// accumulate is the term-at-a-time half of step 1: for every dimension the
+// query touches it walks that impact posting list once, adding
+// min(q_d, v_d) into qs.acc at the clip's dense index and recording each
+// clip the first time it is touched (every term is ≥ 1, so a zero slot is an
+// untouched one). It also sums |q|, and polls done every cancelCheckStride
+// postings; it reports false when the query was cancelled.
+func (v *View) accumulate(done <-chan struct{}, qs *queryScratch) bool {
+	if n := v.ids.Len(); cap(qs.acc) >= n {
+		qs.acc = qs.acc[:n] // slots past the old length were never written
+	} else {
+		qs.acc = make([]uint32, n)
+	}
+	qs.qmass = 0
+	for d, x := range qs.qvec {
+		if x <= 0 {
+			continue
+		}
+		qd := uint32(x)
+		qs.qmass += qd
+		ids, counts := v.inv.Postings(d), v.inv.Counts(d)
+		for lo := 0; lo < len(ids); lo += cancelCheckStride {
+			if ctxDone(done) {
+				return false
+			}
+			chunk := ids[lo:min(lo+cancelCheckStride, len(ids))]
+			cs := counts[lo : lo+len(chunk)]
+			for j, i := range chunk {
+				if qs.acc[i] == 0 {
+					qs.hit = append(qs.hit, i)
+				}
+				qs.acc[i] += min(qd, cs[j])
+			}
+		}
+	}
+	return true
+}
+
+// sparseSJ is Eq. 6's s̃J between the query and the clip at dense index i,
+// from the accumulated m = Σ min(q_d, v_d): SAR vectors hold integer counts,
+// so Σ min / Σ max = m / (|v| + |q| − m). Every partial sum of either form
+// is an integer below 2^53 and exact in float64, so this divides the same
+// two numbers social.ApproxJaccard does and is bit-identical to it, tails
+// of unequal vector lengths included. A clip the query never touched has
+// m = 0 and scores 0, as its dense s̃J does.
+func (qs *queryScratch) sparseSJ(v *View, i uint32) float64 {
+	m := qs.acc[i]
+	den := uint64(v.mass.At(i)) + uint64(qs.qmass) - uint64(m)
+	if den == 0 {
+		return 0
+	}
+	return float64(m) / float64(den)
+}
+
+// candidateSocial is a gathered candidate's social relevance: exact sJ in
+// ModeExact, and in the SAR modes the s̃J step 1's accumulation already holds.
+func (v *View) candidateSocial(q Query, qs *queryScratch, i uint32, rec *Record) float64 {
+	if v.opts.Mode == ModeExact {
+		return naiveJaccard(q.Desc, rec.Desc)
+	}
+	return qs.sparseSJ(v, i)
+}
+
 // ctxDone is a non-blocking poll of a context's done channel.
 func ctxDone(done <-chan struct{}) bool {
 	if done == nil {
@@ -353,9 +422,10 @@ func ctxDone(done <-chan struct{}) bool {
 
 // finishCoarse ranks the candidate set by social relevance alone — the
 // coarse SAR scores step 1 already paid for — skipping EMD refinement
-// entirely. s̃J over SAR vectors is a k-dimensional min/max ratio, orders of
-// magnitude cheaper than κJ, so this path answers within any realistic
-// margin. ctx is still honored (a hard cancel beats degradation).
+// entirely. In the SAR modes each s̃J is one division over step 1's
+// accumulated sums, orders of magnitude cheaper than κJ, so this path
+// answers within any realistic margin. ctx is still honored (a hard cancel
+// beats degradation).
 func (v *View) finishCoarse(ctx context.Context, q Query, qs *queryScratch, topK int, info *RecommendInfo) ([]Result, RecommendInfo, error) {
 	done := ctx.Done()
 	sel := qs.resultSelector(topK)
@@ -363,7 +433,7 @@ func (v *View) finishCoarse(ctx context.Context, q Query, qs *queryScratch, topK
 		if i%cancelCheckStride == 0 && ctxDone(done) {
 			return nil, *info, ctx.Err()
 		}
-		soc := v.socialRelevanceRec(q, qs.qvec, v.recs.At(idx))
+		soc := v.candidateSocial(q, qs, idx, v.recs.At(idx))
 		sel.Offer(Result{VideoID: v.ids.At(idx), Score: soc, Social: soc})
 	}
 	info.Degraded = true
@@ -454,7 +524,7 @@ func (j *refineJob) refine(topK, workers int) ([]Result, int, error) {
 				ub = signature.KJUpperBound(j.qc, rec.Compiled, v.opts.MatchThreshold, &qs.kj)
 			}
 			if j.useSocial {
-				c.soc = v.socialRelevanceRec(j.q, qs.qvec, rec)
+				c.soc = v.candidateSocial(j.q, qs, idx, rec)
 			}
 			c.bound = v.fuse(ub, c.soc)
 		}

@@ -13,7 +13,7 @@ func (r *Recommender) RemoveVideo(id string) bool {
 	r.beforeWrite()
 	s := r.state
 	rec := s.recs.At(i)
-	s.recs.Set(i, nil)
+	s.setRecord(i, nil)
 	s.live--
 	if s.inv != nil && rec.Vec != nil {
 		s.inv.Remove(i, rec.Vec)

@@ -275,9 +275,9 @@ func (r *Recommender) ApplyComments(newComments map[string][]string) int {
 		if fresh, ok := newComments[cp.ID]; ok {
 			cp.Desc = cp.Desc.Add(fresh...)
 		}
-		// Unpost only where the new vector stops posting; Add skips the lists
-		// that already hold the video, so a membership that did not change
-		// copies no posting list.
+		// Unpost only where the new vector stops posting; Add rewrites the
+		// count in the lists that already hold the video, so a posting whose
+		// membership and count did not change copies no posting list.
 		gone = append(gone[:0], cp.Vec...)
 		cp.Vec = social.Vectorize(cp.Desc, s.look, s.part.Dim)
 		for d := range gone {
@@ -287,7 +287,7 @@ func (r *Recommender) ApplyComments(newComments map[string][]string) int {
 		}
 		s.inv.Remove(i, gone)
 		s.inv.Add(i, cp.Vec)
-		s.recs.Set(i, &cp)
+		s.setRecord(i, &cp)
 	}
 	return len(dirty)
 }

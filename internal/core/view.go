@@ -50,6 +50,7 @@ type View struct {
 	byID *btree.Tree[uint32]
 
 	recs    cowVec[*Record] // dense index → record; nil marks a dead slot
+	mass    cowVec[uint32]  // dense index → |Vec| = Σ Vec, written with every Vec; 0 for a dead slot
 	live    int             // records in recs
 	nextSeq uint64          // ingestion-order position of the next new record
 
@@ -92,18 +93,19 @@ func (v *View) newPools() {
 // clone returns the View the writer grows next. Everything reachable from v
 // stays immutable, so the clone shares it and costs a few headers, not the
 // corpus: the LSB trees, the id index, the posting lists and the pages of
-// the id and record tables are handed over as they are, and a later write
-// copies the node, list or page it lands in; records are replaced, never
-// edited (see Record). The partition, hash table and dictionary belong to
-// the Social, which copies them at the start of its next pass. What is
-// still copied flat is the tombstone bitset (one bit per clip). The write
-// side calls this exactly once per freeze→mutate transition.
+// the id, record and mass tables are handed over as they are, and a later
+// write copies the node, list or page it lands in; records are replaced,
+// never edited (see Record). The partition, hash table and dictionary
+// belong to the Social, which copies them at the start of its next pass.
+// What is still copied flat is the tombstone bitset (one bit per clip). The
+// write side calls this exactly once per freeze→mutate transition.
 func (v *View) clone() *View {
 	nv := &View{
 		opts:       v.opts,
 		ids:        v.ids.clone(),
 		byID:       v.byID.Clone(),
 		recs:       v.recs.clone(),
+		mass:       v.mass.clone(),
 		live:       v.live,
 		nextSeq:    v.nextSeq,
 		lsb:        v.lsb.Clone(),
@@ -241,19 +243,14 @@ func (v *View) ContentRelevance(q Query, id string) float64 {
 
 // SocialRelevance is the mode-dependent social relevance between the query
 // and a stored video: exact sJ (naive quadratic, as the unoptimized system
-// the paper starts from) in ModeExact, s̃J over SAR vectors otherwise.
+// the paper starts from) in ModeExact, s̃J over SAR vectors otherwise. It
+// computes s̃J densely over k dimensions; the query path reads the same
+// value, bit for bit, off step 1's sparse accumulation (sparseSJ).
 func (v *View) SocialRelevance(q Query, qvec social.Vector, id string) float64 {
 	rec := v.record(id)
 	if rec == nil {
 		return 0
 	}
-	return v.socialRelevanceRec(q, qvec, rec)
-}
-
-// socialRelevanceRec is SocialRelevance for a record already in hand — the
-// step-3 scoring loop resolves candidates by dense index and must not
-// re-hash the string id.
-func (v *View) socialRelevanceRec(q Query, qvec social.Vector, rec *Record) float64 {
 	if v.opts.Mode == ModeExact {
 		return naiveJaccard(q.Desc, rec.Desc)
 	}
@@ -272,6 +269,24 @@ func (v *View) VideosPerDim() []int {
 		out[d] = v.inv.DimLen(d)
 	}
 	return out
+}
+
+// setRecord installs rec (nil for a dead slot) at dense index i together
+// with its SAR mass |Vec|, which step 1's sparse s̃J reads in place of the
+// vector. Every write of a record goes through it, so the two never drift.
+// An unchanged mass is not rewritten: most records a batch re-vectorizes
+// keep their vector, and their mass page stays shared.
+func (v *View) setRecord(i uint32, rec *Record) {
+	var m uint32
+	if rec != nil {
+		for _, x := range rec.Vec {
+			m += uint32(x)
+		}
+	}
+	v.recs.Set(i, rec)
+	if v.mass.At(i) != m {
+		v.mass.Set(i, m)
+	}
 }
 
 // lookupFunc returns the user → sub-community mapping for the active mode:

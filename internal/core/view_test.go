@@ -71,8 +71,9 @@ func TestParallelRefinementMatchesSerial(t *testing.T) {
 // frozenState is everything a reader can observe through a view, copied out
 // so that a later write into anything the view still references shows up as
 // a difference: per record the descriptor members and SAR vector, the
-// user → sub-community lookups, every posting list, the ingestion order, the
-// content index's whole walk around one query, and full RecommendCtx answers.
+// user → sub-community lookups, every posting list with its counts, the mass
+// column, the ingestion order, the content index's whole walk around one
+// query, and full RecommendCtx answers.
 type frozenState struct {
 	Len      int
 	Order    []string
@@ -80,6 +81,8 @@ type frozenState struct {
 	Vecs     map[string][]float64
 	Look     map[string]int
 	Postings [][]uint32
+	Counts   [][]uint32
+	Mass     []uint32
 	Walk     []uint32 // videos in LCP order, to exhaustion
 	Answers  map[string][]Result
 }
@@ -109,6 +112,10 @@ func captureFrozen(t *testing.T, v *View, users, queries []string) frozenState {
 	}
 	for d := 0; d < v.inv.Dims(); d++ {
 		st.Postings = append(st.Postings, slices.Clone(v.inv.Postings(d)))
+		st.Counts = append(st.Counts, slices.Clone(v.inv.Counts(d)))
+	}
+	for _, m := range v.mass.All() {
+		st.Mass = append(st.Mass, m)
 	}
 	for i, id := range queries {
 		q, ok := v.QueryFor(id)

@@ -6,15 +6,18 @@
 //
 // Videos are identified by dense uint32 indices (interned by the owner — the
 // core view assigns them in ingestion order), so posting lists are flat
-// sorted integer arrays, set membership is a bitset probe, and candidate
-// union is a k-way merge instead of a hash-map union.
+// sorted integer arrays and set membership is a bitset probe. The inverted
+// files are impact postings: each entry carries the video's count in that
+// dimension beside its index, so the caller scores Eq. 6's s̃J exactly by
+// accumulating Σ min(q_d, v_d) over the query's touched lists — no union of
+// the lists and no pass over all k dimensions per candidate.
 package index
 
 import (
 	"encoding/binary"
 	"hash/fnv"
 	"math"
-	"sort"
+	"slices"
 
 	"videorec/internal/btree"
 	"videorec/internal/lsh"
@@ -346,70 +349,99 @@ func (w *Walker) down(i int) {
 	}
 }
 
-// Inverted is the set of k inverted files of §4.4: one posting list of
-// dense video indices per sub-community dimension. Posting lists are sorted
-// ascending and treated as immutable once shared: Clone copies only the
-// outer table (O(k)), and the first mutation of a dimension after a clone
-// replaces that dimension's list with a private copy. Views therefore share
-// posting lists copy-on-write exactly like compiled signatures.
+// Inverted is the set of k inverted files of §4.4, held as impact postings:
+// per sub-community dimension d, the dense indices of the videos whose SAR
+// vector touches d (sorted ascending) and, in a parallel slice, each one's
+// count v_d. The counts are what lets step 1 compute s̃J from the touched
+// lists alone (see core's gather). Lists are treated as immutable once
+// shared: Clone copies only the outer tables (O(k)), and the first mutation
+// of a dimension after a clone replaces what it changes with a private copy
+// — a membership change both slices, a count change only the counts. Views
+// therefore share posting lists copy-on-write exactly like compiled
+// signatures.
 type Inverted struct {
-	lists [][]uint32
-	owned []bool // lists[d] is privately owned and may be mutated in place
+	ids    [][]uint32
+	counts [][]uint32 // counts[d][j] is v_d of video ids[d][j]
+	// idsOwned[d] / countsOwned[d]: that slice of dimension d is privately
+	// owned and may be mutated in place.
+	idsOwned, countsOwned []bool
 }
 
 // NewInverted allocates k empty posting lists.
 func NewInverted(k int) *Inverted {
-	return &Inverted{lists: make([][]uint32, k), owned: make([]bool, k)}
+	return &Inverted{
+		ids: make([][]uint32, k), counts: make([][]uint32, k),
+		idsOwned: make([]bool, k), countsOwned: make([]bool, k),
+	}
 }
 
 // Dims returns the number of posting lists.
-func (iv *Inverted) Dims() int { return len(iv.lists) }
+func (iv *Inverted) Dims() int { return len(iv.ids) }
 
 // Clone returns a copy sharing every posting list copy-on-write: O(k)
 // regardless of how many postings exist. Both copies may afterwards be
 // mutated independently — the single-writer discipline of the core engine
 // guarantees the cloned-from side is a frozen view that never mutates.
 func (iv *Inverted) Clone() *Inverted {
-	cp := &Inverted{
-		lists: append([][]uint32(nil), iv.lists...),
-		owned: make([]bool, len(iv.lists)),
+	return &Inverted{
+		ids:         slices.Clone(iv.ids),
+		counts:      slices.Clone(iv.counts),
+		idsOwned:    make([]bool, len(iv.ids)),
+		countsOwned: make([]bool, len(iv.ids)),
 	}
-	return cp
 }
 
-// own makes dimension d's list privately mutable, copying it if shared.
+// ownCounts makes dimension d's counts privately mutable, copying them if
+// shared.
+func (iv *Inverted) ownCounts(d int) {
+	if !iv.countsOwned[d] {
+		iv.counts[d] = slices.Clone(iv.counts[d])
+		iv.countsOwned[d] = true
+	}
+}
+
+// own makes both of dimension d's slices privately mutable, copying what is
+// shared — what a membership change needs.
 func (iv *Inverted) own(d int) {
-	if !iv.owned[d] {
-		iv.lists[d] = append([]uint32(nil), iv.lists[d]...)
-		iv.owned[d] = true
+	iv.ownCounts(d)
+	if !iv.idsOwned[d] {
+		iv.ids[d] = slices.Clone(iv.ids[d])
+		iv.idsOwned[d] = true
 	}
 }
 
 // Add posts the video under every dimension its descriptor vector touches,
-// keeping each posting list sorted. Appending videos in ascending index
+// with the vector's count there, keeping each posting list sorted. A video
+// already posted under a dimension keeps its entry, rewritten if the count
+// changed (copying that dimension's counts if shared, never its ids); an
+// unchanged posting copies nothing. Appending videos in ascending index
 // order (the bulk-build path — ingestion order is interning order) is O(1)
 // amortized per posting; out-of-order inserts pay one memmove.
 func (iv *Inverted) Add(video uint32, vec social.Vector) {
 	for d, x := range vec {
-		if x <= 0 || d >= len(iv.lists) {
+		if x <= 0 || d >= len(iv.ids) {
 			continue
 		}
-		list := iv.lists[d]
+		c := uint32(x)
+		list := iv.ids[d]
 		n := len(list)
 		if n == 0 || list[n-1] < video {
 			iv.own(d)
-			iv.lists[d] = append(iv.lists[d], video)
+			iv.ids[d] = append(iv.ids[d], video)
+			iv.counts[d] = append(iv.counts[d], c)
 			continue
 		}
-		i := sort.Search(n, func(i int) bool { return list[i] >= video })
-		if i < n && list[i] == video {
-			continue // already posted
+		i, found := slices.BinarySearch(list, video)
+		if found {
+			if iv.counts[d][i] != c {
+				iv.ownCounts(d)
+				iv.counts[d][i] = c
+			}
+			continue
 		}
 		iv.own(d)
-		list = append(iv.lists[d], 0)
-		copy(list[i+1:], list[i:])
-		list[i] = video
-		iv.lists[d] = list
+		iv.ids[d] = slices.Insert(iv.ids[d], i, video)
+		iv.counts[d] = slices.Insert(iv.counts[d], i, c)
 	}
 }
 
@@ -417,123 +449,49 @@ func (iv *Inverted) Add(video uint32, vec social.Vector) {
 // the vector it was added with).
 func (iv *Inverted) Remove(video uint32, vec social.Vector) {
 	for d, x := range vec {
-		if x <= 0 || d >= len(iv.lists) {
+		if x <= 0 || d >= len(iv.ids) {
 			continue
 		}
-		list := iv.lists[d]
-		i := sort.Search(len(list), func(i int) bool { return list[i] >= video })
-		if i >= len(list) || list[i] != video {
+		i, found := slices.BinarySearch(iv.ids[d], video)
+		if !found {
 			continue
 		}
 		iv.own(d)
-		list = iv.lists[d]
-		iv.lists[d] = append(list[:i], list[i+1:]...)
+		iv.ids[d] = slices.Delete(iv.ids[d], i, i+1)
+		iv.counts[d] = slices.Delete(iv.counts[d], i, i+1)
 	}
 }
 
 // Grow extends the index to at least k dimensions (maintenance can mint new
 // sub-community ids past the original k).
 func (iv *Inverted) Grow(k int) {
-	for len(iv.lists) < k {
-		iv.lists = append(iv.lists, nil)
-		iv.owned = append(iv.owned, true)
+	for len(iv.ids) < k {
+		iv.ids = append(iv.ids, nil)
+		iv.counts = append(iv.counts, nil)
+		iv.idsOwned = append(iv.idsOwned, true)
+		iv.countsOwned = append(iv.countsOwned, true)
 	}
 }
 
 // DimLen returns the posting-list length of one dimension — the N_ui / N_si
 // inputs of the Equation 8 cost model, read directly off the list header.
-func (iv *Inverted) DimLen(d int) int {
-	if d < 0 || d >= len(iv.lists) {
-		return 0
-	}
-	return len(iv.lists[d])
-}
+func (iv *Inverted) DimLen(d int) int { return len(iv.Postings(d)) }
 
-// Postings returns one dimension's sorted posting list. The caller must
-// treat it as immutable — it is shared with every clone of the index.
+// Postings returns one dimension's sorted posting list of video indices.
+// The caller must treat it as immutable — it is shared with every clone of
+// the index.
 func (iv *Inverted) Postings(d int) []uint32 {
-	if d < 0 || d >= len(iv.lists) {
+	if d < 0 || d >= len(iv.ids) {
 		return nil
 	}
-	return iv.lists[d]
+	return iv.ids[d]
 }
 
-// UnionScratch is reusable storage for Union, pooled per query by the
-// caller so steady-state candidate gathering allocates nothing.
-type UnionScratch struct {
-	heads [][]uint32 // cursor per active posting list (remaining suffix)
-	out   []uint32
-}
-
-// Union returns every video sharing at least one non-zero dimension with
-// the query vector, as a sorted, deduplicated slice of dense indices — the
-// k-way merge of the touched posting lists. The dense-index order is the
-// deterministic order; no per-query sort happens. The result aliases either
-// scratch storage or a single shared posting list and is only valid until
-// the next Union with the same scratch; callers must not mutate it.
-func (iv *Inverted) Union(q social.Vector, scratch *UnionScratch) []uint32 {
-	heads := scratch.heads[:0]
-	for d, x := range q {
-		if x <= 0 || d >= len(iv.lists) || len(iv.lists[d]) == 0 {
-			continue
-		}
-		heads = append(heads, iv.lists[d])
-	}
-	scratch.heads = heads
-	switch len(heads) {
-	case 0:
+// Counts returns one dimension's counts, parallel to Postings(d): the j-th
+// is v_d of the j-th posted video. The same immutability contract applies.
+func (iv *Inverted) Counts(d int) []uint32 {
+	if d < 0 || d >= len(iv.counts) {
 		return nil
-	case 1:
-		// A single touched list is already the union; hand it out directly
-		// (the caller's read-only contract makes sharing safe).
-		return heads[0]
 	}
-
-	// Min-heap of cursors keyed by each list's next value. Pop the global
-	// minimum, emit it, advance the popped cursor; duplicates across lists
-	// collapse against the last emitted value.
-	out := scratch.out[:0]
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		mergeDown(heads, i)
-	}
-	for len(heads) > 0 {
-		v := heads[0][0]
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
-		}
-		if rest := heads[0][1:]; len(rest) > 0 {
-			heads[0] = rest
-			mergeDown(heads, 0)
-		} else {
-			last := len(heads) - 1
-			heads[0] = heads[last]
-			heads = heads[:last]
-			if last > 0 {
-				mergeDown(heads, 0)
-			}
-		}
-	}
-	scratch.out = out
-	return out
-}
-
-// mergeDown restores the min-heap property for the cursor heap (keyed by
-// each cursor's head value) from position i downward.
-func mergeDown(heads [][]uint32, i int) {
-	n := len(heads)
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < n && heads[l][0] < heads[least][0] {
-			least = l
-		}
-		if r < n && heads[r][0] < heads[least][0] {
-			least = r
-		}
-		if least == i {
-			return
-		}
-		heads[i], heads[least] = heads[least], heads[i]
-		i = least
-	}
+	return iv.counts[d]
 }

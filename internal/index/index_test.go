@@ -1,8 +1,13 @@
 package index
 
 import (
+	"cmp"
+	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"videorec/internal/lsh"
@@ -250,37 +255,73 @@ func TestWalkerResetReuses(t *testing.T) {
 	}
 }
 
-func unionOf(t *testing.T, iv *Inverted, q social.Vector) []uint32 {
-	t.Helper()
-	var sc UnionScratch
-	out := iv.Union(q, &sc)
-	return append([]uint32(nil), out...)
+// posting is one (video, count) entry of an inverted file.
+type posting struct{ id, count uint32 }
+
+// postingsOf reads dimension d back as (video, count) pairs.
+func postingsOf(iv *Inverted, d int) []posting {
+	ids, counts := iv.Postings(d), iv.Counts(d)
+	if len(ids) != len(counts) {
+		panic(fmt.Sprintf("dim %d: %d ids, %d counts", d, len(ids), len(counts)))
+	}
+	var out []posting
+	for j, id := range ids {
+		out = append(out, posting{id, counts[j]})
+	}
+	return out
 }
 
+// referencePostings is what dimension d must hold for the live vectors:
+// every video with v_d > 0 and its count, in index order.
+func referencePostings(live map[uint32]social.Vector, d int) []posting {
+	var out []posting
+	for v, vec := range live {
+		if d < len(vec) && vec[d] > 0 {
+			out = append(out, posting{v, uint32(vec[d])})
+		}
+	}
+	slices.SortFunc(out, func(a, b posting) int { return cmp.Compare(a.id, b.id) })
+	return out
+}
+
+// TestInvertedAddUnion checks what Add posts: each touched dimension holds
+// the video with its count, and re-adding a posted video rewrites the count
+// rather than posting it twice.
 func TestInvertedAddUnion(t *testing.T) {
 	iv := NewInverted(4)
-	iv.Add(0, social.Vector{1, 0, 2, 0}) // a
-	iv.Add(1, social.Vector{0, 3, 0, 0}) // b
-	iv.Add(2, social.Vector{0, 1, 1, 0}) // c
-	got := unionOf(t, iv, social.Vector{0, 0, 5, 0})
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("Union = %v, want [0 2]", got)
+	iv.Add(0, social.Vector{1, 0, 2, 0})
+	iv.Add(1, social.Vector{0, 3, 0, 0})
+	iv.Add(2, social.Vector{0, 1, 1, 0})
+	want := [][]posting{
+		{{0, 1}},
+		{{1, 3}, {2, 1}},
+		{{0, 2}, {2, 1}},
+		nil,
 	}
-	if got := unionOf(t, iv, social.Vector{0, 0, 0, 1}); len(got) != 0 {
-		t.Errorf("empty dim union = %v", got)
+	for d, w := range want {
+		if got := postingsOf(iv, d); !slices.Equal(got, w) {
+			t.Errorf("dim %d = %v, want %v", d, got, w)
+		}
 	}
-	if got := unionOf(t, iv, social.Vector{1, 1, 1, 0}); len(got) != 3 {
-		t.Errorf("full union = %v, want 3 videos", got)
+	// Re-adding a posted video rewrites its count in place of a second entry.
+	iv.Add(2, social.Vector{0, 4, 1, 0})
+	if got := postingsOf(iv, 1); !slices.Equal(got, []posting{{1, 3}, {2, 4}}) {
+		t.Errorf("dim 1 after recount = %v, want [{1 3} {2 4}]", got)
+	}
+	if got := postingsOf(iv, 2); !slices.Equal(got, []posting{{0, 2}, {2, 1}}) {
+		t.Errorf("dim 2 after unchanged re-add = %v", got)
 	}
 }
 
 func TestInvertedRemove(t *testing.T) {
 	iv := NewInverted(3)
-	vec := social.Vector{1, 1, 0}
+	vec := social.Vector{1, 2, 0}
 	iv.Add(5, vec)
 	iv.Remove(5, vec)
-	if got := unionOf(t, iv, social.Vector{1, 1, 1}); len(got) != 0 {
-		t.Errorf("after remove: %v", got)
+	for d := 0; d < iv.Dims(); d++ {
+		if iv.DimLen(d) != 0 || len(iv.Counts(d)) != 0 {
+			t.Errorf("after remove dim %d: %v", d, postingsOf(iv, d))
+		}
 	}
 }
 
@@ -291,8 +332,8 @@ func TestInvertedGrow(t *testing.T) {
 		t.Errorf("Dims = %d, want 5", iv.Dims())
 	}
 	iv.Add(9, social.Vector{0, 0, 0, 0, 2})
-	if got := iv.Postings(4); len(got) != 1 || got[0] != 9 {
-		t.Errorf("Postings(4) = %v", got)
+	if got := postingsOf(iv, 4); !slices.Equal(got, []posting{{9, 2}}) {
+		t.Errorf("dim 4 = %v", got)
 	}
 	if iv.DimLen(4) != 1 {
 		t.Errorf("DimLen(4) = %d, want 1", iv.DimLen(4))
@@ -311,26 +352,43 @@ func TestPostingsBounds(t *testing.T) {
 	if got := iv.Postings(9); got != nil {
 		t.Errorf("dim 9 = %v", got)
 	}
+	if iv.Counts(-1) != nil || iv.Counts(9) != nil {
+		t.Error("Counts out of bounds should be nil")
+	}
 	if iv.DimLen(-1) != 0 || iv.DimLen(9) != 0 {
 		t.Error("DimLen out of bounds should be 0")
 	}
 }
 
-// TestInvertedSortedInvariant checks posting lists stay sorted and unique
-// under out-of-order adds, duplicate adds and interleaved removals.
+// TestInvertedSortedInvariant checks posting lists stay sorted and unique,
+// with each entry's count the video's current v_d, under out-of-order adds,
+// duplicate adds, recounts and interleaved removals.
 func TestInvertedSortedInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	iv := NewInverted(3)
 	live := map[uint32]social.Vector{}
 	for step := 0; step < 500; step++ {
 		v := uint32(rng.Intn(64))
-		if vec, ok := live[v]; ok && rng.Intn(3) == 0 {
-			iv.Remove(v, vec)
+		old, ok := live[v]
+		switch {
+		case ok && rng.Intn(3) == 0:
+			iv.Remove(v, old)
 			delete(live, v)
 			continue
+		case ok && rng.Intn(2) == 0:
+			// Recount: the same membership, new counts — no Remove first.
+			vec := slices.Clone(old)
+			for d := range vec {
+				if vec[d] > 0 {
+					vec[d] = float64(1 + rng.Intn(4))
+				}
+			}
+			iv.Add(v, vec)
+			live[v] = vec
+			continue
 		}
-		vec := social.Vector{float64(rng.Intn(2)), float64(rng.Intn(2)), float64(rng.Intn(2))}
-		if old, ok := live[v]; ok {
+		vec := social.Vector{float64(rng.Intn(3)), float64(rng.Intn(3)), float64(rng.Intn(3))}
+		if ok {
 			iv.Remove(v, old)
 		}
 		iv.Add(v, vec)
@@ -343,27 +401,18 @@ func TestInvertedSortedInvariant(t *testing.T) {
 				t.Fatalf("dim %d not sorted/unique at %d: %v", d, i, list)
 			}
 		}
-		for _, v := range list {
-			vec, ok := live[v]
-			if !ok || vec[d] <= 0 {
-				t.Fatalf("dim %d posts %d which should not be posted", d, v)
-			}
-		}
-		for v, vec := range live {
-			if vec[d] > 0 {
-				i := sort.Search(len(list), func(i int) bool { return list[i] >= v })
-				if i >= len(list) || list[i] != v {
-					t.Fatalf("dim %d missing %d", d, v)
-				}
-			}
+		if got, want := postingsOf(iv, d), referencePostings(live, d); !slices.Equal(got, want) {
+			t.Fatalf("dim %d posts %v, live vectors say %v", d, got, want)
 		}
 	}
 }
 
-// TestUnionMatchesMapReference is the property test of the k-way merge: for
-// random posting-list states (including removals and Grow-extended dims) and
-// random query vectors, Union must return exactly the sorted set a map-based
-// reference union produces.
+// TestUnionMatchesMapReference is the property test of the impact postings:
+// for random histories of adds, recounts, removals and Grow-extended
+// dimensions, every dimension holds exactly the (video, count) pairs a map
+// of the live vectors implies, and Σ_d min(q_d, count) over the union of a
+// query's touched lists — what step 1 accumulates per video — equals the
+// same sum over the live vectors.
 func TestUnionMatchesMapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {
@@ -379,20 +428,26 @@ func TestUnionMatchesMapReference(t *testing.T) {
 					vec[d] = float64(1 + rng.Intn(3))
 				}
 			}
+			// Unpost only the dimensions the video leaves, as the engine
+			// does; Add rewrites the counts of the ones it keeps.
 			if old, ok := live[v]; ok {
-				iv.Remove(v, old)
+				gone := slices.Clone(old)
+				for d := range gone {
+					if vec[d] > 0 {
+						gone[d] = 0
+					}
+				}
+				iv.Remove(v, gone)
 			}
 			iv.Add(v, vec)
 			live[v] = vec
 		}
-		// Random removals.
 		for v, vec := range live {
 			if rng.Intn(4) == 0 {
 				iv.Remove(v, vec)
 				delete(live, v)
 			}
 		}
-		// Occasionally grow and post a video into the new dimensions.
 		if rng.Intn(2) == 0 {
 			k += 2
 			iv.Grow(k)
@@ -402,6 +457,11 @@ func TestUnionMatchesMapReference(t *testing.T) {
 			iv.Add(v, vec)
 			live[v] = vec
 		}
+		for d := 0; d < k; d++ {
+			if got, want := postingsOf(iv, d), referencePostings(live, d); !slices.Equal(got, want) {
+				t.Fatalf("trial %d dim %d: %v, want %v", trial, d, got, want)
+			}
+		}
 
 		q := make(social.Vector, k)
 		for d := range q {
@@ -409,62 +469,101 @@ func TestUnionMatchesMapReference(t *testing.T) {
 				q[d] = float64(rng.Intn(3)) // zero entries must not contribute
 			}
 		}
-
-		// Map-based reference union.
-		want := map[uint32]bool{}
+		got := map[uint32]uint32{}
+		for d, x := range q {
+			if x <= 0 {
+				continue
+			}
+			for _, p := range postingsOf(iv, d) {
+				got[p.id] += min(uint32(x), p.count)
+			}
+		}
+		want := map[uint32]uint32{}
 		for v, vec := range live {
 			for d := 0; d < k && d < len(vec); d++ {
-				if q[d] > 0 && vec[d] > 0 {
-					want[v] = true
+				if m := min(q[d], vec[d]); m > 0 {
+					want[v] += uint32(m)
 				}
 			}
 		}
-		wantSorted := make([]uint32, 0, len(want))
-		for v := range want {
-			wantSorted = append(wantSorted, v)
-		}
-		sort.Slice(wantSorted, func(a, b int) bool { return wantSorted[a] < wantSorted[b] })
-
-		got := unionOf(t, iv, q)
-		if len(got) != len(wantSorted) {
-			t.Fatalf("trial %d: union %v, want %v", trial, got, wantSorted)
-		}
-		for i := range got {
-			if got[i] != wantSorted[i] {
-				t.Fatalf("trial %d: union %v, want %v", trial, got, wantSorted)
-			}
+		if !maps.Equal(got, want) {
+			t.Fatalf("trial %d: accumulated Σmin %v, want %v", trial, got, want)
 		}
 	}
 }
 
 // TestInvertedCloneIsolation verifies the copy-on-write sharing: mutations on
-// a clone never leak into the original's posting lists and vice versa.
+// a clone never leak into the original's posting lists or counts and vice
+// versa, and a count change without a membership change copies exactly the
+// one list it lands in.
 func TestInvertedCloneIsolation(t *testing.T) {
-	iv := NewInverted(2)
-	iv.Add(1, social.Vector{1, 1})
-	iv.Add(3, social.Vector{1, 0})
+	iv := NewInverted(3)
+	iv.Add(1, social.Vector{1, 1, 2})
+	iv.Add(3, social.Vector{1, 0, 1})
 
 	cp := iv.Clone()
-	cp.Add(2, social.Vector{1, 1})
-	cp.Remove(3, social.Vector{1, 0})
+	cp.Add(2, social.Vector{1, 1, 0})
+	cp.Remove(3, social.Vector{1, 0, 0})
 
-	if got := unionOf(t, iv, social.Vector{1, 0}); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+	if got := postingsOf(iv, 0); !slices.Equal(got, []posting{{1, 1}, {3, 1}}) {
 		t.Errorf("original dim 0 changed by clone mutation: %v", got)
 	}
-	if got := unionOf(t, cp, social.Vector{1, 0}); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("clone dim 0 = %v, want [1 2]", got)
+	if got := postingsOf(cp, 0); !slices.Equal(got, []posting{{1, 1}, {2, 1}}) {
+		t.Errorf("clone dim 0 = %v, want [{1 1} {2 1}]", got)
 	}
 
 	// Mutating the original after cloning must not disturb the clone either.
 	iv.Add(0, social.Vector{0, 1})
-	if got := unionOf(t, cp, social.Vector{0, 1}); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := postingsOf(cp, 1); !slices.Equal(got, []posting{{1, 1}, {2, 1}}) {
 		t.Errorf("clone dim 1 changed by original mutation: %v", got)
+	}
+
+	// A recount on a fresh clone: dimension 2's count of video 1 changes,
+	// its membership does not. Only that list's counts are copied; the
+	// frozen side keeps its list and its count.
+	frozen := cp
+	next := frozen.Clone()
+	before := [][]uint32{frozen.Postings(0), frozen.Postings(1), frozen.Postings(2)}
+	beforeCounts := [][]uint32{frozen.Counts(0), frozen.Counts(1), frozen.Counts(2)}
+	next.Add(1, social.Vector{1, 1, 5})
+	if got := postingsOf(next, 2); !slices.Equal(got, []posting{{1, 5}, {3, 1}}) {
+		t.Fatalf("clone dim 2 after recount = %v, want [{1 5} {3 1}]", got)
+	}
+	if got := postingsOf(frozen, 2); !slices.Equal(got, []posting{{1, 2}, {3, 1}}) {
+		t.Errorf("frozen dim 2 changed by clone recount: %v", got)
+	}
+	// Under -race: readers of the frozen side run while the clone keeps
+	// recounting, so a write into a shared list would be a reported race.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 200 {
+			if got := postingsOf(frozen, 2); got[0] != (posting{1, 2}) {
+				t.Errorf("frozen dim 2 head = %v during clone recounts", got[0])
+				return
+			}
+		}
+	}()
+	for c := range 200 {
+		next.Add(1, social.Vector{1, 1, float64(6 + c%3)})
+	}
+	wg.Wait()
+	next.Add(1, social.Vector{1, 1, 5})
+	for d := 0; d < 3; d++ {
+		sameIDs := &next.Postings(d)[0] == &before[d][0]
+		sameCounts := &next.Counts(d)[0] == &beforeCounts[d][0]
+		if !sameIDs || sameCounts != (d != 2) {
+			t.Errorf("dim %d: ids shared %v, counts shared %v after a recount of dim 2; want ids shared, counts shared = %v",
+				d, sameIDs, sameCounts, d != 2)
+		}
 	}
 }
 
-// TestUnionZeroAlloc pins the steady-state union to zero allocations once
-// the scratch is warm.
-func TestUnionZeroAlloc(t *testing.T) {
+// TestRecountOwnedZeroAlloc pins an owned list's recount — the step every
+// re-vectorized video of a batch takes after the first — to an in-place
+// rewrite: no allocation, whatever the list length.
+func TestRecountOwnedZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
@@ -475,14 +574,18 @@ func TestUnionZeroAlloc(t *testing.T) {
 		vec[(i+1)%4] = 1
 		iv.Add(uint32(i), vec)
 	}
-	q := social.Vector{1, 0, 1, 1}
-	var sc UnionScratch
-	iv.Union(q, &sc) // warm the scratch
+	iv = iv.Clone()
+	a, b := social.Vector{2, 3, 0, 0}, social.Vector{1, 1, 0, 0}
+	iv.Add(0, a) // the first recount after the clone owns the lists
 	allocs := testing.AllocsPerRun(100, func() {
-		iv.Union(q, &sc)
+		iv.Add(0, b)
+		iv.Add(0, a)
 	})
 	if allocs != 0 {
-		t.Errorf("Union allocates %v per run, want 0", allocs)
+		t.Errorf("recount allocates %v per run, want 0", allocs)
+	}
+	if got := postingsOf(iv, 1); got[0] != (posting{0, 3}) {
+		t.Errorf("dim 1 head = %v, want {0 3}", got[0])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -146,6 +147,26 @@ func TestErrorStatuses(t *testing.T) {
 	// Clip with no frames → 400.
 	if resp := post(t, ts.URL+"/videos", []byte(`{"id":"x"}`)); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("frameless clip: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// A clip frame whose W·H overflows int is a bad request, not a recovered
+// handler panic.
+func TestOverflowingFrameIsBadRequest(t *testing.T) {
+	ts, srv := newTestServer(t, "")
+	populate(t, ts)
+	body, err := json.Marshal(ClipJSON{ID: "huge", Frames: []FrameJSON{{W: math.MaxInt/2 + 1, H: 4}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := post(t, ts.URL+"/videos", body); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /videos: status %d, want 400", resp.StatusCode)
+	}
+	if resp := post(t, ts.URL+"/recommend?k=3", body); resp.StatusCode == http.StatusOK {
+		t.Errorf("POST /recommend accepted the clip")
+	}
+	if n := srv.panics.Load(); n != 0 {
+		t.Errorf("panicsRecovered = %d, want 0", n)
 	}
 }
 

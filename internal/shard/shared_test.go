@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -544,4 +545,20 @@ func TestSharedStateSurvivesDrain(t *testing.T) {
 	}
 	requireSameSocial(t, "drain", ref, r)
 	requireSameRankings(t, "drain", ref, r, f.queries, nil)
+}
+
+// A clip frame whose W·H overflows int must come back from the router's add
+// as an error, not a panic in frame construction.
+func TestRouterAddRejectsOverflowingFrame(t *testing.T) {
+	r, err := New(2, videorec.Options{RefineWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := videorec.Clip{ID: "huge", Frames: []videorec.Frame{{W: math.MaxInt/2 + 1, H: 4}}}
+	if err := r.Add(huge); err == nil {
+		t.Fatal("router accepted a frame whose W·H overflows")
+	}
+	if r.Len() != 0 {
+		t.Errorf("router holds %d clips after a rejected add", r.Len())
+	}
 }

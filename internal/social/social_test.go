@@ -204,3 +204,44 @@ func BenchmarkApproxJaccard(b *testing.B) {
 		ApproxJaccard(a, c)
 	}
 }
+
+// TestApproxJaccardSparseIdentity pins the identity the query path's sparse
+// s̃J rests on: over non-negative integer count vectors of any lengths
+// (all-zero ones included), Eq. 6's Σ min / Σ max equals m / (|a| + |b| − m),
+// with m the Σ min over the shared prefix — bit for bit, not within a
+// tolerance.
+func TestApproxJaccardSparseIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	randVec := func() Vector {
+		v := make(Vector, rng.Intn(70))
+		if rng.Intn(8) == 0 {
+			return v // all zero
+		}
+		for i := range v {
+			if rng.Intn(3) == 0 {
+				v[i] = float64(rng.Intn(1 << rng.Intn(20)))
+			}
+		}
+		return v
+	}
+	for trial := 0; trial < 20000; trial++ {
+		a, b := randVec(), randVec()
+		var m, ma, mb uint64
+		for i := range min(len(a), len(b)) {
+			m += uint64(min(a[i], b[i]))
+		}
+		for _, x := range a {
+			ma += uint64(x)
+		}
+		for _, x := range b {
+			mb += uint64(x)
+		}
+		want := 0.0
+		if den := ma + mb - m; den != 0 {
+			want = float64(m) / float64(den)
+		}
+		if got := ApproxJaccard(a, b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: ApproxJaccard = %v, m/(|a|+|b|−m) = %v\na = %v\nb = %v", trial, got, want, a, b)
+		}
+	}
+}

@@ -528,7 +528,9 @@ func toVideo(clip Clip) (*video.Video, error) {
 	}
 	v.Frames = make([]*video.Frame, 0, len(clip.Frames))
 	for i, f := range clip.Frames {
-		if f.W <= 0 || f.H <= 0 || len(f.Pix) != f.W*f.H {
+		// Divide rather than multiply: W·H can overflow int and wrap to
+		// len(Pix), and video.NewFrame would then panic on the clip.
+		if f.W <= 0 || f.H <= 0 || len(f.Pix)%f.W != 0 || len(f.Pix)/f.W != f.H {
 			return nil, fmt.Errorf("videorec: frame %d of %q has inconsistent dimensions", i, clip.ID)
 		}
 		vf := video.NewFrame(f.W, f.H)

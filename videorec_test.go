@@ -2,7 +2,9 @@ package videorec
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"videorec/internal/dataset"
@@ -62,6 +64,32 @@ func TestAddValidation(t *testing.T) {
 	bad := Clip{ID: "x", Frames: []Frame{{W: 2, H: 2, Pix: []float64{1}}}}
 	if err := eng.Add(bad); err == nil {
 		t.Error("inconsistent frame accepted")
+	}
+}
+
+// overflowClip has a frame whose W·H overflows int and wraps to 0 = len(Pix).
+func overflowClip() Clip {
+	return Clip{ID: "huge", Frames: []Frame{{W: math.MaxInt/2 + 1, H: 4}}}
+}
+
+// A frame whose W·H wraps around to len(Pix) must be rejected as
+// inconsistent on every path that decodes clip frames — including AddAll's
+// extraction goroutines, where nothing would recover a panic.
+func TestOverflowingFrameRejected(t *testing.T) {
+	eng := New(Options{})
+	huge := overflowClip()
+	check := func(path string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "inconsistent dimensions") {
+			t.Errorf("%s: got %v, want an inconsistent-dimensions error", path, err)
+		}
+	}
+	check("Add", eng.Add(huge))
+	check("AddAll", eng.AddAll([]Clip{huge}, 2))
+	_, err := eng.RecommendClip(huge, 3)
+	check("RecommendClip", err)
+	if eng.Len() != 0 {
+		t.Errorf("engine holds %d clips after rejected adds", eng.Len())
 	}
 }
 
