@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"videorec/internal/faults"
+	"videorec/internal/signature"
 	"videorec/internal/social"
 )
 
@@ -19,12 +22,78 @@ func withWorkers(v *View, workers int) *View {
 	return &vv
 }
 
+// eagerRefine is refine without the bound ladder: KJUpperBound for every
+// gathered candidate, one sort by (bound desc, idx asc), then the same rounds
+// and stopping test. The ladder claims to visit candidates in exactly this
+// order, so results and the Refined count must both match it.
+func eagerRefine(t *testing.T, v *View, q Query, topK int, exclude ...string) ([]Result, int) {
+	t.Helper()
+	qs := v.getScratch()
+	defer v.putScratch(qs)
+	v.resolveExcludes(qs, exclude)
+	useContent, useSocial, err := v.gather(context.Background(), q, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &refineJob{v: v, q: q, qs: qs, useContent: useContent, useSocial: useSocial}
+	if useContent {
+		j.qc = q.compiled()
+	}
+	var bounds []boundCand
+	for _, idx := range qs.merged {
+		c := boundCand{idx: idx}
+		if rec := v.recs.At(idx); rec != nil {
+			var ub float64
+			if useContent {
+				ub = signature.KJUpperBound(j.qc, rec.Compiled, v.opts.MatchThreshold, nil)
+			}
+			if useSocial {
+				c.soc = v.candidateSocial(q, qs, idx, rec)
+			}
+			c.bound = v.fuse(ub, c.soc)
+		}
+		bounds = append(bounds, c)
+	}
+	slices.SortFunc(bounds, func(a, b boundCand) int {
+		if c := cmp.Compare(b.bound, a.bound); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	workers, round := max(v.opts.RefineWorkers, 1), 1
+	if workers > 1 && len(bounds) >= minParallelRefine {
+		round = workers * refineRoundPerWorker
+	}
+	sel := qs.resultSelector(topK)
+	refined := 0
+	for len(bounds) > 0 {
+		n := 0
+		for n < round && n < len(bounds) && (sel.Len() < topK || bounds[n].bound >= sel.Worst().Score) {
+			n++
+		}
+		if n == 0 {
+			break
+		}
+		results := make([]Result, n)
+		if err := j.scoreRound(bounds[:n], results, workers); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			sel.Offer(r)
+		}
+		refined += n
+		bounds = bounds[n:]
+	}
+	return sel.Sorted(), refined
+}
+
 // Bounded refinement must be indistinguishable from refining everything:
 // across the seven mode variants, list lengths from 1 to past the candidate
 // count, and serial and parallel rounds, ids, scores and both component
 // relevances equal the refine-everything reference (referenceRecommend: raw
-// κJ for every reference candidate, full sort). And it must actually stop
-// early where there is something to skip.
+// κJ for every reference candidate, full sort). It must actually stop early
+// where there is something to skip, and the lazy bound ladder must refine
+// exactly as many candidates as tightening every bound up front does.
 func TestBoundedRefineMatchesExhaustive(t *testing.T) {
 	for _, tc := range modeVariants {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,6 +121,10 @@ func TestBoundedRefineMatchesExhaustive(t *testing.T) {
 						if topK == 1 && workers == 1 && info.Refined == cands && cands > 10 {
 							t.Errorf("query %s: top-1 refined all %d candidates — the bound prunes nothing", id, cands)
 						}
+						if eager, refined := eagerRefine(t, v, q, topK, id); refined != info.Refined || !resultsEqual(got, eager) {
+							t.Fatalf("query %s, topK %d, %d workers: refined %d, eager tightening refines %d (answers equal: %v)",
+								id, topK, workers, info.Refined, refined, resultsEqual(got, eager))
+						}
 					}
 				}
 			}
@@ -64,7 +137,9 @@ func TestBoundedRefineMatchesExhaustive(t *testing.T) {
 // one stored clip score identically for every query; the copy with the
 // smaller id is ingested last (larger dense index, visited later), and K is
 // chosen so the pair straddles the cut. Social-only makes bound == score
-// exactly, the case a `<=` stopping test would get wrong.
+// exactly, the case a `<=` stopping test would get wrong. Querying the
+// twins' source makes each twin's envelope bound equal its KJUpperBound, so
+// once the first twin is tightened it ties the other, still loose, on bound.
 func TestBoundedRefineTieAtCutoff(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -89,8 +164,16 @@ func TestBoundedRefineTieAtCutoff(t *testing.T) {
 			r.BuildSocial()
 			v := r.Freeze()
 
+			if !opts.SocialOnly {
+				q, _ := v.QueryFor(ids[1])
+				tw, _ := v.Record("twin-a")
+				env := signature.KJEnvelopeBound(q.compiled(), tw.Compiled, opts.MatchThreshold, nil)
+				if ub := signature.KJUpperBound(q.compiled(), tw.Compiled, opts.MatchThreshold, nil); env != ub {
+					t.Fatalf("twin of the query: envelope bound %v, upper bound %v; the loose/tight tie does not arise", env, ub)
+				}
+			}
 			checked := 0
-			for _, id := range ids[2:10] {
+			for _, id := range ids[1:10] {
 				q, _ := v.QueryFor(id)
 				all := referenceRecommend(v, q, len(ids)+2, id)
 				for rank, res := range all {
@@ -156,6 +239,51 @@ func TestBoundedRefineDegradesMidRefine(t *testing.T) {
 	}
 	if !resultsEqual(got, want) {
 		t.Fatalf("degraded answer differs from the coarse reference\ngot:  %+v\nwant: %+v", got, want)
+	}
+}
+
+// A cancellation seen while bounds are being tightened fails the query with
+// the context's error and no partial answer. The refine job is driven
+// directly, with a poll that reports the context done from the first poll
+// after the bound pass on: the heap's top is loose then, so that poll is the
+// tightening loop's, and no candidate may have been scored. Later cut-offs
+// land between tightenings and scores.
+func TestBoundedRefineCancelledWhileTightening(t *testing.T) {
+	defer faults.Reset()
+	scored := 0
+	faults.Arm(faults.RefineScore, func() error { scored++; return nil })
+	v := withWorkers(buildGolden(t, nil), 1)
+	for _, id := range goldenQueries(t, v, 3) {
+		q, _ := v.QueryFor(id)
+		for extra := 0; extra < 8; extra++ {
+			scored = 0
+			ctx, cancel := context.WithCancel(context.Background())
+			qs := v.getScratch()
+			v.resolveExcludes(qs, []string{id})
+			useContent, useSocial, err := v.gather(ctx, q, qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cutoff := (len(qs.merged)+cancelCheckStride-1)/cancelCheckStride + extra
+			polls := 0
+			j := &qs.job
+			*j = refineJob{v: v, q: q, qs: qs, useContent: useContent, useSocial: useSocial, cause: ctx.Err}
+			j.cancelled = func() bool {
+				if polls++; polls > cutoff {
+					cancel()
+				}
+				return ctxDone(ctx.Done())
+			}
+			res, _, err := j.refine(10, 1)
+			v.putScratch(qs)
+			cancel()
+			if err != context.Canceled || res != nil {
+				t.Fatalf("query %s, cancelled at poll %d: got %d results, err %v; want none and context.Canceled", id, cutoff+1, len(res), err)
+			}
+			if extra == 0 && scored != 0 {
+				t.Fatalf("query %s: the first poll after the bound pass came after %d scores, not from tightening", id, scored)
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"context"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,11 +50,42 @@ type scoredCand struct {
 }
 
 // boundCand is one gathered candidate queued for refinement: its s̃J (exact,
-// and known before any κJ) and the fused score it can reach at most.
+// and known before any κJ) and the fused score it can reach at most — loose
+// (from signature.KJEnvelopeBound) until refine tightens it with
+// signature.KJUpperBound.
 type boundCand struct {
 	idx   uint32
+	tight bool
 	soc   float64
 	bound float64
+}
+
+// before is the refinement order: higher bound first, then smaller dense
+// index. It is total, so the heap's pop order is a pure function of the
+// bounds.
+func before(a, b *boundCand) bool {
+	if c := cmp.Compare(a.bound, b.bound); c != 0 {
+		return c > 0
+	}
+	return a.idx < b.idx
+}
+
+// siftDown restores the heap order below h[i].
+func siftDown(h []boundCand, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && before(&h[r], &h[c]) {
+			c = r
+		}
+		if !before(&h[c], &h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // queryScratch is everything one query needs beyond its inputs: the query
@@ -75,7 +105,7 @@ type queryScratch struct {
 	touched []uint32   // bits set in cand, for cheap clearing
 	merged  []uint32   // gathered candidates (exclusions already applied)
 	walker  index.Walker
-	bounds  []boundCand // refinement order: best fused-score bound first
+	bounds  []boundCand // refinement heap; popped rounds collect behind it
 	results []Result
 	sel     *topk.Selector[scoredCand]
 	resSel  *topk.Selector[Result]
@@ -489,21 +519,28 @@ type refineJob struct {
 // refine returns the topK best gathered candidates under the fused relevance
 // and how many candidates it had to score to know them.
 //
-// s̃J is exact before any EMD runs and signature.KJUpperBound bounds κJ from
-// the compiled sketches alone, so fuse(κJ_ub, s̃J) bounds every candidate's
-// score (fuse is monotone in κJ, rounding included). Candidates are visited
-// best bound first and scored with the unchanged kernel; the first candidate
-// whose bound is strictly below the running K-th score ends the search — it
-// and everything after it cannot enter the list. An equal bound is still
+// s̃J is exact before any EMD runs, and two bounds on κJ read only the compiled
+// series: signature.KJEnvelopeBound in O(n₁) from the stored series' centroid
+// envelope, and the tighter signature.KJUpperBound in n₁ × n₂ sketch tests.
+// fuse is monotone in κJ, rounding included, so fusing either with s̃J bounds
+// a candidate's score. Every candidate enters a max-heap on its loose
+// (envelope) bound. The top is then either loose — it gets KJUpperBound and
+// sinks to its place — or tight, and is scored with the unchanged kernel. A
+// loose bound is never below its tight one, so tight candidates leave the
+// heap in (tight bound desc, idx asc) order, exactly as if every candidate
+// had been tightened and sorted, and most never need tightening. The first
+// top, loose or tight, whose bound is strictly below the running K-th score
+// ends the search — nothing left can enter the list. An equal bound is still
 // scored: at equal scores the smaller id wins. Skipping is the only thing the
-// bound does, so ids, scores and both component relevances are exactly those
+// bounds do, so ids, scores and both component relevances are exactly those
 // of scoring every candidate.
 //
-// With workers > 1 (and enough candidates to be worth it) the ordered list is
-// consumed in rounds: the candidates of a round are scored concurrently into
-// slots, then offered to the selector in order, and the stopping test runs
-// between rounds — a schedule-independent superset of the serial visit.
-// Workers poll for cancellation between candidates and, through
+// With workers > 1 (and enough candidates to be worth it) candidates are
+// consumed in rounds: up to a round's worth of tight tops are popped into the
+// slots behind the heap, scored concurrently, then offered to the selector,
+// and the stopping test runs between rounds — a schedule-independent
+// superset of the serial visit. Tightening polls for cancellation every
+// cancelCheckStride bounds; workers poll between candidates and, through
 // signature.KJCancelCompiled, between EMD evaluations; the first cancellation
 // or injected fault fails the query. Everything but the goroutines and the
 // returned answer lives in pooled scratch.
@@ -512,57 +549,72 @@ func (j *refineJob) refine(topK, workers int) ([]Result, int, error) {
 	if j.useContent {
 		j.qc = j.q.compiled()
 	}
-	bounds := qs.bounds[:0]
+	heap := qs.bounds[:0]
 	for i, idx := range qs.merged {
 		if i%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
 			return nil, 0, j.cause()
 		}
-		c := boundCand{idx: idx}
+		c := boundCand{idx: idx, tight: true}
 		if rec := v.recs.At(idx); rec != nil {
 			var ub float64
 			if j.useContent {
-				ub = signature.KJUpperBound(j.qc, rec.Compiled, v.opts.MatchThreshold, &qs.kj)
+				ub = signature.KJEnvelopeBound(j.qc, rec.Compiled, v.opts.MatchThreshold, &qs.kj)
+				c.tight = false
 			}
 			if j.useSocial {
 				c.soc = v.candidateSocial(j.q, qs, idx, rec)
 			}
 			c.bound = v.fuse(ub, c.soc)
 		}
-		bounds = append(bounds, c)
+		heap = append(heap, c)
 	}
-	qs.bounds = bounds
-	slices.SortFunc(bounds, func(a, b boundCand) int {
-		if c := cmp.Compare(b.bound, a.bound); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+	qs.bounds = heap
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(heap, i)
+	}
 
 	round := 1
-	if workers > 1 && len(bounds) >= minParallelRefine {
+	if workers > 1 && len(heap) >= minParallelRefine {
 		round = workers * refineRoundPerWorker
 	}
 	sel := qs.resultSelector(topK)
-	refined := 0
-	for len(bounds) > 0 {
+	refined, tightened := 0, 0
+	for {
 		n := 0
-		for n < round && n < len(bounds) && (sel.Len() < topK || bounds[n].bound >= sel.Worst().Score) {
+		for n < round && len(heap) > 0 {
+			top := &heap[0]
+			if sel.Len() >= topK && top.bound < sel.Worst().Score {
+				break
+			}
+			if !top.tight {
+				if tightened%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
+					return nil, refined, j.cause()
+				}
+				tightened++
+				ub := signature.KJUpperBound(j.qc, v.recs.At(top.idx).Compiled, v.opts.MatchThreshold, &qs.kj)
+				top.bound, top.tight = v.fuse(ub, top.soc), true
+				siftDown(heap, 0)
+				continue
+			}
+			last := len(heap) - 1
+			heap[0], heap[last] = heap[last], heap[0]
+			heap = heap[:last]
+			siftDown(heap, 0)
 			n++
 		}
 		if n == 0 {
-			break
+			return sel.Sorted(), refined, nil
 		}
+		cands := qs.bounds[len(heap) : len(heap)+n]
 		results := qs.resultSlots(n)
-		if err := j.scoreRound(bounds[:n], results, workers); err != nil {
+		if err := j.scoreRound(cands, results, workers); err != nil {
 			return nil, refined, err
 		}
 		for _, r := range results {
 			sel.Offer(r)
 		}
 		refined += n
-		bounds = bounds[n:]
 	}
-	return sel.Sorted(), refined, nil
 }
 
 // scoreRound scores one round of candidates into their result slots: a

@@ -36,6 +36,7 @@ func TestStatusForMapping(t *testing.T) {
 		{videorec.ErrNotBuilt, http.StatusConflict},
 		{videorec.ErrNoFrames, http.StatusBadRequest},
 		{videorec.ErrEmptyID, http.StatusBadRequest},
+		{fmt.Errorf("frame 0: %w", videorec.ErrBadFrame), http.StatusBadRequest},
 		{context.Canceled, StatusClientClosedRequest},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout},
 		{errors.New("anything else"), http.StatusInternalServerError},

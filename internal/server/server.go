@@ -650,7 +650,7 @@ func statusFor(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, videorec.ErrNotBuilt):
 		return http.StatusConflict
-	case errors.Is(err, videorec.ErrNoFrames), errors.Is(err, videorec.ErrEmptyID):
+	case errors.Is(err, videorec.ErrNoFrames), errors.Is(err, videorec.ErrEmptyID), errors.Is(err, videorec.ErrBadFrame):
 		return http.StatusBadRequest
 	case errors.Is(err, context.Canceled):
 		return StatusClientClosedRequest

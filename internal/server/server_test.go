@@ -162,8 +162,8 @@ func TestOverflowingFrameIsBadRequest(t *testing.T) {
 	if resp := post(t, ts.URL+"/videos", body); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("POST /videos: status %d, want 400", resp.StatusCode)
 	}
-	if resp := post(t, ts.URL+"/recommend?k=3", body); resp.StatusCode == http.StatusOK {
-		t.Errorf("POST /recommend accepted the clip")
+	if resp := post(t, ts.URL+"/recommend?k=3", body); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /recommend: status %d, want 400", resp.StatusCode)
 	}
 	if n := srv.panics.Load(); n != 0 {
 		t.Errorf("panicsRecovered = %d, want 0", n)

@@ -180,13 +180,14 @@ func adversarialSeries(rng *rand.Rand, pool []Signature) Series {
 }
 
 // The filtered kernel equals the filter-free reference bit for bit, and
-// KJUpperBound is never below it — over series mixing near-duplicates,
+// KJEnvelopeBound ≥ KJUpperBound ≥ it — over series mixing near-duplicates,
 // knife-edge shifts, invalid and mass-mismatched signatures, empty series
-// included.
+// included. The envelope bound must also prune somewhere, or the ladder in
+// front of KJUpperBound buys nothing.
 func TestPropertyKJFilterAndUpperBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var scratch KJScratch
-	pairs, positive := 0, 0
+	pairs, positive, envPruned := 0, 0, 0
 	for run := 0; run < 4000; run++ {
 		r1 := adversarialSeries(rng, nil)
 		r2 := adversarialSeries(rng, r1)
@@ -198,16 +199,81 @@ func TestPropertyKJFilterAndUpperBound(t *testing.T) {
 			if !ok || got != want {
 				t.Fatalf("run %d, threshold %v: filtered κJ = %v, reference %v", run, th, got, want)
 			}
-			if ub := KJUpperBound(s1, s2, th, &scratch); ub < got {
+			ub := KJUpperBound(s1, s2, th, &scratch)
+			if ub < got {
 				t.Fatalf("run %d, threshold %v: upper bound %v below κJ %v", run, th, ub, got)
+			}
+			env := KJEnvelopeBound(s1, s2, th, &scratch)
+			if env < ub {
+				t.Fatalf("run %d, threshold %v: envelope bound %v below upper bound %v\ns1=%+v\ns2=%+v", run, th, env, ub, r1, r2)
 			}
 			if got > 0 {
 				positive++
 			}
+			if env < 1 && len(r1) > 0 && len(r2) > 0 {
+				envPruned++
+			}
 		}
 	}
-	if pairs < 100000 || positive < 1000 {
-		t.Fatalf("sample too thin: %d signature pairs, %d positive κJ", pairs, positive)
+	if pairs < 100000 || positive < 1000 || envPruned < 1000 {
+		t.Fatalf("sample too thin: %d signature pairs, %d positive κJ, %d envelope bounds below 1", pairs, positive, envPruned)
+	}
+}
+
+// The envelope bound's edges, each against KJUpperBound and κJ: masses off 1
+// (the row bound scales the centroid gap by the query signature's mass), a
+// stored series with no OK signature, invalid query signatures, empty series,
+// a non-positive threshold, and a query centroid exactly on the envelope.
+func TestKJEnvelopeBoundEdges(t *testing.T) {
+	one := func(v, mu float64) Signature { return Signature{Cuboids: []Cuboid{{V: v, Mu: mu}}} }
+	invalid := Signature{Cuboids: []Cuboid{{V: 1, Mu: -1}}}
+	stored := Series{one(-2, 1), one(3, 1), invalid}
+	cs := CompileSeries(stored)
+	for _, tc := range []struct {
+		name   string
+		q, s   Series
+		th     float64
+		want   float64 // -1: only the ordering is checked
+		approx bool
+	}{
+		// Centroid gap 1 at mass 2 and 0.5: the sketch distance is Mass·1, so
+		// both bounds are (1+slack)/(1+Mass) and the envelope is exact.
+		{"mass 2", Series{one(0, 2)}, Series{one(1, 2)}, 0.3, 1.0 / 3, true},
+		{"mass 0.5", Series{one(0, 0.5)}, Series{one(1, 0.5)}, 0.5, 2.0 / 3, true},
+		{"mass 2 below threshold", Series{one(0, 2)}, Series{one(1, 2)}, 0.5, 0, false},
+		{"no OK stored signature", Series{one(0, 1)}, Series{invalid, {}}, 0.5, 0, false},
+		{"invalid query signatures", Series{invalid, {}}, stored, 0.5, 0, false},
+		{"one valid query signature", Series{invalid, one(0, 1)}, stored, 0.3, -1, false},
+		{"empty query", nil, stored, 0.5, 0, false},
+		{"empty stored", Series{one(0, 1)}, nil, 0.5, 0, false},
+		{"threshold 0", Series{one(0, 1)}, Series{invalid}, 0, 1, false},
+		{"threshold -1", Series{one(0, 1)}, stored, -1, 1, false},
+		{"on lo", Series{one(cs.lo, 1)}, stored, 0.5, -1, false},
+		{"on hi", Series{one(cs.hi, 1)}, stored, 0.5, -1, false},
+		{"outside", Series{one(40, 1)}, stored, 0.5, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s1, s2 := CompileSeries(tc.q), CompileSeries(tc.s)
+			kj := KJCompiled(s1, s2, tc.th)
+			ub := KJUpperBound(s1, s2, tc.th, nil)
+			env := KJEnvelopeBound(s1, s2, tc.th, nil)
+			if env < ub || ub < kj {
+				t.Fatalf("bounds out of order: envelope %v, upper %v, κJ %v", env, ub, kj)
+			}
+			switch {
+			case tc.want < 0:
+			case tc.approx && math.Abs(env-tc.want) > 1e-8:
+				t.Fatalf("envelope bound %v, want ≈ %v", env, tc.want)
+			case !tc.approx && env != tc.want:
+				t.Fatalf("envelope bound %v, want %v", env, tc.want)
+			}
+		})
+	}
+	// On the envelope's edge the centroid gap is 0: the row is 1+boundSlack
+	// and the one query signature can match one of three stored ones.
+	q := CompileSeries(Series{one(cs.hi, 1)})
+	if env, want := KJEnvelopeBound(q, cs, 0.5, nil), (1+boundSlack)/3; env != want {
+		t.Fatalf("query centroid on hi: envelope bound %v, want %v", env, want)
 	}
 }
 
@@ -239,6 +305,33 @@ func TestKJUpperBoundZeroAlloc(t *testing.T) {
 		t.Fatalf("KJUpperBound allocates %.1f/op with scratch, want 0", allocs)
 	}
 	_ = sink
+}
+
+// The cheap bound runs once per gathered candidate too, and must not
+// allocate either.
+func TestKJEnvelopeBoundZeroAlloc(t *testing.T) {
+	opts := DefaultOptions()
+	a := CompileSeries(Extract(synth(1, 1), opts))
+	b := CompileSeries(Extract(synth(2, 2), opts))
+	var scratch KJScratch
+	KJEnvelopeBound(a, b, DefaultMatchThreshold, &scratch)
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() { sink += KJEnvelopeBound(a, b, DefaultMatchThreshold, &scratch) }); allocs != 0 {
+		t.Fatalf("KJEnvelopeBound allocates %.1f/op with scratch, want 0", allocs)
+	}
+	_ = sink
+}
+
+func BenchmarkKJEnvelopeBound(b *testing.B) {
+	opts := DefaultOptions()
+	s1 := CompileSeries(Extract(synth(1, 1), opts))
+	s2 := CompileSeries(Extract(synth(2, 2), opts))
+	var scratch KJScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		KJEnvelopeBound(s1, s2, DefaultMatchThreshold, &scratch)
+	}
 }
 
 func BenchmarkKJUpperBound(b *testing.B) {

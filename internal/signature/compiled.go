@@ -133,17 +133,39 @@ func pairBound(a, b *Compiled, matchThreshold float64) (float64, bool) {
 // across any number of concurrent readers; views cache one per stored video.
 type CompiledSeries struct {
 	Sigs []Compiled
+
+	// lo and hi envelope the normalised centroids Mean/Mass of the OK
+	// signatures, each widened by its centroidMargin; lo > hi when no
+	// signature is OK. KJEnvelopeBound reads nothing else of a stored series.
+	lo, hi float64
 }
 
 // CompileSeries compiles every signature of a series. A nil or empty series
 // compiles to an empty CompiledSeries, which κJ treats exactly like the
 // empty raw series (relevance 0).
 func CompileSeries(s Series) *CompiledSeries {
-	cs := &CompiledSeries{Sigs: make([]Compiled, len(s))}
+	cs := &CompiledSeries{Sigs: make([]Compiled, len(s)), lo: math.Inf(1), hi: math.Inf(-1)}
 	for i, sig := range s {
-		cs.Sigs[i] = Compile(sig)
+		c := Compile(sig)
+		cs.Sigs[i] = c
+		if c.OK {
+			m := c.centroidMargin()
+			cs.lo = min(cs.lo, c.Mean/c.Mass-m)
+			cs.hi = max(cs.hi, c.Mean/c.Mass+m)
+		}
 	}
 	return cs
+}
+
+// centroidMargin is how far the sketch's centroid ΣQ/SketchBins can sit from
+// the computed Mean/Mass of an OK signature. The two agree in real
+// arithmetic; in floating point each is a sum of at most a few dozen
+// products whose magnitudes are bounded by a small multiple of the largest
+// bin mean |Q| (the quantile function is monotone), so they differ by well
+// under 1e-13 of that scale. boundSlack of it, plus boundSlack absolute for
+// values near zero, covers that with four orders of magnitude to spare.
+func (c *Compiled) centroidMargin() float64 {
+	return boundSlack * (1 + max(math.Abs(c.Q[0]), math.Abs(c.Q[SketchBins-1])))
 }
 
 // Len returns the number of compiled signatures.
@@ -196,7 +218,7 @@ type KJScratch struct {
 	pairs pairHeap
 	usedI []bool
 	usedJ []bool
-	best  []float64 // KJUpperBound: best surviving pair bound per query signature
+	best  []float64 // the κJ bounds' per-row bounds (query signatures that can match)
 }
 
 // grow readies the scratch for an s1×s2 evaluation.
@@ -278,12 +300,12 @@ func KJCancelCompiled(s1, s2 *CompiledSeries, matchThreshold float64, cancelled 
 
 // KJUpperBound bounds KJCompiled(s1, s2, matchThreshold) from above without
 // running a single EMD. Every matched pair (i, j) contributes SimC ≤ its
-// pairBound and a query signature is matched at most once, so with best[i]
-// the largest surviving bound in row i, m matched pairs give at most
-// (Σ of the m largest best) / (n₁+n₂−m). That grows with m, so the bound
-// takes every row that can still match — at most one per stored signature.
-// It is never below the kernel's value, so a candidate whose bound cannot
-// reach the running top-K is safely skipped.
+// pairBound, so best[i], the largest surviving pair bound in row i, bounds
+// whatever query signature i is matched to; matchBound combines the rows.
+// It costs n₁ × n₂ pairBound tests and is never below the kernel's value, so
+// a candidate whose bound cannot reach the running top-K is safely skipped.
+// KJEnvelopeBound is the O(n₁) bound refinement computes first; this one is
+// the tighter bound it falls back to for candidates the cheap one keeps.
 func KJUpperBound(s1, s2 *CompiledSeries, matchThreshold float64, scratch *KJScratch) float64 {
 	if s1 == nil || s2 == nil || len(s1.Sigs) == 0 || len(s2.Sigs) == 0 {
 		return 0
@@ -307,13 +329,65 @@ func KJUpperBound(s1, s2 *CompiledSeries, matchThreshold float64, scratch *KJScr
 		}
 	}
 	scratch.best = best
-	if extra := len(best) - len(s2.Sigs); extra > 0 {
-		slices.Sort(best)
-		best = best[extra:]
+	return matchBound(best, len(s1.Sigs), len(s2.Sigs))
+}
+
+// KJEnvelopeBound bounds KJUpperBound(s1, s2, matchThreshold) from above in
+// O(n₁), reading only s2's centroid envelope [lo, hi]. pairBound's sketch
+// distance is (Mass₁/SketchBins)·Σ|Q₁−Q₂| ≥ Mass₁·|ΣQ₁−ΣQ₂|/SketchBins =
+// Mass₁·|c₁−c₂| (Jensen), with c the centroid Mean/Mass, and c₂ lies in the
+// envelope, so with d the distance from c₁ to [lo, hi] every pair bound in
+// row i is at most (1+boundSlack)/(1+Mass₁·d). The rounding gap between the
+// sketch's centroid and Mean/Mass is absorbed by centroidMargin: the stored
+// side's is built into the envelope, the query side's is taken off d. A row
+// below matchThreshold has no surviving pair and is dropped, as in
+// KJUpperBound; an invalid query signature has none either. Each kept row is
+// then at least its KJUpperBound row, and matchBound grows with every row,
+// so this is never below KJUpperBound — and so never below κJ.
+func KJEnvelopeBound(s1, s2 *CompiledSeries, matchThreshold float64, scratch *KJScratch) float64 {
+	if s1 == nil || s2 == nil || len(s1.Sigs) == 0 || len(s2.Sigs) == 0 {
+		return 0
+	}
+	if matchThreshold <= 0 {
+		return 1
+	}
+	if s2.lo > s2.hi {
+		return 0 // no OK stored signature: every pair is filtered
+	}
+	if scratch == nil {
+		scratch = &KJScratch{}
+	}
+	best := scratch.best[:0]
+	for i := range s1.Sigs {
+		a := &s1.Sigs[i]
+		if !a.OK {
+			continue
+		}
+		c := a.Mean / a.Mass
+		row := 1 + boundSlack
+		if d := max(s2.lo-c, c-s2.hi) - a.centroidMargin(); d > 0 {
+			row /= 1 + a.Mass*d
+		}
+		if row >= matchThreshold {
+			best = append(best, row)
+		}
+	}
+	scratch.best = best
+	return matchBound(best, len(s1.Sigs), len(s2.Sigs))
+}
+
+// matchBound combines per-row bounds into a κJ bound. A query signature is
+// matched at most once, so m matched pairs give at most
+// (Σ of the m largest rows) / (n₁+n₂−m). That grows with m, so the bound
+// takes every row — at most one per stored signature. It reorders rows.
+func matchBound(rows []float64, n1, n2 int) float64 {
+	if extra := len(rows) - n2; extra > 0 {
+		slices.Sort(rows)
+		rows = rows[extra:]
 	}
 	var sum float64
-	for _, ub := range best {
+	for _, ub := range rows {
 		sum += ub
 	}
-	return sum / float64(len(s1.Sigs)+len(s2.Sigs)-len(best))
+	return sum / float64(n1+n2-len(rows))
 }

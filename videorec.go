@@ -218,6 +218,7 @@ type engineView struct {
 var (
 	ErrEmptyID  = errors.New("videorec: clip has an empty ID")
 	ErrNoFrames = errors.New("videorec: clip has no frames")
+	ErrBadFrame = errors.New("videorec: clip frame has inconsistent dimensions")
 	ErrNotFound = errors.New("videorec: unknown video id")
 	ErrNotBuilt = errors.New("videorec: Build must be called first")
 )
@@ -531,7 +532,7 @@ func toVideo(clip Clip) (*video.Video, error) {
 		// Divide rather than multiply: W·H can overflow int and wrap to
 		// len(Pix), and video.NewFrame would then panic on the clip.
 		if f.W <= 0 || f.H <= 0 || len(f.Pix)%f.W != 0 || len(f.Pix)/f.W != f.H {
-			return nil, fmt.Errorf("videorec: frame %d of %q has inconsistent dimensions", i, clip.ID)
+			return nil, fmt.Errorf("frame %d of %q: %w", i, clip.ID, ErrBadFrame)
 		}
 		vf := video.NewFrame(f.W, f.H)
 		for p, x := range f.Pix {
