@@ -13,12 +13,13 @@ import (
 	"videorec/internal/social"
 )
 
-// withWorkers returns a view that differs from v only in RefineWorkers (the
-// fixture is expensive to build; the scratch pools are shared, which a
-// sequential test may do).
-func withWorkers(v *View, workers int) *View {
+// withOptions returns a view that differs from v only in the query-time
+// options tweak sets, such as RefineWorkers or CandidateLimit (the fixture
+// is expensive to build; the scratch pools are shared, which a sequential
+// test may do).
+func withOptions(v *View, tweak func(*Options)) *View {
 	vv := *v
-	vv.opts.RefineWorkers = workers
+	tweak(&vv.opts)
 	return &vv
 }
 
@@ -48,7 +49,7 @@ func eagerRefine(t *testing.T, v *View, q Query, topK int, exclude ...string) ([
 				ub = signature.KJUpperBound(j.qc, rec.Compiled, v.opts.MatchThreshold, nil)
 			}
 			if useSocial {
-				c.soc = v.candidateSocial(q, qs, idx, rec)
+				c.soc = v.candidateSocial(q, qs, idx)
 			}
 			c.bound = v.fuse(ub, c.soc)
 		}
@@ -102,7 +103,7 @@ func TestBoundedRefineMatchesExhaustive(t *testing.T) {
 				q, _ := base.QueryFor(id)
 				cands := len(referenceCandidates(base, q, id))
 				for _, workers := range []int{1, 4} {
-					v := withWorkers(base, workers)
+					v := withOptions(base, func(o *Options) { o.RefineWorkers = workers })
 					for _, topK := range []int{1, 10, cands, cands + 5} {
 						got, info, err := v.RecommendCtx(context.Background(), q, topK, id)
 						if err != nil {
@@ -167,7 +168,7 @@ func TestBoundedRefineTieAtCutoff(t *testing.T) {
 			if !opts.SocialOnly {
 				q, _ := v.QueryFor(ids[1])
 				tw, _ := v.Record("twin-a")
-				env := signature.KJEnvelopeBound(q.compiled(), tw.Compiled, opts.MatchThreshold, nil)
+				env := signature.KJEnvelopeBound(q.compiled(), tw.Compiled.Envelope(), opts.MatchThreshold, nil)
 				if ub := signature.KJUpperBound(q.compiled(), tw.Compiled, opts.MatchThreshold, nil); env != ub {
 					t.Fatalf("twin of the query: envelope bound %v, upper bound %v; the loose/tight tie does not arise", env, ub)
 				}
@@ -206,7 +207,7 @@ func coarseReference(v *View, q Query, topK int, exclude ...string) []Result {
 		soc := social.ApproxJaccard(qvec, v.record(id).Vec)
 		out = append(out, Result{VideoID: id, Score: soc, Social: soc})
 	}
-	sort.Slice(out, func(a, b int) bool { return worseResult(out[b], out[a]) })
+	sort.Slice(out, func(a, b int) bool { return RanksBelow(out[b], out[a]) })
 	if len(out) > topK {
 		out = out[:topK]
 	}
@@ -219,7 +220,7 @@ func coarseReference(v *View, q Query, topK int, exclude ...string) []Result {
 // not yet reached them.
 func TestBoundedRefineDegradesMidRefine(t *testing.T) {
 	defer faults.Reset()
-	v := withWorkers(buildGolden(t, nil), 1)
+	v := withOptions(buildGolden(t, nil), func(o *Options) { o.RefineWorkers = 1 })
 	id := goldenQueries(t, v, 1)[0]
 	q, _ := v.QueryFor(id)
 	want := coarseReference(v, q, 10, id)
@@ -252,7 +253,7 @@ func TestBoundedRefineCancelledWhileTightening(t *testing.T) {
 	defer faults.Reset()
 	scored := 0
 	faults.Arm(faults.RefineScore, func() error { scored++; return nil })
-	v := withWorkers(buildGolden(t, nil), 1)
+	v := withOptions(buildGolden(t, nil), func(o *Options) { o.RefineWorkers = 1 })
 	for _, id := range goldenQueries(t, v, 3) {
 		q, _ := v.QueryFor(id)
 		for extra := 0; extra < 8; extra++ {
@@ -294,7 +295,7 @@ func TestBoundedRefineSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	v := withWorkers(buildGolden(t, nil), 1)
+	v := withOptions(buildGolden(t, nil), func(o *Options) { o.RefineWorkers = 1 })
 	ids := v.SortedIDs()
 	ctx := context.Background()
 	for _, id := range ids {

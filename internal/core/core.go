@@ -239,6 +239,7 @@ func (r *Recommender) internID(id string) uint32 {
 	s.ids.Append(id)
 	s.recs.Append(nil)
 	s.mass.Append(0)
+	s.env.Append(deadEnv)
 	s.byID.Insert(hashID(id), i)
 	return i
 }

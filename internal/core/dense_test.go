@@ -1,10 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"videorec/internal/signature"
@@ -99,7 +103,8 @@ func referenceCandidates(v *View, q Query, exclude ...string) map[string]bool {
 // κJ, mode-appropriate social relevance, Equation 9 fusion — and ranks by a
 // full sort under (score desc, id asc). It is the executable specification
 // the dense pipeline (bitset candidates, sparse s̃J over impact postings,
-// heap walker, pooled scratch, heap top-K) must reproduce bit for bit.
+// quickselect budget cut, heap walker, pooled scratch, heap top-K) must
+// reproduce bit for bit.
 func referenceRecommend(v *View, q Query, topK int, exclude ...string) []Result {
 	opts := v.Options()
 	useSocial := !opts.ContentWeightOnly
@@ -138,32 +143,43 @@ func referenceRecommend(v *View, q Query, topK int, exclude ...string) []Result 
 }
 
 // TestDenseRecommendMatchesReference proves the dense-ID rewrite is a pure
-// representation change: across every mode, candidate policy and worker
-// count, Recommend must return rankings bit-identical to the map-based
-// reference pipeline — same ids, same fused scores, same component
+// representation change: across every mode, candidate policy, worker count
+// and candidate budget, Recommend must return rankings bit-identical to the
+// map-based reference pipeline — same ids, same fused scores, same component
 // relevances, same order.
 func TestDenseRecommendMatchesReference(t *testing.T) {
 	const topK = 10
 	for _, tc := range modeVariants {
 		t.Run(tc.name, func(t *testing.T) {
-			v := buildGolden(t, tc.mutate)
-			for _, id := range goldenQueries(t, v, 8) {
-				q, ok := v.QueryFor(id)
-				if !ok {
-					t.Fatalf("missing record %s", id)
-				}
-				got := v.Recommend(q, topK, id)
-				want := referenceRecommend(v, q, topK, id)
-				if !resultsEqual(got, want) {
-					t.Fatalf("query %s: dense pipeline diverged from reference\ndense:     %+v\nreference: %+v", id, got, want)
-				}
-				if len(got) == 0 {
-					t.Fatalf("query %s returned no results", id)
+			base := buildGolden(t, tc.mutate)
+			for _, limit := range cutLimits {
+				v := withOptions(base, func(o *Options) { o.CandidateLimit = limit })
+				for _, id := range goldenQueries(t, v, 8) {
+					q, ok := v.QueryFor(id)
+					if !ok {
+						t.Fatalf("missing record %s", id)
+					}
+					got := v.Recommend(q, topK, id)
+					want := referenceRecommend(v, q, topK, id)
+					if !resultsEqual(got, want) {
+						t.Fatalf("query %s, candidate limit %d: dense pipeline diverged from reference\ndense:     %+v\nreference: %+v", id, limit, got, want)
+					}
+					// A budget of one can be spent on the excluded query
+					// itself; the default budget must leave an answer.
+					if len(got) == 0 && limit == cutLimits[0] {
+						t.Fatalf("query %s returned no results", id)
+					}
 				}
 			}
 		})
 	}
 }
+
+// cutLimits are the CandidateLimit values the candidate-set tests run at:
+// the default, which the test fixtures never reach, and budgets small
+// enough that step 1's cut binds on most queries, often inside a run of
+// equal s̃J scores.
+var cutLimits = []int{DefaultOptions().CandidateLimit, 1, 3, 7, 25}
 
 // gatherSet runs the production gather and returns the merged candidate list
 // as a string set.
@@ -199,32 +215,35 @@ func sameSet(a, b map[string]bool) bool {
 // slot while its tombstone persists until compaction) and incremental updates
 // (which can grow the inverted files), the sparse-s̃J gather must return
 // exactly the candidate set of the map-based reference — including
-// exclusion handling.
+// exclusion handling, and at budgets that cut the social ranking.
 func TestGatherMatchesReferenceUnderMutation(t *testing.T) {
 	r, c := buildSmall(t, ModeSARHash)
 
 	check := func(stage string) {
-		v := r.Freeze()
-		ids := v.SortedIDs()
+		frozen := r.Freeze()
+		ids := frozen.SortedIDs()
 		probe := ids
 		if len(probe) > 6 {
 			probe = probe[:6]
 		}
-		for _, id := range probe {
-			q, ok := v.QueryFor(id)
-			if !ok {
-				t.Fatalf("%s: missing record %s", stage, id)
-			}
-			got := gatherSet(t, v, q, id)
-			want := referenceCandidates(v, q, id)
-			if !sameSet(got, want) {
-				t.Fatalf("%s: query %s gather set diverged\ndense:     %d candidates\nreference: %d candidates", stage, id, len(got), len(want))
-			}
-			// And with no exclusions at all.
-			got = gatherSet(t, v, q)
-			want = referenceCandidates(v, q)
-			if !sameSet(got, want) {
-				t.Fatalf("%s: query %s (no exclude) gather set diverged", stage, id)
+		for _, limit := range cutLimits {
+			v := withOptions(frozen, func(o *Options) { o.CandidateLimit = limit })
+			for _, id := range probe {
+				q, ok := v.QueryFor(id)
+				if !ok {
+					t.Fatalf("%s: missing record %s", stage, id)
+				}
+				got := gatherSet(t, v, q, id)
+				want := referenceCandidates(v, q, id)
+				if !sameSet(got, want) {
+					t.Fatalf("%s: query %s, candidate limit %d: gather set diverged\ndense:     %d candidates\nreference: %d candidates", stage, id, limit, len(got), len(want))
+				}
+				// And with no exclusions at all.
+				got = gatherSet(t, v, q)
+				want = referenceCandidates(v, q)
+				if !sameSet(got, want) {
+					t.Fatalf("%s: query %s, candidate limit %d (no exclude): gather set diverged", stage, id, limit)
+				}
 			}
 		}
 	}
@@ -257,6 +276,79 @@ func TestGatherMatchesReferenceUnderMutation(t *testing.T) {
 		target: {"new-user-a", "new-user-b", c.Users[2]},
 	})
 	check("after ApplyUpdates")
+}
+
+// topCandidates must keep exactly the prefix a full (s desc, id asc) sort
+// keeps. The id strings run against the dense order, so a selection that
+// broke ties by dense index would keep the wrong clips, and the scores take
+// at most four values, so the cut lands inside a run of ties on almost every
+// input. A warm call allocates nothing, ties included.
+func TestTopCandidatesMatchesSort(t *testing.T) {
+	const maxN = 5 * 400
+	var ids cowVec[string]
+	for i := 0; i < maxN; i++ {
+		ids.Append(fmt.Sprintf("v%05d", maxN-i))
+	}
+	levels := []float64{0, 0.25, 0.5, 1}
+	rng := rand.New(rand.NewSource(7))
+	inputs := []struct {
+		name  string
+		score func(k, n int) float64
+	}{
+		{"random", func(int, int) float64 { return levels[rng.Intn(len(levels))] }},
+		{"sorted", func(k, n int) float64 { return levels[k*len(levels)/n] }},
+		{"reverse-sorted", func(k, n int) float64 { return levels[len(levels)-1-k*len(levels)/n] }},
+		{"all-equal", func(int, int) float64 { return levels[2] }},
+	}
+	for _, limit := range []int{1, 2, 400} {
+		for _, n := range []int{0, 1, limit - 1, limit, limit + 1, 5 * limit} {
+			for _, in := range inputs {
+				c := make([]scoredCand, n)
+				for k := range c {
+					c[k] = scoredCand{i: uint32(k), s: in.score(k, n)}
+				}
+				if in.name == "random" {
+					rng.Shuffle(n, func(a, b int) { c[a], c[b] = c[b], c[a] })
+				}
+				want := slices.Clone(c)
+				slices.SortFunc(want, func(a, b scoredCand) int {
+					if x := cmp.Compare(b.s, a.s); x != 0 {
+						return x
+					}
+					return strings.Compare(ids.At(a.i), ids.At(b.i))
+				})
+				want = want[:min(limit, n)]
+				got := topCandidates(c, limit, &ids)
+				if len(got) != len(want) {
+					t.Fatalf("limit %d, n %d, %s: kept %d, want %d", limit, n, in.name, len(got), len(want))
+				}
+				kept := map[uint32]float64{}
+				for _, g := range got {
+					kept[g.i] = g.s
+				}
+				for _, w := range want {
+					if s, ok := kept[w.i]; !ok || s != w.s {
+						t.Fatalf("limit %d, n %d, %s: the sort keeps %+v, the selection does not", limit, n, in.name, w)
+					}
+				}
+			}
+		}
+	}
+
+	if raceEnabled {
+		return // race detector instrumentation allocates
+	}
+	src := make([]scoredCand, maxN)
+	for k := range src {
+		src[k] = scoredCand{i: uint32(k), s: levels[k%len(levels)]}
+	}
+	work := make([]scoredCand, maxN)
+	if allocs := testing.AllocsPerRun(20, func() {
+		copy(work, src)
+		topCandidates(work, 400, &ids)
+	}); allocs != 0 {
+		t.Errorf("topCandidates allocates %.1f/op warm, want 0", allocs)
+	}
 }
 
 // TestGatherCandidatesZeroAlloc pins warm-path candidate gathering — query
@@ -413,14 +505,16 @@ func BenchmarkGatherCandidates(b *testing.B) {
 	}
 }
 
-// checkSparseInputs checks what the sparse s̃J of step 1 assumes of a view:
-// every stored SAR vector is integral, the mass column holds Σ Vec (0 for a
-// dead slot), every posting carries its video's count, and every query
-// vector the gather builds is integral with |q| = Σ qvec.
+// checkSparseInputs checks what the sparse s̃J of step 1 and refinement's
+// bound pass assume of a view: every stored SAR vector is integral, the mass
+// column holds Σ Vec (0 for a dead slot), the envelope column holds the
+// compiled series' envelope (deadEnv for a dead slot), every posting
+// carries its video's count, and every query vector the gather builds is
+// integral with |q| = Σ qvec.
 func checkSparseInputs(t *testing.T, stage string, v *View, strangers []string) {
 	t.Helper()
-	if v.mass.Len() != v.ids.Len() {
-		t.Fatalf("%s: mass column has %d slots, id table %d", stage, v.mass.Len(), v.ids.Len())
+	if v.mass.Len() != v.ids.Len() || v.env.Len() != v.ids.Len() {
+		t.Fatalf("%s: mass and envelope columns have %d and %d slots, id table %d", stage, v.mass.Len(), v.env.Len(), v.ids.Len())
 	}
 	integral := func(x float64) bool { return x >= 0 && x == math.Trunc(x) && x < 1<<32 }
 	for i, rec := range v.recs.All() {
@@ -428,7 +522,13 @@ func checkSparseInputs(t *testing.T, stage string, v *View, strangers []string) 
 			if m := v.mass.At(uint32(i)); m != 0 {
 				t.Fatalf("%s: dead slot %d has mass %d", stage, i, m)
 			}
+			if e := v.env.At(uint32(i)); e != deadEnv || e.N >= 0 {
+				t.Fatalf("%s: dead slot %d has envelope %+v, which reads as live", stage, i, e)
+			}
 			continue
+		}
+		if e, want := v.env.At(uint32(i)), rec.Compiled.Envelope(); e != want || e.N < 0 {
+			t.Fatalf("%s: %s envelope %+v, compiled series has %+v (N < 0 reads as dead)", stage, rec.ID, e, want)
 		}
 		var sum float64
 		for d, x := range rec.Vec {
@@ -474,13 +574,15 @@ func checkSparseInputs(t *testing.T, stage string, v *View, strangers []string) 
 }
 
 // TestSparseInputsHoldUnderMutation runs checkSparseInputs through every
-// path that writes a SAR vector: the build, comment batches (with unknown
-// users), removal, re-ingest of a removed id, a forced compaction and a
-// snapshot reload.
+// path that writes a SAR vector or a record: the build, comment batches
+// (with unknown users), removal, re-ingest of a removed id, a forced
+// compaction and a snapshot reload. A comment batch re-vectorizes records
+// but changes no series, so it must copy no envelope page.
 func TestSparseInputsHoldUnderMutation(t *testing.T) {
 	r, c := buildSmall(t, ModeSARHash)
 	strangers := []string{"stranger-a", "stranger-b"}
-	checkSparseInputs(t, "build", r.Freeze(), strangers)
+	prev := r.Freeze()
+	checkSparseInputs(t, "build", prev, strangers)
 
 	ids := r.SortedIDs()
 	for step := 0; step < 3; step++ {
@@ -488,8 +590,15 @@ func TestSparseInputsHoldUnderMutation(t *testing.T) {
 		for k, id := range ids[step*5 : step*5+5] {
 			batch[id] = []string{c.Users[(step*7+k)%len(c.Users)], c.Users[(step*11+3*k)%len(c.Users)], strangers[k%2]}
 		}
-		r.ApplyUpdates(batch)
-		checkSparseInputs(t, "ApplyUpdates", r.Freeze(), strangers)
+		if rep := r.ApplyUpdates(batch); rep.VideosRevectorized == 0 {
+			t.Fatal("the batch re-vectorized nothing; the envelope sharing check would prove nothing")
+		}
+		next := r.Freeze()
+		checkSparseInputs(t, "ApplyUpdates", next, strangers)
+		if !slices.Equal(next.env.pages, prev.env.pages) {
+			t.Fatal("a comment batch copied an envelope page")
+		}
+		prev = next
 	}
 
 	removed := ids[2]
@@ -498,11 +607,24 @@ func TestSparseInputsHoldUnderMutation(t *testing.T) {
 	r.RemoveVideo(ids[4])
 	checkSparseInputs(t, "RemoveVideo", r.Freeze(), strangers)
 	r.IngestSeries(removed, rec.Series, rec.Desc.Add(c.Users[0]))
+	// A live clip with an empty series: its envelope (N = 0) must not read
+	// as a dead slot, and it must still be ranked, on s̃J alone.
+	src, _ := r.Record(ids[0])
+	r.IngestSeries("empty-series", nil, social.NewDescriptor("", src.Desc.Users()...))
 	r.BuildSocial() // compacts the tombstoned LSB entries
 	if r.Tombstones() != 0 {
 		t.Fatalf("%d tombstones after the rebuild", r.Tombstones())
 	}
-	checkSparseInputs(t, "re-ingest and compaction", r.Freeze(), strangers)
+	v := r.Freeze()
+	checkSparseInputs(t, "re-ingest and compaction", v, strangers)
+	q, _ := v.QueryFor(ids[0])
+	got := v.Recommend(q, v.Len(), ids[0])
+	if want := referenceRecommend(v, q, v.Len(), ids[0]); !resultsEqual(got, want) {
+		t.Fatalf("with an empty-series clip stored: dense pipeline diverged from reference\ndense:     %+v\nreference: %+v", got, want)
+	}
+	if !slices.ContainsFunc(got, func(res Result) bool { return res.VideoID == "empty-series" && res.Social > 0 }) {
+		t.Fatal("the empty-series clip sharing the query's commenters was not ranked")
+	}
 
 	loaded, err := FromSnapshot(r.Snapshot())
 	if err != nil {

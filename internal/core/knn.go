@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"context"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,6 +51,85 @@ type scoredCand struct {
 	s float64
 }
 
+// topCandidates reorders c so that its first min(limit, len(c)) entries are
+// the best of c under (s desc, id asc), with ids read from the intern table,
+// and returns them in no particular order. The order is total, so the kept
+// set is exactly a full sort's prefix. A quickselect finds the limit-th
+// largest score t; every entry above t is kept, and of the entries at t only
+// the limit − above smallest ids are: only those ties compare strings. It
+// runs in time linear in len(c) plus a sort of the ties, allocates nothing,
+// and needs limit ≥ 1.
+func topCandidates(c []scoredCand, limit int, ids *cowVec[string]) []scoredCand {
+	if len(c) <= limit {
+		return c
+	}
+	t := nthLargest(c, limit-1)
+	// c[:limit] ≥ t ≥ c[limit:]: move the entries above t to the front and
+	// the ties past limit up behind those before it, so c[above:end] is
+	// every entry at t.
+	above := 0
+	for k := range c[:limit] {
+		if c[k].s > t {
+			c[above], c[k] = c[k], c[above]
+			above++
+		}
+	}
+	end := limit
+	for k := limit; k < len(c); k++ {
+		if c[k].s == t {
+			c[end], c[k] = c[k], c[end]
+			end++
+		}
+	}
+	if end > limit {
+		slices.SortFunc(c[above:end], func(a, b scoredCand) int { return strings.Compare(ids.At(a.i), ids.At(b.i)) })
+	}
+	return c[:limit]
+}
+
+// nthLargest reorders c around its k-th largest score (counting from 0) and
+// returns that score t: afterwards every score in c[:k] is ≥ t, c[k].s = t,
+// and every score in c[k+1:] is ≤ t. It is Hoare's selection with a
+// median-of-three pivot. Hoare's partition stops on scores equal to the
+// pivot from both sides and swaps them, so a run of equal scores splits
+// evenly instead of costing quadratic time.
+func nthLargest(c []scoredCand, k int) float64 {
+	lo, hi := 0, len(c)-1
+	for lo < hi {
+		// Order c[lo] ≥ c[mid] ≥ c[hi]: the median is the pivot, and the two
+		// ends stop both scans inside [lo, hi].
+		mid := int(uint(lo+hi) >> 1)
+		if c[mid].s > c[lo].s {
+			c[lo], c[mid] = c[mid], c[lo]
+		}
+		if c[hi].s > c[mid].s {
+			c[mid], c[hi] = c[hi], c[mid]
+			if c[mid].s > c[lo].s {
+				c[lo], c[mid] = c[mid], c[lo]
+			}
+		}
+		p := c[mid].s
+		i, j := lo-1, hi+1
+		for {
+			for i++; c[i].s > p; i++ {
+			}
+			for j--; c[j].s < p; j-- {
+			}
+			if i >= j {
+				break
+			}
+			c[i], c[j] = c[j], c[i]
+		}
+		// c[lo..j] ≥ p ≥ c[j+1..hi], and lo ≤ j < hi.
+		if k <= j {
+			hi = j
+		} else {
+			lo = j + 1
+		}
+	}
+	return c[k].s
+}
+
 // boundCand is one gathered candidate queued for refinement: its s̃J (exact,
 // and known before any κJ) and the fused score it can reach at most — loose
 // (from signature.KJEnvelopeBound) until refine tightens it with
@@ -90,10 +171,10 @@ func siftDown(h []boundCand, i int) {
 
 // queryScratch is everything one query needs beyond its inputs: the query
 // vector and its s̃J accumulator, the candidate and exclude bitsets, the
-// merged candidate-index buffer, the LCP walker, the social top-K selector,
-// the refinement order, result slots and selector, and a serial-path EMD
-// scratch. It is pooled per view (View.scratch), so a steady-state query
-// allocates only its answer.
+// merged candidate-index buffer, the LCP walker, the scored social
+// candidates, the refinement order, result slots and selector, and a
+// serial-path EMD scratch. It is pooled per view (View.scratch), so a
+// steady-state query allocates only its answer.
 type queryScratch struct {
 	qvec    social.Vector
 	qmass   uint32     // |q| = Σ qvec
@@ -105,33 +186,12 @@ type queryScratch struct {
 	touched []uint32   // bits set in cand, for cheap clearing
 	merged  []uint32   // gathered candidates (exclusions already applied)
 	walker  index.Walker
-	bounds  []boundCand // refinement heap; popped rounds collect behind it
+	scored  []scoredCand // every touched clip with its s̃J, for the budget cut
+	bounds  []boundCand  // refinement heap; popped rounds collect behind it
 	results []Result
-	sel     *topk.Selector[scoredCand]
 	resSel  *topk.Selector[Result]
 	kj      signature.KJScratch // serial refinement scratch, warm across queries
 	job     refineJob
-}
-
-// selector returns the scratch's social top-K selector, creating it on
-// first use and resetting it otherwise. The order is total — s̃J descending,
-// video id (string, not dense index) ascending — so the kept set is exactly
-// the full sort's prefix, bit-identical to the pre-dense string-sorted path.
-func (qs *queryScratch) selector(v *View, k int) *topk.Selector[scoredCand] {
-	if qs.sel == nil {
-		// Capture the view, not a copy of its id table: on the write-side
-		// view the table can grow between queries, and the pooled selector
-		// must always read the current one.
-		qs.sel = topk.New(k, func(a, b scoredCand) bool {
-			if a.s != b.s {
-				return a.s < b.s
-			}
-			return v.ids.At(a.i) > v.ids.At(b.i)
-		})
-		return qs.sel
-	}
-	qs.sel.Reset(k)
-	return qs.sel
 }
 
 // addCandidate marks a dense index as gathered. Excluded indices still join
@@ -331,16 +391,15 @@ func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) (useConten
 		if useSocial {
 			// Step 1: social candidates ranked by s̃J; keep the budgeted top.
 			// Every clip the accumulation touched shares a dimension with
-			// the query; only CandidateLimit winners survive, so a bounded
-			// heap selects them in O(n log limit). The (s desc, id asc)
-			// order is total, so the kept set is exactly the full sort's
-			// prefix whatever order the clips are offered in.
-			sel := qs.selector(v, v.opts.CandidateLimit)
+			// the query; topCandidates keeps the CandidateLimit best under
+			// (s̃J desc, id asc) in linear time.
+			sc := qs.scored[:0]
 			for _, idx := range qs.hit {
-				sel.Offer(scoredCand{i: idx, s: qs.sparseSJ(v, idx)})
+				sc = append(sc, scoredCand{i: idx, s: qs.sparseSJ(v, idx)})
 			}
-			for _, sc := range sel.Items() {
-				qs.addCandidate(sc.i)
+			qs.scored = sc
+			for _, c := range topCandidates(sc, v.opts.CandidateLimit, &v.ids) {
+				qs.addCandidate(c.i)
 			}
 		}
 		if useContent {
@@ -428,11 +487,12 @@ func (qs *queryScratch) sparseSJ(v *View, i uint32) float64 {
 	return float64(m) / float64(den)
 }
 
-// candidateSocial is a gathered candidate's social relevance: exact sJ in
-// ModeExact, and in the SAR modes the s̃J step 1's accumulation already holds.
-func (v *View) candidateSocial(q Query, qs *queryScratch, i uint32, rec *Record) float64 {
+// candidateSocial is the social relevance of the live candidate at dense
+// index i: exact sJ in ModeExact, and in the SAR modes the s̃J step 1's
+// accumulation already holds, which reads no record.
+func (v *View) candidateSocial(q Query, qs *queryScratch, i uint32) float64 {
 	if v.opts.Mode == ModeExact {
-		return naiveJaccard(q.Desc, rec.Desc)
+		return naiveJaccard(q.Desc, v.recs.At(i).Desc)
 	}
 	return qs.sparseSJ(v, i)
 }
@@ -463,7 +523,7 @@ func (v *View) finishCoarse(ctx context.Context, q Query, qs *queryScratch, topK
 		if i%cancelCheckStride == 0 && ctxDone(done) {
 			return nil, *info, ctx.Err()
 		}
-		soc := v.candidateSocial(q, qs, idx, v.recs.At(idx))
+		soc := v.candidateSocial(q, qs, idx)
 		sel.Offer(Result{VideoID: v.ids.At(idx), Score: soc, Social: soc})
 	}
 	info.Degraded = true
@@ -480,9 +540,11 @@ func (qs *queryScratch) resultSlots(n int) []Result {
 	return qs.results
 }
 
-// worseResult is the total result order of every top-K selection: a ranks
-// strictly below b under (score desc, id asc).
-func worseResult(a, b Result) bool {
+// RanksBelow is the ranking order of every answer: a ranks strictly below b
+// under (score desc, id asc). It is total, so a top-K selection under it
+// equals sort-and-truncate, and merging the top-Ks of disjoint corpora under
+// it reproduces the top-K of their union.
+func RanksBelow(a, b Result) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
 	}
@@ -495,7 +557,7 @@ func worseResult(a, b Result) bool {
 // aliases pooled storage.
 func (qs *queryScratch) resultSelector(topK int) *topk.Selector[Result] {
 	if qs.resSel == nil {
-		qs.resSel = topk.New(0, worseResult)
+		qs.resSel = topk.New(0, RanksBelow)
 	}
 	qs.resSel.Reset(topK)
 	return qs.resSel
@@ -555,14 +617,14 @@ func (j *refineJob) refine(topK, workers int) ([]Result, int, error) {
 			return nil, 0, j.cause()
 		}
 		c := boundCand{idx: idx, tight: true}
-		if rec := v.recs.At(idx); rec != nil {
+		if e := v.env.At(idx); e.N >= 0 { // a live slot
 			var ub float64
 			if j.useContent {
-				ub = signature.KJEnvelopeBound(j.qc, rec.Compiled, v.opts.MatchThreshold, &qs.kj)
+				ub = signature.KJEnvelopeBound(j.qc, e, v.opts.MatchThreshold, &qs.kj)
 				c.tight = false
 			}
 			if j.useSocial {
-				c.soc = v.candidateSocial(j.q, qs, idx, rec)
+				c.soc = v.candidateSocial(j.q, qs, idx)
 			}
 			c.bound = v.fuse(ub, c.soc)
 		}

@@ -49,10 +49,11 @@ type View struct {
 	ids  cowVec[string]
 	byID *btree.Tree[uint32]
 
-	recs    cowVec[*Record] // dense index → record; nil marks a dead slot
-	mass    cowVec[uint32]  // dense index → |Vec| = Σ Vec, written with every Vec; 0 for a dead slot
-	live    int             // records in recs
-	nextSeq uint64          // ingestion-order position of the next new record
+	recs    cowVec[*Record]            // dense index → record; nil marks a dead slot
+	mass    cowVec[uint32]             // dense index → |Vec| = Σ Vec, written with every Vec; 0 for a dead slot
+	env     cowVec[signature.Envelope] // dense index → Compiled.Envelope(); deadEnv for a dead slot
+	live    int                        // records in recs
+	nextSeq uint64                     // ingestion-order position of the next new record
 
 	lsb *index.LSB
 	inv *index.Inverted
@@ -74,11 +75,11 @@ type View struct {
 	look social.Lookup
 
 	// scratch hands out per-query scratch (candidate bitset, qvec, merged
-	// index buffer, LCP walker, social selector, refinement order and result
-	// selector); kjScratch hands out per-refinement-worker EMD scratch. Both
-	// are per-view so every pooled buffer is already sized for this view's id
-	// space, and both survive only as long as the view — a clone starts fresh
-	// pools.
+	// index buffer, LCP walker, scored social candidates, refinement order
+	// and result selector); kjScratch hands out per-refinement-worker EMD
+	// scratch. Both are per-view so every pooled buffer is already sized for
+	// this view's id space, and both survive only as long as the view — a
+	// clone starts fresh pools.
 	scratch   *sync.Pool
 	kjScratch *sync.Pool
 }
@@ -93,9 +94,9 @@ func (v *View) newPools() {
 // clone returns the View the writer grows next. Everything reachable from v
 // stays immutable, so the clone shares it and costs a few headers, not the
 // corpus: the LSB trees, the id index, the posting lists and the pages of
-// the id, record and mass tables are handed over as they are, and a later
-// write copies the node, list or page it lands in; records are replaced,
-// never edited (see Record). The partition, hash table and dictionary
+// the id, record, mass and envelope tables are handed over as they are, and
+// a later write copies the node, list or page it lands in; records are
+// replaced, never edited (see Record). The partition, hash table and dictionary
 // belong to the Social, which copies them at the start of its next pass.
 // What is still copied flat is the tombstone bitset (one bit per clip). The
 // write side calls this exactly once per freeze→mutate transition.
@@ -106,6 +107,7 @@ func (v *View) clone() *View {
 		byID:       v.byID.Clone(),
 		recs:       v.recs.clone(),
 		mass:       v.mass.clone(),
+		env:        v.env.clone(),
 		live:       v.live,
 		nextSeq:    v.nextSeq,
 		lsb:        v.lsb.Clone(),
@@ -271,21 +273,33 @@ func (v *View) VideosPerDim() []int {
 	return out
 }
 
+// deadEnv is the envelope column's entry for a dead slot. Its negative
+// length tells it from a live clip with an empty series (N = 0), which still
+// gets a social score and a content bound of 0.
+var deadEnv = signature.Envelope{N: -1}
+
 // setRecord installs rec (nil for a dead slot) at dense index i together
 // with its SAR mass |Vec|, which step 1's sparse s̃J reads in place of the
-// vector. Every write of a record goes through it, so the two never drift.
-// An unchanged mass is not rewritten: most records a batch re-vectorizes
-// keep their vector, and their mass page stays shared.
+// vector, and its content envelope, which refinement's bound pass reads in
+// place of the compiled series. Every write of a record goes through it, so
+// the columns never drift from the records. An unchanged entry is not
+// rewritten: most records a batch re-vectorizes keep their vector, and none
+// changes its series, so their mass and envelope pages stay shared.
 func (v *View) setRecord(i uint32, rec *Record) {
 	var m uint32
+	e := deadEnv
 	if rec != nil {
 		for _, x := range rec.Vec {
 			m += uint32(x)
 		}
+		e = rec.Compiled.Envelope()
 	}
 	v.recs.Set(i, rec)
 	if v.mass.At(i) != m {
 		v.mass.Set(i, m)
+	}
+	if v.env.At(i) != e {
+		v.env.Set(i, e)
 	}
 }
 

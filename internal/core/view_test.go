@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"videorec/internal/dataset"
+	"videorec/internal/signature"
 )
 
 // buildSmallTweaked is buildSmall plus an options hook applied before the
@@ -72,7 +73,7 @@ func TestParallelRefinementMatchesSerial(t *testing.T) {
 // so that a later write into anything the view still references shows up as
 // a difference: per record the descriptor members and SAR vector, the
 // user → sub-community lookups, every posting list with its counts, the mass
-// column, the ingestion order, the content index's whole walk around one
+// and envelope columns, the ingestion order, the content index's whole walk around one
 // query, and full RecommendCtx answers.
 type frozenState struct {
 	Len      int
@@ -83,6 +84,7 @@ type frozenState struct {
 	Postings [][]uint32
 	Counts   [][]uint32
 	Mass     []uint32
+	Env      []signature.Envelope
 	Walk     []uint32 // videos in LCP order, to exhaustion
 	Answers  map[string][]Result
 }
@@ -116,6 +118,9 @@ func captureFrozen(t *testing.T, v *View, users, queries []string) frozenState {
 	}
 	for _, m := range v.mass.All() {
 		st.Mass = append(st.Mass, m)
+	}
+	for _, e := range v.env.All() {
+		st.Env = append(st.Env, e)
 	}
 	for i, id := range queries {
 		q, ok := v.QueryFor(id)

@@ -757,17 +757,12 @@ func (r *Router) FaultCounters() (shardFail, breakerOpen, quorumLost uint64) {
 	return r.shardFailTotal.Load(), r.breakerOpenTotal.Load(), r.quorumLostTotal.Load()
 }
 
-// MergeTopK merges per-shard result lists into one global top-K under the
-// engine's ranking order — (score desc, id asc), the same strict total
-// order the per-view pipeline selects under, so merging local top-Ks of
-// disjoint corpora reproduces the single-corpus selection exactly.
+// MergeTopK merges per-shard result lists into one global top-K under
+// core.RanksBelow — (score desc, id asc), the order every view selects its
+// answer under — so merging local top-Ks of disjoint corpora reproduces the
+// single-corpus selection exactly.
 func MergeTopK(topK int, lists func(yield func([]core.Result))) []core.Result {
-	sel := topk.New(topK, func(a, b core.Result) bool {
-		if a.Score != b.Score {
-			return a.Score < b.Score
-		}
-		return a.VideoID > b.VideoID
-	})
+	sel := topk.New(topK, core.RanksBelow)
 	lists(func(res []core.Result) {
 		for _, r := range res {
 			sel.Offer(r)

@@ -203,7 +203,7 @@ func TestPropertyKJFilterAndUpperBound(t *testing.T) {
 			if ub < got {
 				t.Fatalf("run %d, threshold %v: upper bound %v below κJ %v", run, th, ub, got)
 			}
-			env := KJEnvelopeBound(s1, s2, th, &scratch)
+			env := KJEnvelopeBound(s1, s2.Envelope(), th, &scratch)
 			if env < ub {
 				t.Fatalf("run %d, threshold %v: envelope bound %v below upper bound %v\ns1=%+v\ns2=%+v", run, th, env, ub, r1, r2)
 			}
@@ -248,15 +248,15 @@ func TestKJEnvelopeBoundEdges(t *testing.T) {
 		{"empty stored", Series{one(0, 1)}, nil, 0.5, 0, false},
 		{"threshold 0", Series{one(0, 1)}, Series{invalid}, 0, 1, false},
 		{"threshold -1", Series{one(0, 1)}, stored, -1, 1, false},
-		{"on lo", Series{one(cs.lo, 1)}, stored, 0.5, -1, false},
-		{"on hi", Series{one(cs.hi, 1)}, stored, 0.5, -1, false},
+		{"on lo", Series{one(cs.Envelope().Lo, 1)}, stored, 0.5, -1, false},
+		{"on hi", Series{one(cs.Envelope().Hi, 1)}, stored, 0.5, -1, false},
 		{"outside", Series{one(40, 1)}, stored, 0.5, 0, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s1, s2 := CompileSeries(tc.q), CompileSeries(tc.s)
 			kj := KJCompiled(s1, s2, tc.th)
 			ub := KJUpperBound(s1, s2, tc.th, nil)
-			env := KJEnvelopeBound(s1, s2, tc.th, nil)
+			env := KJEnvelopeBound(s1, s2.Envelope(), tc.th, nil)
 			if env < ub || ub < kj {
 				t.Fatalf("bounds out of order: envelope %v, upper %v, κJ %v", env, ub, kj)
 			}
@@ -271,8 +271,8 @@ func TestKJEnvelopeBoundEdges(t *testing.T) {
 	}
 	// On the envelope's edge the centroid gap is 0: the row is 1+boundSlack
 	// and the one query signature can match one of three stored ones.
-	q := CompileSeries(Series{one(cs.hi, 1)})
-	if env, want := KJEnvelopeBound(q, cs, 0.5, nil), (1+boundSlack)/3; env != want {
+	q := CompileSeries(Series{one(cs.Envelope().Hi, 1)})
+	if env, want := KJEnvelopeBound(q, cs.Envelope(), 0.5, nil), (1+boundSlack)/3; env != want {
 		t.Fatalf("query centroid on hi: envelope bound %v, want %v", env, want)
 	}
 }
@@ -313,10 +313,11 @@ func TestKJEnvelopeBoundZeroAlloc(t *testing.T) {
 	opts := DefaultOptions()
 	a := CompileSeries(Extract(synth(1, 1), opts))
 	b := CompileSeries(Extract(synth(2, 2), opts))
+	e := b.Envelope()
 	var scratch KJScratch
-	KJEnvelopeBound(a, b, DefaultMatchThreshold, &scratch)
+	KJEnvelopeBound(a, e, DefaultMatchThreshold, &scratch)
 	var sink float64
-	if allocs := testing.AllocsPerRun(100, func() { sink += KJEnvelopeBound(a, b, DefaultMatchThreshold, &scratch) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { sink += KJEnvelopeBound(a, e, DefaultMatchThreshold, &scratch) }); allocs != 0 {
 		t.Fatalf("KJEnvelopeBound allocates %.1f/op with scratch, want 0", allocs)
 	}
 	_ = sink
@@ -325,12 +326,12 @@ func TestKJEnvelopeBoundZeroAlloc(t *testing.T) {
 func BenchmarkKJEnvelopeBound(b *testing.B) {
 	opts := DefaultOptions()
 	s1 := CompileSeries(Extract(synth(1, 1), opts))
-	s2 := CompileSeries(Extract(synth(2, 2), opts))
+	e := CompileSeries(Extract(synth(2, 2), opts)).Envelope()
 	var scratch KJScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KJEnvelopeBound(s1, s2, DefaultMatchThreshold, &scratch)
+		KJEnvelopeBound(s1, e, DefaultMatchThreshold, &scratch)
 	}
 }
 

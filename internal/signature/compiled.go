@@ -133,28 +133,41 @@ func pairBound(a, b *Compiled, matchThreshold float64) (float64, bool) {
 // across any number of concurrent readers; views cache one per stored video.
 type CompiledSeries struct {
 	Sigs []Compiled
-
-	// lo and hi envelope the normalised centroids Mean/Mass of the OK
-	// signatures, each widened by its centroidMargin; lo > hi when no
-	// signature is OK. KJEnvelopeBound reads nothing else of a stored series.
-	lo, hi float64
 }
 
 // CompileSeries compiles every signature of a series. A nil or empty series
 // compiles to an empty CompiledSeries, which κJ treats exactly like the
 // empty raw series (relevance 0).
 func CompileSeries(s Series) *CompiledSeries {
-	cs := &CompiledSeries{Sigs: make([]Compiled, len(s)), lo: math.Inf(1), hi: math.Inf(-1)}
+	cs := &CompiledSeries{Sigs: make([]Compiled, len(s))}
 	for i, sig := range s {
-		c := Compile(sig)
-		cs.Sigs[i] = c
-		if c.OK {
-			m := c.centroidMargin()
-			cs.lo = min(cs.lo, c.Mean/c.Mass-m)
-			cs.hi = max(cs.hi, c.Mean/c.Mass+m)
-		}
+		cs.Sigs[i] = Compile(sig)
 	}
 	return cs
+}
+
+// Envelope is everything KJEnvelopeBound reads of a stored series: the range
+// [Lo, Hi] of its OK signatures' normalised centroids Mean/Mass, each
+// widened by its centroidMargin (Lo > Hi when no signature is OK), and the
+// series' length N. It is a small value, so a caller can keep one per stored
+// series in a flat column and bound a candidate without touching its
+// signatures.
+type Envelope struct {
+	Lo, Hi float64
+	N      int
+}
+
+// Envelope computes the series' centroid envelope.
+func (cs *CompiledSeries) Envelope() Envelope {
+	e := Envelope{Lo: math.Inf(1), Hi: math.Inf(-1), N: len(cs.Sigs)}
+	for i := range cs.Sigs {
+		if c := &cs.Sigs[i]; c.OK {
+			m := c.centroidMargin()
+			e.Lo = min(e.Lo, c.Mean/c.Mass-m)
+			e.Hi = max(e.Hi, c.Mean/c.Mass+m)
+		}
+	}
+	return e
 }
 
 // centroidMargin is how far the sketch's centroid ΣQ/SketchBins can sit from
@@ -333,25 +346,25 @@ func KJUpperBound(s1, s2 *CompiledSeries, matchThreshold float64, scratch *KJScr
 }
 
 // KJEnvelopeBound bounds KJUpperBound(s1, s2, matchThreshold) from above in
-// O(n₁), reading only s2's centroid envelope [lo, hi]. pairBound's sketch
-// distance is (Mass₁/SketchBins)·Σ|Q₁−Q₂| ≥ Mass₁·|ΣQ₁−ΣQ₂|/SketchBins =
-// Mass₁·|c₁−c₂| (Jensen), with c the centroid Mean/Mass, and c₂ lies in the
-// envelope, so with d the distance from c₁ to [lo, hi] every pair bound in
-// row i is at most (1+boundSlack)/(1+Mass₁·d). The rounding gap between the
+// O(n₁), reading only e, s2's Envelope. pairBound's sketch distance is
+// (Mass₁/SketchBins)·Σ|Q₁−Q₂| ≥ Mass₁·|ΣQ₁−ΣQ₂|/SketchBins = Mass₁·|c₁−c₂|
+// (Jensen), with c the centroid Mean/Mass, and c₂ lies in the envelope
+// [e.Lo, e.Hi], so with d the distance from c₁ to it every pair bound in row
+// i is at most (1+boundSlack)/(1+Mass₁·d). The rounding gap between the
 // sketch's centroid and Mean/Mass is absorbed by centroidMargin: the stored
 // side's is built into the envelope, the query side's is taken off d. A row
 // below matchThreshold has no surviving pair and is dropped, as in
 // KJUpperBound; an invalid query signature has none either. Each kept row is
 // then at least its KJUpperBound row, and matchBound grows with every row,
 // so this is never below KJUpperBound — and so never below κJ.
-func KJEnvelopeBound(s1, s2 *CompiledSeries, matchThreshold float64, scratch *KJScratch) float64 {
-	if s1 == nil || s2 == nil || len(s1.Sigs) == 0 || len(s2.Sigs) == 0 {
+func KJEnvelopeBound(s1 *CompiledSeries, e Envelope, matchThreshold float64, scratch *KJScratch) float64 {
+	if s1 == nil || len(s1.Sigs) == 0 || e.N <= 0 {
 		return 0
 	}
 	if matchThreshold <= 0 {
 		return 1
 	}
-	if s2.lo > s2.hi {
+	if e.Lo > e.Hi {
 		return 0 // no OK stored signature: every pair is filtered
 	}
 	if scratch == nil {
@@ -365,7 +378,7 @@ func KJEnvelopeBound(s1, s2 *CompiledSeries, matchThreshold float64, scratch *KJ
 		}
 		c := a.Mean / a.Mass
 		row := 1 + boundSlack
-		if d := max(s2.lo-c, c-s2.hi) - a.centroidMargin(); d > 0 {
+		if d := max(e.Lo-c, c-e.Hi) - a.centroidMargin(); d > 0 {
 			row /= 1 + a.Mass*d
 		}
 		if row >= matchThreshold {
@@ -373,7 +386,7 @@ func KJEnvelopeBound(s1, s2 *CompiledSeries, matchThreshold float64, scratch *KJ
 		}
 	}
 	scratch.best = best
-	return matchBound(best, len(s1.Sigs), len(s2.Sigs))
+	return matchBound(best, len(s1.Sigs), e.N)
 }
 
 // matchBound combines per-row bounds into a κJ bound. A query signature is

@@ -1,8 +1,9 @@
 // Package topk provides bounded top-K selection over a stream of items: a
 // fixed-capacity binary heap that keeps the K best items seen so far, in
-// O(n log K) time and O(K) space. It replaces the sort-everything-truncate
-// pattern on the query path, where candidate sets are hundreds to thousands
-// of items but only CandidateLimit / topK winners survive.
+// O(n log K) time and O(K) space. The query path selects its answers with
+// it — refinement's running top-K, the degraded social ranking and the
+// sharded merge — where K is the requested list length and items arrive
+// one at a time.
 //
 // Selection is defined by a strict "worse" order. When the order is total
 // (every comparison tie-broken), the kept set and Sorted output are exactly
@@ -59,11 +60,6 @@ func (s *Selector[T]) Len() int { return len(s.h) }
 // Worst returns the lowest-ranked kept item — the one a better offer evicts
 // once the selector is full. The selector must not be empty.
 func (s *Selector[T]) Worst() T { return s.h[0] }
-
-// Items returns the kept items in heap order — no ranking order guaranteed.
-// Use it when only membership matters (e.g. filling a candidate set). The
-// slice aliases the selector's storage; do not Offer afterwards.
-func (s *Selector[T]) Items() []T { return s.h }
 
 // Sorted drains the selector and returns the kept items best-first in a
 // fresh slice (nil when nothing is kept). The selector is empty afterwards.

@@ -70,17 +70,14 @@ func TestSelectorEdges(t *testing.T) {
 	if sel.Len() != 2 {
 		t.Errorf("Len = %d, want 2", sel.Len())
 	}
-	if got := sel.Items(); len(got) != 2 {
-		t.Errorf("Items = %v, want 2 entries", got)
-	}
 	got := sel.Sorted()
 	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
 		t.Errorf("Sorted = %v, want [3 1]", got)
 	}
 }
 
-// Offer must not allocate once the selector is at capacity: step 1 offers
-// every social candidate through a hot loop.
+// Offer must not allocate once the selector is at capacity: refinement
+// offers every candidate it scores through a hot loop.
 func TestSelectorOfferZeroAlloc(t *testing.T) {
 	sel := New(16, intWorse)
 	for i := 0; i < 16; i++ {
