@@ -293,17 +293,20 @@ func main() {
 	if keep("kj/") {
 		v := build(nil)
 		ids := v.SortedIDs()
-		q, _ := v.QueryFor(ids[0])
+		q, _ := v.Record(ids[0])
 		recs := make([]*core.Record, 0, len(ids))
+		raws := make([]signature.Series, 0, len(ids))
 		for _, id := range ids[1:] {
 			rec, _ := v.Record(id)
 			recs = append(recs, rec)
+			raws = append(raws, rec.Compiled.Series())
 		}
 		threshold := v.Options().MatchThreshold
 		kjIters := iters * 40
 
 		var scratch signature.KJScratch
-		qc := signature.CompileSeries(q.Series)
+		qs := q.Compiled.Series()
+		qc := signature.CompileSeries(qs)
 		for _, rec := range recs { // warm the scratch high-water mark
 			signature.KJCancelCompiled(qc, rec.Compiled, threshold, nil, &scratch)
 		}
@@ -312,7 +315,7 @@ func main() {
 			return false, nil
 		})))
 		rep.Results = append(rep.Results, logRow(runWorkload("kj/uncompiled", kjIters, func(i int) (bool, error) {
-			signature.KJCancel(q.Series, recs[i%len(recs)].Series, threshold, nil)
+			signature.KJCancel(qs, raws[i%len(raws)], threshold, nil)
 			return false, nil
 		})))
 	}

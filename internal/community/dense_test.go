@@ -332,3 +332,109 @@ func BenchmarkUnionSplitCycle(b *testing.B) {
 		}
 	}
 }
+
+// stringSortedEdges is Edges as it was first written: every edge named
+// (smaller name first), then sorted by the (U, V) string pair. Edges' rank
+// sort must reproduce it exactly.
+func stringSortedEdges(g *Graph) []Edge {
+	var es []Edge
+	g.eachEdgeDense(func(iu, iv uint32, w float64) {
+		a, b := g.users.Name(iu), g.users.Name(iv)
+		if a > b {
+			a, b = b, a
+		}
+		es = append(es, Edge{U: a, V: b, W: w})
+	})
+	sort.Slice(es, func(a, b int) bool {
+		if es[a].U != es[b].U {
+			return es[a].U < es[b].U
+		}
+		return es[a].V < es[b].V
+	})
+	return es
+}
+
+// TestEdgesRankOrderMatchesStringSort builds graphs whose users are interned
+// in an order unrelated to their names — shuffled, with names whose numeric
+// and lexical orders disagree ("u10" < "u9") — and holds Edges to the
+// string-pair sort.
+func TestEdgesRankOrderMatchesStringSort(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		names := make([]string, 5+rng.Intn(60))
+		for i := range names {
+			names[i] = fmt.Sprintf("u%d", i)
+		}
+		rng.Shuffle(len(names), func(a, b int) { names[a], names[b] = names[b], names[a] })
+		g := NewGraph()
+		for _, u := range names {
+			g.AddUser(u)
+		}
+		for i := 0; i < 4*len(names); i++ {
+			g.AddEdgeWeight(names[rng.Intn(len(names))], names[rng.Intn(len(names))], float64(1+rng.Intn(3)))
+		}
+		requireSameEdges(t, stringSortedEdges(g), g.Edges(), fmt.Sprintf("seed %d", seed))
+	}
+}
+
+// TestGraphFromEdgesMatchesIncremental restores random snapshot graphs both
+// ways — AddUser then AddEdgeWeight per edge, and GraphFromEdges in one
+// pass — over inputs with duplicate pairs in both orientations, zero and
+// fractional weights (so the summation order shows), self-loops, empty
+// names and users found only in edges. The one-pass graph must be Equal to
+// the incremental one under every compaction policy, list the same edges,
+// and hold nothing in its overlay.
+func TestGraphFromEdgesMatchesIncremental(t *testing.T) {
+	for _, policy := range []struct {
+		name    string
+		trigger func(int, int) bool
+	}{{"default", compactTrigger}, {"never", neverCompact}, {"always", alwaysCompact}} {
+		withCompactTrigger(t, policy.trigger)
+		for seed := int64(0); seed < 30; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			pool := make([]string, 3+rng.Intn(40))
+			for i := range pool {
+				pool[i] = fmt.Sprintf("p%d", rng.Intn(1000))
+			}
+			pick := func() string {
+				if rng.Intn(25) == 0 {
+					return ""
+				}
+				return pool[rng.Intn(len(pool))]
+			}
+			var users []string
+			for i := rng.Intn(len(pool)); i > 0; i-- {
+				users = append(users, pool[rng.Intn(len(pool))])
+			}
+			edges := make([]Edge, rng.Intn(6*len(pool)))
+			for i := range edges {
+				e := Edge{U: pick(), V: pick()}
+				switch rng.Intn(4) {
+				case 0:
+					e.W = 0
+				case 1:
+					e.W = rng.Float64()
+				default:
+					e.W = float64(1 + rng.Intn(5))
+				}
+				edges[i] = e
+			}
+			label := fmt.Sprintf("%s/seed %d", policy.name, seed)
+			inc := NewGraph()
+			for _, u := range users {
+				inc.AddUser(u)
+			}
+			for _, e := range edges {
+				inc.AddEdgeWeight(e.U, e.V, e.W)
+			}
+			bulk := GraphFromEdges(users, edges)
+			if !bulk.Equal(inc) || !inc.Equal(bulk) {
+				t.Fatalf("%s: one-pass graph differs from the incremental build", label)
+			}
+			if bulk.OverlayLen() != 0 {
+				t.Fatalf("%s: one-pass graph holds %d overlay entries", label, bulk.OverlayLen())
+			}
+			requireSameEdges(t, inc.Edges(), bulk.Edges(), label)
+		}
+	}
+}

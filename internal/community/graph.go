@@ -6,8 +6,10 @@
 package community
 
 import (
+	"cmp"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // Edge is a weighted UIG edge: W counts the videos both users are
@@ -238,6 +240,89 @@ func (g *Graph) Compact() {
 	g.ov, g.ovLen = nil, 0
 }
 
+// GraphFromEdges builds in one pass the graph that AddUser over users and
+// then AddEdgeWeight over edges, in order, would build: the same users under
+// the same ids (users first, then edge endpoints as they occur), the same
+// skips (an empty name drops the edge, a self-loop or zero weight drops it
+// after interning its endpoints), and each edge's weight summed in input
+// order. The whole adjacency lands in the CSR base, with no overlay — how
+// a snapshot's graph is restored.
+func GraphFromEdges(users []string, edges []Edge) *Graph {
+	g := NewGraph()
+	for _, u := range users {
+		g.internUser(u)
+	}
+	type pair struct {
+		key uint64 // a<<32 | b, a < b
+		pos uint32 // input position, so duplicates sum in input order
+	}
+	pairs := make([]pair, 0, len(edges))
+	for i, e := range edges {
+		if e.U == "" || e.V == "" {
+			continue
+		}
+		a, _ := g.internUser(e.U)
+		b, _ := g.internUser(e.V)
+		if e.U == e.V || e.W == 0 {
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		pairs = append(pairs, pair{uint64(a)<<32 | uint64(b), uint32(i)})
+	}
+	slices.SortFunc(pairs, func(x, y pair) int {
+		if c := cmp.Compare(x.key, y.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.pos, y.pos)
+	})
+	keys := make([]uint64, 0, len(pairs))
+	wts := make([]float64, 0, len(pairs))
+	for i := 0; i < len(pairs); {
+		w := edges[pairs[i].pos].W
+		j := i + 1
+		for ; j < len(pairs) && pairs[j].key == pairs[i].key; j++ {
+			w += edges[pairs[j].pos].W
+		}
+		keys = append(keys, pairs[i].key)
+		wts = append(wts, w)
+		i = j
+	}
+	g.setCSR(keys, wts)
+	return g
+}
+
+// setCSR replaces the adjacency with a CSR base holding exactly the
+// undirected edges keys[i] = a<<32|b (a < b, ascending, distinct) of weight
+// w[i], over every interned user. Filling both directions in key order
+// leaves each span sorted: node x first receives its partners a < x, in
+// ascending a, then its partners b > x, in ascending b.
+func (g *Graph) setCSR(keys []uint64, w []float64) {
+	n := g.users.Len()
+	off := make([]uint32, n+1)
+	for _, k := range keys {
+		off[k>>32+1]++
+		off[uint32(k)+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	nbr := make([]uint32, off[n])
+	wt := make([]float64, off[n])
+	cursor := slices.Clone(off[:n])
+	for i, k := range keys {
+		a, b := uint32(k>>32), uint32(k)
+		nbr[cursor[a]], wt[cursor[a]] = b, w[i]
+		cursor[a]++
+		nbr[cursor[b]], wt[cursor[b]] = a, w[i]
+		cursor[b]++
+	}
+	g.off, g.nbr, g.wt = off, nbr, wt
+	g.ov, g.ovLen = nil, 0
+	g.edges = len(keys)
+}
+
 func (g *Graph) overlayOf(i uint32) []oedge {
 	if int(i) < len(g.ov) {
 		return g.ov[i]
@@ -311,22 +396,37 @@ func (g *Graph) eachEdgeDense(f func(iu, iv uint32, w float64)) {
 }
 
 // Edges returns every undirected edge exactly once, sorted by (U, V) for
-// determinism.
+// determinism. Names are distinct, so ranking the users by name once and
+// sorting each edge's packed (rank U, rank V) word gives that order without
+// a string comparison per step.
 func (g *Graph) Edges() []Edge {
-	es := make([]Edge, 0, g.edges)
+	names := g.users.names
+	byName := make([]uint32, len(names))
+	for i := range byName {
+		byName[i] = uint32(i)
+	}
+	slices.SortFunc(byName, func(a, b uint32) int { return strings.Compare(names[a], names[b]) })
+	rank := make([]uint32, len(names))
+	for r, i := range byName {
+		rank[i] = uint32(r)
+	}
+	type ranked struct {
+		key uint64 // rank U<<32 | rank V, rank U < rank V
+		w   float64
+	}
+	rs := make([]ranked, 0, g.edges)
 	g.eachEdgeDense(func(iu, iv uint32, w float64) {
-		a, b := g.users.Name(iu), g.users.Name(iv)
+		a, b := rank[iu], rank[iv]
 		if a > b {
 			a, b = b, a
 		}
-		es = append(es, Edge{U: a, V: b, W: w})
+		rs = append(rs, ranked{uint64(a)<<32 | uint64(b), w})
 	})
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].U != es[b].U {
-			return es[a].U < es[b].U
-		}
-		return es[a].V < es[b].V
-	})
+	slices.SortFunc(rs, func(x, y ranked) int { return cmp.Compare(x.key, y.key) })
+	es := make([]Edge, len(rs))
+	for i, r := range rs {
+		es[i] = Edge{U: names[byName[r.key>>32]], V: names[byName[uint32(r.key)]], W: r.w}
+	}
 	return es
 }
 
@@ -404,45 +504,18 @@ func BuildUIG(audiences map[string][]string) *Graph {
 	}
 	sort.Slice(pairs, func(a, b int) bool { return pairs[a] < pairs[b] })
 
-	// Run-length count → degree histogram → CSR fill (both directions).
-	n := g.users.Len()
-	deg := make([]uint32, n)
-	runs := 0
+	// Run-length count the sorted keys in place into the distinct edges.
+	keys := pairs[:0]
+	var wts []float64
 	for i := 0; i < len(pairs); {
-		j := i
+		j := i + 1
 		for j < len(pairs) && pairs[j] == pairs[i] {
 			j++
 		}
-		deg[pairs[i]>>32]++
-		deg[uint32(pairs[i])]++
-		runs++
+		keys = append(keys, pairs[i])
+		wts = append(wts, float64(j-i))
 		i = j
 	}
-	off := make([]uint32, n+1)
-	for i := 0; i < n; i++ {
-		off[i+1] = off[i] + deg[i]
-	}
-	nbr := make([]uint32, off[n])
-	wt := make([]float64, off[n])
-	cursor := make([]uint32, n)
-	copy(cursor, off[:n])
-	for i := 0; i < len(pairs); {
-		j := i
-		for j < len(pairs) && pairs[j] == pairs[i] {
-			j++
-		}
-		a, b := uint32(pairs[i]>>32), uint32(pairs[i])
-		w := float64(j - i)
-		nbr[cursor[a]], wt[cursor[a]] = b, w
-		cursor[a]++
-		nbr[cursor[b]], wt[cursor[b]] = a, w
-		cursor[b]++
-		i = j
-	}
-	// Pairs were emitted with a-sides ascending per a, so each a-span filled
-	// in key order is already id-sorted; b-sides land sorted too because the
-	// global key order visits each b's partners in ascending a.
-	g.off, g.nbr, g.wt = off, nbr, wt
-	g.edges = runs
+	g.setCSR(keys, wts)
 	return g
 }

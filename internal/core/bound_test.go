@@ -158,10 +158,10 @@ func TestBoundedRefineTieAtCutoff(t *testing.T) {
 			r := NewRecommender(opts)
 			for _, id := range ids {
 				rec, _ := src.Record(id)
-				r.IngestSeries(id, rec.Series, rec.Desc)
+				r.IngestSeries(id, rec.Compiled.Series(), rec.Desc)
 			}
-			r.IngestSeries("twin-b", twin.Series, twin.Desc)
-			r.IngestSeries("twin-a", twin.Series, twin.Desc)
+			r.IngestSeries("twin-b", twin.Compiled.Series(), twin.Desc)
+			r.IngestSeries("twin-a", twin.Compiled.Series(), twin.Desc)
 			r.BuildSocial()
 			v := r.Freeze()
 

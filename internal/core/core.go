@@ -104,20 +104,27 @@ func DefaultOptions() Options {
 	}
 }
 
-// Record is everything the recommender keeps per ingested video: the compact
-// signature series, its compiled form (sorted values, validated weights,
-// precomputed centroids — the representation the refinement kernel consumes),
-// the social descriptor, and (after BuildSocial) the SAR descriptor vector.
-// Frames are never retained. The fields of a published Record are immutable:
-// updates replace the Descriptor and Vector values wholesale (and, under
-// copy-on-write, the *Record itself), never edit them in place; Series and
-// Compiled are built together at ingest and never change.
+// Record is everything the recommender keeps per ingested video: the
+// compiled signature series (sorted values, validated weights, precomputed
+// centroids — the representation the refinement kernel consumes, and the
+// only form of the clip's content kept: Compiled.Series() rebuilds the raw
+// series exactly), the content-index keys of its signatures, the social
+// descriptor, and (after BuildSocial) the SAR descriptor vector. Frames are
+// never retained. The fields of a published Record are immutable: updates
+// replace the Descriptor and Vector values wholesale (and, under
+// copy-on-write, the *Record itself), never edit them in place; Compiled and
+// Keys are built together at ingest and never change.
 type Record struct {
 	ID       string
-	Series   signature.Series
 	Compiled *signature.CompiledSeries
 	Desc     social.Descriptor
 	Vec      social.Vector
+
+	// Keys are the LSB keys ingest computed for the series, in the
+	// index.LSB.QueryKeys layout (keys[si*Trees+t]). A stored clip's query
+	// walks the content index from them, and compaction re-indexes the clip
+	// from them, so neither needs the raw series.
+	Keys []uint64
 
 	seq uint64 // position in ingestion order (View.ordered)
 }
@@ -125,7 +132,10 @@ type Record struct {
 // Query is a recommendation input: the user-selected clip's signature series
 // and social descriptor (Q = (q_f, q_s) in §3). Queries built by QueryFor and
 // AdHocQuery carry a precompiled series; zero-value construction is still
-// valid — the query path compiles on demand.
+// valid — the query path compiles on demand. A QueryFor query leaves Series
+// nil: it carries the stored clip's compiled series and content keys
+// instead, and a path that needs the raw series rebuilds it from the
+// compiled form (seriesOf).
 type Query struct {
 	Series signature.Series
 	Desc   social.Descriptor
@@ -133,7 +143,8 @@ type Query struct {
 	comp *signature.CompiledSeries
 
 	// contentKeys / keyFP carry the query's precomputed content-index keys
-	// (View.PrimeContentKeys). Views whose LSB forests share the stamped
+	// (a stored clip's from QueryFor, any other's from
+	// View.PrimeContentKeys). Views whose LSB forests share the stamped
 	// fingerprint reuse them instead of re-embedding the series — the
 	// sharded fan-out path keys a query once, not once per shard.
 	contentKeys []uint64
@@ -148,6 +159,15 @@ func (q Query) compiled() *signature.CompiledSeries {
 		return q.comp
 	}
 	return signature.CompileSeries(q.Series)
+}
+
+// seriesOf returns the query's raw series, rebuilding it from the compiled
+// form when the query carries none (a stored clip's query).
+func (q Query) seriesOf() signature.Series {
+	if q.Series == nil && q.comp != nil {
+		return q.comp.Series()
+	}
+	return q.Series
 }
 
 // Result is one recommended video with its fused score and the two
@@ -211,6 +231,9 @@ func NewRecommender(opts Options) *Recommender {
 	if opts.Sig.Grid == 0 {
 		opts.Sig = signature.DefaultOptions()
 	}
+	if err := checkGrid(opts.Sig); err != nil {
+		panic(err)
+	}
 	if opts.MatchThreshold == 0 {
 		opts.MatchThreshold = signature.DefaultMatchThreshold
 	}
@@ -224,6 +247,15 @@ func NewRecommender(opts Options) *Recommender {
 	}
 	st.newPools()
 	return &Recommender{opts: opts, state: st}
+}
+
+// checkGrid rejects a Grid whose signatures could outgrow what a compiled
+// series holds (signature.MaxCuboids cuboids, at most Grid² per signature).
+func checkGrid(o signature.Options) error {
+	if o.Grid > signature.MaxGrid {
+		return fmt.Errorf("core: signature grid %d exceeds %d", o.Grid, signature.MaxGrid)
+	}
+	return nil
 }
 
 // internID resolves a video id to its dense index, minting the next index if
@@ -287,16 +319,19 @@ func (r *Recommender) IngestVideo(id string, v *video.Video, desc social.Descrip
 
 // IngestSeries stores a pre-extracted signature series (useful when the
 // caller already ran extraction, e.g. the batch-ingest path and the
-// benchmark harness).
+// benchmark harness). It keeps the series' compiled form and index keys, not
+// the series itself, so the caller may reuse or drop it afterwards. Every
+// signature must have at most signature.MaxCuboids cuboids — what extraction
+// yields for any Grid up to signature.MaxGrid; a larger one panics.
 func (r *Recommender) IngestSeries(id string, series signature.Series, desc social.Descriptor) {
 	r.beforeWrite()
 	s := r.state
 	i := r.internID(id)
 	rec := &Record{
 		ID:       id,
-		Series:   series,
 		Compiled: signature.CompileSeries(series),
 		Desc:     desc,
+		Keys:     s.lsb.Add(i, series),
 	}
 	if old := s.recs.At(i); old != nil {
 		rec.seq = old.seq // replacing a stored clip keeps its place
@@ -306,7 +341,6 @@ func (r *Recommender) IngestSeries(id string, series signature.Series, desc soci
 		s.live++
 	}
 	s.setRecord(i, rec)
-	s.lsb.Add(i, series)
 	s.built = false
 }
 

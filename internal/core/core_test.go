@@ -60,7 +60,7 @@ func TestIngestAndLen(t *testing.T) {
 		t.Fatalf("Len = %d", r.Len())
 	}
 	rec, ok := r.Record("a")
-	if !ok || len(rec.Series) == 0 {
+	if !ok || len(rec.Compiled.Series()) == 0 {
 		t.Fatal("record missing or empty series")
 	}
 	// Re-ingesting replaces, not duplicates.

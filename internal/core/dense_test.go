@@ -74,7 +74,7 @@ func referenceCandidates(v *View, q Query, exclude ...string) map[string]bool {
 			}
 		}
 		if useContent {
-			w := v.lsb.NewWalker(q.Series)
+			w := v.lsb.NewWalker(q.seriesOf())
 			added := 0
 			for pops := 0; pops < opts.ContentProbe; pops++ {
 				e, _, ok := w.Next()
@@ -123,7 +123,7 @@ func referenceRecommend(v *View, q Query, topK int, exclude ...string) []Result 
 		rec := v.record(id)
 		var content, soc float64
 		if useContent {
-			content = signature.KJ(q.Series, rec.Series, opts.MatchThreshold)
+			content = signature.KJ(q.seriesOf(), rec.Compiled.Series(), opts.MatchThreshold)
 		}
 		if useSocial {
 			soc = v.SocialRelevance(q, qvec, id)
@@ -265,7 +265,7 @@ func TestGatherMatchesReferenceUnderMutation(t *testing.T) {
 	// stays until the next BuildSocial, so only its fresh inverted postings
 	// (added on the next build) make it a candidate.
 	rec0, _ := r.Record(all[0])
-	r.IngestSeries(removed[0], rec0.Series, social.NewDescriptor("revived-owner", c.Users[0], c.Users[1]))
+	r.IngestSeries(removed[0], rec0.Compiled.Series(), social.NewDescriptor("revived-owner", c.Users[0], c.Users[1]))
 	r.BuildSocial()
 	check("after re-ingest and rebuild")
 
@@ -394,14 +394,14 @@ func TestInternSharedAcrossClones(t *testing.T) {
 	// Mutation that mints nothing: every page stays shared.
 	target := r.SortedIDs()[0]
 	rec, _ := r.Record(target)
-	r.IngestSeries(target, rec.Series, rec.Desc)
+	r.IngestSeries(target, rec.Compiled.Series(), rec.Desc)
 	if r.state.ids.Len() != n || !slices.Equal(r.state.ids.pages, v1.ids.pages) {
 		t.Error("re-ingesting a known id wrote the id table")
 	}
 
 	// Minting a new id copies the last page; the published views keep theirs.
 	v2 := r.Freeze()
-	r.IngestSeries("brand-new-video", rec.Series, rec.Desc)
+	r.IngestSeries("brand-new-video", rec.Compiled.Series(), rec.Desc)
 	last := len(v2.ids.pages) - 1
 	if r.state.ids.pages[last] == v2.ids.pages[last] {
 		t.Error("minting a new id wrote a page the published view shares")
@@ -435,7 +435,7 @@ func TestDenseIndexStableAcrossRemoveReingest(t *testing.T) {
 		t.Fatal("id not interned")
 	}
 	rec, _ := r.Record(id)
-	series, desc := rec.Series, rec.Desc
+	series, desc := rec.Compiled.Series(), rec.Desc
 	if !r.RemoveVideo(id) {
 		t.Fatal("remove failed")
 	}
@@ -606,7 +606,7 @@ func TestSparseInputsHoldUnderMutation(t *testing.T) {
 	r.RemoveVideo(removed)
 	r.RemoveVideo(ids[4])
 	checkSparseInputs(t, "RemoveVideo", r.Freeze(), strangers)
-	r.IngestSeries(removed, rec.Series, rec.Desc.Add(c.Users[0]))
+	r.IngestSeries(removed, rec.Compiled.Series(), rec.Desc.Add(c.Users[0]))
 	// A live clip with an empty series: its envelope (N = 0) must not read
 	// as a dead slot, and it must still be ranked, on s̃J alone.
 	src, _ := r.Record(ids[0])

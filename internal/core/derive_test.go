@@ -51,7 +51,7 @@ func TestDeriveFromOwnersMatchesSingleEngine(t *testing.T) {
 		for _, i := range r.state.ordered() {
 			rec := r.state.recs.At(i)
 			h := holders[rng.Intn(len(holders))]
-			h.IngestSeries(rec.ID, rec.Series, rec.Desc)
+			h.IngestSeries(rec.ID, rec.Compiled.Series(), rec.Desc)
 			holder[rec.ID] = h
 		}
 		got := holders[0].DeriveFrom(batch, func(id string) *Record {

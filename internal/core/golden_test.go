@@ -108,7 +108,7 @@ func TestCompiledRefineGoldenAdHoc(t *testing.T) {
 	v := buildGolden(t, nil)
 	id := v.SortedIDs()[0]
 	rec, _ := v.Record(id)
-	raw := Query{Series: rec.Series, Desc: rec.Desc} // comp deliberately nil
+	raw := Query{Series: rec.Compiled.Series(), Desc: rec.Desc} // comp deliberately nil
 	got := v.Recommend(raw, 10, id)
 	if want := referenceRecommend(v, raw, 10, id); !resultsEqual(got, want) {
 		t.Fatalf("ad-hoc query: compiled %+v != reference %+v", got, want)

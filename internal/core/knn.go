@@ -407,9 +407,9 @@ func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) (useConten
 			// counts candidates *content itself adds*: a full social step no
 			// longer starves content expansion by pre-filling the shared cap.
 			if q.contentKeys != nil && q.keyFP == v.lsb.KeyFingerprint() {
-				qs.walker.ResetWithKeys(v.lsb, q.Series, q.contentKeys)
+				qs.walker.ResetWithKeys(v.lsb, q.contentKeys)
 			} else {
-				qs.walker.Reset(v.lsb, q.Series)
+				qs.walker.Reset(v.lsb, q.seriesOf())
 			}
 			added := 0
 			for pops := 0; pops < v.opts.ContentProbe; pops++ {

@@ -53,12 +53,12 @@ func TestAdHocQueryMatchesStored(t *testing.T) {
 	v := it.Render(c.Opts.Synth)
 	rec, _ := r.Record(it.ID)
 	q := r.AdHocQuery(v, rec.Desc)
-	if len(q.Series) != len(rec.Series) {
-		t.Fatalf("ad-hoc series %d signatures, stored %d", len(q.Series), len(rec.Series))
+	if len(q.Series) != len(rec.Compiled.Series()) {
+		t.Fatalf("ad-hoc series %d signatures, stored %d", len(q.Series), len(rec.Compiled.Series()))
 	}
 	// Same clip, same options → identical signatures.
 	for i := range q.Series {
-		if len(q.Series[i].Cuboids) != len(rec.Series[i].Cuboids) {
+		if len(q.Series[i].Cuboids) != len(rec.Compiled.Series()[i].Cuboids) {
 			t.Fatalf("signature %d cuboid counts differ", i)
 		}
 	}
@@ -74,7 +74,7 @@ func TestContentProbeBudgetBinds(t *testing.T) {
 	r2, c := buildSmall(t, ModeSARHash)
 	for _, id := range r2.SortedIDs() {
 		rec, _ := r2.Record(id)
-		r.IngestSeries(id, rec.Series, rec.Desc)
+		r.IngestSeries(id, rec.Compiled.Series(), rec.Desc)
 	}
 	r.BuildSocial()
 	src := c.Queries[0].Sources[0]
@@ -252,7 +252,7 @@ func TestRecommendCtxDegradeDisabled(t *testing.T) {
 	r := NewRecommender(o)
 	for _, id := range r2.SortedIDs() {
 		rec, _ := r2.Record(id)
-		r.IngestSeries(id, rec.Series, rec.Desc)
+		r.IngestSeries(id, rec.Compiled.Series(), rec.Desc)
 	}
 	r.BuildSocial()
 	v := r.Freeze()

@@ -40,7 +40,7 @@ func (r *Recommender) compactLSB() {
 	}
 	fresh := newLSBFor(r.opts)
 	for _, i := range s.ordered() {
-		fresh.Add(i, s.recs.At(i).Series)
+		fresh.AddKeys(i, s.recs.At(i).Keys)
 	}
 	s.lsb = fresh
 	s.tombstones = nil

@@ -35,7 +35,7 @@ func TestRemoveThenBuildCompacts(t *testing.T) {
 	victim := r.state.orderIDs()[0]
 	sigCountBefore := 0
 	if rec, ok := r.Record(victim); ok {
-		sigCountBefore = len(rec.Series)
+		sigCountBefore = len(rec.Compiled.Series())
 	}
 	lsbBefore := r.state.lsb.Len()
 	r.RemoveVideo(victim)

@@ -61,13 +61,9 @@ func (r *Recommender) Snapshot() *Snapshot {
 	for _, i := range st.ordered() {
 		rec := st.recs.At(i)
 		s.Order = append(s.Order, rec.ID)
-		series := make(signature.Series, len(rec.Series))
-		for i, sig := range rec.Series {
-			series[i] = signature.Signature{Cuboids: append([]signature.Cuboid(nil), sig.Cuboids...)}
-		}
 		s.Records = append(s.Records, RecordSnapshot{
 			ID:     rec.ID,
-			Series: series,
+			Series: rec.Compiled.Series(),
 			Users:  append([]string(nil), rec.Desc.Users()...),
 		})
 	}
@@ -91,6 +87,9 @@ func FromSnapshot(s *Snapshot) (*Recommender, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
 	}
+	if err := checkGrid(s.Options.Sig); err != nil {
+		return nil, err
+	}
 	r := NewRecommender(s.Options)
 	byID := make(map[string]RecordSnapshot, len(s.Records))
 	for _, rec := range s.Records {
@@ -101,6 +100,11 @@ func FromSnapshot(s *Snapshot) (*Recommender, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: snapshot order references unknown id %q", id)
 		}
+		for _, sig := range rec.Series {
+			if len(sig.Cuboids) > signature.MaxCuboids {
+				return nil, fmt.Errorf("core: snapshot record %q has a signature of %d cuboids (max %d)", id, len(sig.Cuboids), signature.MaxCuboids)
+			}
+		}
 		r.IngestSeries(id, rec.Series, social.NewDescriptor("", rec.Users...))
 	}
 	if len(s.Order) != len(s.Records) {
@@ -110,15 +114,10 @@ func FromSnapshot(s *Snapshot) (*Recommender, error) {
 		return r, nil
 	}
 
-	// Restore the UIG and partition, then rebuild derived structures the
-	// same way BuildSocial does.
-	g := community.NewGraph()
-	for _, u := range s.GraphUsers {
-		g.AddUser(u)
-	}
-	for _, e := range s.GraphEdges {
-		g.AddEdgeWeight(e.U, e.V, e.W)
-	}
+	// Restore the UIG (in one pass, straight into its CSR base) and the
+	// partition, then rebuild derived structures the same way BuildSocial
+	// does.
+	g := community.GraphFromEdges(s.GraphUsers, s.GraphEdges)
 	for u, c := range s.Assign {
 		if c < 0 || c >= s.Dim {
 			return nil, fmt.Errorf("core: snapshot assigns %q to invalid sub-community %d (dim %d)", u, c, s.Dim)

@@ -20,7 +20,7 @@ func spreadRecords(r *Recommender, n int) ([]*Recommender, map[string]int) {
 	holder := map[string]int{}
 	for k, i := range r.state.ordered() {
 		rec := r.state.recs.At(i)
-		shards[k%n].IngestSeries(rec.ID, rec.Series, rec.Desc)
+		shards[k%n].IngestSeries(rec.ID, rec.Compiled.Series(), rec.Desc)
 		holder[rec.ID] = k % n
 	}
 	global := map[string][]string{}

@@ -309,7 +309,8 @@ func (r *Recommender) VideosPerDim() []int { return r.state.VideosPerDim() }
 
 // GraphStats reports the current user-interest graph size: nodes, undirected
 // edges, and directed overlay entries awaiting CSR compaction. All zero
-// before BuildSocial.
+// before BuildSocial; the overlay is 0 right after BuildSocial or a load
+// from a snapshot, which build the whole graph as one CSR.
 func (r *Recommender) GraphStats() (users, edges, overlay int) {
 	if r.social == nil {
 		return 0, 0, 0

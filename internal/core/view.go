@@ -209,7 +209,7 @@ func (v *View) QueryFor(id string) (Query, bool) {
 	if rec == nil {
 		return Query{}, false
 	}
-	return Query{Series: rec.Series, Desc: rec.Desc, comp: rec.Compiled}, true
+	return Query{Desc: rec.Desc, comp: rec.Compiled, contentKeys: rec.Keys, keyFP: v.lsb.KeyFingerprint()}, true
 }
 
 // AdHocQuery builds a Query from a clip that is not part of the collection —
@@ -227,9 +227,13 @@ func (v *View) AdHocQuery(vd *video.Video, desc social.Descriptor) Query {
 // keys during candidate gathering instead of re-embedding the series, so a
 // fanned-out query pays the keying cost once. Views with a different
 // fingerprint ignore the cache and key locally; results are identical
-// either way.
+// either way. A query that already carries keys for this fingerprint — a
+// stored clip's, from QueryFor — comes back unchanged.
 func (v *View) PrimeContentKeys(q Query) Query {
-	q.contentKeys = v.lsb.QueryKeys(q.Series)
+	if q.contentKeys != nil && q.keyFP == v.lsb.KeyFingerprint() {
+		return q
+	}
+	q.contentKeys = v.lsb.QueryKeys(q.seriesOf())
 	q.keyFP = v.lsb.KeyFingerprint()
 	return q
 }
@@ -240,7 +244,7 @@ func (v *View) ContentRelevance(q Query, id string) float64 {
 	if rec == nil {
 		return 0
 	}
-	return signature.KJ(q.Series, rec.Series, v.opts.MatchThreshold)
+	return signature.KJCompiled(q.compiled(), rec.Compiled, v.opts.MatchThreshold)
 }
 
 // SocialRelevance is the mode-dependent social relevance between the query

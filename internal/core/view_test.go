@@ -128,7 +128,7 @@ func captureFrozen(t *testing.T, v *View, users, queries []string) frozenState {
 			t.Fatalf("view lost query source %s", id)
 		}
 		if i == 0 {
-			w := v.lsb.NewWalker(q.Series)
+			w := v.lsb.NewWalker(q.seriesOf())
 			for e, _, ok := w.Next(); ok; e, _, ok = w.Next() {
 				st.Walk = append(st.Walk, e.Video)
 			}
@@ -213,7 +213,7 @@ func TestFrozenViewIsolatedFromMutations(t *testing.T) {
 	r.IngestVideo("cow-fresh-clip", it.Render(c.Opts.Synth), descriptorOf(c, it))
 	check("IngestVideo of a new id")
 	rec, _ := view.Record(queries[1])
-	r.IngestSeries(queries[1], rec.Series[:1], rec.Desc.Add("cow-user-3"))
+	r.IngestSeries(queries[1], rec.Compiled.Series()[:1], rec.Desc.Add("cow-user-3"))
 	check("IngestSeries over a stored id")
 	r.BuildSocial()
 	check("BuildSocial")

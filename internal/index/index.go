@@ -25,12 +25,15 @@ import (
 	"videorec/internal/social"
 )
 
-// SigEntry is one LSB-tree payload: which video a stored signature belongs
-// to (by dense index), and the signature itself so the refinement step can
-// compute exact SimC without a side lookup.
+// SigEntry is one LSB-tree payload: the (object id) half of the (Z-value,
+// object id) pairs of [28] — which video a stored signature belongs to (by
+// dense index) and its position in that video's series. It holds no pointer,
+// so the trees' value arrays are flat words the collector never scans; an
+// owner that needs the signature itself keeps the series and reads
+// series[Ord].
 type SigEntry struct {
 	Video uint32
-	Sig   signature.Signature
+	Ord   uint32
 }
 
 // LSBOptions tunes the content index.
@@ -139,18 +142,27 @@ func (ix *LSB) Clone() *LSB {
 // Trees returns the forest size.
 func (ix *LSB) Trees() int { return len(ix.trees) }
 
-// key Z-orders a signature's LSH hashes under tree t's family.
-func (ix *LSB) key(t int, sig signature.Signature) uint64 {
-	v, w := sig.Values()
-	return ix.hfs[t].Key(ix.emb, v, w)
+// Add indexes every signature of a video's series into every tree and
+// returns the keys it computed, in the QueryKeys layout. An owner that keeps
+// them can re-index the video later with AddKeys, or walk from it with
+// ResetWithKeys, without the series.
+func (ix *LSB) Add(video uint32, series signature.Series) []uint64 {
+	keys := ix.QueryKeys(series)
+	ix.AddKeys(video, keys)
+	return keys
 }
 
-// Add indexes every signature of a video's series into every tree.
-func (ix *LSB) Add(video uint32, series signature.Series) {
-	for _, sig := range series {
-		e := SigEntry{Video: video, Sig: sig}
+// AddKeys indexes a video's signatures from their keys (the QueryKeys
+// layout, keys[si*Trees()+t]): signature si goes into tree t under
+// keys[si*Trees()+t]. A key slice from a forest with another
+// KeyFingerprint, or of a length that is not a multiple of Trees(), indexes
+// garbage.
+func (ix *LSB) AddKeys(video uint32, keys []uint64) {
+	nt := len(ix.trees)
+	for si := 0; si+nt <= len(keys); si += nt {
+		e := SigEntry{Video: video, Ord: uint32(si / nt)}
 		for t := range ix.trees {
-			ix.trees[t].Insert(ix.key(t, sig), e)
+			ix.trees[t].Insert(keys[si+t], e)
 		}
 	}
 }
@@ -172,8 +184,25 @@ type Walker struct {
 
 	// Reusable keying buffers: Reset re-keys every query signature per tree,
 	// and these keep that free of allocation once warm.
+	ksc  keyScratch
+	keys []uint64
+}
+
+// keyScratch holds the buffers keying a series reuses across signatures.
+type keyScratch struct {
 	v, mu []float64
 	ks    lsh.KeyScratch
+}
+
+// appendKeys appends the keys of q to dst in the QueryKeys layout.
+func (ix *LSB) appendKeys(dst []uint64, q signature.Series, sc *keyScratch) []uint64 {
+	for _, sig := range q {
+		sc.v, sc.mu = sig.ValuesInto(sc.v, sc.mu)
+		for t := range ix.hfs {
+			dst = append(dst, ix.hfs[t].KeyInto(ix.emb, sc.v, sc.mu, &sc.ks))
+		}
+	}
+	return dst
 }
 
 type walkFront struct {
@@ -213,9 +242,12 @@ func (ix *LSB) NewWalker(q signature.Series) *Walker {
 	return w
 }
 
-// Reset re-seeds the walker for a new query against ix, reusing storage.
+// Reset re-seeds the walker for a new query against ix, reusing storage:
+// it keys every (query signature, tree) pair into the walker's own buffer
+// and walks from those keys.
 func (w *Walker) Reset(ix *LSB, q signature.Series) {
-	w.ResetWithKeys(ix, q, nil)
+	w.keys = ix.appendKeys(w.keys[:0], q, &w.ksc)
+	w.ResetWithKeys(ix, w.keys)
 }
 
 // QueryKeys precomputes the Z-order key of every (query signature, tree)
@@ -225,39 +257,22 @@ func (w *Walker) Reset(ix *LSB, q signature.Series) {
 // deterministic hash families) keys once and hands the slice to each
 // walker's ResetWithKeys instead of paying the embedding per forest.
 func (ix *LSB) QueryKeys(q signature.Series) []uint64 {
-	keys := make([]uint64, 0, len(q)*len(ix.trees))
-	var v, mu []float64
-	var ks lsh.KeyScratch
-	for _, sig := range q {
-		v, mu = sig.ValuesInto(v, mu)
-		for t := range ix.hfs {
-			keys = append(keys, ix.hfs[t].KeyInto(ix.emb, v, mu, &ks))
-		}
-	}
-	return keys
+	return ix.appendKeys(make([]uint64, 0, len(q)*len(ix.trees)), q, &keyScratch{})
 }
 
-// ResetWithKeys is Reset seeded from precomputed QueryKeys. A nil or
-// mis-sized keys slice falls back to keying locally, so a stale cache can
-// never corrupt the walk order — callers gate sharing on KeyFingerprint.
-func (w *Walker) ResetWithKeys(ix *LSB, q signature.Series, keys []uint64) {
+// ResetWithKeys is Reset seeded from precomputed keys in the QueryKeys
+// layout — one query signature per Trees() keys — so the walk needs no
+// series at all: a stored clip's query walks from the keys its ingest
+// computed. The keys must come from a forest with ix's KeyFingerprint
+// (callers gate sharing on it); a trailing partial group is ignored.
+func (w *Walker) ResetWithKeys(ix *LSB, keys []uint64) {
 	w.ix = ix
 	w.fronts = w.fronts[:0]
 	w.heap = w.heap[:0]
-	if keys != nil && len(keys) != len(q)*len(ix.trees) {
-		keys = nil
-	}
-	for si, sig := range q {
-		if keys == nil {
-			w.v, w.mu = sig.ValuesInto(w.v, w.mu)
-		}
+	nt := len(ix.trees)
+	for si := 0; si+nt <= len(keys); si += nt {
 		for t := range ix.trees {
-			var k uint64
-			if keys != nil {
-				k = keys[si*len(ix.trees)+t]
-			} else {
-				k = ix.hfs[t].KeyInto(ix.emb, w.v, w.mu, &w.ks)
-			}
+			k := keys[si+t]
 			f := walkFront{qkey: k, fwd: ix.trees[t].SeekAt(k)}
 			f.bwd = f.fwd
 			fi := int32(len(w.fronts))

@@ -137,9 +137,10 @@ func linearWalkerYield(ix *LSB, q signature.Series, maxYields int) [][2]int {
 		front
 	}
 	var fronts []ffront
-	for _, sig := range q {
+	keys := ix.QueryKeys(q)
+	for si := range q {
 		for t := range ix.trees {
-			k := ix.key(t, sig)
+			k := keys[si*len(ix.trees)+t]
 			pos := sort.Search(len(flat[t]), func(i int) bool { return flat[t][i].key >= k })
 			f := ffront{tree: t, front: front{qkey: k, fwd: pos, bwd: pos - 1}}
 			if f.fwd >= len(flat[t]) {
@@ -251,6 +252,47 @@ func TestWalkerResetReuses(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("yield %d: reset %v, fresh %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestKeysRebuildAndWalkWithoutSeries: Add's returned keys are the
+// QueryKeys of the series; a forest re-indexed from them with AddKeys walks
+// exactly as the one built with Add; and a walk seeded from keys alone
+// (ResetWithKeys) yields what a walk from the series does, each entry
+// naming its signature's position in the video's series.
+func TestKeysRebuildAndWalkWithoutSeries(t *testing.T) {
+	built, rebuilt := NewLSB(DefaultLSBOptions()), NewLSB(DefaultLSBOptions())
+	stored := map[uint32]signature.Series{}
+	for i := 0; i < 8; i++ {
+		s := series(i%5, int64(i+1))
+		keys := built.Add(uint32(i), s)
+		if !slices.Equal(keys, built.QueryKeys(s)) {
+			t.Fatalf("video %d: Add returned keys other than QueryKeys", i)
+		}
+		rebuilt.AddKeys(uint32(i), keys)
+		stored[uint32(i)] = s
+	}
+	collect := func(w *Walker) [][3]int {
+		var out [][3]int
+		for {
+			e, p, ok := w.Next()
+			if !ok {
+				break
+			}
+			if int(e.Ord) >= len(stored[e.Video]) {
+				t.Fatalf("entry %+v: position past the video's %d signatures", e, len(stored[e.Video]))
+			}
+			out = append(out, [3]int{int(e.Video), int(e.Ord), p})
+		}
+		return out
+	}
+	for qi, q := range []signature.Series{series(2, 50)[:1], series(4, 81), stored[3]} {
+		want := collect(built.NewWalker(q))
+		var w Walker
+		w.ResetWithKeys(rebuilt, built.QueryKeys(q))
+		if got := collect(&w); !slices.Equal(got, want) {
+			t.Fatalf("query %d: the keys-only walk over the rebuilt forest yielded %d entries unlike the series walk's %d", qi, len(got), len(want))
 		}
 	}
 }

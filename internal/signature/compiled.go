@@ -7,6 +7,7 @@
 package signature
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -51,22 +52,54 @@ type Compiled struct {
 	Q [SketchBins]float64
 }
 
-// Compile builds the compiled form of one signature.
+// MaxCuboids bounds the cuboids of one signature that can be compiled: a
+// CompiledSeries keeps each sorted cuboid's extraction-order position as a
+// uint16. Extraction yields at most Grid² cuboids per signature (one per
+// merged block region), so every Grid up to MaxGrid stays within it.
+const MaxCuboids = 1 << 16
+
+// MaxGrid is the largest Options.Grid whose signatures always compile.
+const MaxGrid = 256
+
+// Compile builds the compiled form of one signature. It panics if the
+// signature has more than MaxCuboids cuboids.
 func Compile(s Signature) Compiled {
-	c := Compiled{
-		V: make([]float64, len(s.Cuboids)),
-		W: make([]float64, len(s.Cuboids)),
+	return compile(s, make([]uint16, len(s.Cuboids)))
+}
+
+// compile is Compile recording the sort permutation in perm (len(s.Cuboids)
+// long): V[k] and W[k] are cuboid perm[k] of s. Sorting the indices and then
+// gathering runs the same stable insertion-block and symMerge passes as
+// sorting the value and weight arrays in place (emd.SortByValue), with the
+// same comparisons, so the result is identical bit for bit — ties, ±0 and
+// NaN included — while each move shifts two bytes instead of two float64s.
+func compile(s Signature, perm []uint16) Compiled {
+	n := len(s.Cuboids)
+	if n > MaxCuboids {
+		panic(fmt.Sprintf("signature: %d cuboids exceed MaxCuboids (%d)", n, MaxCuboids))
 	}
+	c := Compiled{V: make([]float64, n), W: make([]float64, n)}
 	for i, cb := range s.Cuboids {
-		c.V[i] = cb.V
 		c.W[i] = cb.Mu
 		c.Mean += cb.V * cb.Mu
+		perm[i] = uint16(i)
 	}
 	c.Mass, c.OK = emd.ValidateWeights(c.W)
-	if len(s.Cuboids) == 0 {
+	if n == 0 {
 		c.OK = false
 	}
-	emd.SortByValue(c.V, c.W)
+	slices.SortStableFunc(perm, func(a, b uint16) int {
+		switch va, vb := s.Cuboids[a].V, s.Cuboids[b].V; {
+		case va < vb:
+			return -1
+		case vb < va:
+			return 1
+		}
+		return 0
+	})
+	for k, p := range perm {
+		c.V[k], c.W[k] = s.Cuboids[p].V, s.Cuboids[p].Mu
+	}
 	if c.OK {
 		c.sketch()
 	}
@@ -130,20 +163,58 @@ func pairBound(a, b *Compiled, matchThreshold float64) (float64, bool) {
 
 // CompiledSeries is a signature series compiled for refinement: one Compiled
 // per q-gram signature. It is immutable after construction and safe to share
-// across any number of concurrent readers; views cache one per stored video.
+// across any number of concurrent readers; views keep one per stored video,
+// and it is the only form of a stored video's content they keep — Series
+// rebuilds the raw series from it exactly.
 type CompiledSeries struct {
 	Sigs []Compiled
+
+	// perm is every signature's sort permutation in turn, in one backing
+	// array: Sigs[i].V[k] and W[k] are cuboid perm[o+k] of signature i in
+	// extraction order, o being the cuboid count of Sigs[:i].
+	perm []uint16
 }
 
 // CompileSeries compiles every signature of a series. A nil or empty series
 // compiles to an empty CompiledSeries, which κJ treats exactly like the
-// empty raw series (relevance 0).
+// empty raw series (relevance 0). It panics if a signature has more than
+// MaxCuboids cuboids.
 func CompileSeries(s Series) *CompiledSeries {
-	cs := &CompiledSeries{Sigs: make([]Compiled, len(s))}
+	n := 0
+	for _, sig := range s {
+		n += len(sig.Cuboids)
+	}
+	cs := &CompiledSeries{Sigs: make([]Compiled, len(s)), perm: make([]uint16, n)}
+	o := 0
 	for i, sig := range s {
-		cs.Sigs[i] = Compile(sig)
+		m := len(sig.Cuboids)
+		cs.Sigs[i] = compile(sig, cs.perm[o:o+m:o+m])
+		o += m
 	}
 	return cs
+}
+
+// Series rebuilds the raw series the compiled form was built from, cuboids
+// in extraction order. W is the weights as given (validation only reads
+// them), so the rebuild is exact: CompileSeries(s).Series() equals s bit for
+// bit, an empty signature coming back with nil cuboids. The result is a
+// fresh copy the caller owns.
+func (cs *CompiledSeries) Series() Series {
+	s := make(Series, len(cs.Sigs))
+	o := 0
+	for i := range cs.Sigs {
+		c := &cs.Sigs[i]
+		if len(c.V) == 0 {
+			continue
+		}
+		cb := make([]Cuboid, len(c.V))
+		for k, p := range cs.perm[o : o+len(c.V)] {
+			cb[p] = Cuboid{V: c.V[k], Mu: c.W[k]}
+		}
+		s[i].Cuboids = cb
+		o += len(c.V)
+	}
+	return s
 }
 
 // Envelope is everything KJEnvelopeBound reads of a stored series: the range

@@ -61,10 +61,11 @@ type Monitor struct {
 	opts Options
 	lib  *index.LSB
 
-	// The LSB index stores dense uint32 video indices; the monitor owns the
-	// id ↔ index mapping for its reference library.
-	refs   []string
-	refIdx map[string]uint32
+	// The LSB index stores (dense index, signature position) pairs; the
+	// monitor keeps every added reference series itself, one dense index
+	// per AddReference call, so each entry resolves to the series it was
+	// indexed from.
+	refs []reference
 
 	buf       []*video.Frame
 	prevHist  []float64
@@ -74,6 +75,11 @@ type Monitor struct {
 
 	tally   map[string]*tally
 	alerted map[string]bool
+}
+
+type reference struct {
+	id     string
+	series signature.Series
 }
 
 type tally struct {
@@ -91,22 +97,17 @@ func NewMonitor(opts Options) *Monitor {
 	return &Monitor{
 		opts:    opts,
 		lib:     index.NewLSB(opts.LSB),
-		refIdx:  map[string]uint32{},
 		tally:   map[string]*tally{},
 		alerted: map[string]bool{},
 	}
 }
 
 // AddReference indexes a reference video's signature series. References may
-// be added while the stream is running.
+// be added while the stream is running; adding an id again indexes the new
+// series beside the old one, and matches against either count for the id.
 func (m *Monitor) AddReference(id string, series signature.Series) {
-	i, ok := m.refIdx[id]
-	if !ok {
-		i = uint32(len(m.refs))
-		m.refs = append(m.refs, id)
-		m.refIdx[id] = i
-	}
-	m.lib.Add(i, series)
+	m.lib.Add(uint32(len(m.refs)), series)
+	m.refs = append(m.refs, reference{id: id, series: series})
 }
 
 // LibrarySize returns the number of indexed reference signatures.
@@ -177,8 +178,9 @@ func (m *Monitor) closeShot() []Alert {
 			if !ok {
 				break
 			}
-			if s := signature.SimC(sig, e.Sig); s >= m.opts.MatchThreshold {
-				if id := m.refs[e.Video]; s > best[id] {
+			ref := &m.refs[e.Video]
+			if s := signature.SimC(sig, ref.series[e.Ord]); s >= m.opts.MatchThreshold {
+				if id := ref.id; s > best[id] {
 					best[id] = s
 				}
 			}

@@ -176,6 +176,11 @@ func (e *Engine) AddPrepared(p PreparedClip) error {
 	if p.ID == "" {
 		return ErrEmptyID
 	}
+	for _, sig := range p.Series {
+		if len(sig.Cuboids) > signature.MaxCuboids {
+			return ErrSignatureTooLarge
+		}
+	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	e.rec.IngestSeries(p.ID, p.Series, p.Desc)

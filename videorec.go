@@ -221,6 +221,10 @@ var (
 	ErrBadFrame = errors.New("videorec: clip frame has inconsistent dimensions")
 	ErrNotFound = errors.New("videorec: unknown video id")
 	ErrNotBuilt = errors.New("videorec: Build must be called first")
+
+	// ErrSignatureTooLarge rejects a prepared clip with a signature of more
+	// than signature.MaxCuboids cuboids, more than extraction ever yields.
+	ErrSignatureTooLarge = errors.New("videorec: prepared clip has an oversized signature")
 )
 
 // New creates an empty engine.

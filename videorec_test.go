@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"videorec/internal/dataset"
+	"videorec/internal/signature"
 	"videorec/internal/video"
 )
 
@@ -282,5 +283,19 @@ func TestRecommendSegment(t *testing.T) {
 	}
 	if _, err := eng.RecommendSegment(clip, 0, len(clip.Frames)+9, 5); err == nil {
 		t.Error("out-of-range segment accepted")
+	}
+}
+
+// TestAddPreparedRejectsOversizedSignature: a prepared series is the one
+// ingest input extraction has not bounded, and a signature past
+// signature.MaxCuboids cannot be compiled, so AddPrepared refuses it.
+func TestAddPreparedRejectsOversizedSignature(t *testing.T) {
+	e := New(Options{})
+	big := signature.Series{{Cuboids: make([]signature.Cuboid, signature.MaxCuboids+1)}}
+	if err := e.AddPrepared(PreparedClip{ID: "big", Series: big}); !errors.Is(err, ErrSignatureTooLarge) {
+		t.Fatalf("AddPrepared = %v, want ErrSignatureTooLarge", err)
+	}
+	if e.Len() != 0 {
+		t.Fatalf("the rejected clip was stored: %d videos", e.Len())
 	}
 }
