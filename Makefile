@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet test test-race test-faults race bench bench-serve bench-serve-trace bench-serve-compare bench-shards bench-updates vrecbench vrecbench-short bench-compare vrecload vrecload-smoke load-compare experiments experiments-paper fuzz examples clean
+.PHONY: all check build vet test test-race test-faults race bench bench-serve bench-serve-trace bench-serve-compare bench-shards vrecload vrecload-smoke experiments experiments-paper fuzz examples clean
 
 all: check
 
@@ -35,8 +35,7 @@ bench:
 # The serving benchmark of BENCHMARK.json (bench/README.md): 2k / 20k clips
 # behind a real listener, answers checked, one JSON line of metrics per run.
 # It builds into .bench_build/ and is a module of its own, so `make test`
-# neither builds nor runs it. The targets below it are the superseded stack,
-# kept until ROADMAP item 1 removes them.
+# neither builds nor runs it.
 #   make bench-serve WORKLOAD=browse_large SEED=3
 #   make bench-serve-compare BASE=bench/out/base.json CHANGE=bench/out/change.json
 WORKLOAD ?= browse_small
@@ -56,41 +55,12 @@ CHANGE ?= bench/out/change.json
 bench-serve-compare:
 	bash bench/run.sh --compare $(BASE) $(CHANGE)
 
-# Serving-path benchmark harness: fixed RecommendCtx workloads, JSON output
-# with ns/op, qps, allocs/op and latency percentiles (see README). Includes
-# the shards/{1,4,16} scatter-gather workloads and the shards/faulty
-# degraded-path workload.
-vrecbench:
-	$(GO) run ./cmd/vrecbench -out BENCH_PR8.json
-
-vrecbench-short:
-	$(GO) run ./cmd/vrecbench -short -out bench-short.json
-
 # The scatter-gather scaling benchmark in isolation: the same fixture at 1
 # and 16 shards, suitable for -cpuprofile (see internal/shard/prof_test.go).
 bench-shards:
 	$(GO) test ./internal/shard/ -run '^$$' -bench FanOut -benchtime 300x
 
-# The write-path (Figure 5 maintenance) rows in isolation: re-run the
-# updates/{small,storm} vrecbench workloads and diff them against the
-# checked-in pre-CSR baseline (see DESIGN.md §17). Override the baseline
-# with UPDATES_OLD=, e.g. against the last full run:
-#   make bench-updates UPDATES_OLD=BENCH_PR10.json
-UPDATES_OLD ?= BENCH_PR10_BASE.json
-bench-updates:
-	$(GO) run ./cmd/vrecbench -only updates/ -out bench-updates.json
-	$(GO) run ./cmd/benchcompare -old $(UPDATES_OLD) -new bench-updates.json
-
-# Diff two vrecbench reports (ns_per_op / allocs_per_op per workload).
-# Override the endpoints with OLD=/NEW=, e.g.
-#   make bench-compare OLD=BENCH_PR3.json NEW=bench-short.json
-# A missing baseline or disjoint workload sets print a note and exit 0.
-OLD ?= BENCH_PR7.json
-NEW ?= BENCH_PR8.json
-bench-compare:
-	$(GO) run ./cmd/benchcompare -old $(OLD) -new $(NEW)
-
-# HTTP-level storm harness: regenerate the three BENCH_LOAD scenarios —
+# HTTP-level storm harness: write three scenarios to BENCH_LOAD.json —
 # unloaded baseline, a comment storm against the fixed limiter, and the same
 # storm with the adaptive limiter + brownout (see README "Surviving traffic
 # storms" for what the numbers mean). -service-time simulates a production-
@@ -117,12 +87,6 @@ vrecload-smoke:
 	    -query-timeout 60ms -storm-at 1s -storm-dur 1s -storm-factor 3 \
 	    -out bench-load-smoke.json -check
 
-# Diff two vrecload reports (goodput / p99 / p999 per scenario).
-LOAD_OLD ?= BENCH_LOAD_PR9.json
-LOAD_NEW ?= BENCH_LOAD.json
-load-compare:
-	$(GO) run ./cmd/benchcompare -old $(LOAD_OLD) -new $(LOAD_NEW)
-
 # Regenerate every table and figure at the default (fast) scale.
 experiments:
 	$(GO) run ./cmd/experiments
@@ -131,16 +95,19 @@ experiments:
 experiments-paper:
 	$(GO) run ./cmd/experiments -scale paper
 
-# Short fuzzing pass over every fuzz target.
+# Short fuzzing pass over every fuzz target, FUZZTIME each; the CI fuzz job
+# runs this target, so a new target joins both by being added here.
+FUZZTIME ?= 20s
 fuzz:
-	$(GO) test ./internal/btree/ -fuzz FuzzTreeOps -fuzztime 20s
-	$(GO) test ./internal/hashing/ -fuzz FuzzShiftAddXor -fuzztime 10s
-	$(GO) test ./internal/lsh/ -fuzz FuzzZOrderPrefix -fuzztime 10s
-	$(GO) test ./internal/video/ -fuzz FuzzDecode -fuzztime 10s
-	$(GO) test ./internal/store/ -fuzz FuzzLoad -fuzztime 10s
-	$(GO) test ./internal/store/ -fuzz FuzzReplayJournal -fuzztime 10s
-	$(GO) test ./internal/store/ -fuzz FuzzReadTail -fuzztime 10s
-	$(GO) test ./internal/store/ -fuzz FuzzJournalLine -fuzztime 10s
+	$(GO) test -run='^$$' -fuzz='^FuzzTreeOps$$' -fuzztime=$(FUZZTIME) ./internal/btree/
+	$(GO) test -run='^$$' -fuzz='^FuzzShiftAddXor$$' -fuzztime=$(FUZZTIME) ./internal/hashing/
+	$(GO) test -run='^$$' -fuzz='^FuzzZOrderPrefix$$' -fuzztime=$(FUZZTIME) ./internal/lsh/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/video/
+	$(GO) test -run='^$$' -fuzz='^FuzzCompiledRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/signature/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzReplayJournal$$' -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadTail$$' -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalLine$$' -fuzztime=$(FUZZTIME) ./internal/store/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -373,29 +373,6 @@ func BenchmarkBTreeLCPWalk(b *testing.B) {
 	}
 }
 
-// BenchmarkRecommendParallel drives Recommend from all procs at once —
-// the serving shape the lock-free view design targets. Reads load the
-// published view through an atomic pointer, so throughput should scale with
-// GOMAXPROCS instead of collapsing onto a reader lock.
-func BenchmarkRecommendParallel(b *testing.B) {
-	eng, col := buildEngine(b, Options{})
-	var sources []string
-	for _, q := range col.Queries {
-		sources = append(sources, q.Sources...)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			src := sources[i%len(sources)]
-			i++
-			if _, err := eng.Recommend(src, 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkRefineSerialVsParallel: step-3 refinement with the worker pool
 // off (RefineWorkers=1) vs on (0 = GOMAXPROCS). FullScan maximizes the
 // candidate set so the κJ EMD work dominates. Rankings are bit-identical

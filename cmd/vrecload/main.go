@@ -5,11 +5,11 @@
 // reports what the serving stack did about it: latency percentiles over
 // admitted requests, shed/evicted/degraded rates, and goodput.
 //
-// Unlike vrecbench (in-process microbenchmarks of the engine), vrecload
-// measures the whole serving path over real HTTP: admission control, the
-// adaptive concurrency limiter, deadline-aware queueing, brownout, caching,
-// and the handlers. It is how the overload-control subsystem is proven end
-// to end.
+// vrecload measures the whole serving path over real HTTP: admission
+// control, the adaptive concurrency limiter, deadline-aware queueing,
+// brownout, caching, and the handlers. It is how the overload-control
+// subsystem is proven end to end; bench/ measures the serving path at scale
+// but does not yet drive a storm.
 //
 // Two generator modes:
 //
@@ -32,13 +32,13 @@
 //
 //	go run ./cmd/vrecload -scenario storm/adaptive \
 //	    -conc 24 -duration 6s -storm-at 2s -storm-dur 2s -storm-factor 3 \
-//	    -limit-ceiling 32 -brownout -out BENCH_LOAD_PR9.json -append
+//	    -limit-ceiling 32 -brownout -out storm.json -append
 //
 //	go run ./cmd/vrecload -check   # CI smoke: assert goodput, no panics,
 //	                               # Retry-After on every shed response
 //
-// Reports are JSON with kind "vrecload"; cmd/benchcompare diffs the
-// goodput/p99 families of two BENCH_LOAD_*.json files.
+// Reports are JSON with kind "vrecload": one row per scenario with goodput,
+// latency percentiles and shed/evicted/degraded counts.
 package main
 
 import (

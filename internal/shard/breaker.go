@@ -38,6 +38,13 @@ const (
 	BreakerHalfOpen BreakerState = "half-open"
 )
 
+// origin anchors now(). time.Since reads the monotonic clock, so a step of
+// the wall clock neither stretches nor cuts short an open breaker's backoff.
+var origin = time.Now()
+
+// now is the breaker's clock: monotonic nanoseconds since origin.
+func now() int64 { return int64(time.Since(origin)) }
+
 type breaker struct {
 	threshold int           // consecutive failures to open; <= 0 disables
 	base      time.Duration // first open interval
@@ -45,7 +52,7 @@ type breaker struct {
 
 	state     atomic.Int32 // stClosed / stOpen / stHalfOpen
 	fails     atomic.Int64 // consecutive failures since the last success
-	until     atomic.Int64 // unixnano until which open refuses probes
+	until     atomic.Int64 // now() until which open refuses probes
 	backoff   atomic.Int64 // current un-jittered open interval, ns
 	failTotal atomic.Uint64
 	openTotal atomic.Uint64
@@ -83,7 +90,7 @@ func (b *breaker) allow() (ok, probe bool) {
 	case stOpen:
 		// Backoff elapsed: exactly one caller wins the CAS and probes; the
 		// rest keep skipping until the probe settles.
-		if time.Now().UnixNano() >= b.until.Load() && b.state.CompareAndSwap(stOpen, stHalfOpen) {
+		if now() >= b.until.Load() && b.state.CompareAndSwap(stOpen, stHalfOpen) {
 			return true, true
 		}
 		return false, false
@@ -167,7 +174,7 @@ func (b *breaker) rearm(interval int64) {
 	}
 	b.backoff.Store(interval)
 	wait := interval/2 + rand.Int63n(interval/2+1)
-	b.until.Store(time.Now().UnixNano() + wait)
+	b.until.Store(now() + wait)
 	b.state.Store(stOpen)
 }
 
@@ -179,7 +186,7 @@ func (b *breaker) snapshot() (state BreakerState, consecutive int, failures, ope
 	switch b.state.Load() {
 	case stOpen:
 		state = BreakerOpen
-		if d := time.Duration(b.until.Load() - time.Now().UnixNano()); d > 0 {
+		if d := time.Duration(b.until.Load() - now()); d > 0 {
 			retryIn = d
 		}
 	case stHalfOpen:

@@ -175,9 +175,8 @@ var ErrNoShards = errors.New("shard: router needs at least one shard")
 // ErrLastShard reports an attempt to drain the only remaining shard.
 var ErrLastShard = errors.New("shard: cannot drain the last shard")
 
-// New creates a router over n fresh engines sharing one configuration. The
-// Options' ShardMargin and MinShardQuorum seed the router's Resilience;
-// breaker tuning goes through SetResilience.
+// New creates a router over n fresh engines sharing one configuration.
+// Per-shard budgets, the quorum and breaker tuning go through SetResilience.
 func New(n int, opts videorec.Options) (*Router, error) {
 	if n <= 0 {
 		return nil, ErrNoShards
@@ -186,14 +185,7 @@ func New(n int, opts videorec.Options) (*Router, error) {
 	for i := range engines {
 		engines[i] = videorec.New(opts)
 	}
-	r, err := NewFromEngines(engines)
-	if err != nil {
-		return nil, err
-	}
-	if opts.ShardMargin != 0 || opts.MinShardQuorum != 0 {
-		r.SetResilience(Resilience{ShardMargin: opts.ShardMargin, MinShardQuorum: opts.MinShardQuorum})
-	}
-	return r, nil
+	return NewFromEngines(engines)
 }
 
 // NewFromEngines creates a router over existing engines — the load and

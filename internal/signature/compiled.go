@@ -328,16 +328,16 @@ func KJCompiled(s1, s2 *CompiledSeries, matchThreshold float64) float64 {
 	return v
 }
 
-// KJCancelCompiled is KJCancel over compiled series: the extended Jaccard
-// with cooperative cancellation, computed through the zero-allocation merge
-// EMD kernel. scratch supplies the pair/match buffers; nil falls back to a
-// private allocation (convenience paths — hot loops pass a per-worker
-// scratch). cancelled, when non-nil, is polled between EMD evaluations; a
-// true return abandons the computation and the second result reports false.
+// KJCancelCompiled is KJ over compiled series with cooperative
+// cancellation, computed through the zero-allocation merge EMD kernel.
+// scratch supplies the pair/match buffers; nil falls back to a private
+// allocation (convenience paths — hot loops pass a per-worker scratch).
+// cancelled, when non-nil, is polled between EMD evaluations; a true return
+// abandons the computation and the second result reports false.
 //
-// Results are bit-identical to KJCancel on the corresponding raw series: the
-// same kernel arithmetic and the same (sim desc, i asc, j asc) greedy
-// matching order; the pair filter (centroid, then quantile sketch) only ever
+// Results are bit-identical to KJ on the corresponding raw series: the same
+// kernel arithmetic and the same (sim desc, i asc, j asc) greedy matching
+// order; the pair filter (centroid, then quantile sketch) only ever
 // skips the EMD of a pair that could not have reached the threshold.
 func KJCancelCompiled(s1, s2 *CompiledSeries, matchThreshold float64, cancelled func() bool, scratch *KJScratch) (float64, bool) {
 	if s1 == nil || s2 == nil || len(s1.Sigs) == 0 || len(s2.Sigs) == 0 {

@@ -175,8 +175,8 @@ func TestKJCancelCompiledZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
-// Cancellation semantics of the compiled path mirror KJCancel: a cancelled
-// computation reports incomplete, nil series behave like empty ones.
+// Cancellation semantics of the compiled path: a cancelled computation
+// reports incomplete, nil series behave like empty ones.
 func TestKJCancelCompiledEdges(t *testing.T) {
 	opts := DefaultOptions()
 	a := CompileSeries(Extract(synth(1, 1), opts))

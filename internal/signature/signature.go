@@ -292,23 +292,13 @@ func SimC(a, b Signature) float64 {
 // are greedily matched in decreasing SimC order; pairs below matchThreshold
 // stay unmatched. |S1 ∪ S2| is |S1| + |S2| − #matched, following the
 // set-based measure of [35], and the numerator sums SimC over matched pairs.
-func KJ(s1, s2 Series, matchThreshold float64) float64 {
-	v, _ := KJCancel(s1, s2, matchThreshold, nil)
-	return v
-}
-
-// KJCancel is KJ with cooperative cancellation: cancelled (when non-nil) is
-// polled between EMD evaluations, and a true return abandons the computation
-// immediately — the second result reports whether the value is complete. A
-// single EMD over cuboid signatures is microseconds, so a deadline-expired
-// recommendation stops burning CPU within one evaluation of noticing.
 //
-// KJCancel is the reference implementation over raw series; the serving hot
-// path uses KJCancelCompiled over precompiled series, which is bit-identical
+// KJ is the reference implementation over raw series; the serving hot path
+// uses KJCancelCompiled over precompiled series, which is bit-identical
 // (golden-tested) and allocation-free in steady state.
-func KJCancel(s1, s2 Series, matchThreshold float64, cancelled func() bool) (float64, bool) {
+func KJ(s1, s2 Series, matchThreshold float64) float64 {
 	if len(s1) == 0 || len(s2) == 0 {
-		return 0, true
+		return 0
 	}
 	type pair struct {
 		i, j int
@@ -328,9 +318,6 @@ func KJCancel(s1, s2 Series, matchThreshold float64, cancelled func() bool) (flo
 	pairs := make([]pair, 0, len(s1)*len(s2))
 	for i := range s1 {
 		for j := range s2 {
-			if cancelled != nil && cancelled() {
-				return 0, false
-			}
 			if matchThreshold > 0 {
 				lb := means1[i] - means2[j]
 				if lb < 0 {
@@ -372,7 +359,7 @@ func KJCancel(s1, s2 Series, matchThreshold float64, cancelled func() bool) (flo
 	}
 	union := float64(len(s1) + len(s2) - matched)
 	if union <= 0 {
-		return 0, true
+		return 0
 	}
-	return num / union, true
+	return num / union
 }

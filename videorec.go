@@ -89,18 +89,6 @@ type Options struct {
 	// SAR ranking, flagged degraded. 0 uses the default (20ms); negative
 	// disables degradation so tight deadlines fail with DeadlineExceeded.
 	DegradeMargin time.Duration
-	// ShardMargin applies only to sharded deployments (internal/shard): the
-	// headroom the scatter-gather router reserves from the request deadline
-	// for the merge, so each shard's fan-out call runs under (deadline −
-	// margin) and one stuck shard cannot spend the whole request budget.
-	// 0 disables per-shard budgets. A single engine ignores it.
-	ShardMargin time.Duration
-	// MinShardQuorum applies only to sharded deployments: the minimum number
-	// of shards that must answer a query. <= 0 requires all of them (any
-	// shard failure fails the query); n >= 1 tolerates failures down to n
-	// survivors, answering with the merged partial ranking marked Degraded.
-	// A single engine ignores it.
-	MinShardQuorum int
 }
 
 // Frame is one grayscale frame; intensities are clamped to [0, 255].
