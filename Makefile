@@ -95,19 +95,18 @@ experiments:
 experiments-paper:
 	$(GO) run ./cmd/experiments -scale paper
 
-# Short fuzzing pass over every fuzz target, FUZZTIME each; the CI fuzz job
-# runs this target, so a new target joins both by being added here.
-FUZZTIME ?= 20s
+# Short fuzzing pass over every fuzz target, 20s each; the CI fuzz job runs
+# this target, so a new target joins both by being added here.
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzTreeOps$$' -fuzztime=$(FUZZTIME) ./internal/btree/
-	$(GO) test -run='^$$' -fuzz='^FuzzShiftAddXor$$' -fuzztime=$(FUZZTIME) ./internal/hashing/
-	$(GO) test -run='^$$' -fuzz='^FuzzZOrderPrefix$$' -fuzztime=$(FUZZTIME) ./internal/lsh/
-	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME) ./internal/video/
-	$(GO) test -run='^$$' -fuzz='^FuzzCompiledRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/signature/
-	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=$(FUZZTIME) ./internal/store/
-	$(GO) test -run='^$$' -fuzz='^FuzzReplayJournal$$' -fuzztime=$(FUZZTIME) ./internal/store/
-	$(GO) test -run='^$$' -fuzz='^FuzzReadTail$$' -fuzztime=$(FUZZTIME) ./internal/store/
-	$(GO) test -run='^$$' -fuzz='^FuzzJournalLine$$' -fuzztime=$(FUZZTIME) ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzTreeOps$$' -fuzztime=20s ./internal/btree/
+	$(GO) test -run='^$$' -fuzz='^FuzzShiftAddXor$$' -fuzztime=20s ./internal/hashing/
+	$(GO) test -run='^$$' -fuzz='^FuzzZOrderPrefix$$' -fuzztime=20s ./internal/lsh/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=20s ./internal/video/
+	$(GO) test -run='^$$' -fuzz='^FuzzCompiledRoundTrip$$' -fuzztime=20s ./internal/signature/
+	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=20s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzReplayJournal$$' -fuzztime=20s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadTail$$' -fuzztime=20s ./internal/store/
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalLine$$' -fuzztime=20s ./internal/store/
 
 examples:
 	$(GO) run ./examples/quickstart

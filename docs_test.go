@@ -1,7 +1,9 @@
 package videorec
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -10,7 +12,8 @@ import (
 // TestDocsNameOnlyWhatExists holds README.md, the Makefile and the CI
 // workflow to the tree: every make target, command directory, vrecd flag and
 // root-level JSON file they name must exist. A JSON file one of them writes
-// with -out is an output, not a reference.
+// with -out is an output, not a reference. Back the other way, every fuzz
+// target in the module must be on the Makefile's fuzz list, which CI runs.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	read := func(name string) string {
 		b, err := os.ReadFile(name)
@@ -55,6 +58,31 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 				t.Errorf("%s: %s does not exist", name, m[1])
 			}
 		}
+	}
+
+	fuzzDef := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		// bench/ is its own module, out of reach of the root Makefile.
+		if d.IsDir() && path != "." && (path == "bench" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		pkg := "./" + strings.TrimPrefix(filepath.Dir(path)+"/", "./")
+		for _, m := range fuzzDef.FindAllStringSubmatch(read(path), -1) {
+			run := "-fuzz='^" + m[1] + "$$' -fuzztime=20s " + pkg
+			if !strings.Contains(makefile, run) {
+				t.Errorf("%s: %s is not on the Makefile's fuzz list (want %q)", path, m[1], run)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	flags := map[string]bool{}
