@@ -16,6 +16,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"videorec/internal/btree"
@@ -194,6 +195,13 @@ type Recommender struct {
 
 	social *Social // nil before BuildSocial; possibly shared with other shards
 
+	// holders maps each user to the dense indices of the live records whose
+	// descriptor holds them. A maintenance pass that gives a user its first
+	// sub-community must re-vectorize every record holding that user: the
+	// user counted in none of their vectors, so no touched dimension's
+	// posting list finds them. Only the writer reads it; views never do.
+	holders map[string][]uint32
+
 	// pairCounts is DeriveFrom's dense pair-count matrix, kept across
 	// batches and all zero between them.
 	pairCounts []uint32
@@ -246,7 +254,7 @@ func NewRecommender(opts Options) *Recommender {
 		lsb:  newLSBFor(opts),
 	}
 	st.newPools()
-	return &Recommender{opts: opts, state: st}
+	return &Recommender{opts: opts, state: st, holders: map[string][]uint32{}}
 }
 
 // checkGrid rejects a Grid whose signatures could outgrow what a compiled
@@ -335,13 +343,39 @@ func (r *Recommender) IngestSeries(id string, series signature.Series, desc soci
 	}
 	if old := s.recs.At(i); old != nil {
 		rec.seq = old.seq // replacing a stored clip keeps its place
+		r.dropHolder(i, old.Desc.Users())
 	} else {
 		rec.seq = s.nextSeq
 		s.nextSeq++
 		s.live++
 	}
 	s.setRecord(i, rec)
+	r.addHolder(i, desc.Users())
 	s.built = false
+}
+
+// addHolder records dense index i as holding each of users, once.
+func (r *Recommender) addHolder(i uint32, users []string) {
+	for _, u := range users {
+		if h := r.holders[u]; len(h) == 0 || h[len(h)-1] != i {
+			r.holders[u] = append(h, i)
+		}
+	}
+}
+
+// dropHolder forgets dense index i as a holder of each of users.
+func (r *Recommender) dropHolder(i uint32, users []string) {
+	for _, u := range users {
+		h := r.holders[u]
+		if k := slices.Index(h, i); k >= 0 {
+			h = slices.Delete(h, k, k+1)
+		}
+		if len(h) == 0 {
+			delete(r.holders, u)
+		} else {
+			r.holders[u] = h
+		}
+	}
 }
 
 // Record returns the stored record for a video id.

@@ -14,6 +14,7 @@ func (r *Recommender) RemoveVideo(id string) bool {
 	s := r.state
 	rec := s.recs.At(i)
 	s.setRecord(i, nil)
+	r.dropHolder(i, rec.Desc.Users())
 	s.live--
 	if s.inv != nil && rec.Vec != nil {
 		s.inv.Remove(i, rec.Vec)

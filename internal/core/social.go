@@ -33,6 +33,7 @@ type Social struct {
 	dict  []dictEntry // linear-scan dictionary, kept in ModeSAR only
 
 	touched map[int]bool // dimensions changed by the latest maintenance pass
+	entered []string     // users the latest pass gave their first sub-community
 }
 
 type dictEntry struct {
@@ -56,6 +57,9 @@ func newSocial(opts Options, g *community.Graph, part *community.Partition) *Soc
 	s.rebuildDictionaries()
 	s.maint = community.NewMaintainer(g, part, community.Hooks{
 		AssignUser: func(u string, cno int) {
+			if _, ok := s.table.Lookup(u); !ok {
+				s.entered = append(s.entered, u)
+			}
 			s.table.Insert(u, cno)
 			if s.opts.Mode == ModeSAR {
 				s.dict = append(s.dict, dictEntry{user: u, cno: cno})
@@ -109,6 +113,7 @@ func (s *Social) Maintain(edges []community.Edge) UpdateReport {
 	s.dict = slices.Clone(s.dict)
 	s.maint.SetPartition(s.part)
 	s.touched = map[int]bool{}
+	s.entered = nil
 	start := time.Now()
 	st := s.maint.ApplyConnections(edges)
 	return UpdateReport{

@@ -254,15 +254,18 @@ func (r *Recommender) ApplyComments(newComments map[string][]string) int {
 	s := r.state
 	s.adoptSocial(r.social)
 
-	// The live commented videos and — posted ⇔ Vec[d] > 0 — every posting
-	// of a touched dimension. Dirty tracking is by dense index; re-posting in
-	// ascending index order keeps the sorted posting-list edits
-	// cache-friendly.
+	// The live commented videos, every holder of a user the pass assigned for
+	// the first time, and — posted ⇔ Vec[d] > 0 — every posting of a touched
+	// dimension. Dirty tracking is by dense index; re-posting in ascending
+	// index order keeps the sorted posting-list edits cache-friendly.
 	var dirty []uint32
 	for vid := range newComments {
 		if i, ok := s.index(vid); ok && s.recs.At(i) != nil {
 			dirty = append(dirty, i)
 		}
+	}
+	for _, u := range r.social.entered {
+		dirty = append(dirty, r.holders[u]...)
 	}
 	dirty = append(dirty, s.touchedPostings(r.social.touched)...)
 	slices.Sort(dirty)
@@ -273,6 +276,11 @@ func (r *Recommender) ApplyComments(newComments map[string][]string) int {
 		// A published view may hold the old record: replace, never edit.
 		cp := *s.recs.At(i)
 		if fresh, ok := newComments[cp.ID]; ok {
+			for _, u := range fresh {
+				if u != "" && !cp.Desc.Contains(u) {
+					r.addHolder(i, []string{u})
+				}
+			}
 			cp.Desc = cp.Desc.Add(fresh...)
 		}
 		// Unpost only where the new vector stops posting; Add rewrites the
