@@ -18,6 +18,7 @@ import (
 	"videorec/internal/experiments"
 	"videorec/internal/hashing"
 	"videorec/internal/index"
+	"videorec/internal/oracle"
 	"videorec/internal/signature"
 	"videorec/internal/social"
 	vid "videorec/internal/video"
@@ -262,30 +263,31 @@ func BenchmarkAblationHashTable(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationLSBvsScan: LSB-index probed recommendation vs exhaustive
-// full-scan refinement on the same collection and query.
+// BenchmarkAblationLSBvsScan: LSB-index probed recommendation vs the
+// oracle's exhaustive scan over the same records, partition and query.
 func BenchmarkAblationLSBvsScan(b *testing.B) {
 	e := benchEnv(b)
-	mk := func(fullScan bool) (*core.Recommender, string) {
-		opts := core.DefaultOptions()
-		opts.FullScan = fullScan
-		opts.CandidateLimit = 80
-		opts.ContentProbe = 128
-		r := e.BuildRecommender(opts, e.Col)
-		return r, e.Sources()[0]
-	}
+	opts := core.DefaultOptions()
+	opts.CandidateLimit = 80
+	opts.ContentProbe = 128
+	r := e.BuildRecommender(opts, e.Col)
+	src := e.Sources()[0]
 	b.Run("lsb-probed", func(b *testing.B) {
-		r, src := mk(false)
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r.RecommendID(src, 10)
 		}
 	})
 	b.Run("full-scan", func(b *testing.B) {
-		r, src := mk(true)
+		var recs []oracle.Record
+		for _, id := range r.SortedIDs() {
+			rec, _ := r.Record(id)
+			recs = append(recs, oracle.Record{ID: id, Compiled: rec.Compiled, Desc: rec.Desc})
+		}
+		o := oracle.New(recs, r.Partition(), opts.MatchThreshold)
+		q, _ := o.Query(src)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.RecommendID(src, 10)
+			o.Rank(q, opts.Omega, oracle.SAR, 10, src)
 		}
 	})
 }
@@ -374,8 +376,8 @@ func BenchmarkBTreeLCPWalk(b *testing.B) {
 }
 
 // BenchmarkRefineSerialVsParallel: step-3 refinement with the worker pool
-// off (RefineWorkers=1) vs on (0 = GOMAXPROCS). FullScan maximizes the
-// candidate set so the κJ EMD work dominates. Rankings are bit-identical
+// off (RefineWorkers=1) vs on (0 = GOMAXPROCS). Unbounded budgets maximize
+// the candidate set so the κJ EMD work dominates. Rankings are bit-identical
 // either way — this measures latency only.
 func BenchmarkRefineSerialVsParallel(b *testing.B) {
 	e := benchEnv(b)
@@ -385,7 +387,7 @@ func BenchmarkRefineSerialVsParallel(b *testing.B) {
 	}{{"serial", 1}, {"parallel", 0}} {
 		b.Run(cfg.name, func(b *testing.B) {
 			opts := core.DefaultOptions()
-			opts.FullScan = true
+			opts.CandidateLimit, opts.ContentProbe = 1<<30, 1<<30
 			opts.RefineWorkers = cfg.workers
 			r := e.BuildRecommender(opts, e.Col)
 			src := e.Sources()[0]

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	vrec stats     [-hours H] [-users U] [-seed S]
-//	vrec recommend [-hours H] [-users U] [-seed S] [-query q1..q5] [-topk N] [-omega W] [-k K] [-mode csf|sar|sarh|cr|sr]
+//	vrec recommend [-hours H] [-users U] [-seed S] [-query q1..q5] [-topk N] [-omega W] [-k K] [-mode sarh|cr|sr]
 //	vrec update    [-hours H] [-users U] [-seed S] [-months M]
 //	vrec export    [-hours H] [-users U] [-seed S] [-out DIR] [-count N]   write clips as .vv files
 //	vrec identify  [-hours H] [-users U] [-seed S] [-file clip.vv] [-topk N]   recommend for an on-disk clip
@@ -38,7 +38,7 @@ func main() {
 	topk := fs.Int("topk", 10, "recommendations to return")
 	omega := fs.Float64("omega", 0.7, "social weight in the fusion")
 	k := fs.Int("k", 60, "sub-community count")
-	mode := fs.String("mode", "sarh", "csf | sar | sarh | cr | sr")
+	mode := fs.String("mode", "sarh", "sarh (fused at -omega), cr (content only, omega 0) or sr (social only, omega 1); CSF and CSF-SAR run as: go run ./cmd/experiments -exp fig12a")
 	months := fs.Int("months", 4, "test-period months to replay")
 	outDir := fs.String("out", "clips", "output directory for export")
 	count := fs.Int("count", 10, "clips to export")
@@ -134,16 +134,11 @@ func build(col *dataset.Collection, omega float64, k int, mode string) *core.Rec
 	opts.Omega = omega
 	opts.K = k
 	switch mode {
-	case "csf":
-		opts.Mode = core.ModeExact
-	case "sar":
-		opts.Mode = core.ModeSAR
 	case "sarh":
-		opts.Mode = core.ModeSARHash
 	case "cr":
-		opts.ContentWeightOnly = true
+		opts.Omega = 0
 	case "sr":
-		opts.SocialOnly = true
+		opts.Omega = 1
 	default:
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", mode)
 		os.Exit(2)

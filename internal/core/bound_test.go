@@ -32,26 +32,16 @@ func eagerRefine(t *testing.T, v *View, q Query, topK int, exclude ...string) ([
 	qs := v.getScratch()
 	defer v.putScratch(qs)
 	v.resolveExcludes(qs, exclude)
-	useContent, useSocial, err := v.gather(context.Background(), q, qs)
-	if err != nil {
+	if err := v.gather(context.Background(), q, qs); err != nil {
 		t.Fatal(err)
 	}
-	j := &refineJob{v: v, q: q, qs: qs, useContent: useContent, useSocial: useSocial}
-	if useContent {
-		j.qc = q.compiled()
-	}
+	j := &refineJob{v: v, q: q, qs: qs, qc: q.compiled()}
 	var bounds []boundCand
 	for _, idx := range qs.merged {
 		c := boundCand{idx: idx}
 		if rec := v.recs.At(idx); rec != nil {
-			var ub float64
-			if useContent {
-				ub = signature.KJUpperBound(j.qc, rec.Compiled, v.opts.MatchThreshold, nil)
-			}
-			if useSocial {
-				c.soc = v.candidateSocial(q, qs, idx)
-			}
-			c.bound = v.fuse(ub, c.soc)
+			c.soc = qs.sparseSJ(v, idx)
+			c.bound = v.fuse(signature.KJUpperBound(j.qc, rec.Compiled, v.opts.MatchThreshold, nil), c.soc)
 		}
 		bounds = append(bounds, c)
 	}
@@ -147,8 +137,8 @@ func TestBoundedRefineTieAtCutoff(t *testing.T) {
 		mutate func(*Options)
 	}{
 		{"fused", func(o *Options) { o.RefineWorkers = 1 }},
-		{"social-only", func(o *Options) { o.SocialOnly = true; o.RefineWorkers = 1 }},
-		{"content-only", func(o *Options) { o.ContentWeightOnly = true; o.RefineWorkers = 1 }},
+		{"social-only", func(o *Options) { o.Omega = 1; o.RefineWorkers = 1 }},
+		{"content-only", func(o *Options) { o.Omega = 0; o.RefineWorkers = 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := buildGolden(t, tc.mutate)
@@ -165,13 +155,11 @@ func TestBoundedRefineTieAtCutoff(t *testing.T) {
 			r.BuildSocial()
 			v := r.Freeze()
 
-			if !opts.SocialOnly {
-				q, _ := v.QueryFor(ids[1])
-				tw, _ := v.Record("twin-a")
-				env := signature.KJEnvelopeBound(q.compiled(), tw.Compiled.Envelope(), opts.MatchThreshold, nil)
-				if ub := signature.KJUpperBound(q.compiled(), tw.Compiled, opts.MatchThreshold, nil); env != ub {
-					t.Fatalf("twin of the query: envelope bound %v, upper bound %v; the loose/tight tie does not arise", env, ub)
-				}
+			q, _ := v.QueryFor(ids[1])
+			tw, _ := v.Record("twin-a")
+			env := signature.KJEnvelopeBound(q.compiled(), tw.Compiled.Envelope(), opts.MatchThreshold, nil)
+			if ub := signature.KJUpperBound(q.compiled(), tw.Compiled, opts.MatchThreshold, nil); env != ub {
+				t.Fatalf("twin of the query: envelope bound %v, upper bound %v; the loose/tight tie does not arise", env, ub)
 			}
 			checked := 0
 			for _, id := range ids[1:10] {
@@ -201,7 +189,7 @@ func TestBoundedRefineTieAtCutoff(t *testing.T) {
 // coarseReference is the degraded answer written out longhand: every
 // reference candidate ranked by s̃J alone under (score desc, id asc).
 func coarseReference(v *View, q Query, topK int, exclude ...string) []Result {
-	qvec := social.Vectorize(q.Desc, v.lookupFunc(), v.part.Dim)
+	qvec := social.Vectorize(q.Desc, v.part.Lookup, v.part.Dim)
 	var out []Result
 	for id := range referenceCandidates(v, q, exclude...) {
 		soc := social.ApproxJaccard(qvec, v.record(id).Vec)
@@ -261,14 +249,13 @@ func TestBoundedRefineCancelledWhileTightening(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			qs := v.getScratch()
 			v.resolveExcludes(qs, []string{id})
-			useContent, useSocial, err := v.gather(ctx, q, qs)
-			if err != nil {
+			if err := v.gather(ctx, q, qs); err != nil {
 				t.Fatal(err)
 			}
 			cutoff := (len(qs.merged)+cancelCheckStride-1)/cancelCheckStride + extra
 			polls := 0
 			j := &qs.job
-			*j = refineJob{v: v, q: q, qs: qs, useContent: useContent, useSocial: useSocial, cause: ctx.Err}
+			*j = refineJob{v: v, q: q, qs: qs, cause: ctx.Err}
 			j.cancelled = func() bool {
 				if polls++; polls > cutoff {
 					cancel()

@@ -27,43 +27,11 @@ import (
 	"videorec/internal/video"
 )
 
-// Mode selects the social-relevance strategy — the three efficiency variants
-// of Figure 12(a).
-type Mode int
-
-const (
-	// ModeExact is the unoptimized CSF: exact sJ computed by the naive
-	// quadratic set comparison over every video in the collection.
-	ModeExact Mode = iota
-	// ModeSAR approximates sJ with sub-community histograms (s̃J); user →
-	// sub-community mapping goes through a linear dictionary scan.
-	ModeSAR
-	// ModeSARHash is ModeSAR with the chained shift-add-xor hash table
-	// doing the user → sub-community mapping (CSF-SAR-H).
-	ModeSARHash
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeExact:
-		return "CSF"
-	case ModeSAR:
-		return "CSF-SAR"
-	case ModeSARHash:
-		return "CSF-SAR-H"
-	}
-	return fmt.Sprintf("Mode(%d)", int(m))
-}
-
 // Options configures a Recommender.
 type Options struct {
-	Omega             float64 // ω of Equation 9; the paper's optimum is 0.7
-	K                 int     // number of sub-communities; the paper's optimum is 60
-	Mode              Mode
-	MatchThreshold    float64 // SimC level for κJ pair matching
-	ContentWeightOnly bool    // CR baseline: skip the social side entirely
-	SocialOnly        bool    // SR baseline: skip the content side entirely
-	FullScan          bool    // refine every stored video (effectiveness runs), skipping the index probes
+	Omega          float64 // ω of Equation 9 (0: κJ alone, 1: s̃J alone); the paper's optimum is 0.7
+	K              int     // number of sub-communities; the paper's optimum is 60
+	MatchThreshold float64 // SimC level for κJ pair matching
 
 	Sig signature.Options
 	LSB index.LSBOptions
@@ -92,7 +60,6 @@ func DefaultOptions() Options {
 	return Options{
 		Omega:          0.7,
 		K:              60,
-		Mode:           ModeSARHash,
 		MatchThreshold: signature.DefaultMatchThreshold,
 		Sig:            signature.DefaultOptions(),
 		LSB:            index.DefaultLSBOptions(),
@@ -350,26 +317,22 @@ func (r *Recommender) IngestSeries(id string, series signature.Series, desc soci
 		s.live++
 	}
 	s.setRecord(i, rec)
-	r.addHolder(i, desc.Users())
+	for _, u := range desc.Users() {
+		r.addHolder(i, u)
+	}
 	s.built = false
 }
 
-// addHolder records dense index i as holding each of users, once.
-func (r *Recommender) addHolder(i uint32, users []string) {
-	for _, u := range users {
-		if h := r.holders[u]; len(h) == 0 || h[len(h)-1] != i {
-			r.holders[u] = append(h, i)
-		}
-	}
+// addHolder records dense index i as a holder of u. Callers add a holder
+// only once per user.
+func (r *Recommender) addHolder(i uint32, u string) {
+	r.holders[u] = append(r.holders[u], i)
 }
 
 // dropHolder forgets dense index i as a holder of each of users.
 func (r *Recommender) dropHolder(i uint32, users []string) {
 	for _, u := range users {
-		h := r.holders[u]
-		if k := slices.Index(h, i); k >= 0 {
-			h = slices.Delete(h, k, k+1)
-		}
+		h := slices.DeleteFunc(r.holders[u], func(x uint32) bool { return x == i })
 		if len(h) == 0 {
 			delete(r.holders, u)
 		} else {
@@ -388,8 +351,7 @@ func (r *Recommender) Partition() *community.Partition { return r.state.part }
 // BuildSocial constructs the social machinery over everything ingested:
 // the user interest graph, the k sub-communities (Figure 3), the chained
 // hash dictionary, per-video descriptor vectors, and the inverted files.
-// It must be called before Recommend in the SAR modes and before
-// ApplyUpdates.
+// It must be called before Recommend and before ApplyUpdates.
 func (r *Recommender) BuildSocial() {
 	r.UseSocial(NewSocial(r.opts, r.CollectAudiences()))
 }
@@ -502,13 +464,12 @@ func capAudience(users []string, max int) []string {
 func (r *Recommender) vectorizeAll() {
 	s := r.state
 	s.inv = index.NewInverted(s.part.Dim)
-	lookup := s.lookupFunc()
 	for i, rec := range s.recs.All() {
 		if rec == nil {
 			continue
 		}
 		cp := *rec
-		cp.Vec = social.Vectorize(cp.Desc, lookup, s.part.Dim)
+		cp.Vec = social.Vectorize(cp.Desc, s.look, s.part.Dim)
 		s.setRecord(uint32(i), &cp)
 		s.inv.Add(uint32(i), cp.Vec)
 	}
@@ -548,37 +509,4 @@ func (r *Recommender) QueryFor(id string) (Query, bool) { return r.state.QueryFo
 // ContentRelevance is κJ between the query and a stored video.
 func (r *Recommender) ContentRelevance(q Query, id string) float64 {
 	return r.state.ContentRelevance(q, id)
-}
-
-// SocialRelevance is the mode-dependent social relevance between the query
-// and a stored video: exact sJ (naive quadratic, as the unoptimized system
-// the paper starts from) in ModeExact, s̃J over SAR vectors otherwise.
-func (r *Recommender) SocialRelevance(q Query, qvec social.Vector, id string) float64 {
-	return r.state.SocialRelevance(q, qvec, id)
-}
-
-// naiveJaccard is the quadratic set comparison the paper attributes to the
-// unoptimized sJ computation ("the computation complexity of the measure is
-// quadratic to the number of elements", §4.2.1). It exists so the CSF /
-// CSF-SAR / CSF-SAR-H efficiency comparison of Figure 12(a) measures what
-// the paper measured; social.Jaccard is the linear merge used elsewhere.
-func naiveJaccard(a, b social.Descriptor) float64 {
-	au, bu := a.Users(), b.Users()
-	if len(au) == 0 && len(bu) == 0 {
-		return 0
-	}
-	inter := 0
-	for _, x := range au {
-		for _, y := range bu {
-			if x == y {
-				inter++
-				break
-			}
-		}
-	}
-	union := len(au) + len(bu) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
 }

@@ -1,35 +1,19 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"videorec/internal/dataset"
+	"videorec/internal/oracle"
 	"videorec/internal/social"
 	"videorec/internal/video"
 )
 
 // buildSmall ingests a small synthetic collection and returns the
 // recommender plus the collection for ground truth.
-func buildSmall(t testing.TB, mode Mode) (*Recommender, *dataset.Collection) {
-	t.Helper()
-	o := dataset.DefaultOptions()
-	o.Hours = 4
-	o.Users = 150
-	o.Seed = 11
-	c := dataset.Generate(o)
-	opts := DefaultOptions()
-	opts.Mode = mode
-	opts.K = 12
-	r := NewRecommender(opts)
-	for _, it := range c.Items {
-		v := it.Render(o.Synth)
-		r.IngestVideo(it.ID, v, descriptorOf(c, it))
-	}
-	r.BuildSocial()
-	return r, c
+func buildSmall(t testing.TB) (*Recommender, *dataset.Collection) {
+	return buildSmallTweaked(t, nil)
 }
 
 func descriptorOf(c *dataset.Collection, it *dataset.Item) social.Descriptor {
@@ -40,15 +24,6 @@ func descriptorOf(c *dataset.Collection, it *dataset.Item) social.Descriptor {
 		}
 	}
 	return social.NewDescriptor(it.Owner, users...)
-}
-
-func TestModeString(t *testing.T) {
-	if ModeExact.String() != "CSF" || ModeSAR.String() != "CSF-SAR" || ModeSARHash.String() != "CSF-SAR-H" {
-		t.Error("mode names wrong")
-	}
-	if Mode(99).String() != "Mode(99)" {
-		t.Error("unknown mode formatting")
-	}
 }
 
 func TestIngestAndLen(t *testing.T) {
@@ -71,7 +46,7 @@ func TestIngestAndLen(t *testing.T) {
 }
 
 func TestRecommendPanicsWithoutBuild(t *testing.T) {
-	r := NewRecommender(DefaultOptions()) // ModeSARHash
+	r := NewRecommender(DefaultOptions())
 	rng := rand.New(rand.NewSource(1))
 	v := video.Synthesize("a", 1, video.DefaultSynthOptions(), rng)
 	desc := social.NewDescriptor("o", "u")
@@ -85,7 +60,7 @@ func TestRecommendPanicsWithoutBuild(t *testing.T) {
 }
 
 func TestRecommendExcludesQueryVideo(t *testing.T) {
-	r, _ := buildSmall(t, ModeSARHash)
+	r, _ := buildSmall(t)
 	id := r.state.orderIDs()[0]
 	for _, res := range r.RecommendID(id, 10) {
 		if res.VideoID == id {
@@ -95,7 +70,7 @@ func TestRecommendExcludesQueryVideo(t *testing.T) {
 }
 
 func TestRecommendTopKOrderedAndBounded(t *testing.T) {
-	r, _ := buildSmall(t, ModeSARHash)
+	r, _ := buildSmall(t)
 	res := r.RecommendID(r.state.orderIDs()[1], 7)
 	if len(res) > 7 {
 		t.Fatalf("returned %d > topK", len(res))
@@ -113,7 +88,7 @@ func TestRecommendTopKOrderedAndBounded(t *testing.T) {
 }
 
 func TestRecommendFindsNearDuplicate(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	// Pick a dup whose original exists; the original should rank well for
 	// the dup's query under content-heavy fusion.
 	opts := r.Options()
@@ -152,35 +127,37 @@ func TestRecommendFindsNearDuplicate(t *testing.T) {
 	}
 }
 
+// CSF-SAR and CSF-SAR-H compute the same s̃J through different user
+// dictionaries: the engine's chained hash table must rank exactly as the
+// oracle's linear dictionary scan does over the engine's own records and
+// partition (the corpus is small enough that no candidate budget binds).
 func TestSARModesAgreeOnScores(t *testing.T) {
-	// ModeSAR and ModeSARHash must produce identical rankings: they compute
-	// the same s̃J through different dictionaries.
-	rs, c := buildSmall(t, ModeSAR)
-	rh, _ := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
+	v := r.Freeze()
+	var recs []oracle.Record
+	for _, id := range v.SortedIDs() {
+		rec, _ := v.Record(id)
+		recs = append(recs, oracle.Record{ID: id, Compiled: rec.Compiled, Desc: rec.Desc})
+	}
+	o := oracle.New(recs, v.Partition(), v.Options().MatchThreshold)
 	for _, q := range c.Queries {
 		src := q.Sources[0]
-		a := rs.RecommendID(src, 10)
-		b := rh.RecommendID(src, 10)
-		if len(a) != len(b) {
-			t.Fatalf("lengths differ for %s: %d vs %d", src, len(a), len(b))
+		oq, _ := o.Query(src)
+		want := o.Rank(oq, v.Options().Omega, oracle.SARDictionary, 10, src)
+		got := v.RecommendID(src, 10)
+		if len(got) != len(want) {
+			t.Fatalf("lengths differ for %s: %d vs %d", src, len(got), len(want))
 		}
-		for i := range a {
-			if a[i].VideoID != b[i].VideoID || a[i].Score != b[i].Score {
-				t.Fatalf("rank %d differs: %+v vs %+v", i, a[i], b[i])
+		for i := range want {
+			if got[i] != Result(want[i]) {
+				t.Fatalf("%s rank %d: engine %+v, dictionary-scan oracle %+v", src, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-func TestExactModeScoresAllVideos(t *testing.T) {
-	r, _ := buildSmall(t, ModeExact)
-	id := r.state.orderIDs()[0]
-	res := r.RecommendID(id, r.Len())
-	if len(res) != r.Len()-1 {
-		t.Errorf("exact mode refined %d videos, want %d", len(res), r.Len()-1)
-	}
-}
-
+// ω = 0 is the CR baseline and ω = 1 the SR baseline: the fused score is
+// exactly the one relevance the baseline ranks by.
 func TestContentOnlyAndSocialOnly(t *testing.T) {
 	o := dataset.DefaultOptions()
 	o.Hours = 3
@@ -189,10 +166,10 @@ func TestContentOnlyAndSocialOnly(t *testing.T) {
 	c := dataset.Generate(o)
 
 	copts := DefaultOptions()
-	copts.ContentWeightOnly = true
+	copts.Omega = 0
 	cr := NewRecommender(copts)
 	sopts := DefaultOptions()
-	sopts.SocialOnly = true
+	sopts.Omega = 1
 	sopts.K = 12
 	sr := NewRecommender(sopts)
 	for _, it := range c.Items {
@@ -206,45 +183,19 @@ func TestContentOnlyAndSocialOnly(t *testing.T) {
 
 	src := c.Queries[0].Sources[0]
 	for _, res := range cr.RecommendID(src, 5) {
-		if res.Social != 0 {
-			t.Errorf("CR result has social component %g", res.Social)
-		}
 		if res.Score != res.Content {
 			t.Errorf("CR score %g != content %g", res.Score, res.Content)
 		}
 	}
 	for _, res := range sr.RecommendID(src, 5) {
-		if res.Content != 0 {
-			t.Errorf("SR result has content component %g", res.Content)
-		}
 		if res.Score != res.Social {
 			t.Errorf("SR score %g != social %g", res.Score, res.Social)
 		}
 	}
 }
 
-func TestNaiveJaccardMatchesLinear(t *testing.T) {
-	f := func(seedA, seedB uint16) bool {
-		mk := func(seed uint16) social.Descriptor {
-			rng := rand.New(rand.NewSource(int64(seed)))
-			var us []string
-			for i := 0; i < rng.Intn(12); i++ {
-				us = append(us, fmt.Sprintf("u%d", rng.Intn(15)))
-			}
-			return social.NewDescriptor("", us...)
-		}
-		a, b := mk(seedA), mk(seedB)
-		naive := naiveJaccard(a, b)
-		linear := social.Jaccard(a, b)
-		return naive == linear
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestApplyUpdatesGrowsDescriptors(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	target := r.state.orderIDs()[0]
 	before := r.state.record(target).Desc.Len()
 	newUsers := []string{"brand-new-1", "brand-new-2", c.Users[0]}
@@ -262,7 +213,7 @@ func TestApplyUpdatesGrowsDescriptors(t *testing.T) {
 }
 
 func TestApplyUpdatesKeepsRecommendationsWorking(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	// Replay the test period's comments month by month.
 	months := c.Opts.MonthsSource
 	for m := months; m < months+c.Opts.MonthsTest; m++ {
@@ -288,7 +239,7 @@ func TestApplyUpdatesKeepsRecommendationsWorking(t *testing.T) {
 }
 
 func TestVideosPerDim(t *testing.T) {
-	r, _ := buildSmall(t, ModeSARHash)
+	r, _ := buildSmall(t)
 	dims := r.VideosPerDim()
 	if len(dims) != r.Partition().Dim {
 		t.Fatalf("VideosPerDim len = %d, want %d", len(dims), r.Partition().Dim)
@@ -303,30 +254,21 @@ func TestVideosPerDim(t *testing.T) {
 }
 
 func TestRecommendZeroK(t *testing.T) {
-	r, _ := buildSmall(t, ModeSARHash)
+	r, _ := buildSmall(t)
 	if res := r.RecommendID(r.state.orderIDs()[0], 0); res != nil {
 		t.Errorf("topK=0 returned %v", res)
 	}
 }
 
 func TestRecommendUnknownID(t *testing.T) {
-	r, _ := buildSmall(t, ModeSARHash)
+	r, _ := buildSmall(t)
 	if res := r.RecommendID("no-such-video", 5); res != nil {
 		t.Errorf("unknown id returned %v", res)
 	}
 }
 
 func BenchmarkRecommendSARHash(b *testing.B) {
-	r, c := buildSmall(b, ModeSARHash)
-	src := c.Queries[0].Sources[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.RecommendID(src, 10)
-	}
-}
-
-func BenchmarkRecommendExact(b *testing.B) {
-	r, c := buildSmall(b, ModeExact)
+	r, c := buildSmall(b)
 	src := c.Queries[0].Sources[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -335,7 +277,7 @@ func BenchmarkRecommendExact(b *testing.B) {
 }
 
 func BenchmarkBuildSocial(b *testing.B) {
-	r, _ := buildSmall(b, ModeSARHash)
+	r, _ := buildSmall(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.BuildSocial()

@@ -22,75 +22,60 @@ import (
 // The returned set excludes the excluded ids, like gather's merged list.
 func referenceCandidates(v *View, q Query, exclude ...string) map[string]bool {
 	opts := v.Options()
-	useSocial := !opts.ContentWeightOnly
-	useContent := !opts.SocialOnly
 	excl := map[string]bool{}
 	for _, id := range exclude {
 		excl[id] = true
 	}
-	var qvec social.Vector
-	if useSocial && opts.Mode != ModeExact {
-		qvec = social.Vectorize(q.Desc, v.lookupFunc(), v.part.Dim)
-	}
+	qvec := social.Vectorize(q.Desc, v.part.Lookup, v.part.Dim)
 	candidates := map[string]bool{}
-	if opts.FullScan || (opts.Mode == ModeExact && useSocial) {
-		for _, id := range v.orderIDs() {
-			candidates[id] = true
-		}
-	} else {
-		if useSocial {
-			// Union = every live video sharing a non-zero dimension with the
-			// query vector; keep the CandidateLimit best by (s̃J desc, id asc).
-			// Excluded ids still occupy selection slots.
-			type scored struct {
-				id string
-				s  float64
-			}
-			var cands []scored
-			for _, id := range v.orderIDs() {
-				rec := v.record(id)
-				inUnion := false
-				for d, x := range qvec {
-					if x > 0 && d < len(rec.Vec) && rec.Vec[d] > 0 {
-						inUnion = true
-						break
-					}
-				}
-				if inUnion {
-					cands = append(cands, scored{id, social.ApproxJaccard(qvec, rec.Vec)})
-				}
-			}
-			sort.Slice(cands, func(a, b int) bool {
-				if cands[a].s != cands[b].s {
-					return cands[a].s > cands[b].s
-				}
-				return cands[a].id < cands[b].id
-			})
-			if len(cands) > opts.CandidateLimit {
-				cands = cands[:opts.CandidateLimit]
-			}
-			for _, c := range cands {
-				candidates[c.id] = true
+	// Union = every live video sharing a non-zero dimension with the query
+	// vector; keep the CandidateLimit best by (s̃J desc, id asc). Excluded
+	// ids still occupy selection slots.
+	type scored struct {
+		id string
+		s  float64
+	}
+	var cands []scored
+	for _, id := range v.orderIDs() {
+		rec := v.record(id)
+		inUnion := false
+		for d, x := range qvec {
+			if x > 0 && d < len(rec.Vec) && rec.Vec[d] > 0 {
+				inUnion = true
+				break
 			}
 		}
-		if useContent {
-			w := v.lsb.NewWalker(q.seriesOf())
-			added := 0
-			for pops := 0; pops < opts.ContentProbe; pops++ {
-				e, _, ok := w.Next()
-				if !ok {
-					break
-				}
-				id := v.ids.At(e.Video)
-				if v.tombstones.Has(e.Video) || candidates[id] {
-					continue
-				}
-				candidates[id] = true
-				added++
-				if added >= 2*opts.CandidateLimit {
-					break
-				}
-			}
+		if inUnion {
+			cands = append(cands, scored{id, social.ApproxJaccard(qvec, rec.Vec)})
+		}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].s != cands[b].s {
+			return cands[a].s > cands[b].s
+		}
+		return cands[a].id < cands[b].id
+	})
+	if len(cands) > opts.CandidateLimit {
+		cands = cands[:opts.CandidateLimit]
+	}
+	for _, c := range cands {
+		candidates[c.id] = true
+	}
+	w := v.lsb.NewWalker(q.seriesOf())
+	added := 0
+	for pops := 0; pops < opts.ContentProbe; pops++ {
+		e, _, ok := w.Next()
+		if !ok {
+			break
+		}
+		id := v.ids.At(e.Video)
+		if v.tombstones.Has(e.Video) || candidates[id] {
+			continue
+		}
+		candidates[id] = true
+		added++
+		if added >= 2*opts.CandidateLimit {
+			break
 		}
 	}
 	for id := range excl {
@@ -100,19 +85,14 @@ func referenceCandidates(v *View, q Query, exclude ...string) map[string]bool {
 }
 
 // referenceRecommend scores the reference candidate set directly — uncompiled
-// κJ, mode-appropriate social relevance, Equation 9 fusion — and ranks by a
+// κJ, dense s̃J with users mapped through the partition, Equation 9 fusion — and ranks by a
 // full sort under (score desc, id asc). It is the executable specification
 // the dense pipeline (bitset candidates, sparse s̃J over impact postings,
 // quickselect budget cut, heap walker, pooled scratch, heap top-K) must
 // reproduce bit for bit.
 func referenceRecommend(v *View, q Query, topK int, exclude ...string) []Result {
 	opts := v.Options()
-	useSocial := !opts.ContentWeightOnly
-	useContent := !opts.SocialOnly
-	var qvec social.Vector
-	if useSocial && opts.Mode != ModeExact {
-		qvec = social.Vectorize(q.Desc, v.lookupFunc(), v.part.Dim)
-	}
+	qvec := social.Vectorize(q.Desc, v.part.Lookup, v.part.Dim)
 	ids := make([]string, 0, 64)
 	for id := range referenceCandidates(v, q, exclude...) {
 		ids = append(ids, id)
@@ -121,13 +101,8 @@ func referenceRecommend(v *View, q Query, topK int, exclude ...string) []Result 
 	results := make([]Result, 0, len(ids))
 	for _, id := range ids {
 		rec := v.record(id)
-		var content, soc float64
-		if useContent {
-			content = signature.KJ(q.seriesOf(), rec.Compiled.Series(), opts.MatchThreshold)
-		}
-		if useSocial {
-			soc = v.SocialRelevance(q, qvec, id)
-		}
+		content := signature.KJ(q.seriesOf(), rec.Compiled.Series(), opts.MatchThreshold)
+		soc := social.ApproxJaccard(qvec, rec.Vec)
 		results = append(results, Result{VideoID: id, Score: v.fuse(content, soc), Content: content, Social: soc})
 	}
 	sort.Slice(results, func(a, b int) bool {
@@ -143,8 +118,7 @@ func referenceRecommend(v *View, q Query, topK int, exclude ...string) []Result 
 }
 
 // TestDenseRecommendMatchesReference proves the dense-ID rewrite is a pure
-// representation change: across every mode, candidate policy, worker count
-// and candidate budget, Recommend must return rankings bit-identical to the
+// representation change: across every variant and candidate budget, Recommend must return rankings bit-identical to the
 // map-based reference pipeline — same ids, same fused scores, same component
 // relevances, same order.
 func TestDenseRecommendMatchesReference(t *testing.T) {
@@ -188,7 +162,7 @@ func gatherSet(t *testing.T, v *View, q Query, exclude ...string) map[string]boo
 	qs := v.getScratch()
 	defer v.putScratch(qs)
 	v.resolveExcludes(qs, exclude)
-	if _, _, err := v.gather(context.Background(), q, qs); err != nil {
+	if err := v.gather(context.Background(), q, qs); err != nil {
 		t.Fatal(err)
 	}
 	out := map[string]bool{}
@@ -217,7 +191,7 @@ func sameSet(a, b map[string]bool) bool {
 // exactly the candidate set of the map-based reference — including
 // exclusion handling, and at budgets that cut the social ranking.
 func TestGatherMatchesReferenceUnderMutation(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 
 	check := func(stage string) {
 		frozen := r.Freeze()
@@ -387,7 +361,7 @@ func TestGatherCandidatesZeroAlloc(t *testing.T) {
 // only the page it lands in, published views never see the new id, and
 // re-ingesting known ids mints nothing.
 func TestInternSharedAcrossClones(t *testing.T) {
-	r, _ := buildSmall(t, ModeSARHash)
+	r, _ := buildSmall(t)
 	v1 := r.Freeze()
 	n := v1.ids.Len()
 
@@ -428,7 +402,7 @@ func TestInternSharedAcrossClones(t *testing.T) {
 // TestDenseIndexStableAcrossRemoveReingest verifies index stability: a
 // removed id reclaims the same dense slot on re-ingest.
 func TestDenseIndexStableAcrossRemoveReingest(t *testing.T) {
-	r, _ := buildSmall(t, ModeSARHash)
+	r, _ := buildSmall(t)
 	id := r.SortedIDs()[2]
 	before, ok := r.state.index(id)
 	if !ok {
@@ -479,29 +453,18 @@ func TestVideosPerDimMatchesPostings(t *testing.T) {
 }
 
 func BenchmarkGatherCandidates(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		mutate func(*Options)
-	}{
-		{"social", func(o *Options) { o.SocialOnly = true }},
-		{"content", func(o *Options) { o.ContentWeightOnly = true }},
-		{"fused", nil},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			v := buildGolden(b, mode.mutate)
-			q, _ := v.QueryFor(v.SortedIDs()[0])
-			ctx := context.Background()
-			if _, err := v.GatherCandidates(ctx, q); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := v.GatherCandidates(ctx, q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	v := buildGolden(b, nil)
+	q, _ := v.QueryFor(v.SortedIDs()[0])
+	ctx := context.Background()
+	if _, err := v.GatherCandidates(ctx, q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := v.GatherCandidates(ctx, q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -556,7 +519,7 @@ func checkSparseInputs(t *testing.T, stage string, v *View, strangers []string) 
 	}
 	for _, q := range queries {
 		qs := v.getScratch()
-		if _, _, err := v.gather(context.Background(), q, qs); err != nil {
+		if err := v.gather(context.Background(), q, qs); err != nil {
 			t.Fatal(err)
 		}
 		var sum float64
@@ -579,7 +542,7 @@ func checkSparseInputs(t *testing.T, stage string, v *View, strangers []string) 
 // compaction and a snapshot reload. A comment batch re-vectorizes records
 // but changes no series, so it must copy no envelope page.
 func TestSparseInputsHoldUnderMutation(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	strangers := []string{"stranger-a", "stranger-b"}
 	prev := r.Freeze()
 	checkSparseInputs(t, "build", prev, strangers)

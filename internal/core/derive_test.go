@@ -14,7 +14,7 @@ import (
 // the corpus is spread over 1–4 recommenders; and the reused count matrix
 // never leaks one batch's counts into the next.
 func TestDeriveFromOwnersMatchesSingleEngine(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	rng := rand.New(rand.NewSource(99))
 
 	for trial := 0; trial < 20; trial++ {
@@ -72,7 +72,7 @@ func TestDeriveFromOwnersMatchesSingleEngine(t *testing.T) {
 // covers takes the packed-key path, which must produce the same sorted,
 // run-length-counted edge list.
 func TestDeriveFromLargeBatchMatchesPairCount(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	batch := map[string][]string{}
 	for i, it := range c.Items {
 		for k := 0; k < 26; k++ {

@@ -3,48 +3,33 @@ package core
 import (
 	"testing"
 
-	"videorec/internal/dataset"
 	"videorec/internal/signature"
 )
 
-// buildGolden is buildSmall with an options hook, so golden variants can
-// toggle FullScan, baselines and worker counts on the same generated
-// collection.
+// buildGolden is buildSmallTweaked frozen into a view, so golden variants
+// can set budgets, ω and worker counts on the same generated collection.
 func buildGolden(t testing.TB, mutate func(*Options)) *View {
 	t.Helper()
-	o := dataset.DefaultOptions()
-	o.Hours = 4
-	o.Users = 150
-	o.Seed = 11
-	c := dataset.Generate(o)
-	opts := DefaultOptions()
-	opts.K = 12
-	if mutate != nil {
-		mutate(&opts)
-	}
-	r := NewRecommender(opts)
-	for _, it := range c.Items {
-		v := it.Render(o.Synth)
-		r.IngestVideo(it.ID, v, descriptorOf(c, it))
-	}
-	r.BuildSocial()
+	r, _ := buildSmallTweaked(t, mutate)
 	return r.Freeze()
 }
 
-// modeVariants are the seven mode variants the golden and bound claims are
-// checked against: every Mode, serial and parallel refinement, full scan,
-// and each single-signal baseline.
+// unbounded is a candidate budget no test corpus reaches: every stored clip
+// becomes a candidate and is refined.
+const unbounded = 1 << 30
+
+// modeVariants are the variants the golden and bound claims are checked
+// against: the default, serial refinement, unbounded budgets, and each
+// single-signal baseline (ω = 0 and ω = 1).
 var modeVariants = []struct {
 	name   string
 	mutate func(*Options)
 }{
-	{"exact", func(o *Options) { o.Mode = ModeExact }},
-	{"sar", func(o *Options) { o.Mode = ModeSAR }},
-	{"sarhash", func(o *Options) { o.Mode = ModeSARHash }},
-	{"sarhash-serial", func(o *Options) { o.Mode = ModeSARHash; o.RefineWorkers = 1 }},
-	{"sarhash-fullscan", func(o *Options) { o.Mode = ModeSARHash; o.FullScan = true }},
-	{"content-only", func(o *Options) { o.Mode = ModeSARHash; o.ContentWeightOnly = true }},
-	{"social-only", func(o *Options) { o.Mode = ModeSARHash; o.SocialOnly = true }},
+	{"sarhash", nil},
+	{"sarhash-serial", func(o *Options) { o.RefineWorkers = 1 }},
+	{"sarhash-fullscan", func(o *Options) { o.CandidateLimit, o.ContentProbe = unbounded, unbounded }},
+	{"content-only", func(o *Options) { o.Omega = 0 }},
+	{"social-only", func(o *Options) { o.Omega = 1 }},
 }
 
 // goldenQueries returns the first n stored ids in sorted order.
@@ -73,7 +58,7 @@ func resultsEqual(a, b []Result) bool {
 }
 
 // Refinement's compiled layout must be a pure representation change: for
-// every mode, candidate policy and worker count, asking for every gathered
+// every variant, asking for every gathered
 // candidate (so the bound skips none and each one's κJ comes from the
 // compiled kernel over the view's cached series) must return ids, fused
 // scores and both component relevances bit-identical to the exhaustive

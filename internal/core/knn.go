@@ -252,8 +252,7 @@ func (v *View) resolveExcludes(qs *queryScratch, exclude []string) {
 // search of Figure 6 against the frozen view:
 //
 //  1. vectorize the query's social descriptor and rank the inverted-file
-//     candidates by s̃J (SAR modes), or schedule a full exact-sJ scan
-//     (ModeExact — the unoptimized CSF the paper starts from);
+//     candidates by s̃J;
 //  2. expand content candidates from the LSB-tree in next-longest-common-
 //     prefix order;
 //  3. refine candidates with the fused FJ relevance, best score bound first,
@@ -283,8 +282,8 @@ func (v *View) Recommend(q Query, topK int, exclude ...string) []Result {
 //   - Degradation is the deadline policy: when the deadline is already
 //     within Options.DegradeMargin at refinement start — or expires while
 //     refinement runs — the query is answered from the coarse social ranking
-//     it already has (s̃J over SAR vectors; exact sJ in ModeExact) instead of
-//     failing with DeadlineExceeded, and the result is flagged Degraded. A
+//     it already has (s̃J over SAR vectors) instead of failing with
+//     DeadlineExceeded, and the result is flagged Degraded. A
 //     negative DegradeMargin disables the fallback.
 //
 // Without a deadline or cancellation the results are bit-identical to
@@ -301,24 +300,23 @@ func (v *View) RecommendCtx(ctx context.Context, q Query, topK int, exclude ...s
 	defer v.putScratch(qs)
 	v.resolveExcludes(qs, exclude)
 
-	useContent, useSocial, err := v.gather(ctx, q, qs)
-	if err != nil {
+	if err := v.gather(ctx, q, qs); err != nil {
 		return nil, info, err
 	}
 	info.Candidates = len(qs.merged)
 
 	// Degrade up front when the deadline cannot plausibly fit a full EMD
 	// refinement pass: answer with the coarse social ranking immediately.
-	canDegrade := useContent && useSocial && v.opts.DegradeMargin > 0
+	canDegrade := v.opts.DegradeMargin > 0
 	if canDegrade {
 		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < v.opts.DegradeMargin {
-			return v.finishCoarse(ctx, q, qs, topK, &info)
+			return v.finishCoarse(ctx, qs, topK, &info)
 		}
 	}
 
 	done := ctx.Done()
 	job := &qs.job
-	*job = refineJob{v: v, q: q, qs: qs, useContent: useContent, useSocial: useSocial}
+	*job = refineJob{v: v, q: q, qs: qs}
 	if done != nil {
 		job.cancelled = func() bool { return ctxDone(done) }
 		job.cause = ctx.Err
@@ -332,7 +330,7 @@ func (v *View) RecommendCtx(ctx context.Context, q Query, topK int, exclude ...s
 		// A deadline that expired mid-refinement still gets the coarse
 		// answer; cancellation and injected faults propagate as errors.
 		if canDegrade && err == context.DeadlineExceeded {
-			return v.finishCoarse(context.WithoutCancel(ctx), q, qs, topK, &info)
+			return v.finishCoarse(context.WithoutCancel(ctx), qs, topK, &info)
 		}
 		return nil, info, err
 	}
@@ -352,7 +350,7 @@ func (v *View) GatherCandidates(ctx context.Context, q Query, exclude ...string)
 	qs := v.getScratch()
 	defer v.putScratch(qs)
 	v.resolveExcludes(qs, exclude)
-	if _, _, err := v.gather(ctx, q, qs); err != nil {
+	if err := v.gather(ctx, q, qs); err != nil {
 		return 0, err
 	}
 	return len(qs.merged), nil
@@ -361,77 +359,55 @@ func (v *View) GatherCandidates(ctx context.Context, q Query, exclude ...string)
 // gather fills qs.merged with the candidate set of steps 1–2, polling the
 // context between probe steps. Candidates are dense video indices; the
 // dense-index order is the deterministic order — no per-query id sort.
-func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) (useContent, useSocial bool, err error) {
-	useSocial = !v.opts.ContentWeightOnly
-	useContent = !v.opts.SocialOnly
+func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) error {
 	done := ctx.Done()
-	if useSocial && v.opts.Mode != ModeExact {
-		v.mustBuild()
-		qs.qvec = social.VectorizeInto(qs.qvec, q.Desc, v.look, v.part.Dim)
-		if !v.accumulate(done, qs) {
-			return false, false, ctx.Err()
-		}
+	v.mustBuild()
+	qs.qvec = social.VectorizeInto(qs.qvec, q.Desc, v.look, v.part.Dim)
+	if !v.accumulate(done, qs) {
+		return ctx.Err()
 	}
 
-	switch {
-	case v.opts.FullScan || (v.opts.Mode == ModeExact && useSocial):
-		// Unoptimized CSF (or an effectiveness run that wants exhaustive
-		// ranking): every stored video is refined.
-		for i, rec := range v.recs.All() {
-			if i%cancelCheckStride == 0 && ctxDone(done) {
-				return false, false, ctx.Err()
-			}
-			if rec == nil || qs.excl.Has(uint32(i)) {
-				continue
-			}
-			qs.merged = append(qs.merged, uint32(i))
+	// Step 1: social candidates ranked by s̃J; keep the budgeted top. Every
+	// clip the accumulation touched shares a dimension with the query;
+	// topCandidates keeps the CandidateLimit best under (s̃J desc, id asc) in
+	// linear time.
+	qs.cand.Grow(v.ids.Len())
+	sc := qs.scored[:0]
+	for _, idx := range qs.hit {
+		sc = append(sc, scoredCand{i: idx, s: qs.sparseSJ(v, idx)})
+	}
+	qs.scored = sc
+	for _, c := range topCandidates(sc, v.opts.CandidateLimit, &v.ids) {
+		qs.addCandidate(c.i)
+	}
+
+	// Step 2: content candidates in LCP order. The expansion budget counts
+	// candidates *content itself adds*: a full social step no longer starves
+	// content expansion by pre-filling the shared cap.
+	if q.contentKeys != nil && q.keyFP == v.lsb.KeyFingerprint() {
+		qs.walker.ResetWithKeys(v.lsb, q.contentKeys)
+	} else {
+		qs.walker.Reset(v.lsb, q.seriesOf())
+	}
+	added := 0
+	for pops := 0; pops < v.opts.ContentProbe; pops++ {
+		if pops%cancelCheckStride == 0 && ctxDone(done) {
+			return ctx.Err()
 		}
-	default:
-		qs.cand.Grow(v.ids.Len())
-		if useSocial {
-			// Step 1: social candidates ranked by s̃J; keep the budgeted top.
-			// Every clip the accumulation touched shares a dimension with
-			// the query; topCandidates keeps the CandidateLimit best under
-			// (s̃J desc, id asc) in linear time.
-			sc := qs.scored[:0]
-			for _, idx := range qs.hit {
-				sc = append(sc, scoredCand{i: idx, s: qs.sparseSJ(v, idx)})
-			}
-			qs.scored = sc
-			for _, c := range topCandidates(sc, v.opts.CandidateLimit, &v.ids) {
-				qs.addCandidate(c.i)
-			}
+		e, _, ok := qs.walker.Next()
+		if !ok {
+			break
 		}
-		if useContent {
-			// Step 2: content candidates in LCP order. The expansion budget
-			// counts candidates *content itself adds*: a full social step no
-			// longer starves content expansion by pre-filling the shared cap.
-			if q.contentKeys != nil && q.keyFP == v.lsb.KeyFingerprint() {
-				qs.walker.ResetWithKeys(v.lsb, q.contentKeys)
-			} else {
-				qs.walker.Reset(v.lsb, q.seriesOf())
-			}
-			added := 0
-			for pops := 0; pops < v.opts.ContentProbe; pops++ {
-				if pops%cancelCheckStride == 0 && ctxDone(done) {
-					return false, false, ctx.Err()
-				}
-				e, _, ok := qs.walker.Next()
-				if !ok {
-					break
-				}
-				if v.tombstones.Has(e.Video) || qs.cand.Has(e.Video) {
-					continue
-				}
-				qs.addCandidate(e.Video)
-				added++
-				if added >= 2*v.opts.CandidateLimit {
-					break
-				}
-			}
+		if v.tombstones.Has(e.Video) || qs.cand.Has(e.Video) {
+			continue
+		}
+		qs.addCandidate(e.Video)
+		added++
+		if added >= 2*v.opts.CandidateLimit {
+			break
 		}
 	}
-	return useContent, useSocial, nil
+	return nil
 }
 
 // accumulate is the term-at-a-time half of step 1: for every dimension the
@@ -487,16 +463,6 @@ func (qs *queryScratch) sparseSJ(v *View, i uint32) float64 {
 	return float64(m) / float64(den)
 }
 
-// candidateSocial is the social relevance of the live candidate at dense
-// index i: exact sJ in ModeExact, and in the SAR modes the s̃J step 1's
-// accumulation already holds, which reads no record.
-func (v *View) candidateSocial(q Query, qs *queryScratch, i uint32) float64 {
-	if v.opts.Mode == ModeExact {
-		return naiveJaccard(q.Desc, v.recs.At(i).Desc)
-	}
-	return qs.sparseSJ(v, i)
-}
-
 // ctxDone is a non-blocking poll of a context's done channel.
 func ctxDone(done <-chan struct{}) bool {
 	if done == nil {
@@ -512,18 +478,17 @@ func ctxDone(done <-chan struct{}) bool {
 
 // finishCoarse ranks the candidate set by social relevance alone — the
 // coarse SAR scores step 1 already paid for — skipping EMD refinement
-// entirely. In the SAR modes each s̃J is one division over step 1's
-// accumulated sums, orders of magnitude cheaper than κJ, so this path
-// answers within any realistic margin. ctx is still honored (a hard cancel
-// beats degradation).
-func (v *View) finishCoarse(ctx context.Context, q Query, qs *queryScratch, topK int, info *RecommendInfo) ([]Result, RecommendInfo, error) {
+// entirely. Each s̃J is one division over step 1's accumulated sums, orders
+// of magnitude cheaper than κJ, so this path answers within any realistic
+// margin. ctx is still honored (a hard cancel beats degradation).
+func (v *View) finishCoarse(ctx context.Context, qs *queryScratch, topK int, info *RecommendInfo) ([]Result, RecommendInfo, error) {
 	done := ctx.Done()
 	sel := qs.resultSelector(topK)
 	for i, idx := range qs.merged {
 		if i%cancelCheckStride == 0 && ctxDone(done) {
 			return nil, *info, ctx.Err()
 		}
-		soc := v.candidateSocial(q, qs, idx)
+		soc := qs.sparseSJ(v, idx)
 		sel.Offer(Result{VideoID: v.ids.At(idx), Score: soc, Social: soc})
 	}
 	info.Degraded = true
@@ -568,12 +533,11 @@ func (qs *queryScratch) resultSelector(topK int) *topk.Selector[Result] {
 // queryScratch so that refinement workers can share it without a per-query
 // allocation.
 type refineJob struct {
-	v                     *View
-	q                     Query
-	qs                    *queryScratch
-	useContent, useSocial bool
-	cancelled             func() bool  // nil when nothing can cancel the query
-	cause                 func() error // the error a cancellation surfaces as
+	v         *View
+	q         Query
+	qs        *queryScratch
+	cancelled func() bool  // nil when nothing can cancel the query
+	cause     func() error // the error a cancellation surfaces as
 
 	qc *signature.CompiledSeries
 }
@@ -608,9 +572,7 @@ type refineJob struct {
 // returned answer lives in pooled scratch.
 func (j *refineJob) refine(topK, workers int) ([]Result, int, error) {
 	v, qs := j.v, j.qs
-	if j.useContent {
-		j.qc = j.q.compiled()
-	}
+	j.qc = j.q.compiled()
 	heap := qs.bounds[:0]
 	for i, idx := range qs.merged {
 		if i%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
@@ -618,15 +580,9 @@ func (j *refineJob) refine(topK, workers int) ([]Result, int, error) {
 		}
 		c := boundCand{idx: idx, tight: true}
 		if e := v.env.At(idx); e.N >= 0 { // a live slot
-			var ub float64
-			if j.useContent {
-				ub = signature.KJEnvelopeBound(j.qc, e, v.opts.MatchThreshold, &qs.kj)
-				c.tight = false
-			}
-			if j.useSocial {
-				c.soc = v.candidateSocial(j.q, qs, idx)
-			}
-			c.bound = v.fuse(ub, c.soc)
+			c.tight = false
+			c.soc = qs.sparseSJ(v, idx)
+			c.bound = v.fuse(signature.KJEnvelopeBound(j.qc, e, v.opts.MatchThreshold, &qs.kj), c.soc)
 		}
 		heap = append(heap, c)
 	}
@@ -733,7 +689,7 @@ func (j *refineJob) score(c boundCand, scratch *signature.KJScratch) (Result, er
 		return Result{}, j.cause()
 	}
 	var content float64
-	if rec := v.recs.At(c.idx); j.useContent && rec != nil {
+	if rec := v.recs.At(c.idx); rec != nil {
 		var complete bool
 		content, complete = signature.KJCancelCompiled(j.qc, rec.Compiled, v.opts.MatchThreshold, j.cancelled, scratch)
 		if !complete {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"videorec/internal/faults"
-	"videorec/internal/social"
 )
 
 func TestFilterAudiences(t *testing.T) {
@@ -48,7 +47,7 @@ func TestCapAudience(t *testing.T) {
 }
 
 func TestAdHocQueryMatchesStored(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	it := c.Items[0]
 	v := it.Render(c.Opts.Synth)
 	rec, _ := r.Record(it.ID)
@@ -68,10 +67,9 @@ func TestContentProbeBudgetBinds(t *testing.T) {
 	o := DefaultOptions()
 	o.ContentProbe = 1
 	o.CandidateLimit = 1
-	o.ContentWeightOnly = true
 	r := NewRecommender(o)
 	// Reuse the small collection fixture pipeline.
-	r2, c := buildSmall(t, ModeSARHash)
+	r2, c := buildSmall(t)
 	for _, id := range r2.SortedIDs() {
 		rec, _ := r2.Record(id)
 		r.IngestSeries(id, rec.Compiled.Series(), rec.Desc)
@@ -86,31 +84,17 @@ func TestContentProbeBudgetBinds(t *testing.T) {
 	}
 }
 
-func TestSocialRelevanceUnknownVideo(t *testing.T) {
-	r, _ := buildSmall(t, ModeSARHash)
+func TestContentRelevanceUnknownVideo(t *testing.T) {
+	r, _ := buildSmall(t)
 	q, _ := r.QueryFor(r.SortedIDs()[0])
-	if got := r.SocialRelevance(q, social.Vector{1}, "ghost"); got != 0 {
-		t.Errorf("unknown video social relevance = %g", got)
-	}
 	if got := r.ContentRelevance(q, "ghost"); got != 0 {
 		t.Errorf("unknown video content relevance = %g", got)
 	}
 }
 
-func TestNaiveJaccardEdgeCases(t *testing.T) {
-	empty := social.NewDescriptor("")
-	if got := naiveJaccard(empty, empty); got != 0 {
-		t.Errorf("empty naive = %g", got)
-	}
-	a := social.NewDescriptor("", "x")
-	if got := naiveJaccard(a, a); got != 1 {
-		t.Errorf("self naive = %g", got)
-	}
-}
-
 // RecommendCtx with a background context must be bit-identical to Recommend.
 func TestRecommendCtxMatchesRecommend(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	v := r.Freeze()
 	src := c.Queries[0].Sources[0]
 	plain := v.RecommendID(src, 10)
@@ -132,7 +116,7 @@ func TestRecommendCtxMatchesRecommend(t *testing.T) {
 }
 
 func TestRecommendCtxPreCancelled(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	v := r.Freeze()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -149,7 +133,7 @@ func TestRecommendCtxPreCancelled(t *testing.T) {
 // before the full EMD cost is paid, and the view must keep answering.
 func TestRecommendCtxCancelMidRefine(t *testing.T) {
 	defer faults.Reset()
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	v := r.Freeze()
 	src := c.Queries[0].Sources[0]
 	full := v.RecommendID(src, 10)
@@ -191,7 +175,7 @@ func TestRecommendCtxCancelMidRefine(t *testing.T) {
 // A deadline inside the degrade margin answers with the coarse SAR ranking
 // instead of an error.
 func TestRecommendCtxDegradesNearDeadline(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	v := r.Freeze()
 	src := c.Queries[0].Sources[0]
 	// DefaultDegradeMargin is 20ms; a 15ms deadline leaves refinement inside
@@ -222,7 +206,7 @@ func TestRecommendCtxDegradesNearDeadline(t *testing.T) {
 // rather than surfacing DeadlineExceeded.
 func TestRecommendCtxDegradesMidRefine(t *testing.T) {
 	defer faults.Reset()
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	v := r.Freeze()
 	src := c.Queries[0].Sources[0]
 	faults.Arm(faults.RefineScore, faults.Latency(10*time.Millisecond))
@@ -248,7 +232,7 @@ func TestRecommendCtxDegradeDisabled(t *testing.T) {
 	o := DefaultOptions()
 	o.DegradeMargin = -1
 	o.K = 12
-	r2, c := buildSmall(t, ModeSARHash)
+	r2, c := buildSmall(t)
 	r := NewRecommender(o)
 	for _, id := range r2.SortedIDs() {
 		rec, _ := r2.Record(id)
@@ -272,7 +256,7 @@ func TestRecommendCtxDegradeDisabled(t *testing.T) {
 // leaves the view serviceable.
 func TestRecommendCtxInjectedFault(t *testing.T) {
 	defer faults.Reset()
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	v := r.Freeze()
 	src := c.Queries[0].Sources[0]
 	faults.Arm(faults.RefineScore, faults.Error(nil))

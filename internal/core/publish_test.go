@@ -130,7 +130,7 @@ func scanTouched(v *View, touched map[int]bool) []uint32 {
 // sub-communities union, split and mint new dimensions, clips are removed
 // and comments introduce unknown users.
 func TestTouchedPostingsMatchRecordScan(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	rng := rand.New(rand.NewSource(21))
 	ids := r.SortedIDs()
 	unions, splits := 0, 0

@@ -5,7 +5,7 @@ import (
 )
 
 func TestRemoveVideoBasics(t *testing.T) {
-	r, _ := buildSmall(t, ModeSARHash)
+	r, _ := buildSmall(t)
 	victim := r.state.orderIDs()[2]
 	before := r.Len()
 	if !r.RemoveVideo(victim) {
@@ -31,7 +31,7 @@ func TestRemoveVideoBasics(t *testing.T) {
 }
 
 func TestRemoveThenBuildCompacts(t *testing.T) {
-	r, _ := buildSmall(t, ModeSARHash)
+	r, _ := buildSmall(t)
 	victim := r.state.orderIDs()[0]
 	sigCountBefore := 0
 	if rec, ok := r.Record(victim); ok {

@@ -38,7 +38,7 @@ func requireSeriesBits(t *testing.T, label string, got, want signature.Series) {
 // clip is crafted with ties, ±0 values and zero weights, the cases the
 // compiled sort and the rebuild could get wrong.
 func TestSnapshotSeriesExactThroughMutations(t *testing.T) {
-	src, c := buildSmall(t, ModeSARHash)
+	src, c := buildSmall(t)
 	want := map[string]signature.Series{}
 	r := NewRecommender(src.Options())
 	for _, id := range src.SortedIDs() {

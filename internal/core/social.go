@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -13,15 +12,15 @@ import (
 
 // Social is the sub-community half of the recommender: the user interest
 // graph and its Figure 5 maintainer (whose hooks close over the Social), the
-// partition, the chained hash table, the ModeSAR linear dictionary and the
-// dimensions the latest pass touched. A single engine owns one; every shard
+// partition, the chained hash table, and the dimensions and users the latest
+// pass touched. A single engine owns one; every shard
 // of a sharded deployment points at the same one, so a batch is maintained
 // once and each shard only re-vectorizes its own records against it.
 //
-// Between passes a Social is immutable: views reference its partition, table
-// and dictionary, and a pass copies those three before changing them, so a
-// published view keeps answering from what it froze. No view reaches the
-// graph, the maintainer or the touched set.
+// Between passes a Social is immutable: views reference its partition and
+// table, and a pass copies both before changing them, so a published view
+// keeps answering from what it froze. No view reaches the graph, the
+// maintainer or the touched sets.
 type Social struct {
 	opts Options
 
@@ -30,49 +29,35 @@ type Social struct {
 
 	part  *community.Partition
 	table *hashing.Table
-	dict  []dictEntry // linear-scan dictionary, kept in ModeSAR only
 
 	touched map[int]bool // dimensions changed by the latest maintenance pass
 	entered []string     // users the latest pass gave their first sub-community
 }
 
-type dictEntry struct {
-	user string
-	cno  int
-}
-
 // NewSocial builds the social machinery over a per-video audience map — the
 // user interest graph over users seen on at least MinUserVideos videos, its
-// k sub-communities (Figure 3), the dictionaries — deterministically given
+// k sub-communities (Figure 3), the hash table — deterministically given
 // the map's contents, which may span videos stored on many shards.
 func NewSocial(opts Options, audiences map[string][]string) *Social {
 	g := community.BuildUIG(FilterAudiences(audiences, opts.MinUserVideos))
 	return newSocial(opts, g, community.ExtractSubCommunities(g, opts.K))
 }
 
-// newSocial wires the dictionaries and the maintainer around a graph and its
+// newSocial wires the hash table and the maintainer around a graph and its
 // partition (shared by NewSocial and snapshot restore).
 func newSocial(opts Options, g *community.Graph, part *community.Partition) *Social {
 	s := &Social{opts: opts, graph: g, part: part, touched: map[int]bool{}}
-	s.rebuildDictionaries()
+	s.rebuildTable()
 	s.maint = community.NewMaintainer(g, part, community.Hooks{
 		AssignUser: func(u string, cno int) {
 			if _, ok := s.table.Lookup(u); !ok {
 				s.entered = append(s.entered, u)
 			}
 			s.table.Insert(u, cno)
-			if s.opts.Mode == ModeSAR {
-				s.dict = append(s.dict, dictEntry{user: u, cno: cno})
-			}
 			s.touched[cno] = true
 		},
 		ReplaceCommunity: func(old, new int) {
 			s.table.ReplaceCno(old, new)
-			for i := range s.dict { // empty outside ModeSAR
-				if s.dict[i].cno == old {
-					s.dict[i].cno = new
-				}
-			}
 		},
 		TouchDimensions: func(ids ...int) {
 			for _, d := range ids {
@@ -83,11 +68,9 @@ func newSocial(opts Options, g *community.Graph, part *community.Partition) *Soc
 	return s
 }
 
-// rebuildDictionaries builds the hash table and — in ModeSAR, whose lookup
-// is its only reader — the linear dictionary from the partition.
-func (s *Social) rebuildDictionaries() {
+// rebuildTable builds the hash table from the partition.
+func (s *Social) rebuildTable() {
 	s.table = hashing.NewTable(s.opts.HashBuckets, 17)
-	s.dict = nil
 	assign := s.part.AssignMap()
 	users := make([]string, 0, len(assign))
 	for u := range assign {
@@ -95,11 +78,7 @@ func (s *Social) rebuildDictionaries() {
 	}
 	sort.Strings(users)
 	for _, u := range users {
-		cno := assign[u]
-		s.table.Insert(u, cno)
-		if s.opts.Mode == ModeSAR {
-			s.dict = append(s.dict, dictEntry{user: u, cno: cno})
-		}
+		s.table.Insert(u, assign[u])
 	}
 }
 
@@ -110,7 +89,6 @@ func (s *Social) rebuildDictionaries() {
 func (s *Social) Maintain(edges []community.Edge) UpdateReport {
 	s.part = s.part.Clone()
 	s.table = s.table.Clone()
-	s.dict = slices.Clone(s.dict)
 	s.maint.SetPartition(s.part)
 	s.touched = map[int]bool{}
 	s.entered = nil
@@ -127,7 +105,7 @@ func (s *Social) Maintain(edges []community.Edge) UpdateReport {
 }
 
 // agrees reports how o differs from s, if it does: the graph (users, their
-// ids, weighted edges), the partition or the dictionary. The hash table
+// ids, weighted edges) or the partition. The hash table
 // needs no check: every pass patches it exactly as the partition changes,
 // so it maps users as the partition does. Records vectorized under either
 // state score identically under the other exactly when this returns nil.
@@ -140,8 +118,6 @@ func (s *Social) agrees(o *Social) error {
 		math.Float64bits(s.part.LightestIntra) != math.Float64bits(o.part.LightestIntra) ||
 		!s.part.SameAssignment(o.part):
 		return fmt.Errorf("partitions differ (k=%d dim=%d vs k=%d dim=%d)", s.part.K, s.part.Dim, o.part.K, o.part.Dim)
-	case !slices.Equal(s.dict, o.dict):
-		return fmt.Errorf("linear dictionaries differ")
 	}
 	return nil
 }

@@ -37,10 +37,11 @@ type UpdateReport struct {
 //     (each video's new commenters connect to its prior audience and to each
 //     other, one unit of weight per shared video);
 //  2. the sub-communities are maintained (union / split) with the hash
-//     table and linear dictionary patched through the maintenance hooks;
+//     table patched through the maintenance hooks;
 //  3. descriptors of commented videos grow, and every video whose vector
-//     touches a changed dimension — or whose descriptor changed — is
-//     re-vectorized and re-posted in the inverted files.
+//     touches a changed dimension — or whose descriptor changed, or which
+//     holds a user who joined a sub-community — is re-vectorized and
+//     re-posted in the inverted files.
 func (r *Recommender) ApplyUpdates(newComments map[string][]string) UpdateReport {
 	return r.ApplyEdges(r.DeriveConnections(newComments), newComments)
 }
@@ -242,10 +243,10 @@ func (r *Recommender) ApplyEdges(edges []community.Edge, newComments map[string]
 }
 
 // ApplyComments runs step 3 of the maintenance pass after the social
-// state's latest Maintain: it adopts the maintained partition, table and
-// dictionary, grows the descriptors of the commented videos this recommender
-// stores, and re-vectorizes and re-posts those and every video posted under
-// a touched dimension. It reads the Social and writes only this
+// state's latest Maintain: it adopts the maintained partition and table,
+// grows the descriptors of the commented videos this recommender stores, and
+// re-vectorizes and re-posts those, every video holding a user the pass gave
+// a first sub-community, and every video posted under a touched dimension. It reads the Social and writes only this
 // recommender, so the shards sharing one Social run it in parallel. It
 // returns the number of videos re-vectorized.
 func (r *Recommender) ApplyComments(newComments map[string][]string) int {
@@ -276,12 +277,13 @@ func (r *Recommender) ApplyComments(newComments map[string][]string) int {
 		// A published view may hold the old record: replace, never edit.
 		cp := *s.recs.At(i)
 		if fresh, ok := newComments[cp.ID]; ok {
-			for _, u := range fresh {
-				if u != "" && !cp.Desc.Contains(u) {
-					r.addHolder(i, []string{u})
+			old := cp.Desc
+			cp.Desc = cp.Desc.Add(fresh...)
+			for _, u := range cp.Desc.Users() {
+				if !old.Contains(u) {
+					r.addHolder(i, u)
 				}
 			}
-			cp.Desc = cp.Desc.Add(fresh...)
 		}
 		// Unpost only where the new vector stops posting; Add rewrites the
 		// count in the lists that already hold the video, so a posting whose

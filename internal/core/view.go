@@ -27,7 +27,7 @@ func hashID(id string) uint64 { return maphash.String(idSeed, id) }
 // View is the frozen, immutable state one recommendation query needs: the
 // signature series and social descriptors of every stored video, the LSB
 // content index, the inverted files, the SAR descriptor vectors, the
-// sub-community partition and the chained-hash dictionary. A View is built by
+// sub-community partition and the chained hash table. A View is built by
 // the write-side Recommender and published to readers, after which nothing
 // reachable from it is ever mutated — any number of goroutines may call its
 // query methods concurrently without locking.
@@ -58,20 +58,17 @@ type View struct {
 	lsb *index.LSB
 	inv *index.Inverted
 
-	// The social state's partition, table and dictionary as of the last
-	// adoptSocial: shared with the Social, which copies them before it
-	// changes them.
+	// The social state's partition and table as of the last adoptSocial:
+	// shared with the Social, which copies them before it changes them.
 	table *hashing.Table
-	dict  []dictEntry // linear-scan dictionary, kept in ModeSAR only
 	part  *community.Partition
 
 	tombstones bitset.Set // removed videos with LSB entries pending compaction
 	tombCount  int
 	built      bool
 
-	// look caches lookupFunc's closure for the query path — vectorizing the
-	// query descriptor must not allocate a fresh closure per query. Set by
-	// installSocial and rebuilt on clone (it binds the view's own table).
+	// look is table.Lookup bound once, so vectorizing a query descriptor
+	// allocates no method value. Set by adoptSocial.
 	look social.Lookup
 
 	// scratch hands out per-query scratch (candidate bitset, qvec, merged
@@ -96,7 +93,7 @@ func (v *View) newPools() {
 // corpus: the LSB trees, the id index, the posting lists and the pages of
 // the id, record, mass and envelope tables are handed over as they are, and
 // a later write copies the node, list or page it lands in; records are
-// replaced, never edited (see Record). The partition, hash table and dictionary
+// replaced, never edited (see Record). The partition and hash table
 // belong to the Social, which copies them at the start of its next pass.
 // What is still copied flat is the tombstone bitset (one bit per clip). The
 // write side calls this exactly once per freeze→mutate transition.
@@ -112,7 +109,6 @@ func (v *View) clone() *View {
 		nextSeq:    v.nextSeq,
 		lsb:        v.lsb.Clone(),
 		table:      v.table,
-		dict:       v.dict,
 		part:       v.part,
 		look:       v.look,
 		tombstones: v.tombstones.Clone(),
@@ -126,11 +122,11 @@ func (v *View) clone() *View {
 	return nv
 }
 
-// adoptSocial points the view at the social state's current partition,
-// table and dictionary, and binds the query-path lookup to them.
+// adoptSocial points the view at the social state's current partition and
+// table, and binds the query-path lookup to the table.
 func (v *View) adoptSocial(s *Social) {
-	v.part, v.table, v.dict = s.part, s.table, s.dict
-	v.look = v.lookupFunc()
+	v.part, v.table = s.part, s.table
+	v.look = v.table.Lookup
 }
 
 // index resolves a video id to its dense index.
@@ -174,8 +170,8 @@ func (v *View) Options() Options { return v.opts }
 func (v *View) Len() int { return v.live }
 
 // Built reports whether the social machinery had been built when the view
-// was frozen; Recommend in a SAR mode panics on an unbuilt view exactly as
-// it does on an unbuilt Recommender.
+// was frozen; Recommend panics on an unbuilt view exactly as it does on an
+// unbuilt Recommender.
 func (v *View) Built() bool { return v.built }
 
 // Has reports whether the video id is stored in the view.
@@ -247,22 +243,6 @@ func (v *View) ContentRelevance(q Query, id string) float64 {
 	return signature.KJCompiled(q.compiled(), rec.Compiled, v.opts.MatchThreshold)
 }
 
-// SocialRelevance is the mode-dependent social relevance between the query
-// and a stored video: exact sJ (naive quadratic, as the unoptimized system
-// the paper starts from) in ModeExact, s̃J over SAR vectors otherwise. It
-// computes s̃J densely over k dimensions; the query path reads the same
-// value, bit for bit, off step 1's sparse accumulation (sparseSJ).
-func (v *View) SocialRelevance(q Query, qvec social.Vector, id string) float64 {
-	rec := v.record(id)
-	if rec == nil {
-		return 0
-	}
-	if v.opts.Mode == ModeExact {
-		return naiveJaccard(q.Desc, rec.Desc)
-	}
-	return social.ApproxJaccard(qvec, rec.Vec)
-}
-
 // VideosPerDim reports how many videos each inverted-file dimension holds —
 // the N_ui / N_si inputs of the Equation 8 cost model — read directly off
 // the posting-list headers.
@@ -307,45 +287,15 @@ func (v *View) setRecord(i uint32, rec *Record) {
 	}
 }
 
-// lookupFunc returns the user → sub-community mapping for the active mode:
-// the chained hash table for ModeSARHash, the deliberately linear dictionary
-// scan for ModeSAR (the unoptimized vectorization the paper's hash scheme
-// speeds up), and the partition map otherwise.
-func (v *View) lookupFunc() social.Lookup {
-	switch v.opts.Mode {
-	case ModeSARHash:
-		return v.table.Lookup
-	case ModeSAR:
-		dict := v.dict
-		return func(u string) (int, bool) {
-			for _, e := range dict {
-				if e.user == u {
-					return e.cno, true
-				}
-			}
-			return 0, false
-		}
-	default:
-		return v.part.Lookup
-	}
-}
-
 // fuse is Equation 9.
 func (v *View) fuse(content, soc float64) float64 {
-	if v.opts.ContentWeightOnly {
-		return content
-	}
-	if v.opts.SocialOnly {
-		return soc
-	}
 	return (1-v.opts.Omega)*content + v.opts.Omega*soc
 }
 
-// mustBuild panics if the view was frozen before BuildSocial — calling the
-// SAR paths without a partition is a programming error, not a runtime
-// condition.
+// mustBuild panics if the view was frozen before BuildSocial — querying
+// without a partition is a programming error, not a runtime condition.
 func (v *View) mustBuild() {
 	if !v.built || v.part == nil {
-		panic("core: BuildSocial must be called before SAR-mode recommendation")
+		panic("core: BuildSocial must be called before recommendation")
 	}
 }

@@ -14,7 +14,7 @@ import (
 
 // buildSmallTweaked is buildSmall plus an options hook applied before the
 // recommender is constructed.
-func buildSmallTweaked(t testing.TB, mode Mode, tweak func(*Options)) (*Recommender, *dataset.Collection) {
+func buildSmallTweaked(t testing.TB, tweak func(*Options)) (*Recommender, *dataset.Collection) {
 	t.Helper()
 	o := dataset.DefaultOptions()
 	o.Hours = 4
@@ -22,7 +22,6 @@ func buildSmallTweaked(t testing.TB, mode Mode, tweak func(*Options)) (*Recommen
 	o.Seed = 11
 	c := dataset.Generate(o)
 	opts := DefaultOptions()
-	opts.Mode = mode
 	opts.K = 12
 	if tweak != nil {
 		tweak(&opts)
@@ -39,19 +38,24 @@ func buildSmallTweaked(t testing.TB, mode Mode, tweak func(*Options)) (*Recommen
 // Parallel step-3 refinement must be byte-identical to the serial path: a
 // round's scores land in pre-assigned slots and a candidate is skipped only
 // when its bound proves it cannot rank, so worker scheduling cannot perturb a
-// single bit of the ranking. FullScan forces the candidate set well past
-// minParallelRefine.
+// single bit of the ranking. Unbounded budgets make every stored clip a
+// candidate, well past minParallelRefine; the CR (ω = 0) and SR (ω = 1)
+// weights bound refinement differently from the fused default.
 func TestParallelRefinementMatchesSerial(t *testing.T) {
-	for _, mode := range []Mode{ModeSARHash, ModeSAR, ModeExact} {
-		t.Run(mode.String(), func(t *testing.T) {
-			serial, c := buildSmallTweaked(t, mode, func(o *Options) {
-				o.FullScan = true
-				o.RefineWorkers = 1
-			})
-			parallel, _ := buildSmallTweaked(t, mode, func(o *Options) {
-				o.FullScan = true
-				o.RefineWorkers = 8
-			})
+	for _, tc := range []struct {
+		name  string
+		omega float64
+	}{{"CSF-SAR-H", 0.7}, {"CR", 0}, {"SR", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func(workers int) (*Recommender, *dataset.Collection) {
+				return buildSmallTweaked(t, func(o *Options) {
+					o.Omega = tc.omega
+					o.CandidateLimit, o.ContentProbe = unbounded, unbounded
+					o.RefineWorkers = workers
+				})
+			}
+			serial, c := build(1)
+			parallel, _ := build(8)
 			for _, q := range c.Queries {
 				src := q.Sources[0]
 				a := serial.RecommendID(src, 15)
@@ -149,7 +153,7 @@ func captureFrozen(t *testing.T, v *View, users, queries []string) frozenState {
 // copies what it changes of the shared structures, so every published view
 // keeps answering from the world as it was at its Freeze.
 func TestFrozenViewIsolatedFromMutations(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	src := c.Queries[0].Sources[0]
 	var queries []string
 	for _, q := range c.Queries[:4] {
@@ -242,7 +246,7 @@ func TestFrozenViewIsolatedFromMutations(t *testing.T) {
 // -race any write into a node, chain, list, page or record the old view
 // still reaches is reported.
 func TestFrozenViewReadWhileWriterPublishes(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	view := r.Freeze()
 	var queries []string
 	for _, q := range c.Queries[:3] {
@@ -314,7 +318,7 @@ func usersOfDifferentCommunities(t *testing.T, r *Recommender, users []string) (
 // Freeze is O(1): a second Freeze with no intervening mutation returns the
 // same view; a mutation then swaps in a clone.
 func TestFreezeReturnsSameViewUntilMutation(t *testing.T) {
-	r, c := buildSmall(t, ModeSARHash)
+	r, c := buildSmall(t)
 	v1 := r.Freeze()
 	if v2 := r.Freeze(); v2 != v1 {
 		t.Fatal("Freeze without mutation returned a different view")

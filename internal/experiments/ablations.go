@@ -8,6 +8,7 @@ import (
 	"videorec/internal/community"
 	"videorec/internal/emd"
 	"videorec/internal/hashing"
+	"videorec/internal/oracle"
 	"videorec/internal/signature"
 	"videorec/internal/social"
 )
@@ -93,9 +94,9 @@ func (e *Env) Ablations() []AblationRow {
 		d2 := social.NewDescriptor("", users[half/2:]...)
 		m := social.NewMinHasher(64, 1)
 		sk1, sk2 := m.Sketch(d1), m.Sketch(d2)
-		vecs := e.socialVectors(e.optimalK())
-		va := vecs[e.Sources()[0]]
-		vb := vecs[e.Sources()[1]]
+		o := e.socialOracle(e.optimalK())
+		va := o.Vectorize(e.Descs[e.Sources()[0]], oracle.SAR)
+		vb := o.Vectorize(e.Descs[e.Sources()[1]], oracle.SAR)
 		exact := timeIt(400, func() { social.Jaccard(d1, d2) })
 		sar := timeIt(400, func() { social.ApproxJaccard(va, vb) })
 		mh := timeIt(400, func() { social.EstimateJaccard(sk1, sk2) })

@@ -8,8 +8,8 @@ import (
 	"videorec/internal/core"
 	"videorec/internal/dataset"
 	"videorec/internal/metrics"
+	"videorec/internal/oracle"
 	"videorec/internal/signature"
-	"videorec/internal/social"
 	"videorec/internal/spectral"
 )
 
@@ -113,22 +113,17 @@ func (e *Env) Fig7() []Row {
 	return rows
 }
 
-// socialVectors builds the SAR machinery at a given k over the
-// source-period descriptors and returns every video's descriptor vector.
-func (e *Env) socialVectors(k int) map[string]social.Vector {
+// socialOracle builds the SAR machinery at a given k over the
+// source-period descriptors, capped and filtered as the engine builds it,
+// and returns the oracle that ranks the collection under that partition.
+func (e *Env) socialOracle(k int) *oracle.Oracle {
 	audiences := map[string][]string{}
 	for _, it := range e.Col.Items {
 		audiences[it.ID] = capUsers(e.Descs[it.ID].Users(), 50)
 	}
 	audiences = core.FilterAudiences(audiences, 2)
 	g := community.BuildUIG(audiences)
-	p := community.ExtractSubCommunities(g, k)
-	lookup := p.Lookup
-	vecs := make(map[string]social.Vector, len(e.Col.Items))
-	for _, it := range e.Col.Items {
-		vecs[it.ID] = social.Vectorize(e.Descs[it.ID], lookup, p.Dim)
-	}
-	return vecs
+	return oracle.New(e.records, community.ExtractSubCommunities(g, k), signature.DefaultMatchThreshold)
 }
 
 func capUsers(users []string, max int) []string {
@@ -142,29 +137,28 @@ func capUsers(users []string, max int) []string {
 	return out
 }
 
-// fusedRanker ranks by FJ = (1−ω)·κJ + ω·s̃J over the given vectors.
-func (e *Env) fusedRanker(omega float64, vecs map[string]social.Vector) Ranker {
+// fusedRanker ranks by FJ = (1−ω)·κJ + ω·s̃J through the oracle.
+func (e *Env) fusedRanker(omega float64, o *oracle.Oracle) Ranker {
 	return func(src string, topK int) []string {
-		content := e.Content(src)
-		qv := vecs[src]
-		scores := map[string]float64{}
-		for _, it := range e.Col.Items {
-			if it.ID == src {
-				continue
-			}
-			s := social.ApproxJaccard(qv, vecs[it.ID])
-			scores[it.ID] = (1-omega)*content[it.ID] + omega*s
-		}
-		return rankByScore(scores, topK)
+		q, _ := o.Query(src)
+		return resultIDs(o.Fuse(e.content(o, src), o.SocialRelevance(q, oracle.SAR), omega, topK, src))
 	}
+}
+
+func resultIDs(res []oracle.Result) []string {
+	ids := make([]string, len(res))
+	for i, r := range res {
+		ids[i] = r.VideoID
+	}
+	return ids
 }
 
 // Fig8 sweeps the fusion weight ω (Figure 8 a–c). The paper's peak is 0.7.
 func (e *Env) Fig8(omegas []float64) []Row {
-	vecs := e.socialVectors(e.optimalK())
+	o := e.socialOracle(e.optimalK())
 	var rows []Row
 	for _, w := range omegas {
-		rows = append(rows, e.Evaluate(fmt.Sprintf("w=%.1f", w), e.fusedRanker(w, vecs))...)
+		rows = append(rows, e.Evaluate(fmt.Sprintf("w=%.1f", w), e.fusedRanker(w, o))...)
 	}
 	return rows
 }
@@ -175,8 +169,7 @@ func (e *Env) Fig8(omegas []float64) []Row {
 func (e *Env) Fig9(ks []int) []Row {
 	var rows []Row
 	for _, k := range ks {
-		vecs := e.socialVectors(k)
-		rows = append(rows, e.Evaluate(fmt.Sprintf("k=%d", k), e.fusedRanker(0.7, vecs))...)
+		rows = append(rows, e.Evaluate(fmt.Sprintf("k=%d", k), e.fusedRanker(0.7, e.socialOracle(k)))...)
 	}
 	return rows
 }
@@ -197,11 +190,11 @@ func (e *Env) optimalK() int {
 // SR (social only), CSF (content-social fusion at the tuned ω and k),
 // CR (content only, [35]) and AFFRF (multimodal + relevance feedback [33]).
 func (e *Env) Fig10() []Row {
-	vecs := e.socialVectors(e.optimalK())
+	o := e.socialOracle(e.optimalK())
 	var rows []Row
-	rows = append(rows, e.Evaluate("CSF", e.fusedRanker(0.7, vecs))...)
-	rows = append(rows, e.Evaluate("SR", e.fusedRanker(1.0, vecs))...)
-	rows = append(rows, e.Evaluate("CR", e.fusedRanker(0.0, vecs))...)
+	rows = append(rows, e.Evaluate("CSF", e.fusedRanker(0.7, o))...)
+	rows = append(rows, e.Evaluate("SR", e.fusedRanker(1.0, o))...)
+	rows = append(rows, e.Evaluate("CR", e.fusedRanker(0.0, o))...)
 	rows = append(rows, e.Evaluate("AFFRF", func(src string, topK int) []string {
 		recs := e.AFFRF.Recommend(src, topK)
 		ids := make([]string, len(recs))
@@ -216,22 +209,21 @@ func (e *Env) Fig10() []Row {
 // Fig11 measures effectiveness stability under social updates (Figure 11
 // a–c): the recommender is built on the 12-month source period, then 1–4
 // months of test-period comments are replayed through the Figure 5
-// maintenance path, re-evaluating after each extra month.
+// maintenance path, re-evaluating after each extra month. Each evaluation
+// ranks exhaustively through the oracle, over the maintained recommender's
+// records and partition.
 func (e *Env) Fig11() []Row {
 	opts := core.DefaultOptions()
 	opts.K = e.optimalK()
-	opts.FullScan = true
 	r := e.BuildRecommender(opts, e.Col)
 
 	evalNow := func(label string) []Row {
-		return e.Evaluate(label, func(src string, topK int) []string {
-			res := r.RecommendID(src, topK)
-			ids := make([]string, len(res))
-			for i, x := range res {
-				ids[i] = x.VideoID
-			}
-			return ids
-		})
+		var recs []oracle.Record
+		for _, id := range r.SortedIDs() {
+			rec, _ := r.Record(id)
+			recs = append(recs, oracle.Record{ID: id, Compiled: rec.Compiled, Desc: rec.Desc})
+		}
+		return e.Evaluate(label, e.fusedRanker(opts.Omega, oracle.New(recs, r.Partition(), opts.MatchThreshold)))
 	}
 	rows := evalNow("0mo")
 	months := e.Col.Opts.MonthsSource

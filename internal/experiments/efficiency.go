@@ -6,7 +6,10 @@ import (
 
 	"videorec/internal/core"
 	"videorec/internal/dataset"
+	"videorec/internal/hashing"
+	"videorec/internal/oracle"
 	"videorec/internal/signature"
+	"videorec/internal/social"
 )
 
 // EfficiencyEnv is the artifact set for the Figure 12 timing experiments.
@@ -62,69 +65,104 @@ func (e *EfficiencyEnv) build(opts core.Options, col *dataset.Collection) *core.
 	return r
 }
 
-// timeQueries measures the mean wall-clock recommendation time over the 10
-// source videos.
-func timeQueries(r *core.Recommender, col *dataset.Collection, topK int) float64 {
+// sources returns the collection's 10 source videos.
+func sources(col *dataset.Collection) []string {
 	var srcs []string
 	for _, q := range col.Queries {
 		srcs = append(srcs, q.Sources...)
 	}
+	return srcs
+}
+
+// millisPerQuery is the mean wall-clock time of run over the sources.
+func millisPerQuery(srcs []string, run func(src string)) float64 {
 	if len(srcs) == 0 {
 		return 0
 	}
 	start := time.Now()
 	for _, src := range srcs {
-		r.RecommendID(src, topK)
+		run(src)
 	}
 	return float64(time.Since(start).Microseconds()) / 1000.0 / float64(len(srcs))
 }
 
-// modeOptions returns the tuned options for one efficiency variant. The
+// tunedOptions returns the tuned engine options for the efficiency runs. The
 // probe budgets are set low enough to bind at every sweep size: the whole
 // point of the SAR candidate pruning is that the refinement set stops
 // growing with the collection, which is what separates the CSF-SAR curves
 // from the full-scan CSF in Figure 12(a).
-func modeOptions(mode core.Mode) core.Options {
+func tunedOptions() core.Options {
 	opts := core.DefaultOptions()
-	opts.Mode = mode
 	opts.CandidateLimit = 120
 	opts.ContentProbe = 256
 	return opts
 }
 
-// Fig12a times the three social-relevance variants — CSF (exact sJ),
-// CSF-SAR and CSF-SAR-H — over the collection-size sweep (Figure 12 a).
+// Fig12a times the three social-relevance variants over the collection-size
+// sweep (Figure 12 a). CSF-SAR-H is the engine. CSF is the oracle's
+// exhaustive exact-sJ ranking. CSF-SAR is the engine plus the one thing its
+// dictionary changes on the query path: the measured per-query difference
+// between vectorizing the query's descriptor by a linear dictionary scan
+// (the oracle's) and by the chained hash table.
 func (e *EfficiencyEnv) Fig12a() []TimeRow {
-	var rows []TimeRow
-	for _, mode := range []core.Mode{core.ModeExact, core.ModeSAR, core.ModeSARHash} {
-		for _, h := range e.Scale.EfficiencyHours {
-			col := e.Col.SliceHours(h)
-			r := e.build(modeOptions(mode), col)
-			rows = append(rows, TimeRow{
-				Label:          mode.String(),
-				Hours:          h,
-				MillisPerQuery: timeQueries(r, col, 20),
-			})
+	var csf, sar, sarh []TimeRow
+	for _, h := range e.Scale.EfficiencyHours {
+		col := e.Col.SliceHours(h)
+		opts := tunedOptions()
+		r := e.build(opts, col)
+		srcs := sources(col)
+		engine := millisPerQuery(srcs, func(src string) { r.RecommendID(src, 20) })
+
+		var recs []oracle.Record
+		for _, id := range r.SortedIDs() {
+			rec, _ := r.Record(id)
+			recs = append(recs, oracle.Record{ID: id, Compiled: rec.Compiled, Desc: rec.Desc})
 		}
+		part := r.Partition()
+		o := oracle.New(recs, part, opts.MatchThreshold)
+		exact := millisPerQuery(srcs, func(src string) {
+			q, _ := o.Query(src)
+			o.Rank(q, opts.Omega, oracle.Exact, 20, src)
+		})
+
+		table := hashing.NewTable(opts.HashBuckets, 17)
+		for u, c := range part.AssignMap() {
+			table.Insert(u, c)
+		}
+		desc := func(src string) social.Descriptor { rec, _ := r.Record(src); return rec.Desc }
+		dict := millisPerQuery(srcs, func(src string) { o.Vectorize(desc(src), oracle.SARDictionary) })
+		hashed := millisPerQuery(srcs, func(src string) { social.Vectorize(desc(src), table.Lookup, part.Dim) })
+
+		csf = append(csf, TimeRow{Label: "CSF", Hours: h, MillisPerQuery: exact})
+		sar = append(sar, TimeRow{Label: "CSF-SAR", Hours: h, MillisPerQuery: engine + dict - hashed})
+		sarh = append(sarh, TimeRow{Label: "CSF-SAR-H", Hours: h, MillisPerQuery: engine})
 	}
-	return rows
+	return append(append(csf, sar...), sarh...)
 }
 
 // Fig12b times CSF-SAR-H against the content-only CR baseline [35]
-// (Figure 12 b).
+// (Figure 12 b). CR is the engine at ω = 0 queried with an empty social
+// descriptor, so its candidates come from the LSB-tree alone.
 func (e *EfficiencyEnv) Fig12b() []TimeRow {
 	var rows []TimeRow
 	for _, h := range e.Scale.EfficiencyHours {
 		col := e.Col.SliceHours(h)
-		r := e.build(modeOptions(core.ModeSARHash), col)
+		srcs := sources(col)
+		r := e.build(tunedOptions(), col)
 		rows = append(rows, TimeRow{
-			Label: "CSF-SAR-H", Hours: h, MillisPerQuery: timeQueries(r, col, 20),
+			Label: "CSF-SAR-H", Hours: h,
+			MillisPerQuery: millisPerQuery(srcs, func(src string) { r.RecommendID(src, 20) }),
 		})
-		crOpts := modeOptions(core.ModeSARHash)
-		crOpts.ContentWeightOnly = true
+		crOpts := tunedOptions()
+		crOpts.Omega = 0
 		cr := e.build(crOpts, col)
 		rows = append(rows, TimeRow{
-			Label: "CR", Hours: h, MillisPerQuery: timeQueries(cr, col, 20),
+			Label: "CR", Hours: h,
+			MillisPerQuery: millisPerQuery(srcs, func(src string) {
+				q, _ := cr.QueryFor(src)
+				q.Desc = social.Descriptor{}
+				cr.Recommend(q, 20, src)
+			}),
 		})
 	}
 	return rows
@@ -150,7 +188,7 @@ func (e *EfficiencyEnv) Fig12c() []UpdateRow {
 	months := e.Col.Opts.MonthsSource
 	var rows []UpdateRow
 	for m := 1; m <= e.Col.Opts.MonthsTest; m++ {
-		r := e.build(modeOptions(core.ModeSARHash), e.Col)
+		r := e.build(tunedOptions(), e.Col)
 		batch := map[string][]string{}
 		for _, it := range e.Col.Items {
 			for _, cm := range it.Comments {

@@ -13,6 +13,7 @@ import (
 	"videorec/internal/core"
 	"videorec/internal/dataset"
 	"videorec/internal/metrics"
+	"videorec/internal/oracle"
 	"videorec/internal/signature"
 	"videorec/internal/social"
 )
@@ -81,8 +82,11 @@ type Env struct {
 	Descs  map[string]social.Descriptor
 	AFFRF  *baselines.AFFRF
 
-	// content κJ cache: source id → candidate id → κJ.
-	contentCache map[string]map[string]float64
+	// records is the collection as the oracle ranks it (compiled series,
+	// source-period descriptors); contentCache holds each source's κJ row,
+	// in the oracle's id order, which every oracle over these clips shares.
+	records      []oracle.Record
+	contentCache map[string][]float64
 }
 
 // NewEnv generates the effectiveness collection and extracts every feature
@@ -101,7 +105,7 @@ func NewEnv(s Scale) *Env {
 		Series:       make(map[string]signature.Series, len(col.Items)),
 		Descs:        make(map[string]social.Descriptor, len(col.Items)),
 		AFFRF:        baselines.NewAFFRF(baselines.DefaultAFFRFOptions()),
-		contentCache: map[string]map[string]float64{},
+		contentCache: map[string][]float64{},
 	}
 	sigOpts := signature.DefaultOptions()
 	for i, it := range col.Items {
@@ -110,6 +114,7 @@ func NewEnv(s Scale) *Env {
 		e.AFFRF.Ingest(it.ID, it.Topic, v, int64(i+1))
 		v.ReleaseFrames()
 		e.Descs[it.ID] = SourceDescriptor(col, it)
+		e.records = append(e.records, oracle.Record{ID: it.ID, Compiled: signature.CompileSeries(e.Series[it.ID]), Desc: e.Descs[it.ID]})
 	}
 	return e
 }
@@ -135,21 +140,16 @@ func (e *Env) Sources() []string {
 	return out
 }
 
-// Content returns the cached κJ between a source and every other video.
-func (e *Env) Content(src string) map[string]float64 {
-	if m, ok := e.contentCache[src]; ok {
-		return m
+// content returns a source's κJ row from o, an oracle over the collection's
+// clips, computing it once per source.
+func (e *Env) content(o *oracle.Oracle, src string) []float64 {
+	if c, ok := e.contentCache[src]; ok {
+		return c
 	}
-	qs := e.Series[src]
-	m := make(map[string]float64, len(e.Col.Items))
-	for _, it := range e.Col.Items {
-		if it.ID == src {
-			continue
-		}
-		m[it.ID] = signature.KJ(qs, e.Series[it.ID], signature.DefaultMatchThreshold)
-	}
-	e.contentCache[src] = m
-	return m
+	q, _ := o.Query(src)
+	c := o.Content(q)
+	e.contentCache[src] = c
+	return c
 }
 
 // BuildRecommender ingests a collection's pre-extracted features into a

@@ -78,11 +78,11 @@ func (e *Env) EvaluateExtended(label string, rank Ranker) []ExtRow {
 // Fig10Extended evaluates the Figure 10 approaches under the extended
 // ranking metrics.
 func (e *Env) Fig10Extended() []ExtRow {
-	vecs := e.socialVectors(e.optimalK())
+	o := e.socialOracle(e.optimalK())
 	var rows []ExtRow
-	rows = append(rows, e.EvaluateExtended("CSF", e.fusedRanker(0.7, vecs))...)
-	rows = append(rows, e.EvaluateExtended("SR", e.fusedRanker(1.0, vecs))...)
-	rows = append(rows, e.EvaluateExtended("CR", e.fusedRanker(0.0, vecs))...)
+	rows = append(rows, e.EvaluateExtended("CSF", e.fusedRanker(0.7, o))...)
+	rows = append(rows, e.EvaluateExtended("SR", e.fusedRanker(1.0, o))...)
+	rows = append(rows, e.EvaluateExtended("CR", e.fusedRanker(0.0, o))...)
 	rows = append(rows, e.EvaluateExtended("AFFRF", func(src string, topK int) []string {
 		recs := e.AFFRF.Recommend(src, topK)
 		ids := make([]string, len(recs))

@@ -11,11 +11,11 @@ func (e *Env) TuneOmega(step float64, topK int) (float64, []Row) {
 	if step <= 0 || step > 0.5 {
 		step = 0.1
 	}
-	vecs := e.socialVectors(e.optimalK())
+	o := e.socialOracle(e.optimalK())
 	bestOmega, bestAR := 0.0, -1.0
 	var all []Row
 	for w := 0.0; w <= 1.0+1e-9; w += step {
-		rows := e.Evaluate(fmt.Sprintf("w=%.2f", w), e.fusedRanker(w, vecs))
+		rows := e.Evaluate(fmt.Sprintf("w=%.2f", w), e.fusedRanker(w, o))
 		all = append(all, rows...)
 		for _, r := range rows {
 			if r.TopK == topK && r.AR > bestAR {

@@ -368,16 +368,17 @@ func TestQuorumCountsOnlyClosedBreakers(t *testing.T) {
 }
 
 // TestMergedPartialOrderingGolden pins the merged-partial contract across
-// strategies and shard counts: the merge over any surviving shard subset
+// the fused and baseline weights and shard counts: the merge over any surviving shard subset
 // equals the single-engine ranking restricted to that subset's videos, in
 // the same (score desc, id asc) order.
 func TestMergedPartialOrderingGolden(t *testing.T) {
 	defer faults.Reset()
 	f := loadFixture(t, 21)
-	for _, strat := range strategies(testing.Short()) {
-		strat := strat
-		t.Run(stratName(strat), func(t *testing.T) {
-			opts := videorec.Options{Strategy: strat, RefineWorkers: 1}
+	for _, vr := range variants {
+		vr := vr
+		t.Run(vr.name, func(t *testing.T) {
+			opts := vr.opts
+			opts.RefineWorkers = 1
 			ref := buildRef(t, f, opts)
 			refFull := fullRanking(t, ref, f.queries)
 			for _, n := range []int{2, 4} {

@@ -13,8 +13,8 @@ import (
 
 // The golden suite: an N-shard router must return bit-identical rankings to
 // a single engine holding the whole corpus — same ids, same fused scores,
-// same component relevances — across every strategy, serial and parallel
-// refinement, and through the whole lifecycle: build, incremental updates,
+// same component relevances — across the fused and baseline weights, serial
+// and parallel refinement, and through the whole lifecycle: build, incremental updates,
 // remove, re-ingest, and shard drain. The corpus is sized so the per-shard
 // candidate budgets never bind (the regime where the scatter-gather merge
 // is provably exact; see the package comment).
@@ -139,36 +139,30 @@ func shardCounts(short bool) []int {
 	return []int{1, 2, 4, 16}
 }
 
-func strategies(short bool) []videorec.Strategy {
-	if short {
-		return []videorec.Strategy{videorec.SARWithHashing, videorec.ExactSocial}
-	}
-	return []videorec.Strategy{videorec.SARWithHashing, videorec.SAR, videorec.ExactSocial}
-}
-
-func stratName(s videorec.Strategy) string {
-	switch s {
-	case videorec.SAR:
-		return "sar"
-	case videorec.ExactSocial:
-		return "exact"
-	default:
-		return "sarhash"
-	}
+// variants are the engine configurations the goldens run under: the fused
+// default and the CR (ω = 0) and SR (ω = 1) baselines.
+var variants = []struct {
+	name string
+	opts videorec.Options
+}{
+	{"sarhash", videorec.Options{}},
+	{"content-only", videorec.Options{ContentOnly: true}},
+	{"social-only", videorec.Options{SocialOnly: true}},
 }
 
 func TestShardGolden(t *testing.T) {
 	f := loadFixture(t, 21)
-	for _, strat := range strategies(testing.Short()) {
-		strat := strat
-		t.Run(stratName(strat), func(t *testing.T) {
+	for _, vr := range variants {
+		vr := vr
+		t.Run(vr.name, func(t *testing.T) {
 			for _, workers := range []int{1, 0} {
 				if workers == 0 && testing.Short() {
 					continue
 				}
 				workers := workers
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					refOpts := videorec.Options{Strategy: strat, RefineWorkers: workers}
+					refOpts := vr.opts
+					refOpts.RefineWorkers = workers
 					for _, n := range shardCounts(testing.Short()) {
 						n := n
 						t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {

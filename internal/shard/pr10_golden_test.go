@@ -170,9 +170,9 @@ func forcedUnionBatch(f *fixture, assign map[string]int) map[string][]string {
 	return batch
 }
 
-func pr10Scenario(t *testing.T, f *fixture, strat videorec.Strategy, n int, journalDir string) ([]pr10Step, map[string]string) {
+func pr10Scenario(t *testing.T, f *fixture, n int, journalDir string) ([]pr10Step, map[string]string) {
 	t.Helper()
-	r, err := New(n, videorec.Options{Strategy: strat, RefineWorkers: 1})
+	r, err := New(n, videorec.Options{RefineWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,21 +278,19 @@ func pr10Scenario(t *testing.T, f *fixture, strat videorec.Strategy, n int, jour
 func TestUpdateGoldenFile(t *testing.T) {
 	f := loadFixture(t, 21)
 	got := pr10Golden{Scenarios: map[string][]pr10Step{}, Journals: map[string]string{}}
-	for _, strat := range []videorec.Strategy{videorec.SARWithHashing, videorec.SAR, videorec.ExactSocial} {
-		for _, n := range []int{1, 4} {
-			key := fmt.Sprintf("%s/shards=%d", stratName(strat), n)
-			// The sarhash/4 run doubles as the journal-bytes pin: every shard
-			// journals the globally summed edge list in the v3 wire format,
-			// and the file hashes must not move under a graph rewrite.
-			dir := ""
-			if strat == videorec.SARWithHashing && n == 4 {
-				dir = t.TempDir()
-			}
-			steps, journals := pr10Scenario(t, f, strat, n, dir)
-			got.Scenarios[key] = steps
-			for name, h := range journals {
-				got.Journals[name] = h
-			}
+	for _, n := range []int{1, 4} {
+		key := fmt.Sprintf("sarhash/shards=%d", n)
+		// The 4-shard run doubles as the journal-bytes pin: every shard
+		// journals the globally summed edge list in the v3 wire format, and
+		// the file hashes must not move under a graph rewrite.
+		dir := ""
+		if n == 4 {
+			dir = t.TempDir()
+		}
+		steps, journals := pr10Scenario(t, f, n, dir)
+		got.Scenarios[key] = steps
+		for name, h := range journals {
+			got.Journals[name] = h
 		}
 	}
 

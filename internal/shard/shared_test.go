@@ -511,12 +511,10 @@ func TestSharedStateReplayNeverDoubleApplies(t *testing.T) {
 
 // DrainShard's survivors reindex around the social state they share rather
 // than rebuilding it: the partition object is the one the pass maintained,
-// and in ModeSAR — whose linear dictionary keeps a moved user's first entry,
-// which a rebuild from the partition would drop — the drained router still
-// matches the engine that never drained.
+// and the drained router still matches the engine that never drained.
 func TestSharedStateSurvivesDrain(t *testing.T) {
 	f := loadFixture(t, 21)
-	opts := videorec.Options{Strategy: videorec.SAR, RefineWorkers: 1}
+	opts := videorec.Options{RefineWorkers: 1}
 	ref := videorec.New(opts)
 	ingestAll(t, f, ref.Add)
 	ref.Build()

@@ -45,41 +45,21 @@ import (
 	"videorec/internal/video"
 )
 
-// Strategy selects how social relevance is computed — the CSF variants of
-// the paper's Figure 12(a).
-type Strategy int
-
-const (
-	// SARWithHashing (CSF-SAR-H) is the paper's full optimization and the
-	// default: SAR vectors plus the chained hash dictionary.
-	SARWithHashing Strategy = iota
-	// SAR (CSF-SAR) uses SAR vectors with a linear dictionary scan.
-	SAR
-	// ExactSocial (CSF) computes the exact set Jaccard against every video —
-	// the unoptimized baseline; expect full-scan latencies.
-	ExactSocial
-)
-
 // Options configures an Engine. The zero value gives the paper's tuned
-// parameters: ω = 0.7, k = 60 sub-communities, CSF-SAR-H strategy.
+// parameters: ω = 0.7 and k = 60 sub-communities, served as CSF-SAR-H (SAR
+// vectors with the chained hash dictionary).
 type Options struct {
-	// Omega is the social weight in FJ = (1−ω)·κJ + ω·sJ. 0 means content
-	// only behaviour at ranking time; the paper's optimum is 0.7 (used when
-	// the field is 0 and ContentOnly is false — set ContentOnly for a true
-	// content-only ranker).
+	// Omega is the social weight in FJ = (1−ω)·κJ + ω·s̃J. 0 selects the
+	// paper's optimum, 0.7; ContentOnly and SocialOnly spell ω = 0 and ω = 1.
 	Omega float64
 	// SubCommunities is k, the number of sub-communities SAR extracts from
 	// the user interest graph (paper optimum: 60).
 	SubCommunities int
-	// Strategy picks the social-relevance implementation.
-	Strategy Strategy
-	// ContentOnly ranks by κJ alone (the CR baseline of the paper).
+	// ContentOnly ranks by κJ alone (ω = 0, the CR baseline of the paper).
 	ContentOnly bool
-	// SocialOnly ranks by social relevance alone (the SR baseline).
+	// SocialOnly ranks by social relevance alone (ω = 1, the SR baseline).
+	// ContentOnly wins when both are set.
 	SocialOnly bool
-	// ExhaustiveSearch refines every stored video instead of using the
-	// LSB-tree and inverted-file probes. Slower, exact ranking.
-	ExhaustiveSearch bool
 	// RefineWorkers bounds the worker pool used for step-3 kNN refinement.
 	// 0 uses GOMAXPROCS, 1 forces the serial path. Either way the ranking is
 	// bit-identical: parallelism changes latency, never results.
@@ -224,17 +204,12 @@ func New(opts Options) *Engine {
 	if opts.SubCommunities > 0 {
 		c.K = opts.SubCommunities
 	}
-	switch opts.Strategy {
-	case SAR:
-		c.Mode = core.ModeSAR
-	case ExactSocial:
-		c.Mode = core.ModeExact
-	default:
-		c.Mode = core.ModeSARHash
+	if opts.SocialOnly {
+		c.Omega = 1
 	}
-	c.ContentWeightOnly = opts.ContentOnly
-	c.SocialOnly = opts.SocialOnly
-	c.FullScan = opts.ExhaustiveSearch
+	if opts.ContentOnly {
+		c.Omega = 0
+	}
 	c.RefineWorkers = opts.RefineWorkers
 	c.DegradeMargin = opts.DegradeMargin
 	e := &Engine{rec: core.NewRecommender(c)}

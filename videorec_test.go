@@ -177,13 +177,13 @@ func TestApplyUpdatesPublic(t *testing.T) {
 	}
 }
 
-func TestStrategyAndBaselineOptions(t *testing.T) {
+// ContentOnly and SocialOnly are ω = 0 and ω = 1: each baseline's score is
+// exactly the one relevance it ranks by.
+func TestBaselineOptions(t *testing.T) {
 	for _, opts := range []Options{
-		{Strategy: SAR},
-		{Strategy: ExactSocial},
 		{ContentOnly: true},
 		{SocialOnly: true},
-		{Omega: 0.5, SubCommunities: 12, ExhaustiveSearch: true},
+		{Omega: 0.5, SubCommunities: 12},
 	} {
 		eng, col := buildEngine(t, opts)
 		recs, err := eng.Recommend(col.Queries[0].Sources[0], 5)
@@ -193,18 +193,12 @@ func TestStrategyAndBaselineOptions(t *testing.T) {
 		if len(recs) == 0 {
 			t.Fatalf("opts %+v: empty results", opts)
 		}
-		if opts.ContentOnly {
-			for _, r := range recs {
-				if r.Social != 0 {
-					t.Errorf("ContentOnly result has social score %g", r.Social)
-				}
+		for _, r := range recs {
+			if opts.ContentOnly && r.Score != r.Content {
+				t.Errorf("ContentOnly score %g != content %g", r.Score, r.Content)
 			}
-		}
-		if opts.SocialOnly {
-			for _, r := range recs {
-				if r.Content != 0 {
-					t.Errorf("SocialOnly result has content score %g", r.Content)
-				}
+			if opts.SocialOnly && r.Score != r.Social {
+				t.Errorf("SocialOnly score %g != social %g", r.Score, r.Social)
 			}
 		}
 	}
