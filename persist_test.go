@@ -2,8 +2,12 @@ package videorec
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -407,5 +411,49 @@ func TestSaveFileKillDuringSnapshotRecovers(t *testing.T) {
 	}
 	if _, err := restored.Recommend(src, 5); err != nil {
 		t.Fatalf("recovered engine unserviceable: %v", err)
+	}
+}
+
+// Snapshots written before the engine had one serving mode carry the
+// deleted core options on the wire: testdata/legacy_sar_fullscan.snap was
+// saved with the CSF-SAR strategy and exhaustive search (Mode and FullScan),
+// testdata/legacy_cr_sr.snap with the CR and SR switches (ContentWeightOnly
+// and SocialOnly). Gob drops the unknown fields, so both load, and both
+// serve SAR-H at their stored ω over the same 9 clips. The first answers
+// bit for bit as the engine that saved it did (testdata/legacy_sar_fullscan.json,
+// written by that engine: the dictionary and the hash table map users alike,
+// and the corpus is too small for a candidate budget to bind); the second,
+// whose CR-and-SR engine answered nothing, now answers as the first.
+func TestLoadLegacyModeSnapshots(t *testing.T) {
+	var want map[string][]string
+	b, err := os.ReadFile("testdata/legacy_sar_fullscan.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(b, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"legacy_sar_fullscan", "legacy_cr_sr"} {
+		eng, err := LoadFile(filepath.Join("testdata", name+".snap"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if eng.Len() != len(want) {
+			t.Fatalf("%s: %d clips, want %d", name, eng.Len(), len(want))
+		}
+		for id, answers := range want {
+			recs, err := eng.Recommend(id, 5)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, id, err)
+			}
+			got := make([]string, len(recs))
+			for i, r := range recs {
+				got[i] = fmt.Sprintf("%s %016x %016x %016x", r.VideoID,
+					math.Float64bits(r.Score), math.Float64bits(r.Content), math.Float64bits(r.Social))
+			}
+			if !slices.Equal(got, answers) {
+				t.Errorf("%s: %s answers\n%v\nsaved engine answered\n%v", name, id, got, answers)
+			}
+		}
 	}
 }
