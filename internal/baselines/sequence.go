@@ -2,8 +2,9 @@
 // and DTW [7] sequence measures evaluated against κJ in Figure 7, and the
 // AFFRF multimodal recommender of Yang et al. [33] (text + visual + aural
 // attention fusion with relevance feedback) evaluated in Figure 10. The CR
-// and SR baselines are the ContentWeightOnly / SocialOnly switches of
-// internal/core.
+// and SR baselines are Equation 9 at ω = 0 and ω = 1 (internal/oracle ranks
+// them exhaustively; the engine serves them as videorec's ContentOnly and
+// SocialOnly).
 package baselines
 
 import (

@@ -318,15 +318,9 @@ func (r *Recommender) IngestSeries(id string, series signature.Series, desc soci
 	}
 	s.setRecord(i, rec)
 	for _, u := range desc.Users() {
-		r.addHolder(i, u)
+		r.holders[u] = append(r.holders[u], i)
 	}
 	s.built = false
-}
-
-// addHolder records dense index i as a holder of u. Callers add a holder
-// only once per user.
-func (r *Recommender) addHolder(i uint32, u string) {
-	r.holders[u] = append(r.holders[u], i)
 }
 
 // dropHolder forgets dense index i as a holder of each of users.
@@ -469,7 +463,7 @@ func (r *Recommender) vectorizeAll() {
 			continue
 		}
 		cp := *rec
-		cp.Vec = social.Vectorize(cp.Desc, s.look, s.part.Dim)
+		cp.Vec = social.Vectorize(cp.Desc, s.table.Lookup, s.part.Dim)
 		s.setRecord(uint32(i), &cp)
 		s.inv.Add(uint32(i), cp.Vec)
 	}
@@ -505,8 +499,3 @@ func (r *Recommender) AdHocQuery(v *video.Video, desc social.Descriptor) Query {
 
 // QueryFor builds a Query from a stored video id.
 func (r *Recommender) QueryFor(id string) (Query, bool) { return r.state.QueryFor(id) }
-
-// ContentRelevance is κJ between the query and a stored video.
-func (r *Recommender) ContentRelevance(q Query, id string) float64 {
-	return r.state.ContentRelevance(q, id)
-}

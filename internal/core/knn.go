@@ -362,7 +362,7 @@ func (v *View) GatherCandidates(ctx context.Context, q Query, exclude ...string)
 func (v *View) gather(ctx context.Context, q Query, qs *queryScratch) error {
 	done := ctx.Done()
 	v.mustBuild()
-	qs.qvec = social.VectorizeInto(qs.qvec, q.Desc, v.look, v.part.Dim)
+	qs.qvec = social.VectorizeInto(qs.qvec, q.Desc, v.table.Lookup, v.part.Dim)
 	if !v.accumulate(done, qs) {
 		return ctx.Err()
 	}

@@ -84,14 +84,6 @@ func TestContentProbeBudgetBinds(t *testing.T) {
 	}
 }
 
-func TestContentRelevanceUnknownVideo(t *testing.T) {
-	r, _ := buildSmall(t)
-	q, _ := r.QueryFor(r.SortedIDs()[0])
-	if got := r.ContentRelevance(q, "ghost"); got != 0 {
-		t.Errorf("unknown video content relevance = %g", got)
-	}
-}
-
 // RecommendCtx with a background context must be bit-identical to Recommend.
 func TestRecommendCtxMatchesRecommend(t *testing.T) {
 	r, c := buildSmall(t)

@@ -85,11 +85,12 @@ func (r *Recommender) Snapshot() *Snapshot {
 // publishes a view identical to what the saving engine served.
 //
 // Snapshots from before the engine had one serving mode may carry the
-// deleted Mode, ContentWeightOnly, SocialOnly and FullScan options. Gob drops
-// unknown fields silently, so such a snapshot loads and serves SAR-H (the
-// chained hash dictionary) at its stored ω: one saved in exact-sJ or CSF-SAR
-// mode now serves SAR-H, and one saved with the CR or SR switch serves the
-// fused ranking at its stored ω, not content or social relevance alone.
+// options that selected the others: the social-relevance mode and the
+// content-only, social-only and full-scan switches. Gob drops unknown fields
+// silently, so such a snapshot loads and serves SAR-H (the chained hash
+// dictionary) at its stored ω: one saved in exact-sJ (CSF) or CSF-SAR mode
+// now serves SAR-H, and one saved with the content-only or social-only
+// switch serves the fused ranking at its stored ω, not one relevance alone.
 func FromSnapshot(s *Snapshot) (*Recommender, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil snapshot")

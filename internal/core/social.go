@@ -2,8 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"videorec/internal/community"
@@ -22,8 +23,6 @@ import (
 // keeps answering from what it froze. No view reaches the graph, the
 // maintainer or the touched sets.
 type Social struct {
-	opts Options
-
 	graph *community.Graph
 	maint *community.Maintainer
 
@@ -46,8 +45,11 @@ func NewSocial(opts Options, audiences map[string][]string) *Social {
 // newSocial wires the hash table and the maintainer around a graph and its
 // partition (shared by NewSocial and snapshot restore).
 func newSocial(opts Options, g *community.Graph, part *community.Partition) *Social {
-	s := &Social{opts: opts, graph: g, part: part, touched: map[int]bool{}}
-	s.rebuildTable()
+	s := &Social{graph: g, part: part, table: hashing.NewTable(opts.HashBuckets, 17), touched: map[int]bool{}}
+	assign := part.AssignMap()
+	for _, u := range slices.Sorted(maps.Keys(assign)) {
+		s.table.Insert(u, assign[u])
+	}
 	s.maint = community.NewMaintainer(g, part, community.Hooks{
 		AssignUser: func(u string, cno int) {
 			if _, ok := s.table.Lookup(u); !ok {
@@ -66,20 +68,6 @@ func newSocial(opts Options, g *community.Graph, part *community.Partition) *Soc
 		},
 	})
 	return s
-}
-
-// rebuildTable builds the hash table from the partition.
-func (s *Social) rebuildTable() {
-	s.table = hashing.NewTable(s.opts.HashBuckets, 17)
-	assign := s.part.AssignMap()
-	users := make([]string, 0, len(assign))
-	for u := range assign {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	for _, u := range users {
-		s.table.Insert(u, assign[u])
-	}
 }
 
 // Maintain runs step 2 of the Figure 5 pass over a batch's edge list and

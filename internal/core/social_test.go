@@ -108,8 +108,8 @@ func TestSharedSocialLockstep(t *testing.T) {
 				t.Fatalf("step %d: shard %d partition differs", step, i)
 			}
 			for _, u := range users {
-				gc, gok := v.look(u)
-				wc, wok := ref.look(u)
+				gc, gok := v.table.Lookup(u)
+				wc, wok := ref.table.Lookup(u)
 				if gc != wc || gok != wok {
 					t.Fatalf("step %d: shard %d maps %s to %d (%v), single to %d (%v)", step, i, u, gc, gok, wc, wok)
 				}

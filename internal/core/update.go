@@ -281,7 +281,7 @@ func (r *Recommender) ApplyComments(newComments map[string][]string) int {
 			cp.Desc = cp.Desc.Add(fresh...)
 			for _, u := range cp.Desc.Users() {
 				if !old.Contains(u) {
-					r.addHolder(i, u)
+					r.holders[u] = append(r.holders[u], i)
 				}
 			}
 		}
@@ -289,7 +289,7 @@ func (r *Recommender) ApplyComments(newComments map[string][]string) int {
 		// count in the lists that already hold the video, so a posting whose
 		// membership and count did not change copies no posting list.
 		gone = append(gone[:0], cp.Vec...)
-		cp.Vec = social.Vectorize(cp.Desc, s.look, s.part.Dim)
+		cp.Vec = social.Vectorize(cp.Desc, s.table.Lookup, s.part.Dim)
 		for d := range gone {
 			if d < len(cp.Vec) && cp.Vec[d] > 0 {
 				gone[d] = 0

@@ -67,10 +67,6 @@ type View struct {
 	tombCount  int
 	built      bool
 
-	// look is table.Lookup bound once, so vectorizing a query descriptor
-	// allocates no method value. Set by adoptSocial.
-	look social.Lookup
-
 	// scratch hands out per-query scratch (candidate bitset, qvec, merged
 	// index buffer, LCP walker, scored social candidates, refinement order
 	// and result selector); kjScratch hands out per-refinement-worker EMD
@@ -110,7 +106,6 @@ func (v *View) clone() *View {
 		lsb:        v.lsb.Clone(),
 		table:      v.table,
 		part:       v.part,
-		look:       v.look,
 		tombstones: v.tombstones.Clone(),
 		tombCount:  v.tombCount,
 		built:      v.built,
@@ -123,10 +118,9 @@ func (v *View) clone() *View {
 }
 
 // adoptSocial points the view at the social state's current partition and
-// table, and binds the query-path lookup to the table.
+// table.
 func (v *View) adoptSocial(s *Social) {
 	v.part, v.table = s.part, s.table
-	v.look = v.table.Lookup
 }
 
 // index resolves a video id to its dense index.
@@ -232,15 +226,6 @@ func (v *View) PrimeContentKeys(q Query) Query {
 	q.contentKeys = v.lsb.QueryKeys(q.seriesOf())
 	q.keyFP = v.lsb.KeyFingerprint()
 	return q
-}
-
-// ContentRelevance is κJ between the query and a stored video.
-func (v *View) ContentRelevance(q Query, id string) float64 {
-	rec := v.record(id)
-	if rec == nil {
-		return 0
-	}
-	return signature.KJCompiled(q.compiled(), rec.Compiled, v.opts.MatchThreshold)
 }
 
 // VideosPerDim reports how many videos each inverted-file dimension holds —

@@ -112,7 +112,7 @@ func captureFrozen(t *testing.T, v *View, users, queries []string) frozenState {
 		st.Vecs[id] = slices.Clone(rec.Vec)
 	}
 	for _, u := range users {
-		if cno, ok := v.look(u); ok {
+		if cno, ok := v.table.Lookup(u); ok {
 			st.Look[u] = cno
 		}
 	}

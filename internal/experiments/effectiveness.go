@@ -101,40 +101,24 @@ func (e *Env) Fig7() []Row {
 	for _, m := range measures {
 		m := m
 		rows = append(rows, e.Evaluate(m.label, func(src string, topK int) []string {
-			scores := map[string]float64{}
+			var scored []oracle.Result
 			for _, it := range e.Col.Items {
 				if it.ID != src {
-					scores[it.ID] = m.sim(e.Series[src], e.Series[it.ID])
+					scored = append(scored, oracle.Result{VideoID: it.ID, Score: m.sim(e.Series[src], e.Series[it.ID])})
 				}
 			}
-			return rankByScore(scores, topK)
+			return resultIDs(oracle.Top(scored, topK))
 		})...)
 	}
 	return rows
 }
 
-// socialOracle builds the SAR machinery at a given k over the
-// source-period descriptors, capped and filtered as the engine builds it,
-// and returns the oracle that ranks the collection under that partition.
+// socialOracle ranks the collection under the engine's sub-community
+// partition at a given k, built over the source-period descriptors.
 func (e *Env) socialOracle(k int) *oracle.Oracle {
-	audiences := map[string][]string{}
-	for _, it := range e.Col.Items {
-		audiences[it.ID] = capUsers(e.Descs[it.ID].Users(), 50)
-	}
-	audiences = core.FilterAudiences(audiences, 2)
-	g := community.BuildUIG(audiences)
-	return oracle.New(e.records, community.ExtractSubCommunities(g, k), signature.DefaultMatchThreshold)
-}
-
-func capUsers(users []string, max int) []string {
-	if len(users) <= max {
-		return users
-	}
-	out := make([]string, 0, max)
-	for i := 0; i < max; i++ {
-		out = append(out, users[i*len(users)/max])
-	}
-	return out
+	opts := core.DefaultOptions()
+	opts.K = k
+	return oracleOf(e.BuildRecommender(opts, e.Col))
 }
 
 // fusedRanker ranks by FJ = (1−ω)·κJ + ω·s̃J through the oracle.
@@ -218,12 +202,7 @@ func (e *Env) Fig11() []Row {
 	r := e.BuildRecommender(opts, e.Col)
 
 	evalNow := func(label string) []Row {
-		var recs []oracle.Record
-		for _, id := range r.SortedIDs() {
-			rec, _ := r.Record(id)
-			recs = append(recs, oracle.Record{ID: id, Compiled: rec.Compiled, Desc: rec.Desc})
-		}
-		return e.Evaluate(label, e.fusedRanker(opts.Omega, oracle.New(recs, r.Partition(), opts.MatchThreshold)))
+		return e.Evaluate(label, e.fusedRanker(opts.Omega, oracleOf(r)))
 	}
 	rows := evalNow("0mo")
 	months := e.Col.Opts.MonthsSource

@@ -65,17 +65,13 @@ func (e *EfficiencyEnv) build(opts core.Options, col *dataset.Collection) *core.
 	return r
 }
 
-// sources returns the collection's 10 source videos.
-func sources(col *dataset.Collection) []string {
+// millisPerQuery is the mean wall-clock time of run over the collection's
+// 10 source videos.
+func millisPerQuery(col *dataset.Collection, run func(src string)) float64 {
 	var srcs []string
 	for _, q := range col.Queries {
 		srcs = append(srcs, q.Sources...)
 	}
-	return srcs
-}
-
-// millisPerQuery is the mean wall-clock time of run over the sources.
-func millisPerQuery(srcs []string, run func(src string)) float64 {
 	if len(srcs) == 0 {
 		return 0
 	}
@@ -110,17 +106,10 @@ func (e *EfficiencyEnv) Fig12a() []TimeRow {
 		col := e.Col.SliceHours(h)
 		opts := tunedOptions()
 		r := e.build(opts, col)
-		srcs := sources(col)
-		engine := millisPerQuery(srcs, func(src string) { r.RecommendID(src, 20) })
+		engine := millisPerQuery(col, func(src string) { r.RecommendID(src, 20) })
 
-		var recs []oracle.Record
-		for _, id := range r.SortedIDs() {
-			rec, _ := r.Record(id)
-			recs = append(recs, oracle.Record{ID: id, Compiled: rec.Compiled, Desc: rec.Desc})
-		}
-		part := r.Partition()
-		o := oracle.New(recs, part, opts.MatchThreshold)
-		exact := millisPerQuery(srcs, func(src string) {
+		o, part := oracleOf(r), r.Partition()
+		exact := millisPerQuery(col, func(src string) {
 			q, _ := o.Query(src)
 			o.Rank(q, opts.Omega, oracle.Exact, 20, src)
 		})
@@ -130,8 +119,8 @@ func (e *EfficiencyEnv) Fig12a() []TimeRow {
 			table.Insert(u, c)
 		}
 		desc := func(src string) social.Descriptor { rec, _ := r.Record(src); return rec.Desc }
-		dict := millisPerQuery(srcs, func(src string) { o.Vectorize(desc(src), oracle.SARDictionary) })
-		hashed := millisPerQuery(srcs, func(src string) { social.Vectorize(desc(src), table.Lookup, part.Dim) })
+		dict := millisPerQuery(col, func(src string) { o.Vectorize(desc(src), oracle.SARDictionary) })
+		hashed := millisPerQuery(col, func(src string) { social.Vectorize(desc(src), table.Lookup, part.Dim) })
 
 		csf = append(csf, TimeRow{Label: "CSF", Hours: h, MillisPerQuery: exact})
 		sar = append(sar, TimeRow{Label: "CSF-SAR", Hours: h, MillisPerQuery: engine + dict - hashed})
@@ -147,18 +136,17 @@ func (e *EfficiencyEnv) Fig12b() []TimeRow {
 	var rows []TimeRow
 	for _, h := range e.Scale.EfficiencyHours {
 		col := e.Col.SliceHours(h)
-		srcs := sources(col)
 		r := e.build(tunedOptions(), col)
 		rows = append(rows, TimeRow{
 			Label: "CSF-SAR-H", Hours: h,
-			MillisPerQuery: millisPerQuery(srcs, func(src string) { r.RecommendID(src, 20) }),
+			MillisPerQuery: millisPerQuery(col, func(src string) { r.RecommendID(src, 20) }),
 		})
 		crOpts := tunedOptions()
 		crOpts.Omega = 0
 		cr := e.build(crOpts, col)
 		rows = append(rows, TimeRow{
 			Label: "CR", Hours: h,
-			MillisPerQuery: millisPerQuery(srcs, func(src string) {
+			MillisPerQuery: millisPerQuery(col, func(src string) {
 				q, _ := cr.QueryFor(src)
 				q.Desc = social.Descriptor{}
 				cr.Recommend(q, 20, src)

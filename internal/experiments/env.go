@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"videorec/internal/baselines"
 	"videorec/internal/core"
@@ -82,10 +81,8 @@ type Env struct {
 	Descs  map[string]social.Descriptor
 	AFFRF  *baselines.AFFRF
 
-	// records is the collection as the oracle ranks it (compiled series,
-	// source-period descriptors); contentCache holds each source's κJ row,
-	// in the oracle's id order, which every oracle over these clips shares.
-	records      []oracle.Record
+	// contentCache holds each source's κJ row in the oracle's id order,
+	// which every oracle over the collection's clips shares.
 	contentCache map[string][]float64
 }
 
@@ -114,7 +111,6 @@ func NewEnv(s Scale) *Env {
 		e.AFFRF.Ingest(it.ID, it.Topic, v, int64(i+1))
 		v.ReleaseFrames()
 		e.Descs[it.ID] = SourceDescriptor(col, it)
-		e.records = append(e.records, oracle.Record{ID: it.ID, Compiled: signature.CompileSeries(e.Series[it.ID]), Desc: e.Descs[it.ID]})
 	}
 	return e
 }
@@ -138,6 +134,16 @@ func (e *Env) Sources() []string {
 		out = append(out, q.Sources...)
 	}
 	return out
+}
+
+// oracleOf is the oracle over a recommender's records and partition.
+func oracleOf(r *core.Recommender) *oracle.Oracle {
+	var recs []oracle.Record
+	for _, id := range r.SortedIDs() {
+		rec, _ := r.Record(id)
+		recs = append(recs, oracle.Record{ID: id, Compiled: rec.Compiled, Desc: rec.Desc})
+	}
+	return oracle.New(recs, r.Partition(), r.Options().MatchThreshold)
 }
 
 // content returns a source's κJ row from o, an oracle over the collection's
@@ -211,23 +217,4 @@ func (e *Env) Evaluate(label string, rank Ranker) []Row {
 		})
 	}
 	return rows
-}
-
-// rankByScore sorts candidate ids by descending score with id tie-break and
-// truncates to topK.
-func rankByScore(scores map[string]float64, topK int) []string {
-	ids := make([]string, 0, len(scores))
-	for id := range scores {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		if scores[ids[a]] != scores[ids[b]] {
-			return scores[ids[a]] > scores[ids[b]]
-		}
-		return ids[a] < ids[b]
-	})
-	if len(ids) > topK {
-		ids = ids[:topK]
-	}
-	return ids
 }

@@ -415,7 +415,7 @@ func checkStep(p *pool, m model, backends []backend) error {
 				return fmt.Errorf("%s: query %s: %v", name, id, err)
 			}
 			if meta.Degraded || meta.Candidates != len(m)-1 {
-				return fmt.Errorf("%s: query %s: %d candidates of %d stored clips (degraded %v): a budget bound", name, id, meta.Candidates, len(m), meta.Degraded)
+				return fmt.Errorf("%s: query %s: %d candidates (degraded %v), want the %d other stored clips", name, id, meta.Candidates, meta.Degraded, len(m)-1)
 			}
 			if len(got) != len(want) {
 				return fmt.Errorf("%s: query %s: %d results, oracle %d", name, id, len(got), len(want))
@@ -480,7 +480,7 @@ func shrink(t *testing.T, p *pool, h []op, bulk int) []op {
 
 func TestHistoryMatchesOracle(t *testing.T) {
 	p := loadPool(t)
-	seeds, steps := 6, 24
+	seeds, steps := 6, 30
 	if testing.Short() {
 		seeds, steps = 2, 12
 	}
@@ -492,12 +492,12 @@ func TestHistoryMatchesOracle(t *testing.T) {
 			continue
 		}
 		prefix := shrink(t, p, h[:at+1], bulk)
-		lines := make([]string, 0, len(prefix)-bulk)
+		lines := []string{fmt.Sprintf("build(%d clips)", bulk)}
 		for _, o := range prefix[bulk:] {
 			lines = append(lines, o.String())
 		}
 		_, err2 := runHistory(t, p, prefix)
-		t.Fatalf("seed %d fails at step %d: %v\nshortest failing history (after the %d-clip bulk load): %s\nwhich fails with: %v",
-			seed, at-bulk, err, bulk, strings.Join(lines, " → "), err2)
+		t.Fatalf("seed %d fails at step %d of %d: %v\nshortest failing prefix: %s\nwhich fails with: %v",
+			seed, max(at-bulk+1, 0), len(h)-bulk, err, strings.Join(lines, " → "), err2)
 	}
 }

@@ -7,14 +7,13 @@
 // ranked under (score desc, id asc). ω = 0 is the content-only CR baseline
 // and ω = 1 the social-only SR baseline of §5.
 //
-// It shares only the kernels (signature, social, community) with the serving
-// engine, which is what makes it an oracle: tests hold every deployment's
-// answers to it bit for bit, and the experiments time it as the unoptimized
-// CSF and CSF-SAR of Figure 12(a).
+// It shares only the kernels (signature, social, community) with the engine,
+// which makes it an oracle: tests hold every deployment's answers to it bit
+// for bit, and the experiments time it as Figure 12(a)'s CSF and CSF-SAR.
 package oracle
 
 import (
-	"cmp"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -24,16 +23,11 @@ import (
 	"videorec/internal/social"
 )
 
-// Record is one stored clip as the oracle sees it: its compiled signature
-// series and its social descriptor.
+// Record is one clip as the oracle sees it — a stored clip, or the query
+// Q = (q_f, q_s) of §3: its compiled signature series and its social
+// descriptor.
 type Record struct {
 	ID       string
-	Compiled *signature.CompiledSeries
-	Desc     social.Descriptor
-}
-
-// Query is the clip to recommend for: Q = (q_f, q_s) of §3.
-type Query struct {
 	Compiled *signature.CompiledSeries
 	Desc     social.Descriptor
 }
@@ -72,14 +66,9 @@ type Oracle struct {
 
 	assign map[string]int // user → sub-community
 	dim    int
-	dict   []dictEntry // assign as a list sorted by user, for SARDictionary
+	users  []string // assign's users, sorted: the dictionary SARDictionary scans
 
 	matchThreshold float64
-}
-
-type dictEntry struct {
-	user string
-	cno  int
 }
 
 // New builds an oracle over recs, with users assigned to sub-communities as
@@ -92,10 +81,7 @@ func New(recs []Record, part *community.Partition, matchThreshold float64) *Orac
 		matchThreshold: matchThreshold,
 	}
 	slices.SortFunc(o.recs, func(a, b Record) int { return strings.Compare(a.ID, b.ID) })
-	for u, c := range o.assign {
-		o.dict = append(o.dict, dictEntry{user: u, cno: c})
-	}
-	slices.SortFunc(o.dict, func(a, b dictEntry) int { return strings.Compare(a.user, b.user) })
+	o.users = slices.Sorted(maps.Keys(o.assign))
 	o.vecs = make([]social.Vector, len(o.recs))
 	for i, r := range o.recs {
 		o.vecs[i] = o.Vectorize(r.Desc, SAR)
@@ -103,16 +89,13 @@ func New(recs []Record, part *community.Partition, matchThreshold float64) *Orac
 	return o
 }
 
-// Len returns the number of stored clips.
-func (o *Oracle) Len() int { return len(o.recs) }
-
-// Query returns the query for a stored clip.
-func (o *Oracle) Query(id string) (Query, bool) {
+// Query returns a stored clip, to query with.
+func (o *Oracle) Query(id string) (Record, bool) {
 	i, ok := slices.BinarySearchFunc(o.recs, id, func(r Record, id string) int { return strings.Compare(r.ID, id) })
 	if !ok {
-		return Query{}, false
+		return Record{}, false
 	}
-	return Query{Compiled: o.recs[i].Compiled, Desc: o.recs[i].Desc}, true
+	return o.recs[i], true
 }
 
 // Vectorize is a descriptor's sub-community histogram, each user looked up
@@ -125,9 +108,9 @@ func (o *Oracle) Vectorize(d social.Descriptor, s Social) social.Vector {
 	}
 	if s == SARDictionary {
 		lookup = func(u string) (int, bool) {
-			for _, e := range o.dict {
-				if e.user == u {
-					return e.cno, true
+			for _, x := range o.users {
+				if x == u {
+					return o.assign[u], true
 				}
 			}
 			return 0, false
@@ -137,7 +120,7 @@ func (o *Oracle) Vectorize(d social.Descriptor, s Social) social.Vector {
 }
 
 // Content returns κJ between the query and every stored clip, in id order.
-func (o *Oracle) Content(q Query) []float64 {
+func (o *Oracle) Content(q Record) []float64 {
 	out := make([]float64, len(o.recs))
 	for i, r := range o.recs {
 		out[i] = signature.KJCompiled(q.Compiled, r.Compiled, o.matchThreshold)
@@ -147,7 +130,7 @@ func (o *Oracle) Content(q Query) []float64 {
 
 // SocialRelevance returns the social relevance between the query and every
 // stored clip, in id order.
-func (o *Oracle) SocialRelevance(q Query, s Social) []float64 {
+func (o *Oracle) SocialRelevance(q Record, s Social) []float64 {
 	out := make([]float64, len(o.recs))
 	if s == Exact {
 		for i, r := range o.recs {
@@ -178,17 +161,22 @@ func (o *Oracle) Fuse(content, soc []float64, omega float64, k int, exclude ...s
 			Social:  soc[i],
 		})
 	}
-	sort.Slice(all, func(a, b int) bool {
-		if c := cmp.Compare(all[a].Score, all[b].Score); c != 0 {
-			return c > 0
+	return Top(all, k)
+}
+
+// Top reorders rs under (score desc, id asc) and returns its best k.
+func Top(rs []Result, k int) []Result {
+	sort.Slice(rs, func(a, b int) bool {
+		if rs[a].Score != rs[b].Score {
+			return rs[a].Score > rs[b].Score
 		}
-		return all[a].VideoID < all[b].VideoID
+		return rs[a].VideoID < rs[b].VideoID
 	})
-	return all[:min(k, len(all))]
+	return rs[:min(k, len(rs))]
 }
 
 // Rank is Fuse over the query's content and social relevances.
-func (o *Oracle) Rank(q Query, omega float64, s Social, k int, exclude ...string) []Result {
+func (o *Oracle) Rank(q Record, omega float64, s Social, k int, exclude ...string) []Result {
 	return o.Fuse(o.Content(q), o.SocialRelevance(q, s), omega, k, exclude...)
 }
 

@@ -26,8 +26,7 @@
 // candidates, so the sharded gather covers a superset of the single-engine
 // candidate set — recall can only improve, but a ranking assembled from a
 // larger refined pool may differ from the budget-starved single-engine one.
-// Exact and exhaustive-search modes never use budgets and are always
-// bit-identical. The golden tests pin the unbound regime.
+// The golden tests pin the unbound regime.
 package shard
 
 import (

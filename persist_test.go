@@ -416,14 +416,15 @@ func TestSaveFileKillDuringSnapshotRecovers(t *testing.T) {
 
 // Snapshots written before the engine had one serving mode carry the
 // deleted core options on the wire: testdata/legacy_sar_fullscan.snap was
-// saved with the CSF-SAR strategy and exhaustive search (Mode and FullScan),
-// testdata/legacy_cr_sr.snap with the CR and SR switches (ContentWeightOnly
-// and SocialOnly). Gob drops the unknown fields, so both load, and both
-// serve SAR-H at their stored ω over the same 9 clips. The first answers
-// bit for bit as the engine that saved it did (testdata/legacy_sar_fullscan.json,
-// written by that engine: the dictionary and the hash table map users alike,
+// saved in CSF-SAR mode with the full-scan switch on, and
+// testdata/legacy_cr_sr.snap with both the content-only and social-only
+// switches on. Gob drops the unknown fields, so both load, and both serve
+// SAR-H at their stored ω over the same 9 clips. The first answers bit for
+// bit as the engine that saved it did (testdata/legacy_sar_fullscan.json,
+// written by that engine: its dictionary and the hash table map users alike,
 // and the corpus is too small for a candidate budget to bind); the second,
-// whose CR-and-SR engine answered nothing, now answers as the first.
+// whose engine answered nothing with both switches on, now answers as the
+// first.
 func TestLoadLegacyModeSnapshots(t *testing.T) {
 	var want map[string][]string
 	b, err := os.ReadFile("testdata/legacy_sar_fullscan.json")
