@@ -283,8 +283,8 @@ func (v *View) Recommend(q Query, topK int, exclude ...string) []Result {
 //     within Options.DegradeMargin at refinement start — or expires while
 //     refinement runs — the query is answered from the coarse social ranking
 //     it already has (s̃J over SAR vectors) instead of failing with
-//     DeadlineExceeded, and the result is flagged Degraded. A
-//     negative DegradeMargin disables the fallback.
+//     DeadlineExceeded, and the result is flagged Degraded. A negative
+//     DegradeMargin disables the fallback.
 //
 // Without a deadline or cancellation the results are bit-identical to
 // Recommend.

@@ -14,9 +14,9 @@ import (
 // Social is the sub-community half of the recommender: the user interest
 // graph and its Figure 5 maintainer (whose hooks close over the Social), the
 // partition, the chained hash table, and the dimensions and users the latest
-// pass touched. A single engine owns one; every shard
-// of a sharded deployment points at the same one, so a batch is maintained
-// once and each shard only re-vectorizes its own records against it.
+// pass touched. A single engine owns one; every shard of a sharded
+// deployment points at the same one, so a batch is maintained once and each
+// shard only re-vectorizes its own records against it.
 //
 // Between passes a Social is immutable: views reference its partition and
 // table, and a pass copies both before changing them, so a published view

@@ -279,9 +279,10 @@ func (r *Recommender) ApplyComments(newComments map[string][]string) int {
 		if fresh, ok := newComments[cp.ID]; ok {
 			old := cp.Desc
 			cp.Desc = cp.Desc.Add(fresh...)
-			for _, u := range cp.Desc.Users() {
-				if !old.Contains(u) {
-					r.holders[u] = append(r.holders[u], i)
+			for _, u := range fresh {
+				// A fresh user not held before joins once: i is then last.
+				if h := r.holders[u]; u != "" && !old.Contains(u) && (len(h) == 0 || h[len(h)-1] != i) {
+					r.holders[u] = append(h, i)
 				}
 			}
 		}
