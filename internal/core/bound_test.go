@@ -41,7 +41,7 @@ func eagerRefine(t *testing.T, v *View, q Query, topK int, exclude ...string) ([
 		c := boundCand{idx: idx}
 		if rec := v.recs.At(idx); rec != nil {
 			c.soc = qs.sparseSJ(v, idx)
-			c.bound = v.fuse(signature.KJUpperBound(j.qc, rec.Compiled, v.opts.MatchThreshold, nil), c.soc)
+			c.bound = v.fuse(signature.KJUpperBound(j.qc, rec.Compiled.Sketches, v.opts.MatchThreshold, nil), c.soc)
 		}
 		bounds = append(bounds, c)
 	}
@@ -158,7 +158,7 @@ func TestBoundedRefineTieAtCutoff(t *testing.T) {
 			q, _ := v.QueryFor(ids[1])
 			tw, _ := v.Record("twin-a")
 			env := signature.KJEnvelopeBound(q.compiled(), tw.Compiled.Envelope(), opts.MatchThreshold, nil)
-			if ub := signature.KJUpperBound(q.compiled(), tw.Compiled, opts.MatchThreshold, nil); env != ub {
+			if ub := signature.KJUpperBound(q.compiled(), tw.Compiled.Sketches, opts.MatchThreshold, nil); env != ub {
 				t.Fatalf("twin of the query: envelope bound %v, upper bound %v; the loose/tight tie does not arise", env, ub)
 			}
 			checked := 0
@@ -262,7 +262,7 @@ func TestBoundedRefineCancelledWhileTightening(t *testing.T) {
 				}
 				return ctxDone(ctx.Done())
 			}
-			res, _, err := j.refine(10, 1)
+			res, err := j.refine(10, 1, &RecommendInfo{})
 			v.putScratch(qs)
 			cancel()
 			if err != context.Canceled || res != nil {

@@ -247,6 +247,7 @@ func (r *Recommender) internID(id string) uint32 {
 	s.recs.Append(nil)
 	s.mass.Append(0)
 	s.env.Append(deadEnv)
+	s.sketches.Append(nil)
 	s.byID.Insert(hashID(id), i)
 	return i
 }

@@ -471,13 +471,25 @@ func BenchmarkGatherCandidates(b *testing.B) {
 // checkSparseInputs checks what the sparse s̃J of step 1 and refinement's
 // bound pass assume of a view: every stored SAR vector is integral, the mass
 // column holds Σ Vec (0 for a dead slot), the envelope column holds the
-// compiled series' envelope (deadEnv for a dead slot), every posting
-// carries its video's count, and every query vector the gather builds is
-// integral with |q| = Σ qvec.
+// compiled series' envelope (deadEnv for a dead slot), the sketch column
+// aliases the compiled series' sketches (empty for a dead slot), every
+// posting carries its video's count, and every query vector the gather
+// builds is integral with |q| = Σ qvec.
 func checkSparseInputs(t *testing.T, stage string, v *View, strangers []string) {
 	t.Helper()
-	if v.mass.Len() != v.ids.Len() || v.env.Len() != v.ids.Len() {
-		t.Fatalf("%s: mass and envelope columns have %d and %d slots, id table %d", stage, v.mass.Len(), v.env.Len(), v.ids.Len())
+	if v.mass.Len() != v.ids.Len() || v.env.Len() != v.ids.Len() || v.sketches.Len() != v.ids.Len() {
+		t.Fatalf("%s: mass, envelope and sketch columns have %d, %d and %d slots, id table %d",
+			stage, v.mass.Len(), v.env.Len(), v.sketches.Len(), v.ids.Len())
+	}
+	for i, rec := range v.recs.All() {
+		sk := v.sketches.At(uint32(i))
+		var want []signature.Sketch
+		if rec != nil {
+			want = rec.Compiled.Sketches
+		}
+		if len(sk) != len(want) || len(sk) > 0 && &sk[0] != &want[0] {
+			t.Fatalf("%s: slot %d's sketches (%d) do not alias its compiled series' (%d)", stage, i, len(sk), len(want))
+		}
 	}
 	integral := func(x float64) bool { return x >= 0 && x == math.Trunc(x) && x < 1<<32 }
 	for i, rec := range v.recs.All() {
@@ -540,7 +552,7 @@ func checkSparseInputs(t *testing.T, stage string, v *View, strangers []string) 
 // path that writes a SAR vector or a record: the build, comment batches
 // (with unknown users), removal, re-ingest of a removed id, a forced
 // compaction and a snapshot reload. A comment batch re-vectorizes records
-// but changes no series, so it must copy no envelope page.
+// but changes no series, so it must copy no envelope or sketch page.
 func TestSparseInputsHoldUnderMutation(t *testing.T) {
 	r, c := buildSmall(t)
 	strangers := []string{"stranger-a", "stranger-b"}
@@ -558,8 +570,8 @@ func TestSparseInputsHoldUnderMutation(t *testing.T) {
 		}
 		next := r.Freeze()
 		checkSparseInputs(t, "ApplyUpdates", next, strangers)
-		if !slices.Equal(next.env.pages, prev.env.pages) {
-			t.Fatal("a comment batch copied an envelope page")
+		if !slices.Equal(next.env.pages, prev.env.pages) || !slices.Equal(next.sketches.pages, prev.sketches.pages) {
+			t.Fatal("a comment batch copied an envelope or sketch page")
 		}
 		prev = next
 	}

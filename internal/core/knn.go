@@ -43,6 +43,10 @@ type RecommendInfo struct {
 	// Refined is how many of them got a κJ before the top-K was decided (0
 	// for a degraded answer).
 	Refined int
+	// Tightened is how many of them had their loose envelope bound replaced
+	// by signature.KJUpperBound before the top-K was decided (0 for a
+	// degraded answer).
+	Tightened int
 }
 
 // scoredCand is one social candidate (by dense index) with its s̃J score.
@@ -325,7 +329,7 @@ func (v *View) RecommendCtx(ctx context.Context, q Query, topK int, exclude ...s
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	results, refined, err := job.refine(topK, workers)
+	results, err := job.refine(topK, workers, &info)
 	if err != nil {
 		// A deadline that expired mid-refinement still gets the coarse
 		// answer; cancellation and injected faults propagate as errors.
@@ -334,7 +338,6 @@ func (v *View) RecommendCtx(ctx context.Context, q Query, topK int, exclude ...s
 		}
 		return nil, info, err
 	}
-	info.Refined = refined
 	return results, info, nil
 }
 
@@ -543,11 +546,13 @@ type refineJob struct {
 }
 
 // refine returns the topK best gathered candidates under the fused relevance
-// and how many candidates it had to score to know them.
+// and records in info how many candidates it had to score and to tighten to
+// know them; a failed refinement leaves info as it was.
 //
-// s̃J is exact before any EMD runs, and two bounds on κJ read only the compiled
-// series: signature.KJEnvelopeBound in O(n₁) from the stored series' centroid
-// envelope, and the tighter signature.KJUpperBound in n₁ × n₂ sketch tests.
+// s̃J is exact before any EMD runs, and two bounds on κJ read only dense
+// columns, never a candidate's record: signature.KJEnvelopeBound in O(n₁)
+// from the stored series' centroid envelope, and the tighter
+// signature.KJUpperBound in n₁ × n₂ sketch tests over its sketches.
 // fuse is monotone in κJ, rounding included, so fusing either with s̃J bounds
 // a candidate's score. Every candidate enters a max-heap on its loose
 // (envelope) bound. The top is then either loose — it gets KJUpperBound and
@@ -570,13 +575,13 @@ type refineJob struct {
 // signature.KJCancelCompiled, between EMD evaluations; the first cancellation
 // or injected fault fails the query. Everything but the goroutines and the
 // returned answer lives in pooled scratch.
-func (j *refineJob) refine(topK, workers int) ([]Result, int, error) {
+func (j *refineJob) refine(topK, workers int, info *RecommendInfo) ([]Result, error) {
 	v, qs := j.v, j.qs
 	j.qc = j.q.compiled()
 	heap := qs.bounds[:0]
 	for i, idx := range qs.merged {
 		if i%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
-			return nil, 0, j.cause()
+			return nil, j.cause()
 		}
 		c := boundCand{idx: idx, tight: true}
 		if e := v.env.At(idx); e.N >= 0 { // a live slot
@@ -606,10 +611,10 @@ func (j *refineJob) refine(topK, workers int) ([]Result, int, error) {
 			}
 			if !top.tight {
 				if tightened%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
-					return nil, refined, j.cause()
+					return nil, j.cause()
 				}
 				tightened++
-				ub := signature.KJUpperBound(j.qc, v.recs.At(top.idx).Compiled, v.opts.MatchThreshold, &qs.kj)
+				ub := signature.KJUpperBound(j.qc, v.sketches.At(top.idx), v.opts.MatchThreshold, &qs.kj)
 				top.bound, top.tight = v.fuse(ub, top.soc), true
 				siftDown(heap, 0)
 				continue
@@ -621,12 +626,13 @@ func (j *refineJob) refine(topK, workers int) ([]Result, int, error) {
 			n++
 		}
 		if n == 0 {
-			return sel.Sorted(), refined, nil
+			info.Refined, info.Tightened = refined, tightened
+			return sel.Sorted(), nil
 		}
 		cands := qs.bounds[len(heap) : len(heap)+n]
 		results := qs.resultSlots(n)
 		if err := j.scoreRound(cands, results, workers); err != nil {
-			return nil, refined, err
+			return nil, err
 		}
 		for _, r := range results {
 			sel.Offer(r)

@@ -49,11 +49,12 @@ type View struct {
 	ids  cowVec[string]
 	byID *btree.Tree[uint32]
 
-	recs    cowVec[*Record]            // dense index → record; nil marks a dead slot
-	mass    cowVec[uint32]             // dense index → |Vec| = Σ Vec, written with every Vec; 0 for a dead slot
-	env     cowVec[signature.Envelope] // dense index → Compiled.Envelope(); deadEnv for a dead slot
-	live    int                        // records in recs
-	nextSeq uint64                     // ingestion-order position of the next new record
+	recs     cowVec[*Record]            // dense index → record; nil marks a dead slot
+	mass     cowVec[uint32]             // dense index → |Vec| = Σ Vec, written with every Vec; 0 for a dead slot
+	env      cowVec[signature.Envelope] // dense index → Compiled.Envelope(); deadEnv for a dead slot
+	sketches cowVec[[]signature.Sketch] // dense index → Compiled.Sketches, aliased, not copied; nil for a dead slot
+	live     int                        // records in recs
+	nextSeq  uint64                     // ingestion-order position of the next new record
 
 	lsb *index.LSB
 	inv *index.Inverted
@@ -87,9 +88,9 @@ func (v *View) newPools() {
 // clone returns the View the writer grows next. Everything reachable from v
 // stays immutable, so the clone shares it and costs a few headers, not the
 // corpus: the LSB trees, the id index, the posting lists and the pages of
-// the id, record, mass and envelope tables are handed over as they are, and
-// a later write copies the node, list or page it lands in; records are
-// replaced, never edited (see Record). The partition and hash table
+// the id, record, mass, envelope and sketch tables are handed over as they
+// are, and a later write copies the node, list or page it lands in; records
+// are replaced, never edited (see Record). The partition and hash table
 // belong to the Social, which copies them at the start of its next pass.
 // What is still copied flat is the tombstone bitset (one bit per clip). The
 // write side calls this exactly once per freeze→mutate transition.
@@ -101,6 +102,7 @@ func (v *View) clone() *View {
 		recs:       v.recs.clone(),
 		mass:       v.mass.clone(),
 		env:        v.env.clone(),
+		sketches:   v.sketches.clone(),
 		live:       v.live,
 		nextSeq:    v.nextSeq,
 		lsb:        v.lsb.Clone(),
@@ -249,19 +251,21 @@ var deadEnv = signature.Envelope{N: -1}
 
 // setRecord installs rec (nil for a dead slot) at dense index i together
 // with its SAR mass |Vec|, which step 1's sparse s̃J reads in place of the
-// vector, and its content envelope, which refinement's bound pass reads in
-// place of the compiled series. Every write of a record goes through it, so
-// the columns never drift from the records. An unchanged entry is not
+// vector, and its content envelope and sketches, which refinement's bounds
+// read in place of the compiled series. Every write of a record goes through
+// it, so the columns never drift from the records. An unchanged entry is not
 // rewritten: most records a batch re-vectorizes keep their vector, and none
-// changes its series, so their mass and envelope pages stay shared.
+// changes its series, so their mass, envelope and sketch pages stay shared.
 func (v *View) setRecord(i uint32, rec *Record) {
 	var m uint32
 	e := deadEnv
+	var sk []signature.Sketch
 	if rec != nil {
 		for _, x := range rec.Vec {
 			m += uint32(x)
 		}
 		e = rec.Compiled.Envelope()
+		sk = rec.Compiled.Sketches
 	}
 	v.recs.Set(i, rec)
 	if v.mass.At(i) != m {
@@ -269,6 +273,9 @@ func (v *View) setRecord(i uint32, rec *Record) {
 	}
 	if v.env.At(i) != e {
 		v.env.Set(i, e)
+	}
+	if old := v.sketches.At(i); len(old) != len(sk) || len(sk) > 0 && &old[0] != &sk[0] {
+		v.sketches.Set(i, sk)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -294,6 +295,113 @@ func TestFrozenViewReadWhileWriterPublishes(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// A frozen view keeps refining from the sketch pages it shares with the
+// writer's clone while the writer re-ingests clips — the ones the readers'
+// answers hold among them — under new series, and publishes. Each re-ingest
+// writes a sketch slot; copy-on-write must land it in a page the clone owns.
+// Readers compare every answer and every Refined and Tightened count with
+// the view's first; afterwards every slot of the old view still aliases its
+// own record's sketches, unchanged bit for bit, and every re-ingested slot
+// of the new view aliases the new series'. Under -race a write into a page
+// the old view reads is reported.
+func TestSketchColumnSharedWhileWriterReingests(t *testing.T) {
+	r, c := buildSmall(t)
+	view := r.Freeze()
+	var queries []string
+	for _, q := range c.Queries[:3] {
+		queries = append(queries, q.Sources[0])
+	}
+	type answer struct {
+		res  []Result
+		info RecommendInfo
+	}
+	want := map[string]answer{}
+	var reingest []string
+	for _, id := range queries {
+		q, _ := view.QueryFor(id)
+		res, info, err := view.RecommendCtx(context.Background(), q, 10, id)
+		if err != nil || len(res) == 0 || info.Tightened == 0 {
+			t.Fatalf("query %s: %d results, info %+v, err %v; nothing to compare", id, len(res), info, err)
+		}
+		want[id] = answer{res, info}
+		for _, x := range res {
+			reingest = append(reingest, x.VideoID)
+		}
+	}
+	bits := func(sk []signature.Sketch) []uint64 { // NaN-safe: invalid signatures' bins are NaN
+		var out []uint64
+		for _, s := range sk {
+			out = append(out, math.Float64bits(s.Mean))
+			for _, q := range s.Q {
+				out = append(out, math.Float64bits(q))
+			}
+		}
+		return out
+	}
+	before := map[uint32][]uint64{}
+	for i, sk := range view.sketches.All() {
+		before[uint32(i)] = bits(sk)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, id := range queries {
+					q, _ := view.QueryFor(id)
+					res, info, err := view.RecommendCtx(context.Background(), q, 10, id)
+					if w := want[id]; err != nil || !reflect.DeepEqual(res, w.res) || info != w.info {
+						t.Errorf("query %s: the frozen view's answer or counts changed under the writer (info %+v, want %+v, err %v)", id, info, w.info, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	other := r.ExtractSeries(c.Items[0].Render(c.Opts.Synth))
+	for gen, id := range reingest {
+		rec, _ := r.Record(id)
+		series := rec.Compiled.Series()
+		if gen%2 == 0 {
+			series = other
+		} else {
+			series = series[:max(1, len(series)/2)]
+		}
+		r.IngestSeries(id, series, rec.Desc)
+		if gen%5 == 4 {
+			r.BuildSocial()
+			r.Freeze()
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	for i, sk := range view.sketches.All() {
+		rec := view.recs.At(uint32(i))
+		if !slices.Equal(bits(sk), before[uint32(i)]) || rec != nil && len(sk) > 0 && &sk[0] != &rec.Compiled.Sketches[0] {
+			t.Fatalf("slot %d: the frozen view's sketches moved under the writer", i)
+		}
+	}
+	r.BuildSocial()
+	next := r.Freeze()
+	for _, id := range reingest {
+		i, _ := next.index(id)
+		sk, old := next.sketches.At(i), view.sketches.At(i)
+		rec := next.recs.At(i)
+		if len(sk) == 0 || &sk[0] != &rec.Compiled.Sketches[0] || len(old) > 0 && &sk[0] == &old[0] {
+			t.Fatalf("%s: the new view's sketches do not alias the re-ingested series", id)
+		}
+	}
 }
 
 // usersOfDifferentCommunities picks two known users the partition keeps

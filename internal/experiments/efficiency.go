@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"videorec/internal/core"
@@ -65,8 +66,15 @@ func (e *EfficiencyEnv) build(opts core.Options, col *dataset.Collection) *core.
 	return r
 }
 
-// millisPerQuery is the mean wall-clock time of run over the collection's
-// 10 source videos.
+// timedPasses is how many passes over the source videos millisPerQuery
+// times. One pass of a sub-millisecond row lasts a few milliseconds, and a
+// scheduler hiccup inside it moved such rows by up to 2× between runs; the
+// median of five passes ignores two of them.
+const timedPasses = 5
+
+// millisPerQuery is the wall-clock time per query of run over the
+// collection's 10 source videos: the median over timedPasses passes of each
+// pass's mean.
 func millisPerQuery(col *dataset.Collection, run func(src string)) float64 {
 	var srcs []string
 	for _, q := range col.Queries {
@@ -75,11 +83,16 @@ func millisPerQuery(col *dataset.Collection, run func(src string)) float64 {
 	if len(srcs) == 0 {
 		return 0
 	}
-	start := time.Now()
-	for _, src := range srcs {
-		run(src)
+	passes := make([]float64, timedPasses)
+	for p := range passes {
+		start := time.Now()
+		for _, src := range srcs {
+			run(src)
+		}
+		passes[p] = float64(time.Since(start).Nanoseconds()) / 1e6 / float64(len(srcs))
 	}
-	return float64(time.Since(start).Microseconds()) / 1000.0 / float64(len(srcs))
+	slices.Sort(passes)
+	return passes[timedPasses/2]
 }
 
 // tunedOptions returns the tuned engine options for the efficiency runs. The

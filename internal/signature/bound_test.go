@@ -19,7 +19,7 @@ func kjCentroidOnly(s1, s2 *CompiledSeries, matchThreshold float64) float64 {
 	var pairs pairHeap
 	for i := range s1.Sigs {
 		for j := range s2.Sigs {
-			if matchThreshold > 0 && 1/(1+math.Abs(s1.Sigs[i].Mean-s2.Sigs[j].Mean)) < matchThreshold {
+			if matchThreshold > 0 && 1/(1+math.Abs(s1.Sketches[i].Mean-s2.Sketches[j].Mean)) < matchThreshold {
 				continue
 			}
 			if sim := SimCCompiled(&s1.Sigs[i], &s2.Sigs[j]); sim >= matchThreshold {
@@ -119,8 +119,9 @@ func shifted(sig Signature, d float64) Signature {
 }
 
 // Over random and adversarial pairs: the sketch distance never exceeds the
-// EMD the kernel computes, and whenever pairBound rejects a pair its SimC is
-// below the threshold — the two facts that make the filter exact.
+// EMD the kernel computes, and whenever pairCanMatch rejects a pair its SimC
+// is below the threshold, and the sketch bound of a pair it keeps is not —
+// the facts that make the filter exact and the bounds sound.
 func TestPropertySketchBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	thresholds := []float64{0.05, 0.3, 0.5, 0.8, 0.99, 1}
@@ -138,22 +139,24 @@ func TestPropertySketchBoundSound(t *testing.T) {
 		default:
 			sb = adversarialSignature(rng)
 		}
-		a, b := Compile(sa), Compile(sb)
-		sim := SimCCompiled(&a, &b)
+		cs := CompileSeries(Series{sa, sb})
+		a, b := &cs.Sigs[0], &cs.Sigs[1]
+		ka, kb := &cs.Sketches[0], &cs.Sketches[1]
+		sim := SimCCompiled(a, b)
 		if a.OK && b.OK && !emd.MassMismatch(a.Mass, b.Mass) {
 			d := emd.Distance1DSorted(a.V, a.W, b.V, b.W, a.Mass/b.Mass)
-			if lb := sketchDistance(&a, &b); lb > d*(1+1e-12)+1e-12 {
+			if lb := sketchSum(ka, kb) * a.Mass / SketchBins; lb > d*(1+1e-12)+1e-12 {
 				t.Fatalf("pair %d: sketch distance %v exceeds EMD %v\na=%+v\nb=%+v", n, lb, d, sa, sb)
 			}
 		}
 		for _, th := range thresholds {
-			ub, ok := pairBound(&a, &b, th)
+			ub := sketchBound(sketchSum(ka, kb), a.Mass)
 			if sim >= th {
 				reachable++
 			}
-			if !ok {
+			if !pairCanMatch(ka, kb, a.Mass, th, centroidCut(th)) {
 				rejected++
-				if sim >= th && 1/(1+math.Abs(a.Mean-b.Mean)) >= th {
+				if sim >= th && 1/(1+math.Abs(ka.Mean-kb.Mean)) >= th {
 					t.Fatalf("pair %d, threshold %v: sketch rejected a pair with SimC %v\na=%+v\nb=%+v", n, th, sim, sa, sb)
 				}
 			} else if ub < sim {
@@ -199,7 +202,7 @@ func TestPropertyKJFilterAndUpperBound(t *testing.T) {
 			if !ok || got != want {
 				t.Fatalf("run %d, threshold %v: filtered κJ = %v, reference %v", run, th, got, want)
 			}
-			ub := KJUpperBound(s1, s2, th, &scratch)
+			ub := KJUpperBound(s1, s2.Sketches, th, &scratch)
 			if ub < got {
 				t.Fatalf("run %d, threshold %v: upper bound %v below κJ %v", run, th, ub, got)
 			}
@@ -255,7 +258,7 @@ func TestKJEnvelopeBoundEdges(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s1, s2 := CompileSeries(tc.q), CompileSeries(tc.s)
 			kj := KJCompiled(s1, s2, tc.th)
-			ub := KJUpperBound(s1, s2, tc.th, nil)
+			ub := KJUpperBound(s1, s2.Sketches, tc.th, nil)
 			env := KJEnvelopeBound(s1, s2.Envelope(), tc.th, nil)
 			if env < ub || ub < kj {
 				t.Fatalf("bounds out of order: envelope %v, upper %v, κJ %v", env, ub, kj)
@@ -284,10 +287,10 @@ func TestKJUpperBoundSeparates(t *testing.T) {
 	q := CompileSeries(Extract(synth(1, 1), opts))
 	same := CompileSeries(Extract(synth(1, 1), opts))
 	other := CompileSeries(Extract(synth(9, 2), opts))
-	if ub, kj := KJUpperBound(q, same, DefaultMatchThreshold, nil), KJCompiled(q, same, DefaultMatchThreshold); ub < kj || kj == 0 {
+	if ub, kj := KJUpperBound(q, same.Sketches, DefaultMatchThreshold, nil), KJCompiled(q, same, DefaultMatchThreshold); ub < kj || kj == 0 {
 		t.Fatalf("identical series: bound %v, κJ %v", ub, kj)
 	}
-	if ub := KJUpperBound(q, other, DefaultMatchThreshold, nil); ub >= 1 {
+	if ub := KJUpperBound(q, other.Sketches, DefaultMatchThreshold, nil); ub >= 1 {
 		t.Fatalf("unrelated series: bound %v prunes nothing", ub)
 	}
 }
@@ -299,9 +302,9 @@ func TestKJUpperBoundZeroAlloc(t *testing.T) {
 	a := CompileSeries(Extract(synth(1, 1), opts))
 	b := CompileSeries(Extract(synth(2, 2), opts))
 	var scratch KJScratch
-	KJUpperBound(a, b, DefaultMatchThreshold, &scratch)
+	KJUpperBound(a, b.Sketches, DefaultMatchThreshold, &scratch)
 	var sink float64
-	if allocs := testing.AllocsPerRun(100, func() { sink += KJUpperBound(a, b, DefaultMatchThreshold, &scratch) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { sink += KJUpperBound(a, b.Sketches, DefaultMatchThreshold, &scratch) }); allocs != 0 {
 		t.Fatalf("KJUpperBound allocates %.1f/op with scratch, want 0", allocs)
 	}
 	_ = sink
@@ -343,6 +346,165 @@ func BenchmarkKJUpperBound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		KJUpperBound(s1, s2, DefaultMatchThreshold, &scratch)
+		KJUpperBound(s1, s2.Sketches, DefaultMatchThreshold, &scratch)
 	}
+}
+
+// kjUpperBoundPairwise is KJUpperBound as it stood before the row-wise form:
+// every pair's bound taken in turn — the centroid test by division, the
+// validity flags, then the sketch bound — and the largest kept per row. The
+// row-wise bound must equal it bit for bit.
+func kjUpperBoundPairwise(s1, s2 *CompiledSeries, matchThreshold float64) float64 {
+	if s1 == nil || s2 == nil || len(s1.Sigs) == 0 || len(s2.Sigs) == 0 {
+		return 0
+	}
+	if matchThreshold <= 0 {
+		return 1
+	}
+	var best []float64
+	for i := range s1.Sigs {
+		var row float64
+		for j := range s2.Sigs {
+			a, b := &s1.Sketches[i], &s2.Sketches[j]
+			if 1/(1+math.Abs(a.Mean-b.Mean)) < matchThreshold || !s1.Sigs[i].OK || !s2.Sigs[j].OK {
+				continue
+			}
+			var d float64
+			for k := range a.Q {
+				d += math.Abs(a.Q[k] - b.Q[k])
+			}
+			ub := (1 + boundSlack) / (1 + d*s1.Sigs[i].Mass/SketchBins)
+			if ub >= matchThreshold && ub > row {
+				row = ub
+			}
+		}
+		if row > 0 {
+			best = append(best, row)
+		}
+	}
+	return matchBound(best, len(s1.Sigs), len(s2.Sigs))
+}
+
+// checkSketchBound holds one pair of series to everything the sketch column
+// promises: the row-wise KJUpperBound equals the pairwise reference bit for
+// bit and is never below κJ; the kernel's filtered κJ equals the
+// centroid-only reference bit for bit; and for every signature pair the
+// centroid cut rejects exactly what the division test rejects.
+func checkSketchBound(t *testing.T, s1, s2 *CompiledSeries, th float64, scratch *KJScratch) {
+	t.Helper()
+	got := KJUpperBound(s1, s2.Sketches, th, scratch)
+	if want := kjUpperBoundPairwise(s1, s2, th); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("threshold %v: row-wise bound %v (%#x), pairwise %v (%#x)", th, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+	kj, ok := KJCancelCompiled(s1, s2, th, nil, scratch)
+	if want := kjCentroidOnly(s1, s2, th); !ok || math.Float64bits(kj) != math.Float64bits(want) {
+		t.Fatalf("threshold %v: filtered κJ %v, centroid-only reference %v", th, kj, want)
+	}
+	if got < kj {
+		t.Fatalf("threshold %v: bound %v below κJ %v", th, got, kj)
+	}
+	cut := centroidCut(th)
+	for i := range s1.Sketches {
+		for j := range s2.Sketches {
+			g := math.Abs(s1.Sketches[i].Mean - s2.Sketches[j].Mean)
+			if far, div := g >= cut, 1/(1+g) < th; far != div {
+				t.Fatalf("threshold %v, gap %v: cut %v rejects %v, division test %v", th, g, cut, far, div)
+			}
+		}
+	}
+}
+
+// signedZeros flips a random subset of a signature's values to +0 or -0, so
+// centroids and sketch bins land on both zeros.
+func signedZeros(rng *rand.Rand, sig Signature) Signature {
+	out := Signature{Cuboids: append([]Cuboid(nil), sig.Cuboids...)}
+	for i := range out.Cuboids {
+		switch rng.Intn(3) {
+		case 0:
+			out.Cuboids[i].V = 0
+		case 1:
+			out.Cuboids[i].V = math.Copysign(0, -1)
+		}
+	}
+	return out
+}
+
+// Over adversarial series — ties, ±0, zero-weight and single-cuboid
+// signatures, invalid and mass-mismatched ones, near-duplicates and empty
+// series — at thresholds from below 0 to above 1.
+func TestPropertySketchBoundMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var scratch KJScratch
+	positive := 0
+	for run := 0; run < 3000; run++ {
+		r1 := adversarialSeries(rng, nil)
+		r2 := adversarialSeries(rng, r1)
+		for _, r := range []Series{r1, r2} {
+			for i := range r {
+				if rng.Intn(4) == 0 {
+					r[i] = signedZeros(rng, r[i])
+				}
+			}
+		}
+		s1, s2 := CompileSeries(r1), CompileSeries(r2)
+		for _, th := range []float64{-1, 0, 0.05, 0.3, DefaultMatchThreshold, 0.9, 1, 1.5} {
+			checkSketchBound(t, s1, s2, th, &scratch)
+			if KJUpperBound(s1, s2.Sketches, th, &scratch) > 0 && th > 0 {
+				positive++
+			}
+		}
+	}
+	if positive < 1000 {
+		t.Fatalf("sample too thin: %d positive bounds", positive)
+	}
+}
+
+// The cut decides as the division does at its own edge, one float either
+// side, and at the gaps and thresholds where rounding or special values
+// could split them.
+func TestCentroidCutMatchesDivision(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	thresholds := []float64{DefaultMatchThreshold, 1, math.Nextafter(1, 0), 1 - 1e-12, 0.999999, 1e-300, 5e-324, 2, math.Inf(1), 0, -1, math.NaN()}
+	for k := 0; k < 200; k++ {
+		thresholds = append(thresholds, rng.Float64(), math.Ldexp(rng.Float64(), -rng.Intn(60)))
+	}
+	for _, th := range thresholds {
+		cut := centroidCut(th)
+		gaps := []float64{0, math.Inf(1), math.NaN(), math.MaxFloat64, 5e-324, 1, 1 / th, 1/th - 1}
+		if !math.IsNaN(cut) {
+			gaps = append(gaps, cut, math.Nextafter(cut, 0), math.Nextafter(cut, math.Inf(1)))
+		}
+		for k := 0; k < 50; k++ {
+			gaps = append(gaps, rng.ExpFloat64()*(1/th))
+		}
+		for _, g := range gaps {
+			if g < 0 {
+				continue // gaps are absolute values
+			}
+			if far, div := g >= cut, 1/(1+g) < th; far != div {
+				t.Fatalf("threshold %v, gap %v: cut %v rejects %v, division test %v", th, g, cut, far, div)
+			}
+		}
+	}
+	var sc KJScratch
+	if c := sc.centroidCut(0.25); c != centroidCut(0.25) || sc.centroidCut(0.5) != centroidCut(0.5) {
+		t.Fatalf("scratch cut %v does not follow the threshold", c)
+	}
+}
+
+// FuzzSketchBound runs checkSketchBound on two fuzzed series (decodeSeries:
+// ties, ±0, NaN and infinite values, zero and negative weights, empty and
+// single-cuboid signatures) at one of a handful of thresholds.
+func FuzzSketchBound(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 3, 20, 40, 60, 80, 100, 120}, []byte{1, 3, 21, 40, 61, 80, 100, 121})
+	f.Add(uint8(1), []byte{2, 0, 2, 0, 1, 1, 0}, []byte{2, 2, 0, 1, 0, 0, 1})
+	f.Add(uint8(2), []byte{1, 25, 5, 2, 5, 3, 2, 2, 2, 4}, []byte{3, 40, 7, 21, 200, 201, 8, 8, 0, 0, 100, 4})
+	f.Add(uint8(3), []byte{1, 1, 30, 200}, []byte{1, 1, 31, 200})
+	f.Add(uint8(4), []byte{4, 2, 2, 2, 2, 0, 16, 1, 16}, []byte{})
+	thresholds := []float64{DefaultMatchThreshold, 0.3, 0.9, 1, 0.05, 1.5, 0, -1}
+	f.Fuzz(func(t *testing.T, th uint8, a, b []byte) {
+		s1, s2 := CompileSeries(decodeSeries(a)), CompileSeries(decodeSeries(b))
+		var scratch KJScratch
+		checkSketchBound(t, s1, s2, thresholds[int(th)%len(thresholds)], &scratch)
+	})
 }

@@ -32,23 +32,38 @@ const boundSlack = 1e-9
 
 // Compiled is one cuboid signature prepared for the zero-allocation EMD
 // kernel: values sorted ascending (stably, so compilation is a pure function
-// of the signature), weights aligned, and the quantities every comparison
-// re-derived — total mass, centroid mean, validity — computed once.
+// of the signature), weights aligned, and the total mass and validity every
+// comparison re-derived computed once. What the bounds read of a signature
+// lives apart from it, in its Sketch.
 //
-// Mean and Mass are accumulated in original cuboid order, exactly as
-// Signature.Mean and Signature.TotalMass do, so the compiled path is
-// bit-identical to the uncompiled one.
+// Mass is accumulated in original cuboid order, exactly as
+// Signature.TotalMass does, so the compiled path is bit-identical to the
+// uncompiled one.
 type Compiled struct {
 	V, W []float64 // cuboid values/weights, stable-sorted by value
-	Mean float64   // Σ v·μ — the centroid the κJ lower-bound filter compares
 	Mass float64   // Σ μ (1 up to floating point for extracted signatures)
 	OK   bool      // non-empty, no negative weights, mass above solver tolerance
+}
+
+// Sketch is everything the pair bounds read of one compiled signature: the
+// centroid of [35] and a quantile sketch. A CompiledSeries keeps its
+// signatures' sketches in one dense array beside the exact data (the
+// VA-file layout of Weber, Schek & Blott: compact approximations apart from
+// what they approximate), so a bound over a stored series walks one
+// contiguous block.
+type Sketch struct {
+	// Mean is Σ v·μ, accumulated in original cuboid order as Signature.Mean
+	// does: the centroid the κJ lower-bound filter compares.
+	Mean float64
 
 	// Q is the quantile sketch: Q[b] is the mean cuboid value over the b-th
 	// of SketchBins equal slices of the signature's mass, in value order.
 	// 1-D EMD is ∫|Q₁(u)−Q₂(u)|du over the quantile functions, and on each
 	// slice |∫(Q₁−Q₂)| ≤ ∫|Q₁−Q₂| (Jensen), so (Mass/SketchBins)·Σ|Q₁[b]−Q₂[b]|
-	// never exceeds Distance1DSorted. Zero unless OK.
+	// never exceeds Distance1DSorted. All NaN unless the signature is OK:
+	// every sketch distance to it is then NaN, which no bound lets through,
+	// so a pair with an invalid side is rejected as SimC's validity test
+	// would reject it.
 	Q [SketchBins]float64
 }
 
@@ -61,27 +76,29 @@ const MaxCuboids = 1 << 16
 // MaxGrid is the largest Options.Grid whose signatures always compile.
 const MaxGrid = 256
 
-// Compile builds the compiled form of one signature. It panics if the
-// signature has more than MaxCuboids cuboids.
+// Compile builds the compiled form of one signature, without its sketch. It
+// panics if the signature has more than MaxCuboids cuboids.
 func Compile(s Signature) Compiled {
-	return compile(s, make([]uint16, len(s.Cuboids)))
+	return compile(s, make([]uint16, len(s.Cuboids)), nil)
 }
 
 // compile is Compile recording the sort permutation in perm (len(s.Cuboids)
-// long): V[k] and W[k] are cuboid perm[k] of s. Sorting the indices and then
+// long) and, when sk is non-nil, the signature's sketch in *sk: V[k] and
+// W[k] are cuboid perm[k] of s. Sorting the indices and then
 // gathering runs the same stable insertion-block and symMerge passes as
 // sorting the value and weight arrays in place (emd.SortByValue), with the
 // same comparisons, so the result is identical bit for bit — ties, ±0 and
 // NaN included — while each move shifts two bytes instead of two float64s.
-func compile(s Signature, perm []uint16) Compiled {
+func compile(s Signature, perm []uint16, sk *Sketch) Compiled {
 	n := len(s.Cuboids)
 	if n > MaxCuboids {
 		panic(fmt.Sprintf("signature: %d cuboids exceed MaxCuboids (%d)", n, MaxCuboids))
 	}
 	c := Compiled{V: make([]float64, n), W: make([]float64, n)}
+	var mean float64
 	for i, cb := range s.Cuboids {
 		c.W[i] = cb.Mu
-		c.Mean += cb.V * cb.Mu
+		mean += cb.V * cb.Mu
 		perm[i] = uint16(i)
 	}
 	c.Mass, c.OK = emd.ValidateWeights(c.W)
@@ -100,15 +117,23 @@ func compile(s Signature, perm []uint16) Compiled {
 	for k, p := range perm {
 		c.V[k], c.W[k] = s.Cuboids[p].V, s.Cuboids[p].Mu
 	}
-	if c.OK {
-		c.sketch()
+	if sk != nil {
+		sk.Mean = mean
+		if c.OK {
+			sk.Q = c.quantiles()
+		} else {
+			for b := range sk.Q {
+				sk.Q[b] = math.NaN()
+			}
+		}
 	}
 	return c
 }
 
-// sketch fills Q from the sorted cuboids: walk the mass in value order,
-// cutting a cuboid's weight wherever a bin boundary falls inside it.
-func (c *Compiled) sketch() {
+// quantiles computes the sketch's Q from the sorted cuboids: walk the mass
+// in value order, cutting a cuboid's weight wherever a bin boundary falls
+// inside it.
+func (c *Compiled) quantiles() (q [SketchBins]float64) {
 	binMass := c.Mass / SketchBins
 	b, room, acc, top := 0, binMass, 0.0, 0.0
 	for i, w := range c.W {
@@ -116,7 +141,7 @@ func (c *Compiled) sketch() {
 			top = c.V[i]
 		}
 		for w > room && b < SketchBins-1 {
-			c.Q[b] = (acc + c.V[i]*room) / binMass
+			q[b] = (acc + c.V[i]*room) / binMass
 			w -= room
 			b, room, acc = b+1, binMass, 0
 		}
@@ -128,46 +153,87 @@ func (c *Compiled) sketch() {
 	if room > 0 {
 		acc += top * room
 	}
-	c.Q[b] = acc / binMass
+	q[b] = acc / binMass
 	for b++; b < SketchBins; b++ {
-		c.Q[b] = top
+		q[b] = top
 	}
+	return q
 }
 
-// sketchDistance is the quantile-sketch lower bound on the EMD SimCCompiled
-// would compute for the pair (set-2 weights scaled to a's mass, which leaves
-// b's bin means unchanged). Both signatures must be OK.
-func sketchDistance(a, b *Compiled) float64 {
-	var d float64
-	for k := range a.Q {
-		d += math.Abs(a.Q[k] - b.Q[k])
-	}
-	return d * a.Mass / SketchBins
+// sketchSum is Σ|Q₁[b]−Q₂[b]|, the sketches' gap: times Mass₁/SketchBins it
+// is the quantile-sketch lower bound on the EMD SimCCompiled would compute
+// for the pair (set-2 weights scaled to a's mass, which leaves b's bin means
+// unchanged). It is NaN when either signature is invalid, and never -0.
+func sketchSum(a, b *Sketch) float64 {
+	// Written out, and summed left to right as a loop over the bins would.
+	return math.Abs(a.Q[0]-b.Q[0]) + math.Abs(a.Q[1]-b.Q[1]) + math.Abs(a.Q[2]-b.Q[2]) + math.Abs(a.Q[3]-b.Q[3]) +
+		math.Abs(a.Q[4]-b.Q[4]) + math.Abs(a.Q[5]-b.Q[5]) + math.Abs(a.Q[6]-b.Q[6]) + math.Abs(a.Q[7]-b.Q[7])
 }
 
-// pairBound is the one filter the κJ kernel and its upper bound share: an
-// upper bound on SimC for a pair that can still reach matchThreshold (> 0),
-// or false when it provably cannot — the centroid test of [35] first (two
-// loads), then the sketch. A pair rejected here has SimC < matchThreshold, so
-// skipping its EMD changes no matching.
-func pairBound(a, b *Compiled, matchThreshold float64) (float64, bool) {
-	if 1/(1+math.Abs(a.Mean-b.Mean)) < matchThreshold {
-		return 0, false
+// sketchSum names eight bins; this fails to compile if SketchBins changes.
+var _ = [1]struct{}{}[SketchBins-8]
+
+// sketchBound is the bound on SimC = 1/(1+EMD) at sketch gap d, for a query
+// signature of mass m > 0. It never grows with d under IEEE rounding: the
+// product with m, the scaling, the sum and the quotient each round
+// monotonically. So the least gap in a row gives the row's largest bound,
+// bit for bit.
+func sketchBound(d, m float64) float64 {
+	return (1 + boundSlack) / (1 + d*m/SketchBins)
+}
+
+// centroidCut is the centroid test of [35] as one comparison: the least gap
+// g ≥ 0 with 1/(1+g) < t, so that for every gap g = |Mean₁ − Mean₂|,
+// g >= cut exactly when the division test rejects the pair — NaN included,
+// which both pass. It is NaN when no gap fails the test (t ≤ 0 or NaN). The
+// test's value never grows with g under IEEE rounding, so the gaps that fail
+// it are every float from cut up; a binary search over the float bit
+// patterns finds it, within a bracket around 1/t − 1 that it checks first.
+func centroidCut(t float64) float64 {
+	fails := func(g float64) bool { return 1/(1+g) < t }
+	if !fails(math.Inf(1)) {
+		return math.NaN()
 	}
-	if !a.OK || !b.OK {
-		return 0, false // SimC is 0 for an invalid signature
+	lo, hi := uint64(0), math.Float64bits(math.Inf(1)) // the cut is in [lo, hi]
+	c, w := 1/t-1, 0x1p-40*max(1, 1/t)
+	if l, h := max(c-w, 0), c+w; l <= h && !fails(l) && fails(h) {
+		lo, hi = math.Float64bits(l), math.Float64bits(h)
 	}
-	ub := (1 + boundSlack) / (1 + sketchDistance(a, b))
-	return ub, ub >= matchThreshold
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if fails(math.Float64frombits(mid)) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return math.Float64frombits(hi)
+}
+
+// pairCanMatch is the κJ kernel's pair filter: false when a pair provably
+// cannot reach matchThreshold (> 0) — the centroid test first, then the
+// pair's sketch bound, whose NaN for an invalid side fails the comparison as
+// SimC's validity test would. aMass is a's Compiled.Mass and cut
+// centroidCut(matchThreshold). A pair rejected here has SimC <
+// matchThreshold, so skipping its EMD changes no matching.
+func pairCanMatch(a, b *Sketch, aMass, matchThreshold, cut float64) bool {
+	if math.Abs(a.Mean-b.Mean) >= cut { // a NaN gap passes, as it passes the division
+		return false
+	}
+	return sketchBound(sketchSum(a, b), aMass) >= matchThreshold
 }
 
 // CompiledSeries is a signature series compiled for refinement: one Compiled
-// per q-gram signature. It is immutable after construction and safe to share
-// across any number of concurrent readers; views keep one per stored video,
-// and it is the only form of a stored video's content they keep — Series
-// rebuilds the raw series from it exactly.
+// and one Sketch per q-gram signature. It is immutable after construction
+// and safe to share across any number of concurrent readers; views keep one
+// per stored video, and it is the only form of a stored video's content they
+// keep — Series rebuilds the raw series from it exactly.
 type CompiledSeries struct {
 	Sigs []Compiled
+
+	// Sketches[i] is Sigs[i]'s sketch, all of them in one array allocated at
+	// compile: the bounds read this and nothing else of a stored series.
+	Sketches []Sketch
 
 	// perm is every signature's sort permutation in turn, in one backing
 	// array: Sigs[i].V[k] and W[k] are cuboid perm[o+k] of signature i in
@@ -184,11 +250,11 @@ func CompileSeries(s Series) *CompiledSeries {
 	for _, sig := range s {
 		n += len(sig.Cuboids)
 	}
-	cs := &CompiledSeries{Sigs: make([]Compiled, len(s)), perm: make([]uint16, n)}
+	cs := &CompiledSeries{Sigs: make([]Compiled, len(s)), Sketches: make([]Sketch, len(s)), perm: make([]uint16, n)}
 	o := 0
 	for i, sig := range s {
 		m := len(sig.Cuboids)
-		cs.Sigs[i] = compile(sig, cs.perm[o:o+m:o+m])
+		cs.Sigs[i] = compile(sig, cs.perm[o:o+m:o+m], &cs.Sketches[i])
 		o += m
 	}
 	return cs
@@ -232,10 +298,10 @@ type Envelope struct {
 func (cs *CompiledSeries) Envelope() Envelope {
 	e := Envelope{Lo: math.Inf(1), Hi: math.Inf(-1), N: len(cs.Sigs)}
 	for i := range cs.Sigs {
-		if c := &cs.Sigs[i]; c.OK {
-			m := c.centroidMargin()
-			e.Lo = min(e.Lo, c.Mean/c.Mass-m)
-			e.Hi = max(e.Hi, c.Mean/c.Mass+m)
+		if c, sk := &cs.Sigs[i], &cs.Sketches[i]; c.OK {
+			m := sk.centroidMargin()
+			e.Lo = min(e.Lo, sk.Mean/c.Mass-m)
+			e.Hi = max(e.Hi, sk.Mean/c.Mass+m)
 		}
 	}
 	return e
@@ -248,8 +314,8 @@ func (cs *CompiledSeries) Envelope() Envelope {
 // bin mean |Q| (the quantile function is monotone), so they differ by well
 // under 1e-13 of that scale. boundSlack of it, plus boundSlack absolute for
 // values near zero, covers that with four orders of magnitude to spare.
-func (c *Compiled) centroidMargin() float64 {
-	return boundSlack * (1 + max(math.Abs(c.Q[0]), math.Abs(c.Q[SketchBins-1])))
+func (s *Sketch) centroidMargin() float64 {
+	return boundSlack * (1 + max(math.Abs(s.Q[0]), math.Abs(s.Q[SketchBins-1])))
 }
 
 // Len returns the number of compiled signatures.
@@ -293,7 +359,7 @@ func (p *pairHeap) Swap(a, b int) {
 }
 
 // KJScratch holds the buffers one κJ evaluation needs — candidate pairs and
-// the matched-row/column marks. A refine worker allocates one scratch and
+// the matched-row/column marks — and the centroid cut of its threshold. A refine worker allocates one scratch and
 // reuses it across every candidate it scores; after the buffers have grown to
 // the workload's high-water mark, KJCancelCompiled performs no heap
 // allocation at all. A scratch must never be shared between concurrently
@@ -303,6 +369,17 @@ type KJScratch struct {
 	usedI []bool
 	usedJ []bool
 	best  []float64 // the κJ bounds' per-row bounds (query signatures that can match)
+
+	cutFor, cut float64 // centroidCut(cutFor); cutFor is 0 until the first call
+}
+
+// centroidCut is centroidCut(t) for a threshold t > 0, computed once per
+// threshold: every bound and kernel a scratch serves shares it.
+func (sc *KJScratch) centroidCut(t float64) float64 {
+	if sc.cutFor != t {
+		sc.cutFor, sc.cut = t, centroidCut(t)
+	}
+	return sc.cut
 }
 
 // grow readies the scratch for an s1×s2 evaluation.
@@ -337,8 +414,9 @@ func KJCompiled(s1, s2 *CompiledSeries, matchThreshold float64) float64 {
 //
 // Results are bit-identical to KJ on the corresponding raw series: the same
 // kernel arithmetic and the same (sim desc, i asc, j asc) greedy matching
-// order; the pair filter (centroid, then quantile sketch) only ever
-// skips the EMD of a pair that could not have reached the threshold.
+// order; the pair filter (centroid, then quantile sketch, both read from the
+// series' Sketches) only ever skips the EMD of a pair that could not have
+// reached the threshold.
 func KJCancelCompiled(s1, s2 *CompiledSeries, matchThreshold float64, cancelled func() bool, scratch *KJScratch) (float64, bool) {
 	if s1 == nil || s2 == nil || len(s1.Sigs) == 0 || len(s2.Sigs) == 0 {
 		return 0, true
@@ -347,13 +425,17 @@ func KJCancelCompiled(s1, s2 *CompiledSeries, matchThreshold float64, cancelled 
 		scratch = &KJScratch{}
 	}
 	scratch.grow(len(s1.Sigs), len(s2.Sigs))
+	var cut float64
+	if matchThreshold > 0 {
+		cut = scratch.centroidCut(matchThreshold)
+	}
 	for i := range s1.Sigs {
 		for j := range s2.Sigs {
 			if cancelled != nil && cancelled() {
 				return 0, false
 			}
 			if matchThreshold > 0 {
-				if _, ok := pairBound(&s1.Sigs[i], &s2.Sigs[j], matchThreshold); !ok {
+				if !pairCanMatch(&s1.Sketches[i], &s2.Sketches[j], s1.Sigs[i].Mass, matchThreshold, cut) {
 					continue
 				}
 			}
@@ -383,15 +465,22 @@ func KJCancelCompiled(s1, s2 *CompiledSeries, matchThreshold float64, cancelled 
 }
 
 // KJUpperBound bounds KJCompiled(s1, s2, matchThreshold) from above without
-// running a single EMD. Every matched pair (i, j) contributes SimC ≤ its
-// pairBound, so best[i], the largest surviving pair bound in row i, bounds
-// whatever query signature i is matched to; matchBound combines the rows.
-// It costs n₁ × n₂ pairBound tests and is never below the kernel's value, so
-// a candidate whose bound cannot reach the running top-K is safely skipped.
+// running a single EMD, reading only s2, the stored series' Sketches. Every
+// matched pair (i, j) contributes SimC ≤ its sketch bound, so best[i], the
+// largest surviving pair bound in row i, bounds whatever query signature i is
+// matched to; matchBound combines the rows. A row's largest pair bound is
+// sketchBound at the least sketch gap among the pairs that pass the centroid
+// cut (sketchBound is monotone), so each row divides once and every value is
+// bit for bit the pair-by-pair maximum. The row loop has no data-dependent
+// branch, so loads of the stored sketches do not wait on mispredictions: a
+// rejected pair's gap becomes +Inf and the least is kept on bit patterns,
+// whose unsigned order is the float order for non-negative gaps and puts NaN
+// last. It is never below the kernel's value, so a candidate whose bound
+// cannot reach the running top-K is safely skipped.
 // KJEnvelopeBound is the O(n₁) bound refinement computes first; this one is
 // the tighter bound it falls back to for candidates the cheap one keeps.
-func KJUpperBound(s1, s2 *CompiledSeries, matchThreshold float64, scratch *KJScratch) float64 {
-	if s1 == nil || s2 == nil || len(s1.Sigs) == 0 || len(s2.Sigs) == 0 {
+func KJUpperBound(s1 *CompiledSeries, s2 []Sketch, matchThreshold float64, scratch *KJScratch) float64 {
+	if s1 == nil || len(s1.Sigs) == 0 || len(s2) == 0 {
 		return 0
 	}
 	if matchThreshold <= 0 {
@@ -400,24 +489,34 @@ func KJUpperBound(s1, s2 *CompiledSeries, matchThreshold float64, scratch *KJScr
 	if scratch == nil {
 		scratch = &KJScratch{}
 	}
+	cut := scratch.centroidCut(matchThreshold)
+	const none = 0x7ff0000000000000 // the bits of +Inf: no pair in the row
 	best := scratch.best[:0]
-	for i := range s1.Sigs {
-		var row float64
-		for j := range s2.Sigs {
-			if ub, ok := pairBound(&s1.Sigs[i], &s2.Sigs[j], matchThreshold); ok && ub > row {
-				row = ub
+	for i := range s1.Sketches {
+		a := &s1.Sketches[i]
+		least := uint64(none)
+		for j := range s2 {
+			b := &s2[j]
+			d := math.Float64bits(sketchSum(a, b))
+			if math.Abs(a.Mean-b.Mean) >= cut {
+				d = none
+			}
+			if d < least {
+				least = d
 			}
 		}
-		if row > 0 {
+		// With no pair left the row bound is 0, or NaN for an invalid query
+		// signature; neither reaches the threshold.
+		if row := sketchBound(math.Float64frombits(least), s1.Sigs[i].Mass); row >= matchThreshold {
 			best = append(best, row)
 		}
 	}
 	scratch.best = best
-	return matchBound(best, len(s1.Sigs), len(s2.Sigs))
+	return matchBound(best, len(s1.Sigs), len(s2))
 }
 
 // KJEnvelopeBound bounds KJUpperBound(s1, s2, matchThreshold) from above in
-// O(n₁), reading only e, s2's Envelope. pairBound's sketch distance is
+// O(n₁), reading only e, s2's Envelope. A pair's sketch distance is
 // (Mass₁/SketchBins)·Σ|Q₁−Q₂| ≥ Mass₁·|ΣQ₁−ΣQ₂|/SketchBins = Mass₁·|c₁−c₂|
 // (Jensen), with c the centroid Mean/Mass, and c₂ lies in the envelope
 // [e.Lo, e.Hi], so with d the distance from c₁ to it every pair bound in row
@@ -443,13 +542,13 @@ func KJEnvelopeBound(s1 *CompiledSeries, e Envelope, matchThreshold float64, scr
 	}
 	best := scratch.best[:0]
 	for i := range s1.Sigs {
-		a := &s1.Sigs[i]
+		a, sk := &s1.Sigs[i], &s1.Sketches[i]
 		if !a.OK {
 			continue
 		}
-		c := a.Mean / a.Mass
+		c := sk.Mean / a.Mass
 		row := 1 + boundSlack
-		if d := max(e.Lo-c, c-e.Hi) - a.centroidMargin(); d > 0 {
+		if d := max(e.Lo-c, c-e.Hi) - sk.centroidMargin(); d > 0 {
 			row /= 1 + a.Mass*d
 		}
 		if row >= matchThreshold {

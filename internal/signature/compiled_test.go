@@ -29,8 +29,8 @@ func TestCompileBasics(t *testing.T) {
 	if c.Mass != sig.TotalMass() {
 		t.Errorf("Mass = %v, want %v", c.Mass, sig.TotalMass())
 	}
-	if c.Mean != sig.Mean() {
-		t.Errorf("Mean = %v, want %v", c.Mean, sig.Mean())
+	if m := CompileSeries(Series{sig}).Sketches[0].Mean; m != sig.Mean() {
+		t.Errorf("Mean = %v, want %v", m, sig.Mean())
 	}
 	if c.V[0] != -0.2 || c.V[1] != 0.5 {
 		t.Errorf("values not sorted: %v", c.V)
