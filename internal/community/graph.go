@@ -395,13 +395,20 @@ func (g *Graph) eachEdgeDense(f func(iu, iv uint32, w float64)) {
 	}
 }
 
-// Edges returns every undirected edge exactly once, sorted by (U, V) for
-// determinism. Names are distinct, so ranking the users by name once and
-// sorting each edge's packed (rank U, rank V) word gives that order without
-// a string comparison per step.
-func (g *Graph) Edges() []Edge {
+// rankedEdge is one undirected edge keyed by its endpoints' name ranks:
+// key = rank U<<32 | rank V with rank U < rank V, where a user's rank is its
+// position in name order. Names are distinct, so ordering keys orders the
+// edges by (U, V) names without a string comparison per step.
+type rankedEdge struct {
+	key uint64
+	w   float64
+}
+
+// rankedEdges returns every undirected edge once, in unspecified order, and
+// byName, the dense user id at each name rank.
+func (g *Graph) rankedEdges() (rs []rankedEdge, byName []uint32) {
 	names := g.users.names
-	byName := make([]uint32, len(names))
+	byName = make([]uint32, len(names))
 	for i := range byName {
 		byName[i] = uint32(i)
 	}
@@ -410,19 +417,23 @@ func (g *Graph) Edges() []Edge {
 	for r, i := range byName {
 		rank[i] = uint32(r)
 	}
-	type ranked struct {
-		key uint64 // rank U<<32 | rank V, rank U < rank V
-		w   float64
-	}
-	rs := make([]ranked, 0, g.edges)
+	rs = make([]rankedEdge, 0, g.edges)
 	g.eachEdgeDense(func(iu, iv uint32, w float64) {
 		a, b := rank[iu], rank[iv]
 		if a > b {
 			a, b = b, a
 		}
-		rs = append(rs, ranked{uint64(a)<<32 | uint64(b), w})
+		rs = append(rs, rankedEdge{uint64(a)<<32 | uint64(b), w})
 	})
-	slices.SortFunc(rs, func(x, y ranked) int { return cmp.Compare(x.key, y.key) })
+	return rs, byName
+}
+
+// Edges returns every undirected edge exactly once, sorted by (U, V) for
+// determinism.
+func (g *Graph) Edges() []Edge {
+	rs, byName := g.rankedEdges()
+	slices.SortFunc(rs, func(x, y rankedEdge) int { return cmp.Compare(x.key, y.key) })
+	names := g.users.names
 	es := make([]Edge, len(rs))
 	for i, r := range rs {
 		es[i] = Edge{U: names[byName[r.key>>32]], V: names[byName[uint32(r.key)]], W: r.w}
@@ -502,7 +513,7 @@ func BuildUIG(audiences map[string][]string) *Graph {
 			}
 		}
 	}
-	sort.Slice(pairs, func(a, b int) bool { return pairs[a] < pairs[b] })
+	slices.Sort(pairs)
 
 	// Run-length count the sorted keys in place into the distinct edges.
 	keys := pairs[:0]

@@ -1,8 +1,10 @@
 package community
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Hooks let the maintenance algorithm patch the structures that depend on
@@ -191,7 +193,7 @@ func (m *Maintainer) assignNewUsers() int {
 	// order the string-keyed implementation established.
 	pending := m.newUsers
 	names := m.g.users
-	sort.Slice(pending, func(a, b int) bool { return names.Name(pending[a]) < names.Name(pending[b]) })
+	slices.SortFunc(pending, func(a, b uint32) int { return strings.Compare(names.Name(a), names.Name(b)) })
 	assigned := 0
 	for {
 		progress := false
@@ -296,9 +298,7 @@ func (m *Maintainer) splitLightest(st *Stats) bool {
 			s.members = append(s.members, uint32(i))
 		}
 	}
-	sort.Slice(s.members, func(a, b int) bool {
-		return names.Name(s.members[a]) < names.Name(s.members[b])
-	})
+	slices.SortFunc(s.members, func(a, b uint32) int { return strings.Compare(names.Name(a), names.Name(b)) })
 
 	// Global → local index map, reset member-by-member on exit.
 	n := names.Len()
@@ -371,15 +371,17 @@ func (m *Maintainer) extractTwo() ([]int32, int) {
 	s := &m.split
 	// Descending (W, U, V) order. Local ids are name-ordered, so comparing
 	// them is comparing names.
-	sort.Slice(s.edges, func(a, b int) bool {
-		ea, eb := s.edges[a], s.edges[b]
+	slices.SortFunc(s.edges, func(ea, eb splitEdge) int {
 		if ea.w != eb.w {
-			return ea.w > eb.w
+			if ea.w > eb.w {
+				return -1
+			}
+			return 1
 		}
-		if ea.u != eb.u {
-			return ea.u > eb.u
+		if c := cmp.Compare(eb.u, ea.u); c != 0 {
+			return c
 		}
-		return ea.v > eb.v
+		return cmp.Compare(eb.v, ea.v)
 	})
 
 	n := len(s.members)

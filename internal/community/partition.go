@@ -1,6 +1,7 @@
 package community
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -170,23 +171,32 @@ func ExtractSubCommunities(g *Graph, k int) *Partition {
 	}
 	n := g.NumUsers()
 	uf := newUnionFind(n)
-	edges := g.Edges()
-	sort.Slice(edges, func(a, b int) bool { return edgeLess(edges[b], edges[a]) }) // descending
+	// Descending edgeLess on dense ids: weight, then the endpoints' name
+	// ranks, which order as the names do.
+	edges, byName := g.rankedEdges()
+	slices.SortFunc(edges, func(x, y rankedEdge) int {
+		if x.w != y.w {
+			if x.w > y.w {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(y.key, x.key)
+	})
 
 	count := n
 	lightest := math.Inf(1)
 	for _, e := range edges {
-		iu, _ := g.users.Lookup(e.U)
-		iv, _ := g.users.Lookup(e.V)
-		if uf.find(int(iu)) != uf.find(int(iv)) {
+		iu, iv := int(byName[e.key>>32]), int(byName[uint32(e.key)])
+		if uf.find(iu) != uf.find(iv) {
 			if count <= k {
 				break // this edge and all lighter ones are the removed prefix
 			}
-			uf.union(int(iu), int(iv))
+			uf.union(iu, iv)
 			count--
 		}
-		if e.W < lightest {
-			lightest = e.W
+		if e.w < lightest {
+			lightest = e.w
 		}
 	}
 	return partitionFromRoots(g, uf, k, lightest)

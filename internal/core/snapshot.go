@@ -2,8 +2,12 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"videorec/internal/community"
+	"videorec/internal/index"
 	"videorec/internal/signature"
 	"videorec/internal/social"
 )
@@ -84,6 +88,11 @@ func (r *Recommender) Snapshot() *Snapshot {
 // continue where they left off. The restored recommender's first Freeze
 // publishes a view identical to what the saving engine served.
 //
+// The whole snapshot is validated before any compile work. Every record is
+// then compiled and keyed on GOMAXPROCS goroutines while the graph and the
+// partition are restored, and the records are installed serially in Order,
+// exactly as IngestSeries would install them one by one.
+//
 // Snapshots from before the engine had one serving mode may carry the
 // options that selected the others: the social-relevance mode and the
 // content-only, social-only and full-scan switches. Gob drops unknown fields
@@ -92,47 +101,99 @@ func (r *Recommender) Snapshot() *Snapshot {
 // now serves SAR-H, and one saved with the content-only or social-only
 // switch serves the fused ranking at its stored ω, not one relevance alone.
 func FromSnapshot(s *Snapshot) (*Recommender, error) {
+	recs, err := s.inOrder()
+	if err != nil {
+		return nil, err
+	}
+	r := NewRecommender(s.Options)
+
+	// The UIG (in one pass, straight into its CSR base) and the partition
+	// are restored while the records are compiled and keyed; neither reads
+	// the other.
+	var soc *Social
+	restored := make(chan struct{})
+	go func() {
+		defer close(restored)
+		if s.Built {
+			g := community.GraphFromEdges(s.GraphUsers, s.GraphEdges)
+			soc = newSocial(r.opts, g, community.NewPartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign))
+		}
+	}()
+	prep := prepareAll(r.state.lsb, recs)
+	<-restored
+	for k, rec := range recs {
+		r.install(rec.ID, prep[k], social.NewDescriptor("", rec.Users...))
+	}
+	if soc != nil {
+		// Rebuild the derived structures the way BuildSocial does.
+		r.UseSocial(soc)
+	}
+	return r, nil
+}
+
+// inOrder checks everything restore relies on before any compile work and
+// returns the records in Order: a grid compiled series can hold, an Order
+// that lists every record's id exactly once, signatures of at most
+// signature.MaxCuboids cuboids, and, in a built snapshot, sub-community ids
+// below Dim.
+func (s *Snapshot) inOrder() ([]*RecordSnapshot, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
 	}
 	if err := checkGrid(s.Options.Sig); err != nil {
 		return nil, err
 	}
-	r := NewRecommender(s.Options)
-	byID := make(map[string]RecordSnapshot, len(s.Records))
-	for _, rec := range s.Records {
-		byID[rec.ID] = rec
+	if len(s.Order) != len(s.Records) {
+		return nil, fmt.Errorf("core: snapshot order (%d) and records (%d) disagree", len(s.Order), len(s.Records))
 	}
-	for _, id := range s.Order {
+	byID := make(map[string]*RecordSnapshot, len(s.Records))
+	for i := range s.Records {
+		byID[s.Records[i].ID] = &s.Records[i]
+	}
+	recs := make([]*RecordSnapshot, len(s.Order))
+	for k, id := range s.Order {
 		rec, ok := byID[id]
-		if !ok {
+		switch {
+		case !ok:
 			return nil, fmt.Errorf("core: snapshot order references unknown id %q", id)
+		case rec == nil:
+			return nil, fmt.Errorf("core: snapshot order lists %q twice", id)
 		}
+		byID[id] = nil
 		for _, sig := range rec.Series {
 			if len(sig.Cuboids) > signature.MaxCuboids {
 				return nil, fmt.Errorf("core: snapshot record %q has a signature of %d cuboids (max %d)", id, len(sig.Cuboids), signature.MaxCuboids)
 			}
 		}
-		r.IngestSeries(id, rec.Series, social.NewDescriptor("", rec.Users...))
+		recs[k] = rec
 	}
-	if len(s.Order) != len(s.Records) {
-		return nil, fmt.Errorf("core: snapshot order (%d) and records (%d) disagree", len(s.Order), len(s.Records))
-	}
-	if !s.Built {
-		return r, nil
-	}
-
-	// Restore the UIG (in one pass, straight into its CSR base) and the
-	// partition, then rebuild derived structures the same way BuildSocial
-	// does.
-	g := community.GraphFromEdges(s.GraphUsers, s.GraphEdges)
-	for u, c := range s.Assign {
-		if c < 0 || c >= s.Dim {
-			return nil, fmt.Errorf("core: snapshot assigns %q to invalid sub-community %d (dim %d)", u, c, s.Dim)
+	if s.Built {
+		for u, c := range s.Assign {
+			if c < 0 || c >= s.Dim {
+				return nil, fmt.Errorf("core: snapshot assigns %q to invalid sub-community %d (dim %d)", u, c, s.Dim)
+			}
 		}
 	}
-	r.UseSocial(newSocial(r.opts, g, community.NewPartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign)))
-	return r, nil
+	return recs, nil
+}
+
+// prepareAll prepares every record's series on GOMAXPROCS goroutines;
+// prep[k] is recs[k]'s.
+func prepareAll(lsb *index.LSB, recs []*RecordSnapshot) []prepared {
+	prep := make([]prepared, len(recs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(recs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := next.Add(1) - 1; k < int64(len(recs)); k = next.Add(1) - 1 {
+				prep[k] = prepare(lsb, recs[k].Series)
+			}
+		}()
+	}
+	wg.Wait()
+	return prep
 }
 
 // SortedIDs returns the ingested video ids in a stable order (useful for

@@ -67,14 +67,18 @@ func (e *EfficiencyEnv) build(opts core.Options, col *dataset.Collection) *core.
 }
 
 // timedPasses is how many passes over the source videos millisPerQuery
-// times. One pass of a sub-millisecond row lasts a few milliseconds, and a
-// scheduler hiccup inside it moved such rows by up to 2× between runs; the
-// median of five passes ignores two of them.
+// times; the median of five ignores the two most disturbed.
 const timedPasses = 5
+
+// minPassTime is the least wall time one timed pass lasts: a pass repeats
+// the source queries until it has run this long. Ten sub-millisecond
+// queries take about 3 ms, short enough that one GC cycle or scheduler
+// slice inside the median pass moved a row by half between runs.
+const minPassTime = 25 * time.Millisecond
 
 // millisPerQuery is the wall-clock time per query of run over the
 // collection's 10 source videos: the median over timedPasses passes of each
-// pass's mean.
+// pass's mean, a pass repeating the sources until minPassTime has passed.
 func millisPerQuery(col *dataset.Collection, run func(src string)) float64 {
 	var srcs []string
 	for _, q := range col.Queries {
@@ -85,11 +89,15 @@ func millisPerQuery(col *dataset.Collection, run func(src string)) float64 {
 	}
 	passes := make([]float64, timedPasses)
 	for p := range passes {
+		n := 0
 		start := time.Now()
-		for _, src := range srcs {
-			run(src)
+		for n == 0 || time.Since(start) < minPassTime {
+			for _, src := range srcs {
+				run(src)
+			}
+			n += len(srcs)
 		}
-		passes[p] = float64(time.Since(start).Nanoseconds()) / 1e6 / float64(len(srcs))
+		passes[p] = float64(time.Since(start).Nanoseconds()) / 1e6 / float64(n)
 	}
 	slices.Sort(passes)
 	return passes[timedPasses/2]

@@ -297,6 +297,42 @@ func TestKeysRebuildAndWalkWithoutSeries(t *testing.T) {
 	}
 }
 
+// TestEmbedOnceKeysMatchPerTreeKeys holds the keying path to the per-tree
+// reference it replaced: every tree's key of every signature equals
+// HashFamily.Key, which embeds the signature afresh for that tree. Forests
+// of one to four trees, empty and single-cuboid signatures, and a walker
+// re-keying through the same scratch all agree.
+func TestEmbedOnceKeysMatchPerTreeKeys(t *testing.T) {
+	single := signature.Series{
+		{Cuboids: []signature.Cuboid{{V: 3.5, Mu: 1}}},
+		{},
+		{Cuboids: []signature.Cuboid{{V: -70, Mu: 0.25}, {V: 70, Mu: 0.75}}},
+	}
+	for trees := 1; trees <= 4; trees++ {
+		opts := DefaultLSBOptions()
+		opts.Trees = trees
+		opts.Seed = int64(trees)
+		ix := NewLSB(opts)
+		var w Walker
+		for i, q := range []signature.Series{series(1, 3), series(4, 9), single, nil} {
+			var want []uint64
+			for _, sig := range q {
+				v, mu := sig.Values()
+				for _, hf := range ix.hfs {
+					want = append(want, hf.Key(ix.emb, v, mu))
+				}
+			}
+			if got := ix.QueryKeys(q); !slices.Equal(got, want) || cap(got) != len(q)*trees {
+				t.Fatalf("%d trees, series %d: QueryKeys = %x (cap %d), per-tree keys %x", trees, i, got, cap(got), want)
+			}
+			w.Reset(ix, q)
+			if !slices.Equal(w.keys, want) {
+				t.Fatalf("%d trees, series %d: walker keys %x, per-tree keys %x", trees, i, w.keys, want)
+			}
+		}
+	}
+}
+
 // posting is one (video, count) entry of an inverted file.
 type posting struct{ id, count uint32 }
 

@@ -177,20 +177,6 @@ func (hf *HashFamily) Key(e *Embedder, vals, weights []float64) uint64 {
 	return ZOrder(hf.Hash(e.Embed(vals, weights)), hf.bits)
 }
 
-// KeyScratch holds the intermediate embedding and hash buffers of KeyInto so
-// repeated keying (the per-query walker seeding) allocates nothing once warm.
-type KeyScratch struct {
-	emb []float64
-	h   []int
-}
-
-// KeyInto is Key computing through the scratch's reusable buffers.
-func (hf *HashFamily) KeyInto(e *Embedder, vals, weights []float64, sc *KeyScratch) uint64 {
-	sc.emb = e.EmbedInto(sc.emb, vals, weights)
-	sc.h = hf.HashInto(sc.h, sc.emb)
-	return ZOrder(sc.h, hf.bits)
-}
-
 // ZOrder interleaves the values bit by bit, most significant bits first,
 // producing the Z-order (Morton) key stored in the LSB-tree. Each value
 // contributes exactly bits bits; len(vals)*bits must be at most 64.
