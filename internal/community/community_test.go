@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -322,20 +323,13 @@ func TestPropertyPartitionWellFormed(t *testing.T) {
 func TestMaintainerUnion(t *testing.T) {
 	g := paperExampleGraph()
 	p := ExtractSubCommunities(g, 2) // w = 2
-	var replaced [][2]int
-	var touched []int
-	m := NewMaintainer(g, p, Hooks{
-		ReplaceCommunity: func(old, new int) { replaced = append(replaced, [2]int{old, new}) },
-		TouchDimensions:  func(ids ...int) { touched = append(touched, ids...) },
-	})
+	m := NewMaintainer(g, p)
+	c2, c3 := cno(p, "u2"), cno(p, "u3")
 	// A heavy new connection across the two communities (weight 3 > w=2)
 	// must union them; the split pass then restores k=2.
 	st := m.ApplyConnections([]Edge{{U: "u2", V: "u3", W: 3}})
 	if st.Unions != 1 {
 		t.Fatalf("Unions = %d, want 1", st.Unions)
-	}
-	if len(replaced) != 1 {
-		t.Fatalf("ReplaceCommunity calls = %d, want 1", len(replaced))
 	}
 	if st.Splits != 1 {
 		t.Errorf("Splits = %d, want 1 (restore k)", st.Splits)
@@ -343,15 +337,69 @@ func TestMaintainerUnion(t *testing.T) {
 	if got := m.liveCount(); got != 2 {
 		t.Errorf("live communities = %d, want 2", got)
 	}
-	if len(touched) == 0 {
-		t.Error("TouchDimensions never called")
+	// The union changed both ids and the split reused the freed one: the
+	// pass touched exactly the two dimensions, once each, ascending. A
+	// split moves users but gives none a first sub-community.
+	if want := []int{min(c2, c3), max(c2, c3)}; !slices.Equal(m.Touched(), want) {
+		t.Errorf("Touched = %v, want %v", m.Touched(), want)
+	}
+	if len(m.Entered()) != 0 {
+		t.Errorf("Entered = %v, want none", m.Entered())
+	}
+	// The next pass reports only itself.
+	m.ApplyConnections([]Edge{{U: "u1", V: "u2", W: 1}})
+	if len(m.Touched()) != 0 || len(m.Entered()) != 0 {
+		t.Errorf("quiet pass reported touched %v, entered %v", m.Touched(), m.Entered())
+	}
+}
+
+// A union and a split each report the two dimensions they change, also
+// when the other does not run: a union that leaves k communities live
+// needs no split, and a partition below k splits without a union.
+func TestMaintainerTouchesEachChange(t *testing.T) {
+	graph := func() *Graph {
+		g := NewGraph()
+		g.AddEdgeWeight("a1", "a2", 5)
+		g.AddEdgeWeight("b1", "b2", 5)
+		g.AddEdgeWeight("a2", "b1", 1)
+		g.AddEdgeWeight("c1", "c2", 5)
+		return g
+	}
+
+	g := graph()
+	three := map[string]int{"a1": 0, "a2": 0, "b1": 1, "b2": 1, "c1": 2, "c2": 2}
+	p := NewPartition(g.UserTable(), 2, 3, 5, three)
+	m := NewMaintainer(g, p)
+	st := m.ApplyConnections([]Edge{{U: "a1", V: "b2", W: 9}})
+	if st.Unions != 1 || st.Splits != 0 {
+		t.Fatalf("union pass %+v, want one union and no split", st)
+	}
+	if want := []int{0, 1}; !slices.Equal(m.Touched(), want) {
+		t.Errorf("union: Touched = %v, want %v", m.Touched(), want)
+	}
+
+	// The split cuts the a2–b1 bridge, the lightest edge: b1 and b2 move
+	// to the fresh dimension 2.
+	g = graph()
+	two := map[string]int{"a1": 0, "a2": 0, "b1": 0, "b2": 0, "c1": 1, "c2": 1}
+	p = NewPartition(g.UserTable(), 3, 2, 5, two)
+	m = NewMaintainer(g, p)
+	st = m.ApplyConnections(nil)
+	if st.Unions != 0 || st.Splits != 1 {
+		t.Fatalf("split pass %+v, want one split and no union", st)
+	}
+	if want := []int{0, 2}; !slices.Equal(m.Touched(), want) {
+		t.Errorf("split: Touched = %v, want %v", m.Touched(), want)
+	}
+	if cno(p, "a2") != 0 || cno(p, "b1") != 2 || cno(p, "b2") != 2 || len(m.Entered()) != 0 {
+		t.Errorf("split left %v, entered %v; want a2 in 0, b1 and b2 in 2, none entered", p.AssignMap(), m.Entered())
 	}
 }
 
 func TestMaintainerLightConnectionNoUnion(t *testing.T) {
 	g := paperExampleGraph()
 	p := ExtractSubCommunities(g, 2) // w = 2
-	m := NewMaintainer(g, p, Hooks{})
+	m := NewMaintainer(g, p)
 	st := m.ApplyConnections([]Edge{{U: "u2", V: "u3", W: 1}}) // 1 <= w
 	if st.Unions != 0 || st.Splits != 0 {
 		t.Errorf("light edge caused unions=%d splits=%d", st.Unions, st.Splits)
@@ -364,10 +412,7 @@ func TestMaintainerLightConnectionNoUnion(t *testing.T) {
 func TestMaintainerNewUserAssignment(t *testing.T) {
 	g := paperExampleGraph()
 	p := ExtractSubCommunities(g, 2)
-	assigned := map[string]int{}
-	m := NewMaintainer(g, p, Hooks{
-		AssignUser: func(u string, c int) { assigned[u] = c },
-	})
+	m := NewMaintainer(g, p)
 	st := m.ApplyConnections([]Edge{
 		{U: "newbie", V: "u5", W: 1},
 		{U: "chain", V: "newbie", W: 1},
@@ -381,15 +426,52 @@ func TestMaintainerNewUserAssignment(t *testing.T) {
 	if cno(p, "chain") != cno(p, "newbie") {
 		t.Error("chained new user should follow its neighbour")
 	}
-	if assigned["newbie"] != cno(p, "newbie") {
-		t.Error("AssignUser hook saw a different community")
+	// Assignment order: "chain" sorts first but waits for "newbie".
+	if want := []string{"newbie", "chain"}; !slices.Equal(m.Entered(), want) {
+		t.Errorf("Entered = %v, want %v", m.Entered(), want)
+	}
+	if want := []int{cno(p, "u5")}; !slices.Equal(m.Touched(), want) {
+		t.Errorf("Touched = %v, want %v", m.Touched(), want)
+	}
+}
+
+// New users minted in one pass are assigned in name order, so a journal
+// replay reproduces the live run whatever order the batch minted them in.
+// Here "na" < "nb" are minted nb first and joined by a weight-2 edge; "na"
+// hangs off u2's community C1 and "nb" off u5's C2 by weight-1 edges. In
+// name order "na" joins C1 and "nb" follows its heavier neighbour "na"; in
+// mint or reverse order both would join C2.
+func TestMaintainerNewUsersAssignedInNameOrder(t *testing.T) {
+	g := paperExampleGraph()
+	p := ExtractSubCommunities(g, 2) // w = 2: no edge below unions
+	c1, c2 := cno(p, "u2"), cno(p, "u5")
+	if c1 == c2 {
+		t.Fatal("setup: u2 and u5 should start in different communities")
+	}
+	m := NewMaintainer(g, p)
+	st := m.ApplyConnections([]Edge{
+		{U: "nb", V: "u5", W: 1},
+		{U: "na", V: "nb", W: 2},
+		{U: "na", V: "u2", W: 1},
+	})
+	if st.NewUsersAssigned != 2 || st.Unions != 0 || st.Splits != 0 {
+		t.Fatalf("pass %+v, want two first assignments and no union or split", st)
+	}
+	if cno(p, "na") != c1 || cno(p, "nb") != c1 {
+		t.Errorf("na in %d, nb in %d; name order puts both in C1 = %d (C2 = %d)", cno(p, "na"), cno(p, "nb"), c1, c2)
+	}
+	if want := []string{"na", "nb"}; !slices.Equal(m.Entered(), want) {
+		t.Errorf("Entered = %v, want %v", m.Entered(), want)
+	}
+	if want := []int{c1}; !slices.Equal(m.Touched(), want) {
+		t.Errorf("Touched = %v, want %v", m.Touched(), want)
 	}
 }
 
 func TestMaintainerIsolatedNewUserStaysOut(t *testing.T) {
 	g := paperExampleGraph()
 	p := ExtractSubCommunities(g, 2)
-	m := NewMaintainer(g, p, Hooks{})
+	m := NewMaintainer(g, p)
 	st := m.ApplyConnections([]Edge{{U: "lost1", V: "lost2", W: 1}})
 	if st.NewUsersAssigned != 0 {
 		t.Errorf("NewUsersAssigned = %d, want 0", st.NewUsersAssigned)
@@ -412,7 +494,7 @@ func TestMaintainerSplitRestoresK(t *testing.T) {
 	if cno(p, "a1") == cno(p, "b1") {
 		t.Fatal("setup: clusters should start separated")
 	}
-	m := NewMaintainer(g, p, Hooks{})
+	m := NewMaintainer(g, p)
 	st := m.ApplyConnections([]Edge{{U: "a1", V: "b3", W: 9}})
 	if st.Unions != 1 {
 		t.Fatalf("Unions = %d, want 1", st.Unions)
@@ -455,7 +537,7 @@ func TestPropertyMaintenanceWellFormed(t *testing.T) {
 		g := randomGraph(rng, users, 20+rng.Intn(40))
 		k := 2 + rng.Intn(5)
 		p := ExtractSubCommunities(g, k)
-		m := NewMaintainer(g, p, Hooks{})
+		m := NewMaintainer(g, p)
 		for round := 0; round < 3; round++ {
 			var batch []Edge
 			for e := 0; e < rng.Intn(10); e++ {
@@ -496,7 +578,7 @@ func BenchmarkApplyConnections(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := randomGraph(rng, 1000, 5000)
 	p := ExtractSubCommunities(g, 60)
-	m := NewMaintainer(g, p, Hooks{})
+	m := NewMaintainer(g, p)
 	batch := make([]Edge, 100)
 	for i := range batch {
 		batch[i] = Edge{

@@ -3,6 +3,8 @@ package community
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -145,33 +147,16 @@ func TestGraphMatchesShadowMap(t *testing.T) {
 	}
 }
 
-// hookCall records one maintenance hook invocation for sequence comparison.
-type hookCall struct {
-	kind string
-	user string
-	a, b int
-}
-
-func recordingHooks(calls *[]hookCall) Hooks {
-	return Hooks{
-		AssignUser: func(u string, cno int) {
-			*calls = append(*calls, hookCall{kind: "assign", user: u, a: cno})
-		},
-		ReplaceCommunity: func(old, new int) {
-			*calls = append(*calls, hookCall{kind: "replace", a: old, b: new})
-		},
-		TouchDimensions: func(ids ...int) {
-			for _, d := range ids {
-				*calls = append(*calls, hookCall{kind: "touch", a: d})
-			}
-		},
-	}
+// passReport is what one maintenance pass reported it changed.
+type passReport struct {
+	Touched []int
+	Entered []string
 }
 
 // maintScenario replays a randomized multi-batch maintenance run — new
 // users, repeat edges, union-weight bridges — and returns the final
-// partition, per-batch stats and the full hook call sequence.
-func maintScenario(seed int64) (map[string]int, []Stats, []hookCall) {
+// partition, per-batch stats and each batch's touched and entered sets.
+func maintScenario(seed int64) (map[string]int, []Stats, []passReport) {
 	rng := rand.New(rand.NewSource(seed))
 	audiences := map[string][]string{}
 	for v := 0; v < 12; v++ {
@@ -184,10 +169,10 @@ func maintScenario(seed int64) (map[string]int, []Stats, []hookCall) {
 	}
 	g := BuildUIG(audiences)
 	p := ExtractSubCommunities(g, 4)
-	var calls []hookCall
-	m := NewMaintainer(g, p, recordingHooks(&calls))
+	m := NewMaintainer(g, p)
 
 	var stats []Stats
+	var reports []passReport
 	for batch := 0; batch < 6; batch++ {
 		var edges []Edge
 		for i := 0; i < 10; i++ {
@@ -205,21 +190,23 @@ func maintScenario(seed int64) (map[string]int, []Stats, []hookCall) {
 			})
 		}
 		stats = append(stats, m.ApplyConnections(edges))
+		reports = append(reports, passReport{slices.Clone(m.Touched()), slices.Clone(m.Entered())})
 	}
-	return m.Partition().AssignMap(), stats, calls
+	return m.Partition().AssignMap(), stats, reports
 }
 
 // TestMaintenanceInvariantUnderCompaction runs the same maintenance scenario
 // with compaction forced after every insert and with compaction disabled:
-// partitions, per-batch stats and the exact hook call sequences must match.
+// partitions, per-batch stats and each batch's reported touched and entered
+// sets must match.
 // Compaction is a pure representation change; any divergence here means the
 // overlay and the CSR base disagree about the graph.
 func TestMaintenanceInvariantUnderCompaction(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		withCompactTrigger(t, neverCompact)
-		assignNever, statsNever, callsNever := maintScenario(seed)
+		assignNever, statsNever, reportsNever := maintScenario(seed)
 		withCompactTrigger(t, alwaysCompact)
-		assignAlways, statsAlways, callsAlways := maintScenario(seed)
+		assignAlways, statsAlways, reportsAlways := maintScenario(seed)
 
 		if len(assignNever) != len(assignAlways) {
 			t.Fatalf("seed %d: assigned %d users vs %d", seed, len(assignNever), len(assignAlways))
@@ -232,22 +219,25 @@ func TestMaintenanceInvariantUnderCompaction(t *testing.T) {
 		if fmt.Sprint(statsNever) != fmt.Sprint(statsAlways) {
 			t.Fatalf("seed %d: stats diverge:\n%v\n%v", seed, statsNever, statsAlways)
 		}
-		if len(callsNever) != len(callsAlways) {
-			t.Fatalf("seed %d: %d hook calls vs %d", seed, len(callsNever), len(callsAlways))
+		if !reflect.DeepEqual(reportsNever, reportsAlways) {
+			t.Fatalf("seed %d: reported sets diverge:\n%+v\n%+v", seed, reportsNever, reportsAlways)
 		}
-		for i := range callsNever {
-			if callsNever[i] != callsAlways[i] {
-				t.Fatalf("seed %d: hook call %d = %+v vs %+v", seed, i, callsNever[i], callsAlways[i])
-			}
-		}
-		// Sanity: the scenario must actually exercise unions and splits.
-		unions, splits := 0, 0
-		for _, st := range statsNever {
+		// Sanity: the scenario must actually exercise unions, splits and
+		// first assignments, and each pass reports what it changed.
+		unions, splits, entered := 0, 0, 0
+		for i, st := range statsNever {
 			unions += st.Unions
 			splits += st.Splits
+			entered += len(reportsNever[i].Entered)
+			if len(reportsNever[i].Entered) != st.NewUsersAssigned {
+				t.Fatalf("seed %d batch %d: %d users entered, stats count %d", seed, i, len(reportsNever[i].Entered), st.NewUsersAssigned)
+			}
+			if st.Unions+st.Splits+st.NewUsersAssigned > 0 && len(reportsNever[i].Touched) == 0 {
+				t.Fatalf("seed %d batch %d: pass %+v touched no dimension", seed, i, st)
+			}
 		}
-		if unions == 0 || splits == 0 {
-			t.Fatalf("seed %d: scenario exercised %d unions, %d splits — wants both > 0", seed, unions, splits)
+		if unions == 0 || splits == 0 || entered == 0 {
+			t.Fatalf("seed %d: scenario exercised %d unions, %d splits, %d first assignments — wants all > 0", seed, unions, splits, entered)
 		}
 	}
 }
@@ -264,7 +254,7 @@ func steadyStateFixture() (*Maintainer, []Edge) {
 	}
 	g := BuildUIG(audiences)
 	p := ExtractSubCommunities(g, 2)
-	m := NewMaintainer(g, p, Hooks{})
+	m := NewMaintainer(g, p)
 	edges := []Edge{
 		{U: "c0-a", V: "c0-b", W: 1},
 		{U: "c1-b", V: "c1-c", W: 1},
@@ -321,7 +311,7 @@ func BenchmarkUnionSplitCycle(b *testing.B) {
 	// weight-6 bridge exceeds it (union), yet the accumulated bridge stays
 	// the lightest intra edge by far (split cuts it, restoring the clusters).
 	p := NewPartition(g.UserTable(), 2, 2, 5, assign)
-	m := NewMaintainer(g, p, Hooks{})
+	m := NewMaintainer(g, p)
 	bridge := []Edge{{U: "c0-u0", V: "c1-u0", W: 6}}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -70,10 +70,6 @@ func NewGraph() *Graph {
 // this graph shares it.
 func (g *Graph) UserTable() *UserTable { return g.users }
 
-// MarkUsersShared flags the intern table as published: the next minted user
-// id copies the table first so frozen readers are unaffected.
-func (g *Graph) MarkUsersShared() { g.users.MarkShared() }
-
 // internUser resolves a name to its dense id, minting (with copy-on-write
 // when the table is shared) if new. The empty string must never reach this.
 func (g *Graph) internUser(name string) (uint32, bool) {

@@ -7,23 +7,6 @@ import (
 	"strings"
 )
 
-// Hooks let the maintenance algorithm patch the structures that depend on
-// the partition — the chained hash index and the video descriptor vectors —
-// exactly as lines 9–10 and 19–20 of Figure 5 require. Nil hooks are
-// skipped.
-type Hooks struct {
-	// AssignUser is called when a user enters a sub-community for the first
-	// time or moves to another one (hash-table Insert / cno rewrite).
-	AssignUser func(user string, cno int)
-	// ReplaceCommunity is called on a union: every member of community old
-	// is now in community new (hash-table ReplaceCno).
-	ReplaceCommunity func(old, new int)
-	// TouchDimensions is called with every sub-community id whose membership
-	// changed; videos whose descriptors use these dimensions must be
-	// re-vectorized.
-	TouchDimensions func(ids ...int)
-}
-
 // Stats summarizes one maintenance pass; it carries the quantities of the
 // cost model of Equation 8.
 type Stats struct {
@@ -40,19 +23,27 @@ type Stats struct {
 // owns the UIG and the partition it was built with; the caller streams new
 // connections through ApplyConnections.
 //
+// A pass reports what it changed rather than patching dependants itself:
+// Touched and Entered name the dimensions and users whose descriptor
+// vectors the caller must re-derive (lines 9–10 and 19–20 of Figure 5). The
+// partition is the only user → sub-community map, so nothing else needs
+// patching.
+//
 // All pass-local state (community sizes, the live-id set, new-user queues,
-// the induced subgraph a split extracts over) lives in pooled scratch
-// buffers: a steady-state pass — existing users, weights at or below the
-// union threshold — allocates nothing (pinned by an AllocsPerRun test).
+// the touched and entered sets, the induced subgraph a split extracts over)
+// lives in pooled scratch buffers: a steady-state pass — existing users,
+// weights at or below the union threshold — allocates nothing (pinned by an
+// AllocsPerRun test).
 type Maintainer struct {
-	g     *Graph
-	p     *Partition
-	hooks Hooks
-	free  []int // sub-community ids released by unions, reused by splits
+	g    *Graph
+	p    *Partition
+	free []int // sub-community ids released by unions, reused by splits
 
 	// Pooled pass scratch.
 	sizes    []int32  // community id → member count
 	newUsers []uint32 // dense ids minted by the current pass
+	touched  []int    // sub-community ids whose membership the pass changed
+	entered  []string // users the pass gave a first sub-community, in assignment order
 	split    splitScratch
 }
 
@@ -74,8 +65,8 @@ type splitEdge struct {
 }
 
 // NewMaintainer wraps a graph and its partition for incremental updates.
-func NewMaintainer(g *Graph, p *Partition, hooks Hooks) *Maintainer {
-	return &Maintainer{g: g, p: p, hooks: hooks}
+func NewMaintainer(g *Graph, p *Partition) *Maintainer {
+	return &Maintainer{g: g, p: p}
 }
 
 // Partition returns the live partition (mutated by ApplyConnections).
@@ -90,6 +81,17 @@ func (m *Maintainer) SetPartition(p *Partition) { m.p = p }
 // Graph returns the live UIG (mutated by ApplyConnections).
 func (m *Maintainer) Graph() *Graph { return m.g }
 
+// Touched returns the sub-community ids whose membership the latest
+// ApplyConnections changed, ascending and each once: the dimensions of
+// every video descriptor that pass may have altered. The slice is reused by
+// the next pass.
+func (m *Maintainer) Touched() []int { return m.touched }
+
+// Entered returns the users the latest ApplyConnections gave their first
+// sub-community, in assignment order. Users a split moves are never in it.
+// The slice is reused by the next pass.
+func (m *Maintainer) Entered() []string { return m.entered }
+
 // ApplyConnections performs one maintenance pass over a batch of new social
 // connections (Figure 5):
 //
@@ -99,12 +101,13 @@ func (m *Maintainer) Graph() *Graph { return m.g }
 //     (absorbing the smaller into the larger, freeing the absorbed id);
 //  3. while fewer than k sub-communities remain, the community holding the
 //     lightest internal edge is split in two (reusing a freed id);
-//  4. the hash index and descriptor hooks are invoked for every change, and
-//     w is re-derived for the next period.
+//  4. the changed dimensions and first-time users are recorded for
+//     Touched and Entered; w keeps its extraction-time value.
 func (m *Maintainer) ApplyConnections(edges []Edge) Stats {
 	var st Stats
 	st.NewConnections = len(edges)
 	w := m.p.LightestIntra
+	m.touched, m.entered = m.touched[:0], m.entered[:0]
 
 	// Step 1: merge connections into the UIG, remembering new users. Edge
 	// names are interned once here; everything after runs on dense ids.
@@ -160,23 +163,10 @@ func (m *Maintainer) ApplyConnections(edges []Edge) Stats {
 	// every fandom a single shared video connects (observed as a partition
 	// collapse after two update rounds). The separating threshold the
 	// extraction established is the meaningful "lightest edge of the
-	// original sub-communities" of §4.2.4. LightestIntraEdge remains
-	// available to callers that rebuild from scratch.
+	// original sub-communities" of §4.2.4.
+	slices.Sort(m.touched)
+	m.touched = slices.Compact(m.touched)
 	return st
-}
-
-// LightestIntraEdge recomputes the lightest edge weight inside any current
-// sub-community. It is informational: ApplyConnections deliberately keeps
-// the extraction-time w as its union threshold.
-func (m *Maintainer) LightestIntraEdge() float64 {
-	lightest := math.Inf(1)
-	m.g.eachEdgeDense(func(iu, iv uint32, w float64) {
-		cu, cv := m.p.lookupDense(iu), m.p.lookupDense(iv)
-		if cu >= 0 && cu == cv && w < lightest {
-			lightest = w
-		}
-	})
-	return lightest
 }
 
 // assignNewUsers attaches the pass's minted users to the sub-community of
@@ -219,12 +209,8 @@ func (m *Maintainer) assignNewUsers() int {
 			})
 			if bestC >= 0 {
 				m.p.assign[u] = bestC
-				if m.hooks.AssignUser != nil {
-					m.hooks.AssignUser(names.Name(u), int(bestC))
-				}
-				if m.hooks.TouchDimensions != nil {
-					m.hooks.TouchDimensions(int(bestC))
-				}
+				m.entered = append(m.entered, names.Name(u))
+				m.touched = append(m.touched, int(bestC))
 				assigned++
 				progress = true
 			}
@@ -269,12 +255,7 @@ func (m *Maintainer) union(a, b int, st *Stats) {
 	st.Unions++
 	st.UnionSizes = append(st.UnionSizes, moved)
 	st.UsersMoved += moved
-	if m.hooks.ReplaceCommunity != nil {
-		m.hooks.ReplaceCommunity(b, a)
-	}
-	if m.hooks.TouchDimensions != nil {
-		m.hooks.TouchDimensions(a, b)
-	}
+	m.touched = append(m.touched, a, b)
 }
 
 // splitLightest splits the sub-community containing the globally lightest
@@ -343,9 +324,6 @@ func (m *Maintainer) splitLightest(st *Stats) bool {
 	for li, gi := range s.members {
 		if sub[li] >= 1 {
 			m.p.assign[gi] = int32(newID)
-			if m.hooks.AssignUser != nil {
-				m.hooks.AssignUser(names.Name(gi), newID)
-			}
 			moved++
 		}
 	}
@@ -357,9 +335,7 @@ func (m *Maintainer) splitLightest(st *Stats) bool {
 	st.Splits++
 	st.SplitSizes = append(st.SplitSizes, len(s.members))
 	st.UsersMoved += moved
-	if m.hooks.TouchDimensions != nil {
-		m.hooks.TouchDimensions(target, newID)
-	}
+	m.touched = append(m.touched, target, newID)
 	return true
 }
 

@@ -34,9 +34,6 @@ func (t *UserTable) Len() int { return len(t.names) }
 // Name returns the user name for a dense id.
 func (t *UserTable) Name(i uint32) string { return t.names[i] }
 
-// Names returns the dense id → name slice. Callers must not modify it.
-func (t *UserTable) Names() []string { return t.names }
-
 // Lookup resolves a user name to its dense id.
 func (t *UserTable) Lookup(name string) (uint32, bool) {
 	i, ok := t.idx[name]

@@ -1,7 +1,7 @@
 // Package core assembles the paper's contribution: the multiple
 // feature-based recommender of §4 — cuboid-signature content relevance (κJ),
 // social relevance (sJ / s̃J), the fusion FJ = (1−ω)·κJ + ω·sJ (Equation 9),
-// the SAR and chained-hash optimizations, the KNN search of Figure 6, and
+// the SAR and hashed-dictionary optimizations, the KNN search of Figure 6, and
 // the incremental social-updates path of Figure 5.
 //
 // The package is split along the read/write axis: Recommender is the
@@ -36,7 +36,6 @@ type Options struct {
 	Sig signature.Options
 	LSB index.LSBOptions
 
-	HashBuckets    int // chained hash table size
 	UIGMaxAudience int // cap on per-video audience during UIG construction
 	MinUserVideos  int // UIG dictionary ignores users seen on fewer videos
 	ContentProbe   int // LCP walker pops per recommendation
@@ -63,7 +62,6 @@ func DefaultOptions() Options {
 		MatchThreshold: signature.DefaultMatchThreshold,
 		Sig:            signature.DefaultOptions(),
 		LSB:            index.DefaultLSBOptions(),
-		HashBuckets:    1 << 12,
 		UIGMaxAudience: 50,
 		MinUserVideos:  2,
 		ContentProbe:   512,
@@ -190,9 +188,6 @@ func NewRecommender(opts Options) *Recommender {
 	}
 	if opts.Omega > 1 {
 		opts.Omega = 1
-	}
-	if opts.HashBuckets < 1 {
-		opts.HashBuckets = 1 << 12
 	}
 	if opts.UIGMaxAudience < 2 {
 		opts.UIGMaxAudience = 50
@@ -365,8 +360,8 @@ func (r *Recommender) Record(id string) (*Record, bool) { return r.state.Record(
 func (r *Recommender) Partition() *community.Partition { return r.state.part }
 
 // BuildSocial constructs the social machinery over everything ingested:
-// the user interest graph, the k sub-communities (Figure 3), the chained
-// hash dictionary, per-video descriptor vectors, and the inverted files.
+// the user interest graph, the k sub-communities (Figure 3), per-video
+// descriptor vectors, and the inverted files.
 // It must be called before Recommend and before ApplyUpdates.
 func (r *Recommender) BuildSocial() {
 	r.UseSocial(NewSocial(r.opts, r.CollectAudiences()))
@@ -485,7 +480,7 @@ func (r *Recommender) vectorizeAll() {
 			continue
 		}
 		cp := *rec
-		cp.Vec = social.Vectorize(cp.Desc, s.table.Lookup, s.part.Dim)
+		cp.Vec = social.Vectorize(cp.Desc, s.part.Lookup, s.part.Dim)
 		s.setRecord(uint32(i), &cp)
 		s.inv.Add(uint32(i), cp.Vec)
 	}

@@ -128,7 +128,7 @@ func TestRecommendFindsNearDuplicate(t *testing.T) {
 }
 
 // CSF-SAR and CSF-SAR-H compute the same s̃J through different user
-// dictionaries: the engine's chained hash table must rank exactly as the
+// dictionaries: the engine's hashed partition lookup must rank exactly as the
 // oracle's linear dictionary scan does over the engine's own records and
 // partition (the corpus is small enough that no candidate budget binds).
 func TestSARModesAgreeOnScores(t *testing.T) {

@@ -263,7 +263,7 @@ func TestRecommendCtxInjectedFault(t *testing.T) {
 }
 
 func TestOptionsClamping(t *testing.T) {
-	r := NewRecommender(Options{Omega: -2, K: -1, HashBuckets: -1})
+	r := NewRecommender(Options{Omega: -2, K: -1})
 	o := r.Options()
 	if o.Omega != 0 {
 		t.Errorf("Omega = %g, want clamped to 0", o.Omega)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -108,13 +107,13 @@ func TestPublishCostIndependentOfCorpus(t *testing.T) {
 
 // scanTouched is the scan the posting-list walk replaced: every record, every
 // touched dimension.
-func scanTouched(v *View, touched map[int]bool) []uint32 {
+func scanTouched(v *View, touched []int) []uint32 {
 	var out []uint32
 	for i, rec := range v.recs.All() {
 		if rec == nil {
 			continue
 		}
-		for d := range touched {
+		for _, d := range touched {
 			if d < len(rec.Vec) && rec.Vec[d] > 0 {
 				out = append(out, uint32(i))
 				break
@@ -155,7 +154,7 @@ func TestTouchedPostingsMatchRecordScan(t *testing.T) {
 		rep := r.ApplyUpdates(batch)
 		unions += rep.Maintenance.Unions
 		splits += rep.Maintenance.Splits
-		touched := r.social.touched // what the maintenance pass just reported
+		touched := r.social.maint.Touched() // what the maintenance pass just reported
 
 		// The selection ApplyEdges made, recomputed on the state it saw.
 		walked := pre.touchedPostings(touched)
@@ -164,7 +163,7 @@ func TestTouchedPostingsMatchRecordScan(t *testing.T) {
 		scanned := scanTouched(pre, touched)
 		if !slices.Equal(walked, scanned) {
 			t.Fatalf("step %d, touched %v: posting walk selects %v, record scan %v",
-				step, slices.Sorted(maps.Keys(touched)), walked, scanned)
+				step, touched, walked, scanned)
 		}
 		commented := 0
 		for id := range batch {
@@ -181,7 +180,7 @@ func TestTouchedPostingsMatchRecordScan(t *testing.T) {
 		// And the invariant it rests on, dimension by dimension, afterwards.
 		post := r.Freeze()
 		for d := 0; d < post.inv.Dims(); d++ {
-			if got, want := post.inv.Postings(d), scanTouched(post, map[int]bool{d: true}); !slices.Equal(got, want) {
+			if got, want := post.inv.Postings(d), scanTouched(post, []int{d}); !slices.Equal(got, want) {
 				t.Fatalf("step %d: dimension %d posts %v, records with Vec[%d] > 0 are %v", step, d, got, d, want)
 			}
 		}

@@ -65,7 +65,7 @@ func serialRestore(t *testing.T, s *Snapshot) *Recommender {
 		r.IngestSeries(id, rs.Series, social.NewDescriptor("", rs.Users...))
 	}
 	g := community.GraphFromEdges(s.GraphUsers, s.GraphEdges)
-	r.UseSocial(newSocial(r.opts, g, community.NewPartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign)))
+	r.UseSocial(newSocial(g, community.NewPartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign)))
 	return r
 }
 

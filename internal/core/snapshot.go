@@ -14,9 +14,9 @@ import (
 
 // Snapshot is the recommender's complete persistent state: everything needed
 // to rebuild the indexes deterministically and to keep applying incremental
-// social updates after a reload. The LSB tree, hash table, descriptor
-// vectors and inverted files are all derived state and are reconstructed on
-// load rather than stored.
+// social updates after a reload. The LSB tree, descriptor vectors and
+// inverted files are all derived state and are reconstructed on load rather
+// than stored.
 type Snapshot struct {
 	Options Options
 	Records []RecordSnapshot
@@ -96,10 +96,12 @@ func (r *Recommender) Snapshot() *Snapshot {
 // Snapshots from before the engine had one serving mode may carry the
 // options that selected the others: the social-relevance mode and the
 // content-only, social-only and full-scan switches. Gob drops unknown fields
-// silently, so such a snapshot loads and serves SAR-H (the chained hash
+// silently, so such a snapshot loads and serves SAR-H (the hashed user
 // dictionary) at its stored ω: one saved in exact-sJ (CSF) or CSF-SAR mode
 // now serves SAR-H, and one saved with the content-only or social-only
 // switch serves the fused ranking at its stored ω, not one relevance alone.
+// Snapshots from before the partition was the only user dictionary carry a
+// HashBuckets option, which gob drops the same way.
 func FromSnapshot(s *Snapshot) (*Recommender, error) {
 	recs, err := s.inOrder()
 	if err != nil {
@@ -116,7 +118,7 @@ func FromSnapshot(s *Snapshot) (*Recommender, error) {
 		defer close(restored)
 		if s.Built {
 			g := community.GraphFromEdges(s.GraphUsers, s.GraphEdges)
-			soc = newSocial(r.opts, g, community.NewPartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign))
+			soc = newSocial(g, community.NewPartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign))
 		}
 	}()
 	prep := prepareAll(r.state.lsb, recs)

@@ -10,7 +10,6 @@ import (
 	"videorec/internal/bitset"
 	"videorec/internal/btree"
 	"videorec/internal/community"
-	"videorec/internal/hashing"
 	"videorec/internal/index"
 	"videorec/internal/signature"
 	"videorec/internal/social"
@@ -27,7 +26,7 @@ func hashID(id string) uint64 { return maphash.String(idSeed, id) }
 // View is the frozen, immutable state one recommendation query needs: the
 // signature series and social descriptors of every stored video, the LSB
 // content index, the inverted files, the SAR descriptor vectors, the
-// sub-community partition and the chained hash table. A View is built by
+// sub-community partition. A View is built by
 // the write-side Recommender and published to readers, after which nothing
 // reachable from it is ever mutated — any number of goroutines may call its
 // query methods concurrently without locking.
@@ -35,7 +34,7 @@ func hashID(id string) uint64 { return maphash.String(idSeed, id) }
 // The write side enforces this with copy-on-write at the grain of a write:
 // once a View has been handed out by Freeze, the next mutation moves to a
 // clone that shares every structure with it (see clone), and each write
-// copies just the tree node, hash chain, posting list or record it changes,
+// copies just the tree node, posting list, page or record it changes,
 // so the published View keeps answering queries from the state it froze.
 type View struct {
 	opts Options
@@ -59,10 +58,9 @@ type View struct {
 	lsb *index.LSB
 	inv *index.Inverted
 
-	// The social state's partition and table as of the last adoptSocial:
-	// shared with the Social, which copies them before it changes them.
-	table *hashing.Table
-	part  *community.Partition
+	// The social state's partition as of the last adoptSocial: shared with
+	// the Social, which clones it before it changes it.
+	part *community.Partition
 
 	tombstones bitset.Set // removed videos with LSB entries pending compaction
 	tombCount  int
@@ -90,8 +88,8 @@ func (v *View) newPools() {
 // corpus: the LSB trees, the id index, the posting lists and the pages of
 // the id, record, mass, envelope and sketch tables are handed over as they
 // are, and a later write copies the node, list or page it lands in; records
-// are replaced, never edited (see Record). The partition and hash table
-// belong to the Social, which copies them at the start of its next pass.
+// are replaced, never edited (see Record). The partition belongs to the
+// Social, which clones it at the start of its next pass.
 // What is still copied flat is the tombstone bitset (one bit per clip). The
 // write side calls this exactly once per freeze→mutate transition.
 func (v *View) clone() *View {
@@ -106,7 +104,6 @@ func (v *View) clone() *View {
 		live:       v.live,
 		nextSeq:    v.nextSeq,
 		lsb:        v.lsb.Clone(),
-		table:      v.table,
 		part:       v.part,
 		tombstones: v.tombstones.Clone(),
 		tombCount:  v.tombCount,
@@ -119,10 +116,9 @@ func (v *View) clone() *View {
 	return nv
 }
 
-// adoptSocial points the view at the social state's current partition and
-// table.
+// adoptSocial points the view at the social state's current partition.
 func (v *View) adoptSocial(s *Social) {
-	v.part, v.table = s.part, s.table
+	v.part = s.part
 }
 
 // index resolves a video id to its dense index.

@@ -113,7 +113,7 @@ func captureFrozen(t *testing.T, v *View, users, queries []string) frozenState {
 		st.Vecs[id] = slices.Clone(rec.Vec)
 	}
 	for _, u := range users {
-		if cno, ok := v.table.Lookup(u); ok {
+		if cno, ok := v.part.Lookup(u); ok {
 			st.Look[u] = cno
 		}
 	}
@@ -201,7 +201,7 @@ func TestFrozenViewIsolatedFromMutations(t *testing.T) {
 		storm[id] = []string{a, b}
 	}
 	if rep := r.ApplyUpdates(storm); rep.Maintenance.Unions == 0 {
-		t.Fatal("comment storm caused no union; the table-rewrite path went untested")
+		t.Fatal("comment storm caused no union; the union path went untested")
 	}
 	check("ApplyUpdates with a union")
 	publish()

@@ -155,13 +155,3 @@ func LowerBound1D(v1, w1, v2, w2 []float64) float64 {
 	}
 	return math.Abs(m1 - m2)
 }
-
-// Similarity1D is a convenience wrapper returning SimC (Equation 3) for two
-// scalar-valued weighted point sets.
-func Similarity1D(v1, w1, v2, w2 []float64) (float64, error) {
-	d, err := Distance1D(v1, w1, v2, w2)
-	if err != nil {
-		return 0, err
-	}
-	return Similarity(d), nil
-}

@@ -7,7 +7,6 @@ import (
 
 	"videorec/internal/core"
 	"videorec/internal/dataset"
-	"videorec/internal/hashing"
 	"videorec/internal/oracle"
 	"videorec/internal/signature"
 	"videorec/internal/social"
@@ -120,7 +119,7 @@ func tunedOptions() core.Options {
 // exhaustive exact-sJ ranking. CSF-SAR is the engine plus the one thing its
 // dictionary changes on the query path: the measured per-query difference
 // between vectorizing the query's descriptor by a linear dictionary scan
-// (the oracle's) and by the chained hash table.
+// (the oracle's) and by the engine's own lookup, the partition's hash map.
 func (e *EfficiencyEnv) Fig12a() []TimeRow {
 	var csf, sar, sarh []TimeRow
 	for _, h := range e.Scale.EfficiencyHours {
@@ -135,13 +134,9 @@ func (e *EfficiencyEnv) Fig12a() []TimeRow {
 			o.Rank(q, opts.Omega, oracle.Exact, 20, src)
 		})
 
-		table := hashing.NewTable(opts.HashBuckets, 17)
-		for u, c := range part.AssignMap() {
-			table.Insert(u, c)
-		}
 		desc := func(src string) social.Descriptor { rec, _ := r.Record(src); return rec.Desc }
 		dict := millisPerQuery(col, func(src string) { o.Vectorize(desc(src), oracle.SARDictionary) })
-		hashed := millisPerQuery(col, func(src string) { social.Vectorize(desc(src), table.Lookup, part.Dim) })
+		hashed := millisPerQuery(col, func(src string) { social.Vectorize(desc(src), part.Lookup, part.Dim) })
 
 		csf = append(csf, TimeRow{Label: "CSF", Hours: h, MillisPerQuery: exact})
 		sar = append(sar, TimeRow{Label: "CSF-SAR", Hours: h, MillisPerQuery: engine + dict - hashed})

@@ -49,8 +49,8 @@ const (
 	// partition's assignment.
 	SAR Social = iota
 	// SARDictionary is s̃J with the query's users mapped by a linear scan of a
-	// (user, sub-community) dictionary: the vectorization the paper's chained
-	// hash table replaces (CSF-SAR). The dictionary maps every user as the
+	// (user, sub-community) dictionary: the vectorization the paper's hashed
+	// lookup replaces (CSF-SAR). The dictionary maps every user as the
 	// partition does, so the scores equal SAR's; only the cost differs.
 	SARDictionary
 	// Exact is the set Jaccard sJ, computed by the quadratic set comparison

@@ -9,7 +9,7 @@
 // corpus. Two properties carry that guarantee:
 //
 //   - The social machinery is global: every shard points at one social
-//     state (graph, partition, hash table, dictionary). Build builds it once
+//     state (graph, partition, maintainer). Build builds it once
 //     over the union of every shard's capped audience map; an update batch
 //     derives the whole corpus's edge list once, reading each commented
 //     video's audience on the shard that holds it, and runs the Figure 5

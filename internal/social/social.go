@@ -127,8 +127,8 @@ func Jaccard(a, b Descriptor) float64 {
 type Vector []float64
 
 // Lookup resolves a user id to its sub-community id; the boolean reports
-// whether the user is known. In production this is the chained hash table of
-// package hashing; tests may use a plain map.
+// whether the user is known. In production this is the partition's hashed
+// lookup (community.Partition.Lookup); tests may use a plain map.
 type Lookup func(user string) (cno int, ok bool)
 
 // Vectorize converts a descriptor into its k-dimensional sub-community

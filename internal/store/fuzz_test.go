@@ -64,8 +64,7 @@ func FuzzReplayJournal(f *testing.F) {
 		f.Add(b[:len(b)-4])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReplayJournal(bytes.NewReader(data), func(map[string][]string) error { return nil })
-		_, _ = ReplayJournalSeq(bytes.NewReader(data), func(uint64, map[string][]string) error { return nil })
+		_, _ = ReplayJournalEntries(bytes.NewReader(data), func(uint64, map[string][]string, []Edge) error { return nil })
 	})
 }
 

@@ -222,19 +222,10 @@ func (j *Journal) AppendEntry(comments map[string][]string, edges []byte) error 
 	return j.appendLocked(j.seq+1, comments, edges)
 }
 
-// AppendAt logs one batch under an explicit sequence number — the replica
-// side of journal shipping, where the primary assigned the sequence. The
-// number must extend the log contiguously; callers deduplicate already-seen
-// sequences before appending.
-func (j *Journal) AppendAt(seq uint64, comments map[string][]string) error {
-	if len(comments) == 0 {
-		return nil
-	}
-	return j.AppendEntryAt(seq, comments, nil)
-}
-
-// AppendEntryAt is AppendEntry under an explicit (primary-assigned)
-// sequence number; see AppendAt for the contiguity contract.
+// AppendEntryAt is AppendEntry under an explicit sequence number — the
+// replica side of journal shipping, where the primary assigned the
+// sequence. The number must extend the log contiguously; callers
+// deduplicate already-seen sequences before appending.
 func (j *Journal) AppendEntryAt(seq uint64, comments map[string][]string, edges []byte) error {
 	if len(comments) == 0 && len(edges) == 0 {
 		return nil
@@ -375,28 +366,14 @@ func (j *Journal) Close() error {
 	return nil
 }
 
-// ReplayJournal streams every batch of a journal to fn in append order. A
+// ReplayJournalEntries streams every batch of a journal to fn in append
+// order: each batch's sequence number (what restart paths use to restore
+// their replication cursor), comments, and — for shard journals — the
+// derived edge list it was appended with. Edge-less (v1/v2) records replay
+// with nil edges; compaction markers are skipped (they carry no batch). A
 // truncated or corrupt trailing line (crash mid-append) is tolerated and
 // skipped; corruption elsewhere — including a per-record checksum mismatch
 // — is an error. Legacy checksum-less records replay without verification.
-func ReplayJournal(r io.Reader, fn func(comments map[string][]string) error) (int, error) {
-	return ReplayJournalSeq(r, func(_ uint64, comments map[string][]string) error {
-		return fn(comments)
-	})
-}
-
-// ReplayJournalSeq is ReplayJournal with each batch's sequence number —
-// what restart paths use to restore their replication cursor. Compaction
-// markers are skipped (they carry no batch).
-func ReplayJournalSeq(r io.Reader, fn func(seq uint64, comments map[string][]string) error) (int, error) {
-	return ReplayJournalEntries(r, func(seq uint64, comments map[string][]string, _ []Edge) error {
-		return fn(seq, comments)
-	})
-}
-
-// ReplayJournalEntries is the full-fidelity replay: each batch's sequence
-// number, comments, and — for shard journals — the derived edge list it was
-// appended with. Edge-less (v1/v2) records replay with nil edges.
 func ReplayJournalEntries(r io.Reader, fn func(seq uint64, comments map[string][]string, edges []Edge) error) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -439,7 +416,7 @@ func ReplayJournalEntries(r io.Reader, fn func(seq uint64, comments map[string][
 // journal at path, returning the number of bytes dropped. A missing file and
 // a clean journal both return 0. Corruption that is NOT confined to the
 // final record — a bad line with any data after it — is an error, exactly as
-// in ReplayJournal: repair must never silently discard valid batches. A
+// in ReplayJournalEntries: repair must never silently discard valid batches. A
 // complete final record whose checksum does not verify is treated the same
 // as a torn one: it cannot be distinguished from a partially flushed append
 // and the valid prefix is the log.
@@ -481,7 +458,7 @@ func RepairJournal(path string) (int64, error) {
 		}
 		switch {
 		case len(trimmed) == 0 && complete:
-			validEnd = offset // blank line: ReplayJournal skips these
+			validEnd = offset // blank line: ReplayJournalEntries skips these
 		case parses:
 			validEnd = offset
 		default:
@@ -504,24 +481,8 @@ func RepairJournal(path string) (int64, error) {
 	return dropped, nil
 }
 
-// ReplayJournalFile replays a journal from disk; a missing file replays
-// zero batches.
-func ReplayJournalFile(path string, fn func(comments map[string][]string) error) (int, error) {
-	return ReplayJournalFileSeq(path, func(_ uint64, comments map[string][]string) error {
-		return fn(comments)
-	})
-}
-
-// ReplayJournalFileSeq replays a journal from disk with sequence numbers; a
-// missing file replays zero batches.
-func ReplayJournalFileSeq(path string, fn func(seq uint64, comments map[string][]string) error) (int, error) {
-	return ReplayJournalFileEntries(path, func(seq uint64, comments map[string][]string, _ []Edge) error {
-		return fn(seq, comments)
-	})
-}
-
-// ReplayJournalFileEntries replays a journal from disk with sequence
-// numbers and edge lists; a missing file replays zero batches.
+// ReplayJournalFileEntries replays a journal from disk (see
+// ReplayJournalEntries); a missing file replays zero batches.
 func ReplayJournalFileEntries(path string, fn func(seq uint64, comments map[string][]string, edges []Edge) error) (int, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {

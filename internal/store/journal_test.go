@@ -30,7 +30,7 @@ func TestJournalAppendReplay(t *testing.T) {
 		t.Errorf("Entries = %d, want 2", j.Entries())
 	}
 	var got []map[string][]string
-	n, err := ReplayJournal(&buf, func(c map[string][]string) error {
+	n, err := ReplayJournalEntries(&buf, func(_ uint64, c map[string][]string, _ []Edge) error {
 		got = append(got, c)
 		return nil
 	})
@@ -64,7 +64,7 @@ func TestJournalToleratesTruncatedTail(t *testing.T) {
 	}
 	// Simulate a crash mid-append: half a second entry.
 	buf.WriteString(`{"seq":2,"comments":{"v2":[`)
-	n, err := ReplayJournal(&buf, func(map[string][]string) error { return nil })
+	n, err := ReplayJournalEntries(&buf, func(uint64, map[string][]string, []Edge) error { return nil })
 	if err != nil {
 		t.Fatalf("truncated tail should be tolerated: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestJournalRejectsMidstreamCorruption(t *testing.T) {
 garbage that is not json
 {"seq":3,"comments":{"v":["b"]}}
 `
-	_, err := ReplayJournal(strings.NewReader(data), func(map[string][]string) error { return nil })
+	_, err := ReplayJournalEntries(strings.NewReader(data), func(uint64, map[string][]string, []Edge) error { return nil })
 	if err == nil {
 		t.Error("midstream corruption accepted")
 	}
@@ -105,7 +105,7 @@ func TestJournalFileLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	j2.Close()
-	n, err := ReplayJournalFile(path, func(map[string][]string) error { return nil })
+	n, err := ReplayJournalFileEntries(path, func(uint64, map[string][]string, []Edge) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestJournalFileLifecycle(t *testing.T) {
 }
 
 func TestReplayJournalFileMissing(t *testing.T) {
-	n, err := ReplayJournalFile(filepath.Join(t.TempDir(), "absent.wal"), nil)
+	n, err := ReplayJournalFileEntries(filepath.Join(t.TempDir(), "absent.wal"), nil)
 	if err != nil || n != 0 {
 		t.Errorf("missing journal: n=%d err=%v", n, err)
 	}
@@ -127,7 +127,7 @@ func TestReplayCallbackErrorStops(t *testing.T) {
 	j.Append(map[string][]string{"v1": {"a"}})
 	j.Append(map[string][]string{"v2": {"b"}})
 	calls := 0
-	_, err := ReplayJournal(&buf, func(map[string][]string) error {
+	_, err := ReplayJournalEntries(&buf, func(uint64, map[string][]string, []Edge) error {
 		calls++
 		return os.ErrInvalid
 	})
@@ -178,7 +178,7 @@ func TestRepairJournalTruncatesTornTail(t *testing.T) {
 	}
 	j2.Append(map[string][]string{"v3": {"c"}})
 	j2.Close()
-	n, err := ReplayJournalFile(path, func(map[string][]string) error { return nil })
+	n, err := ReplayJournalFileEntries(path, func(uint64, map[string][]string, []Edge) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestJournalCRCDetectsFlippedByte(t *testing.T) {
 	if err := os.WriteFile(path, flip("alice"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReplayJournalFile(path, func(map[string][]string) error { return nil }); err == nil {
+	if _, err := ReplayJournalFileEntries(path, func(uint64, map[string][]string, []Edge) error { return nil }); err == nil {
 		t.Fatal("mid-file bit flip replayed silently")
 	}
 	if _, err := RepairJournal(path); err == nil {
@@ -280,7 +280,7 @@ func TestJournalCRCDetectsFlippedByte(t *testing.T) {
 	if err := os.WriteFile(path, flip("bobby"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	n, err := ReplayJournalFile(path, func(map[string][]string) error { return nil })
+	n, err := ReplayJournalFileEntries(path, func(uint64, map[string][]string, []Edge) error { return nil })
 	if err != nil || n != 1 {
 		t.Fatalf("tail bit flip: replayed %d batches, err %v; want the 1 valid prefix batch", n, err)
 	}
@@ -311,7 +311,7 @@ func TestReplayLegacyJournalWithoutCRC(t *testing.T) {
 	j.Close()
 
 	var seqs []uint64
-	n, err := ReplayJournalFileSeq(path, func(seq uint64, _ map[string][]string) error {
+	n, err := ReplayJournalFileEntries(path, func(seq uint64, _ map[string][]string, _ []Edge) error {
 		seqs = append(seqs, seq)
 		return nil
 	})

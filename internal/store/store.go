@@ -1,6 +1,6 @@
 // Package store persists recommender snapshots. The format is a small
 // versioned header followed by a gob-encoded core.Snapshot; everything
-// derived (LSB tree, hash table, vectors, inverted files) is rebuilt on
+// derived (LSB tree, vectors, inverted files) is rebuilt on
 // load, so files stay compact and forward motion on index internals never
 // invalidates stored data.
 package store

@@ -153,7 +153,7 @@ func TestOpenJournalContinuesSequence(t *testing.T) {
 	}
 	j2.Close()
 	var seqs []uint64
-	if _, err := ReplayJournalFileSeq(path, func(seq uint64, _ map[string][]string) error {
+	if _, err := ReplayJournalFileEntries(path, func(seq uint64, _ map[string][]string, _ []Edge) error {
 		seqs = append(seqs, seq)
 		return nil
 	}); err != nil {
@@ -174,10 +174,10 @@ func TestAppendAtRejectsGaps(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "w.wal")
 	j := writeBatches(t, path, 2)
 	defer j.Close()
-	if err := j.AppendAt(4, map[string][]string{"v": {"x"}}); err == nil {
+	if err := j.AppendEntryAt(4, map[string][]string{"v": {"x"}}, nil); err == nil {
 		t.Fatal("gap accepted")
 	}
-	if err := j.AppendAt(3, map[string][]string{"v": {"x"}}); err != nil {
+	if err := j.AppendEntryAt(3, map[string][]string{"v": {"x"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if j.Seq() != 3 {
@@ -196,7 +196,7 @@ func TestResetToStartsLogAtCursor(t *testing.T) {
 	if err := j.ResetTo(7); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendAt(8, map[string][]string{"v": {"u"}}); err != nil {
+	if err := j.AppendEntryAt(8, map[string][]string{"v": {"u"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

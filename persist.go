@@ -10,7 +10,7 @@ import (
 
 // Save serializes the engine's state — signatures, descriptors, the user
 // interest graph and the sub-community partition — to w, stamped with the
-// current view version. Derived structures (LSB tree, hash dictionary,
+// current view version. Derived structures (LSB tree, descriptor vectors,
 // inverted files) are rebuilt on Load, so snapshots stay compact. Save takes
 // the writer lock for a consistent cut of the build state; lock-free readers
 // keep serving the published view throughout.

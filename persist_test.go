@@ -421,7 +421,7 @@ func TestSaveFileKillDuringSnapshotRecovers(t *testing.T) {
 // switches on. Gob drops the unknown fields, so both load, and both serve
 // SAR-H at their stored ω over the same 9 clips. The first answers bit for
 // bit as the engine that saved it did (testdata/legacy_sar_fullscan.json,
-// written by that engine: its dictionary and the hash table map users alike,
+// written by that engine: its dictionary and the partition map users alike,
 // and the corpus is too small for a candidate budget to bind); the second,
 // whose engine answered nothing with both switches on, now answers as the
 // first.

@@ -25,17 +25,6 @@ var ErrReplicationGap = errors.New("videorec: replication sequence gap — re-bo
 // attached journal.
 var ErrNoJournal = errors.New("videorec: no journal attached")
 
-// ApplyReplicated applies one shipped journal batch under the primary's
-// sequence number. Delivery is at-least-once: a batch at or below the
-// current cursor is a duplicate and is skipped (returning false) — applying
-// is idempotent under redelivery. A batch that would leave a gap returns
-// ErrReplicationGap. When a local journal is attached the batch is appended
-// to it under the same sequence number before it is applied, so the replica
-// is itself crash-safe and can serve as a bootstrap source.
-func (e *Engine) ApplyReplicated(seq uint64, comments map[string][]string) (bool, error) {
-	return e.ApplyReplicatedEntry(seq, comments, nil)
-}
-
 // WriteReplicationSnapshot streams a bootstrap snapshot to w and returns the
 // cursor it covers: the view version and journal sequence number captured
 // atomically with the state. A replica that loads these bytes and then tails

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// ApplyReplicated is idempotent under at-least-once delivery: duplicates
+// ApplyReplicatedEntry is idempotent under at-least-once delivery: duplicates
 // are skipped, gaps are refused, and a journal-shipped replica ends bitwise
 // identical to the primary.
 func TestApplyReplicatedShipsJournal(t *testing.T) {
@@ -50,11 +50,11 @@ func TestApplyReplicatedShipsJournal(t *testing.T) {
 	// Ship with redelivery: every batch twice — duplicates must be skipped.
 	for i, b := range batches {
 		seq := cur.Seq + uint64(i) + 1
-		applied, err := replica.ApplyReplicated(seq, b)
+		applied, err := replica.ApplyReplicatedEntry(seq, b, nil)
 		if err != nil || !applied {
 			t.Fatalf("ship seq %d: applied=%v err=%v", seq, applied, err)
 		}
-		applied, err = replica.ApplyReplicated(seq, b)
+		applied, err = replica.ApplyReplicatedEntry(seq, b, nil)
 		if err != nil || applied {
 			t.Fatalf("duplicate seq %d: applied=%v err=%v, want skipped", seq, applied, err)
 		}
@@ -64,7 +64,7 @@ func TestApplyReplicatedShipsJournal(t *testing.T) {
 	}
 
 	// A gap cannot be applied.
-	if _, err := replica.ApplyReplicated(replica.AppliedSeq()+2, batches[0]); !errors.Is(err, ErrReplicationGap) {
+	if _, err := replica.ApplyReplicatedEntry(replica.AppliedSeq()+2, batches[0], nil); !errors.Is(err, ErrReplicationGap) {
 		t.Fatalf("gap error = %v, want ErrReplicationGap", err)
 	}
 
@@ -224,7 +224,7 @@ func TestSaveFileAndCompactThenReload(t *testing.T) {
 		t.Fatalf("reloaded version = %d, must advance past %d or match the snapshot", other.Version(), beforeVersion)
 	}
 	// Catch up the shipped tail and match the primary.
-	if _, err := other.ApplyReplicated(4, map[string][]string{src: {"post-compact"}}); err != nil {
+	if _, err := other.ApplyReplicatedEntry(4, map[string][]string{src: {"post-compact"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	a, _ := eng.Recommend(src, 10)

@@ -216,10 +216,17 @@ func (e *Engine) DeriveConnections(newComments map[string][]string) ([]community
 	return e.rec.DeriveConnections(newComments), nil
 }
 
-// ApplyReplicatedEntry is ApplyReplicated for shard-journal entries: a
-// shipped batch that carries the batch's global edge list alongside the
-// shard's local comments. Edge-less entries apply through the whole-corpus
-// path exactly as ApplyReplicated does.
+// ApplyReplicatedEntry applies one shipped journal batch under the
+// primary's sequence number. Delivery is at-least-once: a batch at or below
+// the current cursor is a duplicate and is skipped (returning false) —
+// applying is idempotent under redelivery. A batch that would leave a gap
+// returns ErrReplicationGap. When a local journal is attached the batch is
+// appended to it under the same sequence number before it is applied, so
+// the replica is itself crash-safe and can serve as a bootstrap source.
+//
+// A shard-journal entry carries the batch's global edge list alongside the
+// shard's local comments; an edge-less entry (nil edges) applies through the
+// whole-corpus path, deriving its connections here.
 func (e *Engine) ApplyReplicatedEntry(seq uint64, comments map[string][]string, edges []store.Edge) (bool, error) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
