@@ -103,6 +103,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzZOrderPrefix$$' -fuzztime=20s ./internal/lsh/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=20s ./internal/video/
 	$(GO) test -run='^$$' -fuzz='^FuzzCompiledRoundTrip$$' -fuzztime=20s ./internal/signature/
+	$(GO) test -run='^$$' -fuzz='^FuzzCompiledFromSorted$$' -fuzztime=20s ./internal/signature/
 	$(GO) test -run='^$$' -fuzz='^FuzzSketchBound$$' -fuzztime=20s ./internal/signature/
 	$(GO) test -run='^$$' -fuzz='^FuzzLoad$$' -fuzztime=20s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayJournal$$' -fuzztime=20s ./internal/store/

@@ -428,3 +428,47 @@ func TestGraphFromEdgesMatchesIncremental(t *testing.T) {
 		}
 	}
 }
+
+// TestCSRRoundTrip: CSR lists every edge once in key order, base and overlay
+// merged, and GraphFromCSR rebuilds an Equal graph from it; malformed users,
+// keys or assignments from a damaged snapshot are errors.
+func TestCSRRoundTrip(t *testing.T) {
+	withCompactTrigger(t, neverCompact) // keep post-build edges in the overlay
+	g := BuildUIG(map[string][]string{"v1": {"a", "b", "c"}, "v2": {"b", "c", "d"}, "v3": {"e"}})
+	g.AddEdgeWeight("a", "d", 2)
+	g.AddEdgeWeight("new", "b", 1)
+	if g.OverlayLen() == 0 {
+		t.Fatal("no overlay edges to merge")
+	}
+	keys, w := g.CSR()
+	if len(keys) != g.NumEdges() || !slices.IsSorted(keys) {
+		t.Fatalf("CSR keys %x: not %d ascending edges", keys, g.NumEdges())
+	}
+	back, err := GraphFromCSR(g.Users(), keys, w)
+	if err != nil || !back.Equal(g) || !g.Equal(back) || back.OverlayLen() != 0 {
+		t.Fatalf("GraphFromCSR(CSR()) differs from the graph: %v", err)
+	}
+	users := g.Users()
+	for name, bad := range map[string]func() error{
+		"repeated user":   func() error { _, err := GraphFromCSR([]string{"a", "a"}, nil, nil); return err },
+		"empty user":      func() error { _, err := GraphFromCSR([]string{"a", ""}, nil, nil); return err },
+		"self-loop":       func() error { _, err := GraphFromCSR(users, []uint64{1<<32 | 1}, []float64{1}); return err },
+		"reversed pair":   func() error { _, err := GraphFromCSR(users, []uint64{2<<32 | 1}, []float64{1}); return err },
+		"unknown user":    func() error { _, err := GraphFromCSR(users, []uint64{uint64(len(users))}, []float64{1}); return err },
+		"keys descending": func() error { _, err := GraphFromCSR(users, []uint64{2, 1}, []float64{1, 1}); return err },
+		"weights short":   func() error { _, err := GraphFromCSR(users, []uint64{1, 2}, []float64{1}); return err },
+		"assignment below -1": func() error {
+			_, err := RestorePartition(back.UserTable(), 2, 2, 1, []int32{0, -2})
+			return err
+		},
+		"assignment at dim": func() error { _, err := RestorePartition(back.UserTable(), 2, 2, 1, []int32{0, 2}); return err },
+		"assignment too long": func() error {
+			_, err := RestorePartition(back.UserTable(), 2, 2, 1, make([]int32, len(users)+1))
+			return err
+		},
+	} {
+		if bad() == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

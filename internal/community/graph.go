@@ -7,6 +7,8 @@ package community
 
 import (
 	"cmp"
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -242,7 +244,7 @@ func (g *Graph) Compact() {
 // skips (an empty name drops the edge, a self-loop or zero weight drops it
 // after interning its endpoints), and each edge's weight summed in input
 // order. The whole adjacency lands in the CSR base, with no overlay — how
-// a snapshot's graph is restored.
+// a version 1 snapshot's named edges are restored.
 func GraphFromEdges(users []string, edges []Edge) *Graph {
 	g := NewGraph()
 	for _, u := range users {
@@ -287,6 +289,59 @@ func GraphFromEdges(users []string, edges []Edge) *Graph {
 	}
 	g.setCSR(keys, wts)
 	return g
+}
+
+// GraphFromCSR builds the graph whose users are users, under their
+// positions as ids, and whose undirected edges are keys[i] = a<<32|b of
+// weight w[i]: what CSR returns, so GraphFromCSR(g.Users(), g.CSR()) equals
+// g. The whole adjacency lands in the CSR base. Users must be distinct and
+// non-empty, and keys ascending and distinct with a < b < len(users).
+func GraphFromCSR(users []string, keys []uint64, w []float64) (*Graph, error) {
+	if uint64(len(users)) > math.MaxUint32 || len(keys) != len(w) {
+		return nil, fmt.Errorf("community: %d users, %d edge keys and %d weights", len(users), len(keys), len(w))
+	}
+	g := NewGraph()
+	g.users.names, g.users.idx = users[:len(users):len(users)], make(map[string]uint32, len(users))
+	for i, u := range users {
+		if _, dup := g.users.idx[u]; dup || u == "" {
+			return nil, fmt.Errorf("community: user %d (%q) is empty or repeated", i, u)
+		}
+		g.users.idx[u] = uint32(i)
+	}
+	for i, k := range keys {
+		if a, b := k>>32, uint64(uint32(k)); a >= b || b >= uint64(len(users)) || i > 0 && k <= keys[i-1] {
+			return nil, fmt.Errorf("community: edge %d (%d, %d) is out of order or range", i, a, b)
+		}
+	}
+	g.setCSR(keys, w)
+	return g, nil
+}
+
+// CSR returns every undirected edge once, as keys a<<32|b over dense user
+// ids with a < b, ascending, and their weights: the form GraphFromCSR takes
+// back. Both are fresh copies.
+func (g *Graph) CSR() (keys []uint64, w []float64) {
+	keys, w = make([]uint64, 0, g.edges), make([]float64, 0, g.edges)
+	for i := uint32(0); int(i) < g.users.Len(); i++ {
+		// Merge the id-sorted base span and overlay, keeping partners > i.
+		lo, hi := g.baseSpan(i)
+		ov := g.overlayOf(i)
+		for lo < hi || len(ov) > 0 {
+			var j uint32
+			var wt float64
+			if len(ov) == 0 || lo < hi && g.nbr[lo] < ov[0].to {
+				j, wt = g.nbr[lo], g.wt[lo]
+				lo++
+			} else {
+				j, wt = ov[0].to, ov[0].w
+				ov = ov[1:]
+			}
+			if j > i {
+				keys, w = append(keys, uint64(i)<<32|uint64(j)), append(w, wt)
+			}
+		}
+	}
+	return keys, w
 }
 
 // setCSR replaces the adjacency with a CSR base holding exactly the

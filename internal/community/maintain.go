@@ -318,7 +318,10 @@ func (m *Maintainer) splitLightest(st *Stats) bool {
 	// Members of induced piece >= 1 move to a fresh id; piece 0 keeps the
 	// original. When the split yields more than two pieces (already
 	// disconnected), everything beyond piece 0 moves together — the next
-	// loop iteration can split again if needed.
+	// loop iteration can split again if needed. The split is never
+	// degenerate: extractTwo numbers pieces by first appearance in local
+	// order, so member 0 is in piece 0 and stays, and with two or more
+	// pieces some member is in piece 1 and moves.
 	newID := m.takeID()
 	moved := 0
 	for li, gi := range s.members {
@@ -326,11 +329,6 @@ func (m *Maintainer) splitLightest(st *Stats) bool {
 			m.p.assign[gi] = int32(newID)
 			moved++
 		}
-	}
-	if moved == 0 || moved == len(s.members) {
-		// Degenerate split; roll back the id and give up on this community.
-		m.free = append(m.free, newID)
-		return false
 	}
 	st.Splits++
 	st.SplitSizes = append(st.SplitSizes, len(s.members))

@@ -2,6 +2,7 @@ package community
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -12,7 +13,7 @@ import (
 //
 // The assignment is a flat int32 slice indexed by the dense user id of the
 // shared UserTable (-1 = not assigned); the string-keyed view of it exists
-// only at the boundaries (snapshots, metrics, tests) via AssignMap. Cloning
+// only at the boundaries (metrics, the oracle, tests) via AssignMap. Cloning
 // a partition for copy-on-write publication copies the assignment slice and
 // shares the table, which from then on copies itself on the first new-user
 // mint (see Graph.internUser) — so a published reader never observes the
@@ -28,8 +29,9 @@ type Partition struct {
 
 // NewPartition builds a partition over an explicit user → sub-community
 // map, interning users into the given table (minting ids for unknown
-// names). It is the boundary constructor used by snapshot restore and
-// tests; extraction and maintenance construct partitions densely.
+// names). It is the boundary constructor used by the version 1 snapshot
+// reader, the ablations and tests; extraction, maintenance and snapshot
+// restore (RestorePartition) construct partitions densely.
 func NewPartition(users *UserTable, k, dim int, lightest float64, assign map[string]int) *Partition {
 	p := &Partition{K: k, Dim: dim, LightestIntra: lightest, users: users}
 	names := make([]string, 0, len(assign))
@@ -48,6 +50,29 @@ func NewPartition(users *UserTable, k, dim int, lightest float64, assign map[str
 	p.growTo(users.Len())
 	return p
 }
+
+// RestorePartition builds a partition over a dense assignment aligned with
+// users: assign[i] is user i's sub-community, -1 for none. The slice is
+// copied. Every entry must be -1 or in [0, dim), and there may be no more
+// entries than users.
+func RestorePartition(users *UserTable, k, dim int, lightest float64, assign []int32) (*Partition, error) {
+	if len(assign) > users.Len() {
+		return nil, fmt.Errorf("community: %d assignments for %d users", len(assign), users.Len())
+	}
+	for i, c := range assign {
+		if c < -1 || int(c) >= dim {
+			return nil, fmt.Errorf("community: user %q is assigned to invalid sub-community %d (dim %d)", users.Name(uint32(i)), c, dim)
+		}
+	}
+	p := &Partition{K: k, Dim: dim, LightestIntra: lightest, users: users, assign: slices.Clone(assign)}
+	p.growTo(users.Len())
+	return p, nil
+}
+
+// Assignment returns the dense assignment: user i of the partition's table
+// is in sub-community Assignment()[i], -1 for none. It may be shorter than
+// the table. The caller must not modify it.
+func (p *Partition) Assignment() []int32 { return p.assign[:len(p.assign):len(p.assign)] }
 
 // Users exposes the partition's intern table (shared with the graph it was
 // extracted from).

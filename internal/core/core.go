@@ -295,35 +295,22 @@ func (r *Recommender) IngestVideo(id string, v *video.Video, desc social.Descrip
 // signature must have at most signature.MaxCuboids cuboids — what extraction
 // yields for any Grid up to signature.MaxGrid; a larger one panics.
 func (r *Recommender) IngestSeries(id string, series signature.Series, desc social.Descriptor) {
-	r.install(id, prepare(r.state.lsb, series), desc)
+	r.install(id, signature.CompileSeries(series), r.state.lsb.QueryKeys(series), desc)
 }
 
-// prepared is the part of ingesting a series that touches no recommender
-// state: its compiled form and its LSB keys.
-type prepared struct {
-	compiled *signature.CompiledSeries
-	keys     []uint64
-}
-
-// prepare compiles and keys a series. It reads only lsb's hash families and
-// embedder, which no write changes, so restore runs it on many goroutines at
-// once.
-func prepare(lsb *index.LSB, series signature.Series) prepared {
-	return prepared{compiled: signature.CompileSeries(series), keys: lsb.QueryKeys(series)}
-}
-
-// install stores a prepared series under id: it interns the id, indexes the
-// keys and writes the record. Installs run serially, in ingestion order.
-func (r *Recommender) install(id string, p prepared, desc social.Descriptor) {
+// install stores a compiled series and its LSB keys under id: it interns
+// the id, indexes the keys and writes the record. Installs run serially, in
+// ingestion order.
+func (r *Recommender) install(id string, compiled *signature.CompiledSeries, keys []uint64, desc social.Descriptor) {
 	r.beforeWrite()
 	s := r.state
 	i := r.internID(id)
-	s.lsb.AddKeys(i, p.keys)
+	s.lsb.AddKeys(i, keys)
 	rec := &Record{
 		ID:       id,
-		Compiled: p.compiled,
+		Compiled: compiled,
 		Desc:     desc,
-		Keys:     p.keys,
+		Keys:     keys,
 	}
 	if old := s.recs.At(i); old != nil {
 		rec.seq = old.seq // replacing a stored clip keeps its place

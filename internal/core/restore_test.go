@@ -14,58 +14,30 @@ import (
 	"videorec/internal/social"
 )
 
-// sameFloatBits reports whether a and b hold the same float64s bit for bit.
-func sameFloatBits(a, b []float64) bool {
-	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-}
-
-// sameCompiled reports whether two compiled series are equal bit for bit:
-// every signature's sorted values and weights, mass and validity, every
-// sketch, and the sort permutations (through the rebuilt raw series).
-func sameCompiled(a, b *signature.CompiledSeries) bool {
-	if len(a.Sigs) != len(b.Sigs) || len(a.Sketches) != len(b.Sketches) {
-		return false
-	}
-	for i := range a.Sigs {
-		x, y := &a.Sigs[i], &b.Sigs[i]
-		if !sameFloatBits(x.V, y.V) || !sameFloatBits(x.W, y.W) ||
-			math.Float64bits(x.Mass) != math.Float64bits(y.Mass) || x.OK != y.OK {
-			return false
-		}
-		p, q := &a.Sketches[i], &b.Sketches[i]
-		if math.Float64bits(p.Mean) != math.Float64bits(q.Mean) || !sameFloatBits(p.Q[:], q.Q[:]) {
-			return false
-		}
-	}
-	sa, sb := a.Series(), b.Series()
-	if len(sa) != len(sb) {
-		return false
-	}
-	for i := range sa {
-		if !slices.EqualFunc(sa[i].Cuboids, sb[i].Cuboids, func(x, y signature.Cuboid) bool {
-			return math.Float64bits(x.V) == math.Float64bits(y.V) && math.Float64bits(x.Mu) == math.Float64bits(y.Mu)
-		}) {
-			return false
-		}
-	}
-	return true
-}
-
 // serialRestore is the serial reference restore: IngestSeries of each
-// record in Order, then the snapshot's graph and partition.
+// record's rebuilt series in Records order, then the snapshot's graph, grown
+// edge by edge and compacted, and its partition from a name-keyed map.
 func serialRestore(t *testing.T, s *Snapshot) *Recommender {
 	t.Helper()
-	byID := map[string]RecordSnapshot{}
-	for _, rs := range s.Records {
-		byID[rs.ID] = rs
-	}
 	r := NewRecommender(s.Options)
-	for _, id := range s.Order {
-		rs := byID[id]
-		r.IngestSeries(id, rs.Series, social.NewDescriptor("", rs.Users...))
+	for _, rs := range s.Records {
+		r.IngestSeries(rs.ID, rs.Compiled.Series(), rs.Desc)
 	}
-	g := community.GraphFromEdges(s.GraphUsers, s.GraphEdges)
-	r.UseSocial(newSocial(g, community.NewPartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign)))
+	g := community.NewGraph()
+	for _, u := range s.Users {
+		g.AddUser(u)
+	}
+	for i, k := range s.EdgeKeys {
+		g.AddEdgeWeight(s.Users[k>>32], s.Users[uint32(k)], s.EdgeWeights[i])
+	}
+	g.Compact()
+	assign := map[string]int{}
+	for i, c := range s.Assign {
+		if c >= 0 {
+			assign[s.Users[i]] = int(c)
+		}
+	}
+	r.UseSocial(newSocial(g, community.NewPartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, assign)))
 	return r
 }
 
@@ -97,7 +69,7 @@ func requireSameRestore(t *testing.T, label string, got, want *Recommender) {
 		switch {
 		case g.ID != w.ID || g.seq != w.seq:
 			t.Fatalf("%s: slot %d holds %q (seq %d), want %q (seq %d)", label, i, g.ID, g.seq, w.ID, w.seq)
-		case !sameCompiled(g.Compiled, w.Compiled):
+		case !g.Compiled.Identical(w.Compiled):
 			t.Fatalf("%s: %s: compiled series differ", label, w.ID)
 		case g.Compiled.Envelope() != w.Compiled.Envelope() || gv.env.At(i) != wv.env.At(i):
 			t.Fatalf("%s: %s: envelope %+v, want %+v", label, w.ID, gv.env.At(i), wv.env.At(i))
@@ -127,10 +99,10 @@ func requireSameRestore(t *testing.T, label string, got, want *Recommender) {
 	}
 }
 
-// TestRestoreMatchesSerialIngest: FromSnapshot compiles and keys records on
-// GOMAXPROCS goroutines and installs them in Order. At GOMAXPROCS 1 and 4 it
+// TestRestoreMatchesSerialIngest: FromSnapshot keys records on GOMAXPROCS
+// goroutines and installs them in Records order. At GOMAXPROCS 1 and 4 it
 // must build exactly what a serial IngestSeries of the same records does,
-// with Records shuffled against Order so only Order can set the dense ids.
+// with Records shuffled so only their order can set the dense ids.
 func TestRestoreMatchesSerialIngest(t *testing.T) {
 	src, c := buildSmall(t)
 	ids := src.SortedIDs()
@@ -152,37 +124,30 @@ func TestRestoreMatchesSerialIngest(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadOrder: a snapshot whose Order is not a permutation of
-// its records' ids is an error. Order [a, a] over records [a, b] must not
-// load one clip and silently drop b.
+// TestRestoreRejectsBadOrder: the records' order is the ingestion order, so
+// one that lists an id twice is an error. Records [a, a] must not load one
+// clip and silently drop the other.
 func TestRestoreRejectsBadOrder(t *testing.T) {
 	rec := func(id string) RecordSnapshot {
-		return RecordSnapshot{ID: id, Series: signature.Series{{Cuboids: []signature.Cuboid{{V: 1, Mu: 1}}}}, Users: []string{"u"}}
+		series := signature.Series{{Cuboids: []signature.Cuboid{{V: 1, Mu: 1}}}}
+		return RecordSnapshot{ID: id, Compiled: signature.CompileSeries(series), Desc: social.NewDescriptor("u")}
 	}
-	for _, tc := range []struct {
-		name    string
-		records []RecordSnapshot
-		order   []string
-		want    string
-	}{
-		{"duplicate", []RecordSnapshot{rec("a"), rec("b")}, []string{"a", "a"}, `lists "a" twice`},
-		{"missing", []RecordSnapshot{rec("a"), rec("b")}, []string{"a"}, "order (1) and records (2) disagree"},
-		{"unknown", []RecordSnapshot{rec("a"), rec("b")}, []string{"a", "x"}, `unknown id "x"`},
-		{"duplicate record", []RecordSnapshot{rec("a"), rec("a")}, []string{"a", "b"}, `unknown id "b"`},
-	} {
-		s := &Snapshot{Options: DefaultOptions(), Records: tc.records, Order: tc.order}
-		r, err := FromSnapshot(s)
+	for _, records := range [][]RecordSnapshot{{rec("a"), rec("a")}, {rec("a"), rec("b"), rec("a")}} {
+		r, err := FromSnapshot(&Snapshot{Options: DefaultOptions(), Records: records})
 		if err == nil {
-			t.Errorf("%s: order %v over %d records loaded %d clips", tc.name, tc.order, len(tc.records), r.Len())
+			t.Errorf("%d records listing a twice loaded %d clips", len(records), r.Len())
 			continue
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q, want it to name %q", tc.name, err, tc.want)
+		if !strings.Contains(err.Error(), `lists "a" twice`) {
+			t.Errorf("error %q, want it to name the repeated id", err)
 		}
 	}
-	ok := &Snapshot{Options: DefaultOptions(), Records: []RecordSnapshot{rec("a"), rec("b")}, Order: []string{"b", "a"}}
+	ok := &Snapshot{Options: DefaultOptions(), Records: []RecordSnapshot{rec("b"), rec("a")}}
 	r, err := FromSnapshot(ok)
 	if err != nil || r.Len() != 2 || !slices.Equal(r.SortedIDs(), []string{"a", "b"}) {
-		t.Fatalf("a permuted Order failed to load: %v", err)
+		t.Fatalf("a permuted order failed to load: %v", err)
+	}
+	if v := r.Freeze(); !slices.Equal(v.orderIDs(), []string{"b", "a"}) {
+		t.Fatalf("restored ingestion order %v, want [b a]", v.orderIDs())
 	}
 }

@@ -14,13 +14,19 @@ import (
 
 // Snapshot is the recommender's complete persistent state: everything needed
 // to rebuild the indexes deterministically and to keep applying incremental
-// social updates after a reload. The LSB tree, descriptor vectors and
-// inverted files are all derived state and are reconstructed on load rather
-// than stored.
+// social updates after a reload. It holds what the engine serves from — each
+// record's compiled series, the user interest graph's CSR base, the dense
+// partition — so taking one copies no series and restoring one sorts
+// nothing. The LSB forest, descriptor vectors and inverted files are derived
+// state, rebuilt on load. A Snapshot shares its compiled series, descriptors,
+// user names and assignment with the recommender that took it; all of them
+// are immutable, and the caller must not modify them.
 type Snapshot struct {
 	Options Options
+
+	// Records are the stored clips in ingestion order: restore installs them
+	// in this order, which fixes their dense ids.
 	Records []RecordSnapshot
-	Order   []string
 
 	// Version records the view version of the engine that saved the
 	// snapshot. A reloaded engine resumes this counter — it publishes the
@@ -38,46 +44,47 @@ type Snapshot struct {
 
 	// Social machinery (present when BuildSocial had run).
 	Built         bool
-	Assign        map[string]int
-	Dim           int
-	K             int
+	K, Dim        int
 	LightestIntra float64
-	GraphEdges    []community.Edge
-	GraphUsers    []string // preserves isolated users
+	Users         []string  // the UIG's users, by dense id (isolated users included)
+	Assign        []int32   // dense user id → sub-community, -1 for none; at most len(Users) long
+	EdgeKeys      []uint64  // the UIG's edges a<<32|b, a < b, ascending (community.Graph.CSR)
+	EdgeWeights   []float64 // EdgeWeights[i] is EdgeKeys[i]'s weight
 }
 
 // RecordSnapshot is one video's persistent state.
 type RecordSnapshot struct {
-	ID     string
-	Series signature.Series
-	Users  []string // social descriptor members
+	ID       string
+	Compiled *signature.CompiledSeries
+	Desc     social.Descriptor
 }
 
-// Snapshot captures the recommender's state. The result shares no mutable
-// structure with the recommender and is safe to serialize. It is a pure
-// read of the build state, so it never triggers a copy-on-write clone.
+// Snapshot captures the recommender's state. It is a pure read of the build
+// state, so it never triggers a copy-on-write clone, and it costs O(records)
+// pointer copies plus one copy of the graph's edges: the compiled series,
+// descriptors, user names and the published partition's assignment are
+// immutable and shared, and only the graph, which maintenance patches in
+// place, is copied. The result is safe to serialize while the recommender
+// moves on.
 func (r *Recommender) Snapshot() *Snapshot {
 	st := r.state
+	order := st.ordered()
 	s := &Snapshot{
 		Options: r.opts,
 		Built:   st.built,
+		Records: make([]RecordSnapshot, len(order)),
 	}
-	for _, i := range st.ordered() {
+	for k, i := range order {
 		rec := st.recs.At(i)
-		s.Order = append(s.Order, rec.ID)
-		s.Records = append(s.Records, RecordSnapshot{
-			ID:     rec.ID,
-			Series: rec.Compiled.Series(),
-			Users:  append([]string(nil), rec.Desc.Users()...),
-		})
+		s.Records[k] = RecordSnapshot{ID: rec.ID, Compiled: rec.Compiled, Desc: rec.Desc}
 	}
 	if st.built && st.part != nil {
-		s.Assign = st.part.AssignMap()
-		s.Dim = st.part.Dim
-		s.K = st.part.K
-		s.LightestIntra = st.part.LightestIntra
-		s.GraphEdges = r.social.graph.Edges()
-		s.GraphUsers = append([]string(nil), r.social.graph.Users()...)
+		g := r.social.graph
+		s.K, s.Dim, s.LightestIntra = st.part.K, st.part.Dim, st.part.LightestIntra
+		users := g.Users()
+		s.Users = users[:len(users):len(users)]
+		s.Assign = st.part.Assignment()
+		s.EdgeKeys, s.EdgeWeights = g.CSR()
 	}
 	return s
 }
@@ -88,43 +95,46 @@ func (r *Recommender) Snapshot() *Snapshot {
 // continue where they left off. The restored recommender's first Freeze
 // publishes a view identical to what the saving engine served.
 //
-// The whole snapshot is validated before any compile work. Every record is
-// then compiled and keyed on GOMAXPROCS goroutines while the graph and the
-// partition are restored, and the records are installed serially in Order,
-// exactly as IngestSeries would install them one by one.
-//
-// Snapshots from before the engine had one serving mode may carry the
-// options that selected the others: the social-relevance mode and the
-// content-only, social-only and full-scan switches. Gob drops unknown fields
-// silently, so such a snapshot loads and serves SAR-H (the hashed user
-// dictionary) at its stored ω: one saved in exact-sJ (CSF) or CSF-SAR mode
-// now serves SAR-H, and one saved with the content-only or social-only
-// switch serves the fused ranking at its stored ω, not one relevance alone.
-// Snapshots from before the partition was the only user dictionary carry a
-// HashBuckets option, which gob drops the same way.
+// The records' LSB keys are recomputed from their compiled series on
+// GOMAXPROCS goroutines while the graph and the partition are restored, and
+// the records are then installed serially in order, exactly as IngestSeries
+// would install them one by one.
 func FromSnapshot(s *Snapshot) (*Recommender, error) {
-	recs, err := s.inOrder()
-	if err != nil {
+	if s == nil {
+		return nil, fmt.Errorf("core: nil snapshot")
+	}
+	if err := checkGrid(s.Options.Sig); err != nil {
 		return nil, err
+	}
+	for i := range s.Records {
+		if s.Records[i].Compiled == nil {
+			return nil, fmt.Errorf("core: snapshot record %q has no compiled series", s.Records[i].ID)
+		}
 	}
 	r := NewRecommender(s.Options)
 
-	// The UIG (in one pass, straight into its CSR base) and the partition
-	// are restored while the records are compiled and keyed; neither reads
-	// the other.
+	// The UIG (straight into its CSR base) and the partition are restored
+	// while the records are keyed; neither reads the other.
 	var soc *Social
+	var socErr error
 	restored := make(chan struct{})
 	go func() {
 		defer close(restored)
 		if s.Built {
-			g := community.GraphFromEdges(s.GraphUsers, s.GraphEdges)
-			soc = newSocial(g, community.NewPartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign))
+			soc, socErr = restoreSocial(s)
 		}
 	}()
-	prep := prepareAll(r.state.lsb, recs)
+	keys := keyAll(r.state.lsb, s.Records)
 	<-restored
-	for k, rec := range recs {
-		r.install(rec.ID, prep[k], social.NewDescriptor("", rec.Users...))
+	if socErr != nil {
+		return nil, socErr
+	}
+	for k := range s.Records {
+		rec := &s.Records[k]
+		if _, dup := r.state.index(rec.ID); dup {
+			return nil, fmt.Errorf("core: snapshot lists %q twice", rec.ID)
+		}
+		r.install(rec.ID, rec.Compiled, keys[k], rec.Desc)
 	}
 	if soc != nil {
 		// Rebuild the derived structures the way BuildSocial does.
@@ -133,56 +143,24 @@ func FromSnapshot(s *Snapshot) (*Recommender, error) {
 	return r, nil
 }
 
-// inOrder checks everything restore relies on before any compile work and
-// returns the records in Order: a grid compiled series can hold, an Order
-// that lists every record's id exactly once, signatures of at most
-// signature.MaxCuboids cuboids, and, in a built snapshot, sub-community ids
-// below Dim.
-func (s *Snapshot) inOrder() ([]*RecordSnapshot, error) {
-	if s == nil {
-		return nil, fmt.Errorf("core: nil snapshot")
+// restoreSocial rebuilds a built snapshot's graph and partition.
+func restoreSocial(s *Snapshot) (*Social, error) {
+	g, err := community.GraphFromCSR(s.Users, s.EdgeKeys, s.EdgeWeights)
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot graph: %w", err)
 	}
-	if err := checkGrid(s.Options.Sig); err != nil {
-		return nil, err
+	p, err := community.RestorePartition(g.UserTable(), s.K, s.Dim, s.LightestIntra, s.Assign)
+	if err != nil {
+		return nil, fmt.Errorf("core: snapshot partition: %w", err)
 	}
-	if len(s.Order) != len(s.Records) {
-		return nil, fmt.Errorf("core: snapshot order (%d) and records (%d) disagree", len(s.Order), len(s.Records))
-	}
-	byID := make(map[string]*RecordSnapshot, len(s.Records))
-	for i := range s.Records {
-		byID[s.Records[i].ID] = &s.Records[i]
-	}
-	recs := make([]*RecordSnapshot, len(s.Order))
-	for k, id := range s.Order {
-		rec, ok := byID[id]
-		switch {
-		case !ok:
-			return nil, fmt.Errorf("core: snapshot order references unknown id %q", id)
-		case rec == nil:
-			return nil, fmt.Errorf("core: snapshot order lists %q twice", id)
-		}
-		byID[id] = nil
-		for _, sig := range rec.Series {
-			if len(sig.Cuboids) > signature.MaxCuboids {
-				return nil, fmt.Errorf("core: snapshot record %q has a signature of %d cuboids (max %d)", id, len(sig.Cuboids), signature.MaxCuboids)
-			}
-		}
-		recs[k] = rec
-	}
-	if s.Built {
-		for u, c := range s.Assign {
-			if c < 0 || c >= s.Dim {
-				return nil, fmt.Errorf("core: snapshot assigns %q to invalid sub-community %d (dim %d)", u, c, s.Dim)
-			}
-		}
-	}
-	return recs, nil
+	return newSocial(g, p), nil
 }
 
-// prepareAll prepares every record's series on GOMAXPROCS goroutines;
-// prep[k] is recs[k]'s.
-func prepareAll(lsb *index.LSB, recs []*RecordSnapshot) []prepared {
-	prep := make([]prepared, len(recs))
+// keyAll computes every record's LSB keys on GOMAXPROCS goroutines;
+// keys[k] is recs[k]'s. It reads only lsb's hash families and embedder,
+// which no write changes.
+func keyAll(lsb *index.LSB, recs []RecordSnapshot) [][]uint64 {
+	keys := make([][]uint64, len(recs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(runtime.GOMAXPROCS(0), len(recs)) {
@@ -190,12 +168,12 @@ func prepareAll(lsb *index.LSB, recs []*RecordSnapshot) []prepared {
 		go func() {
 			defer wg.Done()
 			for k := next.Add(1) - 1; k < int64(len(recs)); k = next.Add(1) - 1 {
-				prep[k] = prepare(lsb, recs[k].Series)
+				keys[k] = lsb.CompiledKeys(recs[k].Compiled)
 			}
 		}()
 	}
 	wg.Wait()
-	return prep
+	return keys
 }
 
 // SortedIDs returns the ingested video ids in a stable order (useful for

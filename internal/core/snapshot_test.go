@@ -60,7 +60,7 @@ func TestSnapshotSeriesExactThroughMutations(t *testing.T) {
 			t.Fatalf("%s: snapshot holds %d records, want %d", stage, len(snap.Records), len(want))
 		}
 		for _, rs := range snap.Records {
-			requireSeriesBits(t, stage+"/"+rs.ID, rs.Series, want[rs.ID])
+			requireSeriesBits(t, stage+"/"+rs.ID, rs.Compiled.Series(), want[rs.ID])
 		}
 	}
 	r.BuildSocial()
@@ -135,20 +135,35 @@ func TestRetainedBytesPerCuboid(t *testing.T) {
 }
 
 // TestFromSnapshotRejectsUncompilableContent: a snapshot whose grid could
-// yield signatures past signature.MaxCuboids, or that holds such a
-// signature, is an error on load, not a panic at ingest.
+// yield signatures past signature.MaxCuboids, or a record without a
+// compiled series, is an error on load, not a panic at ingest. (A signature
+// of MaxCuboids+1 cuboids cannot be compiled at all:
+// signature.CompiledFromSorted and the version 1 reader in internal/store
+// reject it.)
 func TestFromSnapshotRejectsUncompilableContent(t *testing.T) {
 	wide := &Snapshot{Options: DefaultOptions()}
 	wide.Options.Sig.Grid = signature.MaxGrid + 1
 	if _, err := FromSnapshot(wide); err == nil {
 		t.Error("a snapshot with grid MaxGrid+1 loaded")
 	}
-	big := &Snapshot{
-		Options: DefaultOptions(),
-		Records: []RecordSnapshot{{ID: "big", Series: signature.Series{{Cuboids: make([]signature.Cuboid, signature.MaxCuboids+1)}}}},
-		Order:   []string{"big"},
+	hollow := &Snapshot{Options: DefaultOptions(), Records: []RecordSnapshot{{ID: "hollow"}}}
+	if _, err := FromSnapshot(hollow); err == nil {
+		t.Error("a snapshot record without a compiled series loaded")
 	}
-	if _, err := FromSnapshot(big); err == nil {
-		t.Error("a snapshot with a signature of MaxCuboids+1 cuboids loaded")
+}
+
+// TestSnapshotAllocsIndependentOfContent pins what Snapshot costs under the
+// writer lock: it shares every compiled series, descriptor, user name and
+// the partition's assignment, and copies only the graph's edges, so its
+// allocations do not grow with the corpus' cuboids, nor even its records. A
+// Snapshot that rebuilt raw series again would allocate once per record
+// and signature (2,000 clips of two signatures here).
+func TestSnapshotAllocsIndependentOfContent(t *testing.T) {
+	r := syntheticRecommender(t, 2000)
+	r.ApplyUpdates(map[string][]string{"v00000": {synthUser(1, 3), "stranger"}, "v00001": {synthUser(2, 5)}})
+	allocs := testing.AllocsPerRun(5, func() { _ = r.Snapshot() })
+	t.Logf("Snapshot of 2,000 clips: %.0f allocations", allocs)
+	if allocs > 16 {
+		t.Fatalf("Snapshot of 2,000 clips made %.0f allocations, want at most 16: is it copying per record again?", allocs)
 	}
 }

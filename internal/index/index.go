@@ -202,11 +202,18 @@ type keyScratch struct {
 func (ix *LSB) appendKeys(dst []uint64, q signature.Series, sc *keyScratch) []uint64 {
 	for _, sig := range q {
 		sc.v, sc.mu = sig.ValuesInto(sc.v, sc.mu)
-		sc.emb = ix.emb.EmbedInto(sc.emb, sc.v, sc.mu)
-		for _, hf := range ix.hfs {
-			sc.h = hf.HashInto(sc.h, sc.emb)
-			dst = append(dst, lsh.ZOrder(sc.h, hf.Bits()))
-		}
+		dst = ix.appendSigKeys(dst, sc.v, sc.mu, sc)
+	}
+	return dst
+}
+
+// appendSigKeys appends the keys of one signature, given its cuboid values
+// and weights in extraction order.
+func (ix *LSB) appendSigKeys(dst []uint64, v, mu []float64, sc *keyScratch) []uint64 {
+	sc.emb = ix.emb.EmbedInto(sc.emb, v, mu)
+	for _, hf := range ix.hfs {
+		sc.h = hf.HashInto(sc.h, sc.emb)
+		dst = append(dst, lsh.ZOrder(sc.h, hf.Bits()))
 	}
 	return dst
 }
@@ -264,6 +271,17 @@ func (w *Walker) Reset(ix *LSB, q signature.Series) {
 // walker's ResetWithKeys instead of paying the embedding per forest.
 func (ix *LSB) QueryKeys(q signature.Series) []uint64 {
 	return ix.appendKeys(make([]uint64, 0, len(q)*len(ix.hfs)), q, &keyScratch{})
+}
+
+// CompiledKeys is QueryKeys of the series cs was compiled from, read
+// through its permutation in extraction order, so the keys are equal bit
+// for bit without rebuilding the series. Like QueryKeys it is safe to call
+// from many goroutines at once.
+func (ix *LSB) CompiledKeys(cs *signature.CompiledSeries) []uint64 {
+	dst := make([]uint64, 0, cs.Len()*len(ix.hfs))
+	var sc keyScratch
+	cs.EachSignature(func(v, mu []float64) { dst = ix.appendSigKeys(dst, v, mu, &sc) })
+	return dst
 }
 
 // ResetWithKeys is Reset seeded from precomputed keys in the QueryKeys

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -167,6 +168,84 @@ func TestOverflowingFrameIsBadRequest(t *testing.T) {
 	}
 	if n := srv.panics.Load(); n != 0 {
 		t.Errorf("panicsRecovered = %d, want 0", n)
+	}
+}
+
+// A clip frame with a side over video.MaxFrameSide is a bad request on both
+// clip routes, and nothing is ingested.
+func TestOversizedFrameSideIsBadRequest(t *testing.T) {
+	ts, srv := newTestServer(t, "")
+	populate(t, ts)
+	before := srv.eng.Len()
+	side := video.MaxFrameSide + 1
+	for _, f := range []FrameJSON{{W: side, H: 1}, {W: 1, H: side}} {
+		f.Pix = make([]float64, side)
+		body, err := json.Marshal(ClipJSON{ID: "wide", Frames: []FrameJSON{f}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, route := range []string{"/videos", "/recommend?k=3"} {
+			if resp := post(t, ts.URL+route, body); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s with a %dx%d frame: status %d, want 400", route, f.W, f.H, resp.StatusCode)
+			}
+		}
+	}
+	if n := srv.eng.Len(); n != before {
+		t.Errorf("%d clips after the rejected adds, want %d", n, before)
+	}
+}
+
+// framesBody streams a clip body of n one-pixel frames without holding it.
+type framesBody struct {
+	head, tail string
+	n          int
+	buf        []byte
+}
+
+func (b *framesBody) Read(p []byte) (int, error) {
+	for len(b.buf) < len(p) {
+		switch {
+		case b.head != "":
+			b.buf, b.head = append(b.buf, b.head...), ""
+		case b.n > 0:
+			b.buf, b.n = append(b.buf, `{"w":1,"h":1,"pix":[0]},`...), b.n-1
+		case b.tail != "":
+			b.buf, b.tail = append(b.buf, b.tail...), ""
+		default:
+			if len(b.buf) == 0 {
+				return 0, io.EOF
+			}
+			p = p[:len(b.buf)]
+		}
+	}
+	n := copy(p, b.buf)
+	b.buf = b.buf[n:]
+	return n, nil
+}
+
+// A clip of more than video.MaxFrames frames is refused on both clip routes
+// and nothing is ingested. Over HTTP such a body is necessarily past the
+// 4 MiB clip-body cap (each frame is at least a few bytes of JSON), so the
+// cap answers 413 before the frame count is read; toVideo's own count check
+// guards the Go API, where a clip that long would take 160 MB of frames to
+// test.
+func TestTooManyFramesRefused(t *testing.T) {
+	ts, srv := newTestServer(t, "")
+	populate(t, ts)
+	before := srv.eng.Len()
+	for _, route := range []string{"/videos", "/recommend?k=3"} {
+		body := &framesBody{head: `{"id":"long","frames":[`, n: video.MaxFrames, tail: `{"w":1,"h":1,"pix":[0]}]}`}
+		resp, err := http.Post(ts.URL+route, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d frames: status %d, want 413", route, video.MaxFrames+1, resp.StatusCode)
+		}
+	}
+	if n := srv.eng.Len(); n != before {
+		t.Errorf("%d clips after the refused adds, want %d", n, before)
 	}
 }
 

@@ -95,16 +95,12 @@ func compile(s Signature, perm []uint16, sk *Sketch) Compiled {
 		panic(fmt.Sprintf("signature: %d cuboids exceed MaxCuboids (%d)", n, MaxCuboids))
 	}
 	c := Compiled{V: make([]float64, n), W: make([]float64, n)}
-	var mean float64
 	for i, cb := range s.Cuboids {
-		c.W[i] = cb.Mu
-		mean += cb.V * cb.Mu
+		c.V[i], c.W[i] = cb.V, cb.Mu
 		perm[i] = uint16(i)
 	}
-	c.Mass, c.OK = emd.ValidateWeights(c.W)
-	if n == 0 {
-		c.OK = false
-	}
+	mean, mass, ok := moments(c.V, c.W)
+	c.Mass, c.OK = mass, ok
 	slices.SortStableFunc(perm, func(a, b uint16) int {
 		switch va, vb := s.Cuboids[a].V, s.Cuboids[b].V; {
 		case va < vb:
@@ -118,16 +114,40 @@ func compile(s Signature, perm []uint16, sk *Sketch) Compiled {
 		c.V[k], c.W[k] = s.Cuboids[p].V, s.Cuboids[p].Mu
 	}
 	if sk != nil {
-		sk.Mean = mean
-		if c.OK {
-			sk.Q = c.quantiles()
-		} else {
-			for b := range sk.Q {
-				sk.Q[b] = math.NaN()
-			}
-		}
+		*sk = c.sketch(mean)
 	}
 	return c
+}
+
+// moments returns Σ v·μ over a signature's cuboids in extraction order, and
+// its validated mass (not OK when empty). Compilation and
+// CompiledFromSorted both call it and sketch, neither of which is inlined,
+// so the two run the same machine code and agree bit for bit, NaN payloads
+// included: which operand's payload an IEEE operation keeps can change with
+// the instruction the compiler picks at each call site.
+//
+//go:noinline
+func moments(v, w []float64) (mean, mass float64, ok bool) {
+	for i := range v {
+		mean += v[i] * w[i]
+	}
+	mass, ok = emd.ValidateWeights(w)
+	return mean, mass, ok && len(v) > 0
+}
+
+// sketch is the signature's sketch, given its Mean.
+//
+//go:noinline
+func (c *Compiled) sketch(mean float64) Sketch {
+	sk := Sketch{Mean: mean}
+	if c.OK {
+		sk.Q = c.quantiles()
+	} else {
+		for b := range sk.Q {
+			sk.Q[b] = math.NaN()
+		}
+	}
+	return sk
 }
 
 // quantiles computes the sketch's Q from the sorted cuboids: walk the mass
@@ -258,6 +278,130 @@ func CompileSeries(s Series) *CompiledSeries {
 		o += m
 	}
 	return cs
+}
+
+// Perm returns every signature's sort permutation in turn, in one array:
+// Sigs[i].V[k] and W[k] are cuboid Perm()[o+k] of signature i in extraction
+// order, o being the cuboid count of Sigs[:i]. With the sorted V and W it is
+// the whole series, which CompiledFromSorted takes back. The caller must not
+// modify it.
+func (cs *CompiledSeries) Perm() []uint16 { return cs.perm }
+
+// CompiledFromSorted rebuilds a compiled series from its sorted form without
+// sorting: v[i] and w[i] are signature i's sorted values and weights, and
+// perm holds every signature's permutation in turn (the layout of Perm).
+// The result aliases v[i], w[i] and perm. Mass, validity and the sketch's
+// Mean are accumulated in extraction order through the permutation, as
+// compile accumulates them, so an accepted input gives
+// CompileSeries(cs.Series()) bit for bit. An input that stable sorting
+// could not have produced is an error: a permutation that is not one, V
+// out of order, tied values whose permutation entries do not ascend, or
+// more than MaxCuboids cuboids. A signature holding a NaN value, which the
+// sort compares as a tie with everything, is re-sorted and must match.
+func CompiledFromSorted(v, w [][]float64, perm []uint16) (*CompiledSeries, error) {
+	if len(w) != len(v) {
+		return nil, fmt.Errorf("signature: %d signatures of values, %d of weights", len(v), len(w))
+	}
+	total, widest := 0, 0
+	for i := range v {
+		n := len(v[i])
+		if n > MaxCuboids || len(w[i]) != n {
+			return nil, fmt.Errorf("signature: signature %d has %d values and %d weights (max %d)", i, n, len(w[i]), MaxCuboids)
+		}
+		total += n
+		widest = max(widest, n)
+	}
+	if len(perm) != total {
+		return nil, fmt.Errorf("signature: %d cuboids, %d permutation entries", total, len(perm))
+	}
+	cs := &CompiledSeries{Sigs: make([]Compiled, len(v)), Sketches: make([]Sketch, len(v)), perm: perm}
+	ext := make([]float64, 2*widest) // extraction-order values, then weights
+	seen := make([]bool, widest)
+	o := 0
+	for i := range v {
+		n := len(v[i])
+		sv, sw, sp := v[i], w[i], perm[o:o+n:o+n]
+		o += n
+		ev, ew := ext[:n], ext[widest:widest+n]
+		clear(seen[:n])
+		hasNaN := false
+		for k, p := range sp {
+			if int(p) >= n || seen[p] {
+				return nil, fmt.Errorf("signature: signature %d: permutation entry %d is %d, not a permutation of %d", i, k, p, n)
+			}
+			seen[p] = true
+			ev[p], ew[p] = sv[k], sw[k]
+			hasNaN = hasNaN || math.IsNaN(sv[k])
+		}
+		if hasNaN {
+			sig := Signature{Cuboids: make([]Cuboid, n)}
+			for j := range sig.Cuboids {
+				sig.Cuboids[j] = Cuboid{V: ev[j], Mu: ew[j]}
+			}
+			p := make([]uint16, n)
+			if compile(sig, p, nil); !slices.Equal(p, sp) {
+				return nil, fmt.Errorf("signature: signature %d: values are not in stable sorted order", i)
+			}
+		} else {
+			for k := 1; k < n; k++ {
+				if sv[k] < sv[k-1] || sv[k] == sv[k-1] && sp[k] < sp[k-1] {
+					return nil, fmt.Errorf("signature: signature %d: values are not in stable sorted order at %d", i, k)
+				}
+			}
+		}
+		c := Compiled{V: sv, W: sw}
+		mean, mass, ok := moments(ev, ew)
+		c.Mass, c.OK = mass, ok
+		cs.Sigs[i] = c
+		cs.Sketches[i] = c.sketch(mean)
+	}
+	return cs, nil
+}
+
+// Identical reports whether cs and o are equal bit for bit: every
+// signature's sorted values and weights, mass and validity, every sketch,
+// and the permutations.
+func (cs *CompiledSeries) Identical(o *CompiledSeries) bool {
+	if len(cs.Sigs) != len(o.Sigs) || len(cs.Sketches) != len(o.Sketches) || !slices.Equal(cs.perm, o.perm) {
+		return false
+	}
+	for i := range cs.Sigs {
+		a, b := &cs.Sigs[i], &o.Sigs[i]
+		if !sameBits(a.V, b.V) || !sameBits(a.W, b.W) || math.Float64bits(a.Mass) != math.Float64bits(b.Mass) || a.OK != b.OK {
+			return false
+		}
+		p, q := &cs.Sketches[i], &o.Sketches[i]
+		if math.Float64bits(p.Mean) != math.Float64bits(q.Mean) || !sameBits(p.Q[:], q.Q[:]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// EachSignature calls f with every signature's cuboid values and weights in
+// extraction order, in turn: the series' Values without rebuilding it. The
+// slices are reused between calls.
+func (cs *CompiledSeries) EachSignature(f func(v, mu []float64)) {
+	widest := 0
+	for i := range cs.Sigs {
+		widest = max(widest, len(cs.Sigs[i].V))
+	}
+	buf := make([]float64, 2*widest)
+	o := 0
+	for i := range cs.Sigs {
+		c := &cs.Sigs[i]
+		n := len(c.V)
+		v, mu := buf[:n], buf[widest:widest+n]
+		for k, p := range cs.perm[o : o+n] {
+			v[p], mu[p] = c.V[k], c.W[k]
+		}
+		o += n
+		f(v, mu)
+	}
 }
 
 // Series rebuilds the raw series the compiled form was built from, cuboids

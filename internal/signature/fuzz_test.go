@@ -2,6 +2,7 @@ package signature
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -84,18 +85,6 @@ func decodeSeries(data []byte) Series {
 	return s
 }
 
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // FuzzCompiledRoundTrip holds the compiled form to the two promises the
 // engine relies on once it keeps no raw series: CompileSeries(s).Series()
 // rebuilds s exactly (every value and weight equal under Float64bits), and
@@ -136,7 +125,95 @@ func FuzzCompiledRoundTrip(f *testing.F) {
 				t.Fatalf("signature %d: Compile differs from CompileSeries", i)
 			}
 		}
+		v, w, perm := sortedForm(cs)
+		back2, err := CompiledFromSorted(v, w, perm)
+		if err != nil {
+			t.Fatalf("CompiledFromSorted rejects CompileSeries' own sorted form: %v", err)
+		}
+		if !back2.Identical(cs) {
+			t.Fatal("CompiledFromSorted of the sorted form differs from CompileSeries")
+		}
 	})
+}
+
+// sortedForm is the sorted form of cs that CompiledFromSorted takes back,
+// in fresh arrays.
+func sortedForm(cs *CompiledSeries) (v, w [][]float64, perm []uint16) {
+	for i := range cs.Sigs {
+		v = append(v, slices.Clone(cs.Sigs[i].V))
+		w = append(w, slices.Clone(cs.Sigs[i].W))
+	}
+	return v, w, slices.Clone(cs.Perm())
+}
+
+// FuzzCompiledFromSorted: for any sorted form — arbitrary cuboid counts,
+// values, weights and permutation entries — CompiledFromSorted either
+// rejects it or returns exactly what CompileSeries makes of the series it
+// stands for.
+func FuzzCompiledFromSorted(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 3, 20, 40, 60, 80, 100, 120})
+	f.Add([]byte{2, 0, 2, 0, 1, 1, 0})
+	f.Add([]byte{1, 25, 5, 2, 5, 3, 2, 2, 2, 4})
+	f.Add([]byte{3, 40, 7, 21, 200, 201, 8, 8, 0, 0, 100, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Start from a genuine sorted form, so most inputs are near-valid,
+		// then let the tail of the input overwrite permutation entries and
+		// values.
+		v, w, perm := sortedForm(CompileSeries(decodeSeries(data)))
+		flat := slices.Concat(v...) // flat[j] is cuboid j's sorted value, aliased back below
+		tail := data[min(len(data), 1+len(v)):]
+		for k := 0; k+2 < len(tail) && len(perm) > 0; k += 3 {
+			j := int(tail[k]) % len(perm)
+			switch tail[k+1] % 3 {
+			case 0:
+				perm[j] = uint16(tail[k+2])
+			case 1:
+				flat[j] = float64(int8(tail[k+2])) / 4
+			default:
+				perm[j], perm[(j+1)%len(perm)] = perm[(j+1)%len(perm)], perm[j]
+			}
+		}
+		for i, o := 0, 0; i < len(v); i++ {
+			o += copy(v[i], flat[o:])
+		}
+		cs, err := CompiledFromSorted(v, w, perm)
+		if err != nil {
+			return
+		}
+		if want := CompileSeries(cs.Series()); !cs.Identical(want) {
+			t.Fatal("CompiledFromSorted accepted a form CompileSeries does not produce")
+		}
+	})
+}
+
+// TestCompiledFromSortedRejects: each way a sorted form can be one no
+// stable sort produced is an error, not a series that differs from
+// CompileSeries.
+func TestCompiledFromSortedRejects(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		v, w []float64
+		perm []uint16
+	}{
+		{"weights short", []float64{1, 2, 3}, []float64{1, 1}, []uint16{0, 1, 2}},
+		{"permutation short", []float64{1, 2, 3}, []float64{1, 1, 1}, []uint16{0, 1}},
+		{"repeated permutation entry", []float64{1, 2, 3}, []float64{1, 1, 1}, []uint16{0, 1, 1}},
+		{"permutation entry out of range", []float64{1, 2}, []float64{1, 1}, []uint16{0, 2}},
+		{"values descend", []float64{2, 1}, []float64{1, 1}, []uint16{0, 1}},
+		{"tie out of order", []float64{1, 1}, []float64{1, 1}, []uint16{1, 0}},
+		{"±0 tie out of order", []float64{0, math.Copysign(0, -1)}, []float64{1, 1}, []uint16{1, 0}},
+		{"NaN where the sort leaves none", []float64{1, nan, 3}, []float64{1, 1, 1}, []uint16{2, 1, 0}},
+		{"too many cuboids", make([]float64, MaxCuboids+1), make([]float64, MaxCuboids+1), make([]uint16, MaxCuboids+1)},
+	} {
+		if _, err := CompiledFromSorted([][]float64{tc.v}, [][]float64{tc.w}, tc.perm); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if _, err := CompiledFromSorted([][]float64{{1}}, nil, []uint16{0}); err == nil {
+		t.Error("values without weights: accepted")
+	}
 }
 
 // TestCompileRejectsOversizedSignature: one cuboid past MaxCuboids cannot be

@@ -5,7 +5,10 @@
 // s̃J (Equation 6).
 package social
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Descriptor is the social descriptor D_V of a video: the set of ids of its
 // owner and the users commenting on it. Users are stored sorted and
@@ -27,6 +30,18 @@ func NewDescriptor(owner string, commenters ...string) Descriptor {
 		}
 	}
 	return fromUnsorted(all)
+}
+
+// SortedDescriptor builds a descriptor from users already in its form:
+// sorted, distinct and non-empty. It takes ownership of the slice and
+// rejects one that is not in that form.
+func SortedDescriptor(users []string) (Descriptor, error) {
+	for i, u := range users {
+		if u == "" || i > 0 && u <= users[i-1] {
+			return Descriptor{}, fmt.Errorf("social: descriptor users are not sorted, distinct and non-empty at %d", i)
+		}
+	}
+	return Descriptor{users: users}, nil
 }
 
 // fromUnsorted sorts and deduplicates in place, taking ownership of the

@@ -1,0 +1,197 @@
+package store
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"videorec/internal/core"
+	"videorec/internal/signature"
+	"videorec/internal/social"
+)
+
+// span is where one section sits in a version 2 file: its header at start,
+// its payload at [payload, payload+n), and its checksum just after.
+type span struct {
+	tag               string
+	start, payload, n int
+}
+
+// sections walks a version 2 file's section headers.
+func sections(t *testing.T, b []byte) []span {
+	t.Helper()
+	var out []span
+	for o := len(magic) + 4; o < len(b); {
+		n := int(binary.LittleEndian.Uint64(b[o+4:]))
+		out = append(out, span{tag: string(b[o : o+4]), start: o, payload: o + 16, n: n})
+		o += 16 + n + 4
+	}
+	if got := len(out); got != 7 || out[6].tag != tagDone {
+		t.Fatalf("walked %d sections ending in %q, want the 7 of version 2", got, out[got-1].tag)
+	}
+	return out
+}
+
+// builtSnapshot saves a small built recommender after one comment batch,
+// so the graph holds overlay edges and the partition was maintained.
+func builtSnapshot(t *testing.T, n int) []byte {
+	t.Helper()
+	r := buildRecommender(t, n, true)
+	r.ApplyUpdates(map[string][]string{vidID(0): {"newbie", "a", "b"}, vidID(1): {"c", "newbie"}})
+	var buf bytes.Buffer
+	if err := Save(&buf, r.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSectionChecksums: a flipped byte in any section's header or payload
+// fails that section's checksum, and the error names the section.
+func TestSectionChecksums(t *testing.T) {
+	good := builtSnapshot(t, 10)
+	if _, err := Load(bytes.NewReader(good)); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range sections(t, good) {
+		at := map[string]int{"header": s.start + 5}
+		if s.n > 0 {
+			at["payload"] = s.payload + s.n/2
+		} else {
+			at["checksum"] = s.payload
+		}
+		for where, i := range at {
+			bad := slices.Clone(good)
+			bad[i] ^= 0x10
+			_, err := Load(bytes.NewReader(bad))
+			if !errors.Is(err, ErrChecksum) || !strings.Contains(err.Error(), fmt.Sprintf("section %q", s.tag)) {
+				t.Errorf("section %s: flipped %s byte: error %v, want a checksum error naming the section", s.tag, where, err)
+			}
+		}
+	}
+}
+
+// TestEveryFlippedByteFails: past the magic and version, no single flipped
+// byte of a file loads, and none panics.
+func TestEveryFlippedByteFails(t *testing.T) {
+	good := builtSnapshot(t, 4)
+	for i := len(magic) + 4; i < len(good); i++ {
+		bad := slices.Clone(good)
+		bad[i] ^= 0x01
+		if _, err := Load(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("a flipped byte at %d of %d loaded", i, len(good))
+		}
+	}
+}
+
+// TestTruncationAtSectionBoundaries: a file cut where a section starts, where
+// its payload starts or where its checksum starts is an error naming that
+// section; so is a cut one byte short of the end.
+func TestTruncationAtSectionBoundaries(t *testing.T) {
+	good := builtSnapshot(t, 6)
+	for _, s := range sections(t, good) {
+		for _, cut := range []int{s.start, s.payload, s.payload + s.n, s.payload + s.n + 3} {
+			_, err := Load(bytes.NewReader(good[:cut]))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("section %q", s.tag)) || !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Errorf("cut at %d (section %s): error %v, want a truncation naming the section", cut, s.tag, err)
+			}
+		}
+	}
+}
+
+// TestLoadRebuildsCompiledExactly: over a 2,000-clip corpus of synthetic
+// signatures with tied values, every compiled series a version 2 file
+// rebuilds equals CompileSeries of its own series and the saving engine's,
+// bit for bit, and the restored engine's LSB keys equal those ingest
+// computed.
+func TestLoadRebuildsCompiledExactly(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.K = 8
+	src := core.NewRecommender(opts)
+	rng := rand.New(rand.NewSource(7))
+	for i := range 2000 {
+		series := make(signature.Series, 1+rng.Intn(8))
+		for s := range series {
+			cb := make([]signature.Cuboid, rng.Intn(40))
+			for k := range cb {
+				cb[k] = signature.Cuboid{V: float64(rng.Intn(64)-32) / 4, Mu: float64(1+rng.Intn(8)) / 32}
+			}
+			series[s].Cuboids = cb
+		}
+		src.IngestSeries(fmt.Sprintf("v%04d", i), series, social.NewDescriptor(fmt.Sprintf("u%d", rng.Intn(300)), fmt.Sprintf("u%d", rng.Intn(300))))
+	}
+	src.BuildSocial()
+	var buf bytes.Buffer
+	if err := Save(&buf, src.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rs := range snap.Records {
+		want, _ := src.Record(rs.ID)
+		if !rs.Compiled.Identical(signature.CompileSeries(rs.Compiled.Series())) || !rs.Compiled.Identical(want.Compiled) {
+			t.Fatalf("%s: the compiled series rebuilt from the file differs from CompileSeries", rs.ID)
+		}
+	}
+	restored, err := core.FromSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range src.SortedIDs() {
+		got, _ := restored.Record(id)
+		want, _ := src.Record(id)
+		if !slices.Equal(got.Keys, want.Keys) {
+			t.Fatalf("%s: restored LSB keys %x, ingest computed %x", id, got.Keys, want.Keys)
+		}
+	}
+}
+
+// TestLoadLegacyRejectsBadOrder: a version 1 file whose Order is not a
+// permutation of its records' ids is an error. Order [a, a] over records
+// [a, b] must not load one clip and silently drop b.
+func TestLoadLegacyRejectsBadOrder(t *testing.T) {
+	rec := func(id string) legacyRecord {
+		return legacyRecord{ID: id, Series: signature.Series{{Cuboids: []signature.Cuboid{{V: 1, Mu: 1}}}}, Users: []string{"u"}}
+	}
+	file := func(records []legacyRecord, order []string) io.Reader {
+		var buf bytes.Buffer
+		buf.WriteString(magic)
+		binary.Write(&buf, binary.LittleEndian, uint32(legacyVersion))
+		if err := gob.NewEncoder(&buf).Encode(legacySnapshot{Options: core.DefaultOptions(), Records: records, Order: order}); err != nil {
+			t.Fatal(err)
+		}
+		return &buf
+	}
+	for _, tc := range []struct {
+		name    string
+		records []legacyRecord
+		order   []string
+		want    string
+	}{
+		{"duplicate", []legacyRecord{rec("a"), rec("b")}, []string{"a", "a"}, `lists "a" twice`},
+		{"missing", []legacyRecord{rec("a"), rec("b")}, []string{"a"}, "order (1) and records (2) disagree"},
+		{"unknown", []legacyRecord{rec("a"), rec("b")}, []string{"a", "x"}, `unknown id "x"`},
+		{"duplicate record", []legacyRecord{rec("a"), rec("a")}, []string{"a", "b"}, `unknown id "b"`},
+	} {
+		_, err := Load(file(tc.records, tc.order))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want it to name %q", tc.name, err, tc.want)
+		}
+	}
+	big := legacyRecord{ID: "big", Series: signature.Series{{Cuboids: make([]signature.Cuboid, signature.MaxCuboids+1)}}}
+	if _, err := Load(file([]legacyRecord{big}, []string{"big"})); err == nil {
+		t.Error("a signature of MaxCuboids+1 cuboids loaded")
+	}
+	snap, err := Load(file([]legacyRecord{rec("a"), rec("b")}, []string{"b", "a"}))
+	if err != nil || len(snap.Records) != 2 || snap.Records[0].ID != "b" {
+		t.Fatalf("a permuted Order failed to load in its order: %v", err)
+	}
+}

@@ -14,20 +14,25 @@ func writeFuzzFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o600)
 }
 
-// FuzzLoad: arbitrary bytes must never panic the snapshot decoder — they
+// FuzzLoad: arbitrary bytes must never panic either snapshot decoder — they
 // either decode or return an error.
 func FuzzLoad(f *testing.F) {
 	f.Add([]byte("VRECSNAP\x01\x00\x00\x00"))
 	f.Add([]byte("VRECSNAP"))
 	f.Add([]byte("garbage"))
 	f.Add([]byte{})
-	// A valid snapshot as a seed.
+	// A valid version 2 snapshot, and a version 1 one, as seeds.
 	var buf bytes.Buffer
 	r := buildRecommender(f, 3, true)
 	if err := Save(&buf, r.Snapshot()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	legacy, err := os.ReadFile("../../testdata/legacy_sar_fullscan.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(legacy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Load(bytes.NewReader(data))
 		if err != nil {

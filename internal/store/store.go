@@ -1,14 +1,40 @@
-// Package store persists recommender snapshots. The format is a small
-// versioned header followed by a gob-encoded core.Snapshot; everything
-// derived (LSB tree, vectors, inverted files) is rebuilt on
-// load, so files stay compact and forward motion on index internals never
-// invalidates stored data.
+// Package store persists recommender snapshots and the comment journal.
+//
+// A snapshot file is the magic "VRECSNAP" and a little-endian uint32 format
+// version. Version 2 then holds what the engine serves from, in seven
+// sections written in a fixed order, so equal states give equal bytes:
+//
+//	meta       view version, journal cursor, built flag
+//	opts       core.Options as JSON (unknown fields are ignored)
+//	user       every user name once: the UIG's users by dense id, then the
+//	           descriptor-only users in first-use order
+//	recs       per record, in ingestion order: id, per-signature cuboid
+//	           counts, the sorted values and weights, the uint16 sort
+//	           permutations, and the descriptor as user-table indices
+//	part       k, dim, the lightest intra-community weight and the dense
+//	           int32 assignment aligned with the user table
+//	grph       the UIG's user count and its CSR base: ascending, distinct
+//	           a<<32|b keys over user indices and their weights
+//	done       empty; marks the end
+//
+// Each section is a 4-byte tag, a uint64 payload length and the CRC32C of
+// those twelve bytes, then the payload and its CRC32C. The length is checked
+// before the payload is read, so no count in a damaged file can make the
+// reader allocate more than the section holds, and a flipped byte fails the
+// checksum of the section it is in. Save and Load stream through bufio.
+// Compiled series are rebuilt from their sorted form without sorting
+// (signature.CompiledFromSorted), and the graph goes straight into its CSR
+// base; the LSB keys, SAR vectors and inverted files are derived and rebuilt
+// on load, so a change to how they are computed never invalidates a file.
+//
+// Version 1 was a gob-encoded snapshot of the raw series, the partition as
+// a map and the graph as named edges. Load still reads it; Save writes only
+// version 2.
 package store
 
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -20,37 +46,39 @@ import (
 
 // Format constants.
 const (
-	magic   = "VRECSNAP"
-	version = 1
+	magic         = "VRECSNAP"
+	legacyVersion = 1 // gob; read only
+	version       = 2
 )
 
 // Errors returned by the decoder.
 var (
 	ErrBadMagic   = errors.New("store: not a videorec snapshot")
 	ErrBadVersion = errors.New("store: unsupported snapshot version")
+	ErrChecksum   = errors.New("store: snapshot checksum mismatch")
 )
 
-// Save writes the snapshot to w.
+// Save writes the snapshot to w in the current format.
 func Save(w io.Writer, snap *core.Snapshot) error {
 	if snap == nil {
 		return errors.New("store: nil snapshot")
 	}
-	bw := bufio.NewWriter(w)
+	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(magic); err != nil {
 		return fmt.Errorf("store: write magic: %w", err)
 	}
 	if err := binary.Write(bw, binary.LittleEndian, uint32(version)); err != nil {
 		return fmt.Errorf("store: write version: %w", err)
 	}
-	if err := gob.NewEncoder(bw).Encode(snap); err != nil {
-		return fmt.Errorf("store: encode snapshot: %w", err)
+	if err := encode(bw, snap); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// Load reads a snapshot from r.
+// Load reads a snapshot of either format from r.
 func Load(r io.Reader) (*core.Snapshot, error) {
-	br := bufio.NewReader(r)
+	br := bufio.NewReaderSize(r, 1<<16)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("store: read magic: %w", err)
@@ -62,14 +90,13 @@ func Load(r io.Reader) (*core.Snapshot, error) {
 	if err := binary.Read(br, binary.LittleEndian, &ver); err != nil {
 		return nil, fmt.Errorf("store: read version: %w", err)
 	}
-	if ver != version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
+	switch ver {
+	case version:
+		return decode(br)
+	case legacyVersion:
+		return loadLegacy(br)
 	}
-	var snap core.Snapshot
-	if err := gob.NewDecoder(br).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("store: decode snapshot: %w", err)
-	}
-	return &snap, nil
+	return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
 }
 
 // SaveFile writes the snapshot to path crash-safely: the bytes go to a temp

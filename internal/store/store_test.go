@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"videorec/internal/core"
@@ -187,12 +188,13 @@ func TestFromSnapshotValidation(t *testing.T) {
 	}
 	r := buildRecommender(t, 4, true)
 	snap := r.Snapshot()
-	snap.Order = append(snap.Order, "ghost")
+	snap.Records = append(snap.Records, snap.Records[0])
 	if _, err := core.FromSnapshot(snap); err == nil {
-		t.Error("dangling order entry accepted")
+		t.Error("a record listed twice accepted")
 	}
 	snap2 := r.Snapshot()
-	snap2.Assign["a"] = 999
+	snap2.Assign = slices.Clone(snap2.Assign) // shared with the live partition
+	snap2.Assign[0] = 999
 	if _, err := core.FromSnapshot(snap2); err == nil {
 		t.Error("out-of-range assignment accepted")
 	}

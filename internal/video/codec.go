@@ -16,10 +16,13 @@ import (
 // external decoder. Quantization to 8 bits matches the signature pipeline's
 // intensity domain exactly.
 
+const codecMagic = "VRECVID1"
+
+// The largest clip the codec, and every other decoder of clips, accepts: at
+// most MaxFrames frames, neither side of a frame above MaxFrameSide.
 const (
-	codecMagic   = "VRECVID1"
-	maxFrameSide = 1 << 14
-	maxFrames    = 1 << 22
+	MaxFrameSide = 1 << 14
+	MaxFrames    = 1 << 22
 )
 
 // Codec errors.
@@ -89,7 +92,7 @@ func Decode(r io.Reader) (*Video, error) {
 			return nil, fmt.Errorf("%w: header: %v", ErrCodecCorrupt, err)
 		}
 	}
-	if fw == 0 || fh == 0 || fw > maxFrameSide || fh > maxFrameSide || n == 0 || n > maxFrames {
+	if fw == 0 || fh == 0 || fw > MaxFrameSide || fh > MaxFrameSide || n == 0 || n > MaxFrames {
 		return nil, fmt.Errorf("%w: implausible dimensions %dx%dx%d", ErrCodecCorrupt, fw, fh, n)
 	}
 	v := &Video{

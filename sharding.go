@@ -301,8 +301,8 @@ func (e *Engine) ExportRecords() []core.RecordSnapshot {
 func PreparedFromRecord(rs core.RecordSnapshot) PreparedClip {
 	return PreparedClip{
 		ID:     rs.ID,
-		Series: rs.Series,
-		Desc:   social.NewDescriptor("", rs.Users...),
+		Series: rs.Compiled.Series(),
+		Desc:   rs.Desc,
 	}
 }
 

@@ -494,10 +494,15 @@ func toVideo(clip Clip) (*video.Video, error) {
 	if v.FPS <= 0 {
 		v.FPS = 25
 	}
+	if len(clip.Frames) > video.MaxFrames {
+		return nil, fmt.Errorf("%d frames of %q (max %d): %w", len(clip.Frames), clip.ID, video.MaxFrames, ErrBadFrame)
+	}
 	v.Frames = make([]*video.Frame, 0, len(clip.Frames))
 	for i, f := range clip.Frames {
-		// Divide rather than multiply: W·H can overflow int and wrap to
-		// len(Pix), and video.NewFrame would then panic on the clip.
+		if f.W > video.MaxFrameSide || f.H > video.MaxFrameSide {
+			return nil, fmt.Errorf("frame %d of %q is %dx%d (max side %d): %w", i, clip.ID, f.W, f.H, video.MaxFrameSide, ErrBadFrame)
+		}
+		// Divide rather than multiply, so no W·H can wrap around to len(Pix).
 		if f.W <= 0 || f.H <= 0 || len(f.Pix)%f.W != 0 || len(f.Pix)/f.W != f.H {
 			return nil, fmt.Errorf("frame %d of %q: %w", i, clip.ID, ErrBadFrame)
 		}
