@@ -115,6 +115,10 @@ type Query struct {
 	// sharded fan-out path keys a query once, not once per shard.
 	contentKeys []uint64
 	keyFP       uint64
+
+	// floor is the score floor the views of one sharded fan-out share (see
+	// ScoreFloor and WithFloor); nil for every other query.
+	floor *ScoreFloor
 }
 
 // compiled returns the query's compiled series, building it if the query was

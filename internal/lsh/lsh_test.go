@@ -48,6 +48,20 @@ func TestEmbedClampsOutOfDomain(t *testing.T) {
 	}
 }
 
+// A non-finite value clamps like an out-of-domain one: NaN to the first
+// cell, ±Inf to the ends. (int(NaN) is out of every cell's range, so an
+// unclamped NaN used to index the embedding at −2⁶³ and panic.)
+func TestEmbedClampsNonFinite(t *testing.T) {
+	e := NewEmbedder(0, 1, 3)
+	w := []float64{0.5, 0.5}
+	if got, want := e.Embed([]float64{math.NaN(), 1}, w), e.Embed([]float64{0, 1}, w); L1(got, want) != 0 {
+		t.Errorf("NaN embeds as %v, want the domain minimum's %v", got, want)
+	}
+	if got, want := e.Embed([]float64{math.Inf(-1), math.Inf(1)}, w), e.Embed([]float64{-5, 7}, w); L1(got, want) != 0 {
+		t.Errorf("±Inf embed as %v, want the clamped ends' %v", got, want)
+	}
+}
+
 func randHist(rng *rand.Rand, n int) (v, w []float64) {
 	v = make([]float64, n)
 	w = make([]float64, n)

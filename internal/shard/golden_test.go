@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"videorec"
@@ -390,6 +391,12 @@ func TestRouterVersionFingerprint(t *testing.T) {
 // — results, meta and error — equals the serial call's, an unknown id fails
 // only its own answer (wrapping ErrNotFound), and a batch context that is
 // already done fails every answer with its error.
+//
+// The one exception is a parallel router's Refined count: its shards prune
+// against one shared score floor, so how many candidates each refines
+// depends on which shard offers its scores first. There the answer's
+// Refined must lie between the results returned and the candidates
+// gathered; under GOMAXPROCS(1) the fan-out is serial and it is exact again.
 func TestRecommendBatchCtxMatchesRecommendCtx(t *testing.T) {
 	f := loadFixture(t, 21)
 	type backend interface {
@@ -401,10 +408,21 @@ func TestRecommendBatchCtxMatchesRecommendCtx(t *testing.T) {
 		reqs = append(reqs, videorec.BatchRequest{ClipID: id, TopK: 10})
 	}
 	reqs = append(reqs, videorec.BatchRequest{ClipID: f.queries[0], TopK: 3})
-	for name, be := range map[string]backend{
-		"engine":   buildRef(t, f, videorec.Options{}),
-		"router/4": buildRouter(t, f, 4, videorec.Options{}),
+	router := buildRouter(t, f, 4, videorec.Options{})
+	for _, tc := range []struct {
+		name         string
+		be           backend
+		procs        int // GOMAXPROCS for the case; 0 leaves it
+		exactRefined bool
+	}{
+		{"engine", buildRef(t, f, videorec.Options{}), 0, true},
+		{"router/4", router, 0, false},
+		{"router/4 serial", router, 1, true},
 	} {
+		name, be := tc.name, tc.be
+		if tc.procs > 0 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+		}
 		answers := be.RecommendBatchCtx(context.Background(), reqs)
 		if len(answers) != len(reqs) {
 			t.Fatalf("%s: %d answers for %d requests", name, len(answers), len(reqs))
@@ -412,7 +430,15 @@ func TestRecommendBatchCtxMatchesRecommendCtx(t *testing.T) {
 		for i, req := range reqs {
 			want, wantMeta, wantErr := be.RecommendCtx(context.Background(), req.ClipID, req.TopK)
 			a := answers[i]
-			if fmt.Sprint(a.Err) != fmt.Sprint(wantErr) || a.Meta != wantMeta || len(a.Results) != len(want) {
+			meta := a.Meta
+			if !tc.exactRefined {
+				if meta.Refined < len(a.Results) || meta.Refined > meta.Candidates {
+					t.Fatalf("%s: request %d (%s, k=%d): refined %d outside [%d returned, %d gathered]",
+						name, i, req.ClipID, req.TopK, meta.Refined, len(a.Results), meta.Candidates)
+				}
+				meta.Refined = wantMeta.Refined
+			}
+			if fmt.Sprint(a.Err) != fmt.Sprint(wantErr) || meta != wantMeta || len(a.Results) != len(want) {
 				t.Fatalf("%s: request %d (%s, k=%d): answer (%d results, %+v, %v), serial (%d results, %+v, %v)",
 					name, i, req.ClipID, req.TopK, len(a.Results), a.Meta, a.Err, len(want), wantMeta, wantErr)
 			}

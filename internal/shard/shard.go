@@ -19,7 +19,9 @@
 //     and its own record (plus the shared social machinery), never on which
 //     other videos share its shard; each shard's local top-K therefore
 //     contains every global winner stored there, and the merge selects
-//     exactly the single-engine ranking.
+//     exactly the single-engine ranking. The shards of one query also share
+//     a score floor (see fanOut); it lets a shard stop refining sooner, but
+//     never before it has refined every global winner it stores.
 //
 // One honest caveat: when the per-shard candidate budgets (ContentProbe,
 // CandidateLimit) bind, each shard refines a full budget of its own
@@ -38,6 +40,7 @@ import (
 	"hash/fnv"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -155,6 +158,9 @@ type Router struct {
 	shardFailTotal   atomic.Uint64 // shard calls that errored, timed out or panicked
 	breakerOpenTotal atomic.Uint64 // closed/half-open → open transitions
 	quorumLostTotal  atomic.Uint64 // queries failed because too few shards answered
+
+	// floors pools the per-query score floors of multi-shard fan-outs.
+	floors sync.Pool
 }
 
 // shardSet is one immutable generation of the shard topology. Drain and add
@@ -503,41 +509,73 @@ type shardAnswer struct {
 	info    core.RecommendInfo
 	err     error
 	probe   bool // this call was the shard's half-open breaker probe
-	skipped bool // breaker open: the shard was never dispatched to
+	skipped bool // breaker open or context dead: the shard was never dispatched to
+	ran     bool // the shard's view ran the query, so it may have offered to the floor
 }
 
 // errBreakerOpen marks a shard skipped because its circuit breaker is open.
 var errBreakerOpen = errors.New("shard: circuit breaker open")
 
-// callShard runs one shard's slice of the fan-out: fault sites first (the
-// generic and the per-shard form of each), then the unchanged gather/refine
-// pipeline against the shard's view. A panic anywhere inside becomes a
-// shard failure instead of killing the process — with partial results, one
-// crashing shard must degrade the answer, not the service.
-func callShard(ctx context.Context, i int, v *core.View, q core.Query, topK int, exclude string) (res []core.Result, info core.RecommendInfo, err error) {
+// callShard runs one shard's slice of the fan-out into a: with sites set,
+// the fault sites first (the generic and the per-shard form of each), then
+// the unchanged gather/refine pipeline against the shard's view. A panic
+// anywhere inside becomes a shard failure instead of killing the process —
+// with partial results, one crashing shard must degrade the answer, not the
+// service.
+func callShard(ctx context.Context, i int, v *core.View, q core.Query, topK int, exclude string, sites bool, a *shardAnswer) {
 	defer func() {
 		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("shard: shard %d panicked: %v", i, p)
+			a.res, a.err = nil, fmt.Errorf("shard: shard %d panicked: %v", i, p)
 		}
 	}()
-	if err := faults.Inject(FaultFanOut); err != nil {
-		return nil, info, err
+	if sites {
+		for _, site := range [...]string{FaultFanOut, SiteForShard(FaultFanOut, i), FaultFanOutSlow, SiteForShard(FaultFanOutSlow, i)} {
+			if a.err = faults.Inject(site); a.err != nil {
+				return
+			}
+		}
 	}
-	if err := faults.Inject(SiteForShard(FaultFanOut, i)); err != nil {
-		return nil, info, err
+	a.ran = true
+	a.res, a.info, a.err = v.RecommendCtx(ctx, q, topK, exclude)
+}
+
+// eachShard calls fn for every shard index 0..n-1 and returns once all
+// calls have: on the calling goroutine when serial, else one goroutine per
+// shard.
+func eachShard(n int, serial bool, fn func(i int)) {
+	if serial {
+		for i := range n {
+			fn(i)
+		}
+		return
 	}
-	if err := faults.Inject(FaultFanOutSlow); err != nil {
-		return nil, info, err
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
 	}
-	if err := faults.Inject(SiteForShard(FaultFanOutSlow, i)); err != nil {
-		return nil, info, err
+	wg.Wait()
+}
+
+// scoreFloor hands out a pooled score floor emptied for topK results.
+func (r *Router) scoreFloor(topK int) *core.ScoreFloor {
+	if f, ok := r.floors.Get().(*core.ScoreFloor); ok {
+		f.Reset(topK)
+		return f
 	}
-	return v.RecommendCtx(ctx, q, topK, exclude)
+	return core.NewScoreFloor(topK)
 }
 
 // fanOut runs the query against every view in parallel and merges the
 // per-shard rankings, tolerating per-shard failure:
 //
+//   - with more than one shard, the shards share one score floor
+//     (core.ScoreFloor): each stops refining once nothing it has left can
+//     beat the K-th best score any shard has refined, so the fan-out refines
+//     about what one engine would, and the merge is unchanged;
 //   - every shard call runs under the per-shard budget (request deadline
 //     minus Resilience.ShardMargin), so a stuck shard times out while the
 //     router still has margin to merge the survivors;
@@ -547,6 +585,12 @@ func callShard(ctx context.Context, i int, v *core.View, q core.Query, topK int,
 //     shard's list from the merge; as long as at least
 //     Resilience.MinShardQuorum shards answered, the merged partial ranking
 //     is returned marked Degraded with ShardsFailed/ShardsTotal set.
+//
+// A partial answer is exact over the surviving shards' videos. A shard that
+// failed after its view ran may have offered scores of its own videos to the
+// floor, and the survivors may have pruned against them; so the survivors
+// then answer again without a floor, straight from their views (no fault
+// site, no breaker), under the request context.
 //
 // A dead parent context is never a shard failure: the query returns
 // ctx.Err() so the serving layer maps it to 499/504, and no breaker is
@@ -572,9 +616,26 @@ func (r *Router) fanOut(ctx context.Context, s *shardSet, views []*core.View, q 
 		}
 	}
 
+	fq, floored := q, len(views) > 1
+	if floored {
+		floor := r.scoreFloor(topK)
+		defer r.floors.Put(floor)
+		fq = q.WithFloor(floor)
+	}
+	// Single shard — or a single P, where goroutines per shard buy no
+	// wall-clock and only pay spawn + scheduling: stay on the calling
+	// goroutine. Results are identical either way; only latency and the
+	// Refined count differ.
+	serial := len(views) == 1 || runtime.GOMAXPROCS(0) == 1
 	answers := make([]shardAnswer, len(views))
-	dispatch := func(i int, v *core.View) {
+	eachShard(len(views), serial, func(i int) {
 		a := &answers[i]
+		if err := ctx.Err(); err != nil {
+			// Don't dispatch against a dead context; the classification
+			// below surfaces ctx.Err() for the whole query.
+			a.err, a.skipped = err, true
+			return
+		}
 		ok, probe := s.breakers[i].allow()
 		if !ok {
 			a.err, a.skipped = errBreakerOpen, true
@@ -587,31 +648,14 @@ func (r *Router) fanOut(ctx context.Context, s *shardSet, views []*core.View, q 
 			callCtx, cancel = context.WithTimeout(ctx, budget)
 			defer cancel()
 		}
-		a.res, a.info, a.err = callShard(callCtx, i, v, q, topK, exclude)
-	}
-	if len(views) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		// Single shard — or a single P, where goroutines per shard buy no
-		// wall-clock and only pay spawn + scheduling: stay on the calling
-		// goroutine. Results are identical either way; only latency differs.
-		for i, v := range views {
-			if err := ctx.Err(); err != nil {
-				// Don't dispatch against a dead context; the classification
-				// below surfaces ctx.Err() for the whole query.
-				answers[i].err, answers[i].skipped = err, true
-				continue
+		callShard(callCtx, i, views[i], fq, topK, exclude, true, a)
+	})
+	if floored && ctx.Err() == nil && slices.ContainsFunc(answers, func(a shardAnswer) bool { return a.err != nil && a.ran }) {
+		eachShard(len(views), serial, func(i int) {
+			if a := &answers[i]; a.err == nil {
+				callShard(ctx, i, views[i], q, topK, exclude, false, a)
 			}
-			dispatch(i, v)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, v := range views {
-			wg.Add(1)
-			go func(i int, v *core.View) {
-				defer wg.Done()
-				dispatch(i, v)
-			}(i, v)
-		}
-		wg.Wait()
+		})
 	}
 
 	failed := 0

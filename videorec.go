@@ -294,7 +294,10 @@ type RecommendMeta struct {
 	// query and Refined how many of them needed a κJ before the top-K was
 	// decided (summed over shards; Refined is 0 on a deadline-degraded
 	// answer). Refined/Candidates drifting towards 1 means the score bound
-	// has stopped pruning on this corpus.
+	// has stopped pruning on this corpus. The shards of a router prune
+	// against one shared score floor, so with a parallel fan-out Refined
+	// depends on which shard scored first; it always lies between the
+	// results returned and Candidates, and the answer never depends on it.
 	Candidates int
 	Refined    int
 }
