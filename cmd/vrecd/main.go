@@ -13,9 +13,9 @@
 // With -demo N the server starts pre-loaded with an N-hour synthetic
 // community, ready to answer /recommend immediately. The resilience flags
 // bound every recommendation query: requests beyond -max-inflight queue up
-// to -max-queue deep and are then shed with 503 + Retry-After, and queries
-// that outlive -query-timeout answer degraded (coarse SAR ranking) instead
-// of erroring.
+// to -max-queue deep and are then shed with 503 + Retry-After, and a query
+// whose -query-timeout passes mid-refinement answers degraded (exact scores
+// for what it refined, a lower bound for the rest) instead of erroring.
 //
 // With -limit-ceiling > 0 the concurrency limit adapts by latency gradient:
 // it probes upward from -max-inflight toward the ceiling while observed
@@ -26,8 +26,9 @@
 // Retry-After on refusals is computed from queue depth over drain rate.
 // With -brownout, sustained queue pressure browns out queries (tier 1: those
 // that waited; tier 2: all) by shrinking their deadline to -brownout-margin,
-// so they take the engine's coarse degraded path instead of queueing toward
-// the deadline; browned answers are marked degraded:true and never cached.
+// which bounds how long they refine instead of letting them queue toward the
+// deadline; a browned query the margin cuts answers degraded:true, never
+// cached.
 //
 // With -shards N (N > 1) the corpus is partitioned across N shard engines
 // behind a scatter-gather router: queries fan out to every shard in parallel
@@ -84,14 +85,14 @@ func main() {
 	snapshot := flag.String("snapshot", "", "snapshot path: restored at start if present, saved on shutdown")
 	journal := flag.String("journal", "", "comment journal (WAL): replayed at start, appended on every update")
 	demo := flag.Float64("demo", 0, "pre-load an N-hour synthetic community (0 = start empty)")
-	queryTimeout := flag.Duration("query-timeout", 2*time.Second, "per-query deadline; near-deadline queries answer degraded (0 = none)")
+	queryTimeout := flag.Duration("query-timeout", 2*time.Second, "per-query deadline; a query it cuts mid-refinement answers degraded (0 = none)")
 	maxInflight := flag.Int("max-inflight", 256, "max concurrently executing queries (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "max queries queued for a slot before shedding (0 = same as -max-inflight)")
 	limitFloor := flag.Int("limit-floor", 0, "adaptive concurrency limit floor (0 = default 1; needs -limit-ceiling)")
 	limitCeiling := flag.Int("limit-ceiling", 0, "adaptive concurrency limit ceiling; the limiter probes between floor and ceiling by latency gradient (0 = fixed -max-inflight limit)")
 	adjustWindow := flag.Duration("adjust-window", 0, "adaptive limiter adjustment cadence (0 = default 100ms)")
-	brownout := flag.Bool("brownout", false, "serve coarse degraded answers under queue pressure instead of queueing toward the deadline")
-	brownoutMargin := flag.Duration("brownout-margin", 0, "deadline budget left to a browned-out query (0 = default 10ms; keep it under the engine degrade margin)")
+	brownout := flag.Bool("brownout", false, "under queue pressure, shrink query deadlines to -brownout-margin instead of queueing toward the deadline")
+	brownoutMargin := flag.Duration("brownout-margin", 0, "deadline left to a browned-out query, bounding how long it refines (0 = default 10ms)")
 	maxK := flag.Int("max-k", 100, "cap on the k query parameter")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (503) responses")
 	replicaOf := flag.String("replica-of", "", "run as a read-only replica of this primary URL")

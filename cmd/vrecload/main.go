@@ -194,7 +194,7 @@ func main() {
 		limitCeiling   = flag.Int("limit-ceiling", 0, "self-serve: adaptive limit ceiling (0 = fixed limit)")
 		adjustWindow   = flag.Duration("adjust-window", 50*time.Millisecond, "self-serve: limiter adjustment cadence")
 		brownout       = flag.Bool("brownout", false, "self-serve: enable brownout degradation under queue pressure")
-		brownoutMargin = flag.Duration("brownout-margin", 0, "self-serve: deadline budget left to a browned-out request (0 = server default); with -service-time, set it a little above the synthetic latency so browned requests survive the sleep and reach the engine's coarse path")
+		brownoutMargin = flag.Duration("brownout-margin", 0, "self-serve: deadline budget left to a browned-out request (0 = server default); with -service-time, set it above the synthetic latency so browned requests survive the sleep and reach refinement, which the rest of the margin bounds")
 		queryTimeout   = flag.Duration("query-timeout", 250*time.Millisecond, "self-serve: per-query deadline")
 		cacheSize      = flag.Int("cache-size", 24, "self-serve: result LRU capacity — keep it below -videos so the Zipf tail misses and the engine actually works")
 		serviceTime    = flag.Duration("service-time", 0, "self-serve: add this much synthetic per-query handler latency (simulates a production-sized corpus on small machines; the sleep holds the admission slot but yields the CPU, so real queueing pressure forms even on one core)")

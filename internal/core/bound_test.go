@@ -3,10 +3,12 @@ package core
 import (
 	"cmp"
 	"context"
+	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"videorec/internal/faults"
 	"videorec/internal/signature"
@@ -186,8 +188,9 @@ func TestBoundedRefineTieAtCutoff(t *testing.T) {
 	}
 }
 
-// coarseReference is the degraded answer written out longhand: every
-// reference candidate ranked by s̃J alone under (score desc, id asc).
+// coarseReference ranks every reference candidate by s̃J alone under
+// (score desc, id asc): the answer a refinement cut before its first κJ must
+// order its ids by, and the baseline an interrupted one must beat.
 func coarseReference(v *View, q Query, topK int, exclude ...string) []Result {
 	qvec := social.Vectorize(q.Desc, v.part.Lookup, v.part.Dim)
 	var out []Result
@@ -202,32 +205,230 @@ func coarseReference(v *View, q Query, topK int, exclude ...string) []Result {
 	return out
 }
 
-// A deadline that expires while the bounded search is running must produce
-// the degraded answer the exhaustive refine produced: all gathered
-// candidates ranked by s̃J, none dropped because refinement had skipped or
-// not yet reached them.
-func TestBoundedRefineDegradesMidRefine(t *testing.T) {
-	defer faults.Reset()
-	v := withOptions(buildGolden(t, nil), func(o *Options) { o.RefineWorkers = 1 })
-	id := goldenQueries(t, v, 1)[0]
-	q, _ := v.QueryFor(id)
-	want := coarseReference(v, q, 10, id)
-	cands := len(referenceCandidates(v, q, id))
+// deadlineCtx is a context a test expires by hand: live until expire, then
+// done with Err = DeadlineExceeded, as if its deadline passed at that
+// instant.
+type deadlineCtx struct {
+	context.Context
+	done chan struct{}
+}
 
-	// Past the 20ms margin, so refinement starts; expired a few slowed
-	// candidate scores later.
-	faults.Arm(faults.RefineScore, faults.Latency(10*time.Millisecond))
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	got, info, err := v.RecommendCtx(ctx, q, 10, id)
-	if err != nil {
-		t.Fatalf("mid-refine deadline errored: %v", err)
+func newDeadlineCtx() *deadlineCtx {
+	return &deadlineCtx{Context: context.Background(), done: make(chan struct{})}
+}
+
+func (c *deadlineCtx) Done() <-chan struct{} { return c.done }
+
+func (c *deadlineCtx) Err() error {
+	if ctxDone(c.done) {
+		return context.DeadlineExceeded
 	}
-	if !info.Degraded || info.Refined != 0 || info.Candidates != cands {
-		t.Fatalf("info = %+v, want degraded with %d candidates and nothing refined", info, cands)
+	return nil
+}
+
+func (c *deadlineCtx) expire() { close(c.done) }
+
+// byID indexes an exact answer that holds every candidate.
+func byID(all []Result) map[string]Result {
+	m := make(map[string]Result, len(all))
+	for _, r := range all {
+		m[r.VideoID] = r
 	}
-	if !resultsEqual(got, want) {
-		t.Fatalf("degraded answer differs from the coarse reference\ngot:  %+v\nwant: %+v", got, want)
+	return m
+}
+
+// requireAnytime checks an answer that a deadline cut: as long as the exact
+// one, sorted under RanksBelow, no id twice, and every entry either the
+// candidate's exact result or its unrefined one, fuse(0, s̃J) with
+// Content = 0. It returns how many entries are the unrefined result, which
+// for a κJ of 0 is also the exact one.
+func requireAnytime(t *testing.T, label string, v *View, got []Result, exact map[string]Result, topK int) int {
+	t.Helper()
+	if want := min(topK, len(exact)); len(got) != want {
+		t.Fatalf("%s: %d results, want %d", label, len(got), want)
+	}
+	seen := map[string]bool{}
+	unrefined := 0
+	for i, r := range got {
+		if i > 0 && !RanksBelow(r, got[i-1]) {
+			t.Fatalf("%s: rank %d %+v is not below %+v", label, i, r, got[i-1])
+		}
+		if seen[r.VideoID] {
+			t.Fatalf("%s: %s answered twice", label, r.VideoID)
+		}
+		seen[r.VideoID] = true
+		e, ok := exact[r.VideoID]
+		fill := Result{VideoID: e.VideoID, Score: v.fuse(0, e.Social), Social: e.Social}
+		switch {
+		case !ok:
+			t.Fatalf("%s: %s is not a candidate", label, r.VideoID)
+		case r == fill:
+			unrefined++
+		case r == e:
+		default:
+			t.Fatalf("%s: %+v is neither exact %+v nor unrefined %+v", label, r, e, fill)
+		}
+	}
+	return unrefined
+}
+
+// recallAt returns the share of want's ids that got holds.
+func recallAt(got, want []Result) float64 {
+	in := map[string]bool{}
+	for _, r := range got {
+		in[r.VideoID] = true
+	}
+	hit := 0
+	for _, r := range want {
+		if in[r.VideoID] {
+			hit++
+		}
+	}
+	return float64(hit) / float64(len(want))
+}
+
+// A refinement that the deadline interrupts answers from what it has. The
+// deadline expires when the (n+1)-th candidate is about to be scored, so
+// with one candidate per round exactly n are refined. At n = 0 nothing is
+// exact and the ids come in s̃J order — the coarse ranking; uncut, the
+// answer is exact; at every n each score is exact or the candidate's lower
+// bound fuse(0, s̃J), and the mean recall@10 against the exact answer is at
+// least the coarse ranking's. The query shares a score floor, which must
+// never see an unrefined score: below n = K it stays empty. -v logs the
+// recall table.
+func TestBoundedRefineInterruptedSweep(t *testing.T) {
+	defer faults.Reset()
+	const topK = 10
+	v := withOptions(buildGolden(t, nil), func(o *Options) { o.RefineWorkers = 1 })
+	cuts := []int{0, 1, 2, 4, 8, 16, 32, -1} // -1: never cut
+	recall := make([]float64, len(cuts))
+	cutShort := make([]int, len(cuts))
+	var coarseRecall float64
+	queries := goldenQueries(t, v, 8)
+	for _, id := range queries {
+		q, _ := v.QueryFor(id)
+		all := referenceRecommend(v, q, len(referenceCandidates(v, q, id)), id)
+		exact, want := byID(all), all[:min(topK, len(all))]
+		coarse := coarseReference(v, q, topK, id)
+		coarseRecall += recallAt(coarse, want)
+		for ci, n := range cuts {
+			label := fmt.Sprintf("query %s, cut after %d", id, n)
+			ctx, scored := newDeadlineCtx(), 0
+			faults.Arm(faults.RefineScore, func() error {
+				if scored == n {
+					ctx.expire()
+				}
+				scored++
+				return nil
+			})
+			floor := NewScoreFloor(topK)
+			got, info, err := v.RecommendCtx(ctx, q.WithFloor(floor), topK, id)
+			faults.Disarm(faults.RefineScore)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			recall[ci] += recallAt(got, want)
+			if n < 0 || scored <= n { // refinement finished first
+				if info.Degraded || !resultsEqual(got, want) {
+					t.Fatalf("%s: uncut answer degraded=%v\ngot:  %+v\nwant: %+v", label, info.Degraded, got, want)
+				}
+				continue
+			}
+			cutShort[ci]++
+			if !info.Degraded || info.Refined != n || info.Candidates != len(all) {
+				t.Fatalf("%s: info %+v, want degraded with %d refined of %d", label, info, n, len(all))
+			}
+			unrefined := requireAnytime(t, label, v, got, exact, topK)
+			if n == 0 {
+				if unrefined != len(got) {
+					t.Fatalf("%s: %d of %d results exact before any κJ", label, len(got)-unrefined, len(got))
+				}
+				for i := range got {
+					if got[i].VideoID != coarse[i].VideoID {
+						t.Fatalf("%s: rank %d is %s, the coarse ranking has %s", label, i, got[i].VideoID, coarse[i].VideoID)
+					}
+				}
+			}
+			if n < topK && !math.IsInf(floor.load(), -1) {
+				t.Fatalf("%s: the floor reads %v after %d exact scores", label, floor.load(), n)
+			}
+		}
+	}
+	coarseRecall /= float64(len(queries))
+	t.Logf("mean recall@%d over %d queries: coarse %.3f", topK, len(queries), coarseRecall)
+	for ci, n := range cuts {
+		recall[ci] /= float64(len(queries))
+		t.Logf("  cut after %3d scored: %.3f (%d queries cut short)", n, recall[ci], cutShort[ci])
+		if recall[ci] < coarseRecall {
+			t.Errorf("cut after %d: mean recall@%d %.3f is below the coarse ranking's %.3f", n, topK, recall[ci], coarseRecall)
+		}
+	}
+}
+
+// A deadline can pass in any phase of refinement — the bound pass,
+// tightening, or a κJ, serial or with a parallel round in flight — and each
+// answers from what it has. The refine job is driven directly, with a poll
+// that reports the deadline passed from poll p on, for every p up to the
+// first that the refinement outlives. A cut in the bound pass leaves nothing
+// tightened or refined, and its ids in coarse order.
+func TestBoundedRefineDeadlineInEveryPhase(t *testing.T) {
+	const topK = 10
+	base := buildGolden(t, nil)
+	for _, workers := range []int{1, 4} {
+		v := withOptions(base, func(o *Options) { o.RefineWorkers = workers })
+		for _, id := range goldenQueries(t, v, 3) {
+			q, _ := v.QueryFor(id)
+			all := referenceRecommend(v, q, len(referenceCandidates(v, q, id)), id)
+			exact, want := byID(all), all[:min(topK, len(all))]
+			coarse := coarseReference(v, q, topK, id)
+			boundPolls := (len(all) + cancelCheckStride - 1) / cancelCheckStride
+			// Every poll of the bound pass and of the first tightenings and
+			// scores, then every quarter further: a κJ polls between EMDs.
+			next := func(p int64) int64 {
+				if p < int64(boundPolls)+32 {
+					return p + 1
+				}
+				return p + p/4
+			}
+			for p := int64(1); ; p = next(p) {
+				var polls atomic.Int64
+				qs := v.getScratch()
+				v.resolveExcludes(qs, []string{id})
+				if err := v.gather(context.Background(), q, qs); err != nil {
+					t.Fatal(err)
+				}
+				j := &qs.job
+				*j = refineJob{v: v, q: q, qs: qs, cause: func() error { return context.DeadlineExceeded }}
+				j.cancelled = func() bool { return polls.Add(1) >= p }
+				var info RecommendInfo
+				got, err := j.refine(topK, workers, &info)
+				v.putScratch(qs)
+				label := fmt.Sprintf("%d workers, query %s, deadline at poll %d", workers, id, p)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if polls.Load() < p {
+					if info.Degraded || !resultsEqual(got, want) {
+						t.Fatalf("%s: uncut answer degraded=%v\ngot:  %+v\nwant: %+v", label, info.Degraded, got, want)
+					}
+					break
+				}
+				if !info.Degraded {
+					t.Fatalf("%s: cut answer not degraded", label)
+				}
+				requireAnytime(t, label, v, got, exact, topK)
+				if p <= int64(boundPolls) {
+					if info.Refined != 0 || info.Tightened != 0 {
+						t.Fatalf("%s: bound pass cut with info %+v", label, info)
+					}
+					for i := range got {
+						if got[i].VideoID != coarse[i].VideoID {
+							t.Fatalf("%s: rank %d is %s, the coarse ranking has %s", label, i, got[i].VideoID, coarse[i].VideoID)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"videorec/internal/btree"
 	"videorec/internal/community"
@@ -41,18 +40,7 @@ type Options struct {
 	ContentProbe   int // LCP walker pops per recommendation
 	CandidateLimit int // refinement budget per recommendation
 	RefineWorkers  int // step-3 refinement goroutines: 0 = GOMAXPROCS, 1 = serial
-
-	// DegradeMargin is the deadline headroom below which RecommendCtx skips
-	// (or abandons) step-3 EMD refinement and answers with the coarse
-	// SAR-ranked candidates instead — a degraded but in-deadline result.
-	// 0 selects the default (20ms); negative disables degradation, so a
-	// too-tight deadline surfaces as context.DeadlineExceeded.
-	DegradeMargin time.Duration
 }
-
-// DefaultDegradeMargin is the deadline headroom under which refinement is
-// skipped when Options.DegradeMargin is left zero.
-const DefaultDegradeMargin = 20 * time.Millisecond
 
 // DefaultOptions uses the paper's tuned parameters (ω=0.7, k=60).
 func DefaultOptions() Options {
@@ -66,7 +54,6 @@ func DefaultOptions() Options {
 		MinUserVideos:  2,
 		ContentProbe:   512,
 		CandidateLimit: 400,
-		DegradeMargin:  DefaultDegradeMargin,
 	}
 }
 
@@ -210,9 +197,6 @@ func NewRecommender(opts Options) *Recommender {
 	}
 	if opts.MatchThreshold == 0 {
 		opts.MatchThreshold = signature.DefaultMatchThreshold
-	}
-	if opts.DegradeMargin == 0 {
-		opts.DegradeMargin = DefaultDegradeMargin
 	}
 	st := &View{
 		opts: opts,

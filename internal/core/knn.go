@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"videorec/internal/bitset"
 	"videorec/internal/faults"
@@ -33,19 +32,18 @@ const cancelCheckStride = 64
 
 // RecommendInfo describes how a RecommendCtx query was answered.
 type RecommendInfo struct {
-	// Degraded is true when step-3 EMD refinement was skipped (deadline
-	// already inside the degrade margin) or abandoned (deadline expired
-	// mid-refinement) and the results carry only the coarse social ranking:
-	// Score = s̃J, Content = 0.
+	// Degraded is true when the deadline cut step-3 refinement short. The
+	// answer then holds exact fused scores for the candidates refinement
+	// scored and, for every other candidate, the lower bound it has without
+	// a κJ: Score = fuse(0, s̃J), Content = 0.
 	Degraded bool
 	// Candidates is the number of candidates gathered for refinement.
 	Candidates int
-	// Refined is how many of them got a κJ before the top-K was decided (0
-	// for a degraded answer).
+	// Refined is how many of them got a κJ: before the top-K was decided, or
+	// before the deadline on a degraded answer.
 	Refined int
 	// Tightened is how many of them had their loose envelope bound replaced
-	// by signature.KJUpperBound before the top-K was decided (0 for a
-	// degraded answer).
+	// by signature.KJUpperBound, counted the same way.
 	Tightened int
 }
 
@@ -286,12 +284,10 @@ func (v *View) Recommend(q Query, topK int, exclude ...string) []Result {
 //     polls it between EMD evaluations (signature.KJCancelCompiled), so a canceled
 //     request stops burning CPU within about one EMD evaluation and returns
 //     ctx.Err().
-//   - Degradation is the deadline policy: when the deadline is already
-//     within Options.DegradeMargin at refinement start — or expires while
-//     refinement runs — the query is answered from the coarse social ranking
-//     it already has (s̃J over SAR vectors) instead of failing with
-//     DeadlineExceeded, and the result is flagged Degraded. A negative
-//     DegradeMargin disables the fallback.
+//   - A deadline that expires during refinement stops it and answers from
+//     what it has (see refine): the exact scores so far and a lower bound for
+//     every other candidate, flagged Degraded. A deadline that expires during
+//     candidate gathering fails the query with DeadlineExceeded.
 //
 // Without a deadline or cancellation the results are bit-identical to
 // Recommend.
@@ -312,15 +308,6 @@ func (v *View) RecommendCtx(ctx context.Context, q Query, topK int, exclude ...s
 	}
 	info.Candidates = len(qs.merged)
 
-	// Degrade up front when the deadline cannot plausibly fit a full EMD
-	// refinement pass: answer with the coarse social ranking immediately.
-	canDegrade := v.opts.DegradeMargin > 0
-	if canDegrade {
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < v.opts.DegradeMargin {
-			return v.finishCoarse(ctx, qs, topK, &info)
-		}
-	}
-
 	done := ctx.Done()
 	job := &qs.job
 	*job = refineJob{v: v, q: q, qs: qs}
@@ -334,11 +321,6 @@ func (v *View) RecommendCtx(ctx context.Context, q Query, topK int, exclude ...s
 	}
 	results, err := job.refine(topK, workers, &info)
 	if err != nil {
-		// A deadline that expired mid-refinement still gets the coarse
-		// answer; cancellation and injected faults propagate as errors.
-		if canDegrade && err == context.DeadlineExceeded {
-			return v.finishCoarse(context.WithoutCancel(ctx), qs, topK, &info)
-		}
 		return nil, info, err
 	}
 	return results, info, nil
@@ -482,25 +464,6 @@ func ctxDone(done <-chan struct{}) bool {
 	}
 }
 
-// finishCoarse ranks the candidate set by social relevance alone — the
-// coarse SAR scores step 1 already paid for — skipping EMD refinement
-// entirely. Each s̃J is one division over step 1's accumulated sums, orders
-// of magnitude cheaper than κJ, so this path answers within any realistic
-// margin. ctx is still honored (a hard cancel beats degradation).
-func (v *View) finishCoarse(ctx context.Context, qs *queryScratch, topK int, info *RecommendInfo) ([]Result, RecommendInfo, error) {
-	done := ctx.Done()
-	sel := qs.resultSelector(topK)
-	for i, idx := range qs.merged {
-		if i%cancelCheckStride == 0 && ctxDone(done) {
-			return nil, *info, ctx.Err()
-		}
-		soc := qs.sparseSJ(v, idx)
-		sel.Offer(Result{VideoID: v.ids.At(idx), Score: soc, Social: soc})
-	}
-	info.Degraded = true
-	return sel.Sorted(), *info, nil
-}
-
 // resultSlots returns the scratch's result buffer resized to n.
 func (qs *queryScratch) resultSlots(n int) []Result {
 	if cap(qs.results) >= n {
@@ -575,29 +538,37 @@ type refineJob struct {
 // consumed in rounds: up to a round's worth of tight tops are popped into the
 // slots behind the heap, scored concurrently, then offered to the selector,
 // and the stopping test runs between rounds — without a floor, a
-// schedule-independent superset of the serial visit. Tightening polls for
-// cancellation every cancelCheckStride bounds; workers poll between
-// candidates and, through signature.KJCancelCompiled, between EMD
-// evaluations; the first cancellation or injected fault fails the query.
+// schedule-independent superset of the serial visit. The bound pass and
+// tightening poll for cancellation every cancelCheckStride bounds; workers
+// poll between candidates and, through signature.KJCancelCompiled, between
+// EMD evaluations. An expired deadline ends the search with an answer (see
+// stop); a cancellation or an injected fault fails the query.
 // Everything but the goroutines and the returned answer lives in pooled
 // scratch.
 func (j *refineJob) refine(topK, workers int, info *RecommendInfo) ([]Result, error) {
 	v, qs := j.v, j.qs
 	j.qc = j.q.compiled()
+	sel := qs.resultSelector(topK)
 	heap := qs.bounds[:0]
+	var cut error
 	for i, idx := range qs.merged {
-		if i%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
-			return nil, j.cause()
+		if cut == nil && i%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
+			cut = j.cause()
 		}
 		c := boundCand{idx: idx, tight: true}
 		if e := v.env.At(idx); e.N >= 0 { // a live slot
 			c.tight = false
 			c.soc = qs.sparseSJ(v, idx)
-			c.bound = v.fuse(signature.KJEnvelopeBound(j.qc, e, v.opts.MatchThreshold, &qs.kj), c.soc)
+			if cut == nil {
+				c.bound = v.fuse(signature.KJEnvelopeBound(j.qc, e, v.opts.MatchThreshold, &qs.kj), c.soc)
+			}
 		}
 		heap = append(heap, c)
 	}
 	qs.bounds = heap
+	if cut != nil {
+		return j.stop(cut, sel, heap, 0, 0, info)
+	}
 	for i := len(heap)/2 - 1; i >= 0; i-- {
 		siftDown(heap, i)
 	}
@@ -606,7 +577,6 @@ func (j *refineJob) refine(topK, workers int, info *RecommendInfo) ([]Result, er
 	if workers > 1 && len(heap) >= minParallelRefine {
 		round = workers * refineRoundPerWorker
 	}
-	sel := qs.resultSelector(topK)
 	floor := j.q.floor
 	refined, tightened := 0, 0
 	for {
@@ -621,7 +591,7 @@ func (j *refineJob) refine(topK, workers int, info *RecommendInfo) ([]Result, er
 			}
 			if !top.tight {
 				if tightened%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
-					return nil, j.cause()
+					return j.stop(j.cause(), sel, qs.bounds[:len(heap)+n], refined, tightened, info)
 				}
 				tightened++
 				ub := signature.KJUpperBound(j.qc, v.sketches.At(top.idx), v.opts.MatchThreshold, &qs.kj)
@@ -642,7 +612,7 @@ func (j *refineJob) refine(topK, workers int, info *RecommendInfo) ([]Result, er
 		cands := qs.bounds[len(heap) : len(heap)+n]
 		results := qs.resultSlots(n)
 		if err := j.scoreRound(cands, results, workers); err != nil {
-			return nil, err
+			return j.stop(err, sel, qs.bounds[:len(heap)+n], refined, tightened, info)
 		}
 		for _, r := range results {
 			sel.Offer(r)
@@ -652,6 +622,22 @@ func (j *refineJob) refine(topK, workers int, info *RecommendInfo) ([]Result, er
 		}
 		refined += n
 	}
+}
+
+// stop ends a refinement that err interrupted. On a deadline it answers from
+// what it has: the selector's exact scores, and each unscored candidate (the
+// heap and any round in flight, or all of them when the bound pass was cut)
+// with score's result for a κJ of 0 — a lower bound, as fuse is monotone in
+// κJ. A ScoreFloor sees only exact scores. Any other error fails the query.
+func (j *refineJob) stop(err error, sel *topk.Selector[Result], unscored []boundCand, refined, tightened int, info *RecommendInfo) ([]Result, error) {
+	if err != context.DeadlineExceeded {
+		return nil, err
+	}
+	for _, c := range unscored {
+		sel.Offer(j.result(c, 0))
+	}
+	info.Degraded, info.Refined, info.Tightened = true, refined, tightened
+	return sel.Sorted(), nil
 }
 
 // scoreRound scores one round of candidates into their result slots: a
@@ -715,12 +701,18 @@ func (j *refineJob) score(c boundCand, scratch *signature.KJScratch) (Result, er
 			return Result{}, j.cause()
 		}
 	}
+	return j.result(c, content), nil
+}
+
+// result is c's answer entry for a content relevance κJ: its fused score
+// with the s̃J the bound pass computed.
+func (j *refineJob) result(c boundCand, content float64) Result {
 	return Result{
-		VideoID: v.ids.At(c.idx),
-		Score:   v.fuse(content, c.soc),
+		VideoID: j.v.ids.At(c.idx),
+		Score:   j.v.fuse(content, c.soc),
 		Content: content,
 		Social:  c.soc,
-	}, nil
+	}
 }
 
 // RecommendID recommends for a stored video, excluding the video itself.

@@ -34,9 +34,9 @@
 //
 //   - Brownout tiers. From queue pressure the controller derives a tier
 //     (0 = normal, 1 = pressured, 2 = saturated) with hysteresis on the way
-//     down. The server couples tiers to the engine's degrade path: tier 1
-//     serves queued requests the coarse social-only ranking, tier 2 serves
-//     it to everyone — shedding work before deadlines force it.
+//     down. The server couples tiers to the engine's deadline: tier 1
+//     shortens the deadline of queued requests, tier 2 of everyone, so
+//     refinement stops early — shedding work before deadlines force it.
 //
 // The controller is a single mutex-guarded state machine. Admission and
 // completion both take the lock; at the concurrency levels the limiter
@@ -543,7 +543,7 @@ func (c *Controller) RetryAfterSeconds() int {
 }
 
 // Tier reports the current brownout tier: 0 normal, 1 pressured (queued
-// requests should go coarse), 2 saturated (everything should go coarse).
+// requests should refine briefly), 2 saturated (everything should).
 func (c *Controller) Tier() int {
 	if c == nil {
 		return 0

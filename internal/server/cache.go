@@ -4,11 +4,10 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
-
-	"videorec"
 )
 
-// resultCache is a small LRU over recommendation lists, keyed by
+// resultCache is a small LRU over complete (never degraded) recommendation
+// answers, kept as the response that served them, keyed by
 // "viewVersion\x00clipID\x00topK". Keys embed the version of the engine view
 // a result was computed from, so mutations never need to purge anything:
 // a published mutation bumps the view version, new queries key under the new
@@ -31,7 +30,7 @@ func cacheKey(version uint64, clipID string, topK int) string {
 
 type cacheItem struct {
 	key  string
-	recs []videorec.Recommendation
+	resp RecommendResponse
 }
 
 func newResultCache(capacity int) *resultCache {
@@ -45,28 +44,28 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-func (c *resultCache) get(key string) ([]videorec.Recommendation, bool) {
+func (c *resultCache) get(key string) (RecommendResponse, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.at[key]
 	if !ok {
 		c.misses++
-		return nil, false
+		return RecommendResponse{}, false
 	}
 	c.ll.MoveToFront(el)
 	c.hits++
-	return el.Value.(*cacheItem).recs, true
+	return el.Value.(*cacheItem).resp, true
 }
 
-func (c *resultCache) put(key string, recs []videorec.Recommendation) {
+func (c *resultCache) put(key string, resp RecommendResponse) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.at[key]; ok {
-		el.Value.(*cacheItem).recs = recs
+		el.Value.(*cacheItem).resp = resp
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.at[key] = c.ll.PushFront(&cacheItem{key: key, recs: recs})
+	c.at[key] = c.ll.PushFront(&cacheItem{key: key, resp: resp})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

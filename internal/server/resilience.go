@@ -18,8 +18,8 @@ import (
 // deadline-aware queue evict requests that can no longer make it. admit
 // then runs the request through the overload controller: the adaptive
 // concurrency limiter, the bounded wait queue, and — under load — the
-// brownout tiers that shrink the request's deadline into the engine's
-// degrade margin so it answers coarse instead of late.
+// brownout tiers that shrink the request's deadline to BrownoutMargin so it
+// refines only as long as that allows instead of answering late.
 
 // overloadStatus maps an admission failure to its HTTP response shape:
 // status code, machine-readable reason (distinct 503 bodies: a shed 503
@@ -47,8 +47,8 @@ func overloadStatus(err error) (status int, reason string, retryAfter, shed bool
 // requests run when a slot is free, wait (deadline-aware, adaptively LIFO
 // under sustained overload) when the limiter is full, and are refused with
 // a load-derived Retry-After when even waiting cannot help. Once admitted,
-// the brownout tier may shrink the request's deadline into the engine's
-// degrade margin, trading answer quality for staying inside deadlines. A
+// the brownout tier may shrink the request's deadline to BrownoutMargin,
+// trading answer quality for staying inside deadlines. A
 // nil controller (MaxInFlight <= 0) admits everything.
 func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
 	if s.ctl == nil {
@@ -73,10 +73,10 @@ func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
 		}
 		defer release()
 		if s.cfg.Brownout {
-			// Brownout: tier 1 degrades the requests that already paid a
-			// queue wait (they are the marginal load), tier 2 degrades
-			// everyone. Shrinking the deadline into the engine's degrade
-			// margin reuses the existing coarse path end to end.
+			// Brownout: tier 1 shortens the requests that already paid a
+			// queue wait (they are the marginal load), tier 2 everyone. The
+			// shrunk deadline bounds refinement; a query it cuts answers
+			// from what it refined, through the engine's deadline path.
 			if tier := s.ctl.Tier(); tier >= 2 || (tier >= 1 && waited > 0) {
 				s.brownout.Add(1)
 				ctx, cancel := context.WithDeadline(r.Context(), time.Now().Add(s.cfg.BrownoutMargin))

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,14 +146,25 @@ func TestLoadSheddingRetryAfter(t *testing.T) {
 	}
 }
 
-// A query deadline inside the engine's degrade margin answers 200 with
-// degraded: true — coarse SAR results — never a timeout error; degraded
-// answers are not cached.
-func TestDegradedResponseNearDeadline(t *testing.T) {
-	ts, srv := newResilientServer(t, Config{QueryTimeout: 15 * time.Millisecond})
+// A query deadline that passes mid-refinement answers 200 with
+// degraded: true — the exact score of the one candidate refined before the
+// deadline, the fused lower bound ω·s̃J (content 0) for the rest — never a
+// timeout error; degraded answers are not cached. The second κJ of each
+// query stalls past the deadline.
+func TestDegradedResponseMidRefine(t *testing.T) {
+	defer faults.Reset()
+	const timeout = 40 * time.Millisecond
+	ts, srv := newResilientServer(t, Config{QueryTimeout: timeout})
 	populate(t, ts)
 
 	for round := 0; round < 2; round++ {
+		var calls atomic.Int64
+		faults.Arm(faults.RefineScore, func() error {
+			if calls.Add(1) == 2 {
+				time.Sleep(timeout + 20*time.Millisecond)
+			}
+			return nil
+		})
 		resp, err := http.Get(ts.URL + "/recommend?id=clip-0&k=3")
 		if err != nil {
 			t.Fatal(err)
@@ -165,15 +177,13 @@ func TestDegradedResponseNearDeadline(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("round %d: status %d, want 200", round, resp.StatusCode)
 		}
-		if !rr.Degraded {
-			t.Fatalf("round %d: response not flagged degraded", round)
+		if !rr.Degraded || len(rr.Results) != 3 {
+			t.Fatalf("round %d: degraded=%v with %d results, want a degraded top 3", round, rr.Degraded, len(rr.Results))
 		}
-		if len(rr.Results) == 0 {
-			t.Fatalf("round %d: degraded response empty", round)
-		}
+		omega := 0.7 // the engine's default ω
 		for _, r := range rr.Results {
-			if r.Content != 0 {
-				t.Errorf("degraded result %s has content score %g (EMD should be skipped)", r.VideoID, r.Content)
+			if want := (1-omega)*r.Content + omega*r.Social; r.Score != want {
+				t.Errorf("round %d: %s scores %g, want (1−ω)·%g + ω·%g = %g", round, r.VideoID, r.Score, r.Content, r.Social, want)
 			}
 		}
 	}
@@ -183,8 +193,8 @@ func TestDegradedResponseNearDeadline(t *testing.T) {
 	if hits, _, _ := srv.cache.stats(); hits != 0 {
 		t.Errorf("cache hits = %d, want 0 — a degraded answer was cached", hits)
 	}
-	if c, r := srv.candidates.Load(), srv.refined.Load(); c == 0 || r != 0 {
-		t.Errorf("candidates/refined = %d/%d, want gathered candidates and no κJ on degraded answers", c, r)
+	if c, r := srv.candidates.Load(), srv.refined.Load(); c == 0 || r != 2 {
+		t.Errorf("candidates/refined = %d/%d, want gathered candidates and one κJ per degraded answer", c, r)
 	}
 }
 

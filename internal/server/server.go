@@ -7,9 +7,10 @@
 // The serving path is deadline-aware and overload-safe: request contexts
 // thread into the engine's EMD refinement workers (a dropped client stops
 // burning CPU), an admission controller sheds excess load with 503 +
-// Retry-After instead of queueing unboundedly, near-deadline queries answer
-// degraded (coarse SAR ranking) rather than timing out, and handler panics
-// become 500s without killing the process.
+// Retry-After instead of queueing unboundedly, a query whose deadline passes
+// mid-refinement answers degraded (exact where refinement got to, a lower
+// bound elsewhere) rather than timing out, and handler panics become 500s
+// without killing the process.
 package server
 
 import (
@@ -61,20 +62,21 @@ type Config struct {
 	// AdjustWindow tunes the limiter's adjustment cadence (0 = 100ms).
 	// Mostly a test/harness knob.
 	AdjustWindow time.Duration
-	// Brownout couples admission load to the engine's degrade path: under
+	// Brownout couples admission load to the engine's deadline: under
 	// queue pressure (tier 1) queries that waited for a slot — and under
 	// saturation (tier 2) every query — run with their deadline shrunk to
-	// BrownoutMargin, which sits inside the engine's DegradeMargin, so they
-	// answer the coarse social-only ranking (degraded:true, never cached)
+	// BrownoutMargin, which bounds how long they may refine. A query that
+	// finishes inside it answers exactly; one the deadline cuts answers
+	// from the candidates it refined so far (degraded:true, never cached)
 	// instead of competing for refinement the server cannot afford.
 	Brownout bool
-	// BrownoutMargin is the deadline handed to browned-out queries. It must
-	// stay below the engine's DegradeMargin (default 20ms) for the coarse
-	// path to engage up front. 0 defaults to 10ms.
+	// BrownoutMargin is the deadline handed to browned-out queries: the
+	// longest a browned-out query refines. 0 defaults to 10ms.
 	BrownoutMargin time.Duration
 	// QueryTimeout is the per-request deadline for recommendation queries;
-	// 0 means no deadline. The engine degrades (coarse SAR answer) rather
-	// than erroring when the deadline is near.
+	// 0 means no deadline. A query the deadline cuts during refinement
+	// answers degraded rather than erroring; one cut while it still gathers
+	// candidates fails with 504.
 	QueryTimeout time.Duration
 	// MaxK caps the k query parameter; 0 defaults to 100.
 	MaxK int
@@ -141,7 +143,7 @@ type Server struct {
 
 	shed       atomic.Int64 // requests rejected by admission control
 	brownout   atomic.Int64 // admitted requests deliberately browned out
-	degraded   atomic.Int64 // queries answered with the coarse ranking
+	degraded   atomic.Int64 // queries answered degraded: refinement cut short, or shards missing
 	candidates atomic.Int64 // clips gathered for refinement, over computed (not cached) answers
 	refined    atomic.Int64 // clips of those that needed a κJ before the top-K was decided
 	panics     atomic.Int64 // handler panics recovered
@@ -209,13 +211,15 @@ type FrameJSON struct {
 }
 
 // RecommendResponse is the wire form of a recommendation answer. Degraded
-// marks coarse SAR-ranked results returned because the request deadline
-// left no room for full EMD refinement — still a usable ranking, but worth
-// surfacing to clients that may retry with a longer budget. On a sharded
-// backend Degraded also marks partial answers: ShardsFailed of ShardsTotal
-// shards did not contribute (errored, blew their budget, or sat behind an
-// open breaker), so the ranking is correct over the surviving shards'
-// videos and silent about the rest.
+// marks an answer whose EMD refinement the request deadline cut short: the
+// candidates refined before the deadline carry exact fused scores, the rest
+// the lower bound ω·s̃J with content 0, all on one scale and in rank order —
+// still a usable ranking, but worth surfacing to clients that may retry
+// with a longer budget. On a sharded backend Degraded also marks partial
+// answers: ShardsFailed of ShardsTotal shards did not contribute (errored,
+// ran out of budget before refining, or sat behind an open breaker), so the
+// ranking is correct over the surviving shards' videos and silent about the
+// rest. A cache hit answers with the response of the miss that filled it.
 type RecommendResponse struct {
 	Results      []videorec.Recommendation `json:"results"`
 	Degraded     bool                      `json:"degraded"`
@@ -350,10 +354,9 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	version := s.eng.Version()
-	if recs, ok := s.cache.get(cacheKey(version, id, k)); ok {
+	if resp, ok := s.cache.get(cacheKey(s.eng.Version(), id, k)); ok {
 		s.queries.Add(1)
-		writeJSON(w, RecommendResponse{Results: recs, ViewVersion: version})
+		writeJSON(w, resp)
 		return
 	}
 	// Miss: compute against the live view and store under the version that
@@ -364,16 +367,17 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observe(meta)
-	if !meta.Degraded {
-		// Degraded answers are deadline (or shard-failure) artifacts, not
-		// view state — caching them would serve coarse or partial results to
-		// clients with generous budgets against a healthy fleet.
-		s.cache.put(cacheKey(meta.ViewVersion, id, k), recs)
-	}
-	writeJSON(w, RecommendResponse{
+	resp := RecommendResponse{
 		Results: recs, Degraded: meta.Degraded, ViewVersion: meta.ViewVersion,
 		ShardsFailed: meta.ShardsFailed, ShardsTotal: meta.ShardsTotal,
-	})
+	}
+	if !meta.Degraded {
+		// Degraded answers are deadline (or shard-failure) artifacts, not
+		// view state — caching them would serve partly unrefined or partial
+		// results to clients with generous budgets against a healthy fleet.
+		s.cache.put(cacheKey(meta.ViewVersion, id, k), resp)
+	}
+	writeJSON(w, resp)
 }
 
 // observe folds one computed answer into the /stats counters.
@@ -637,11 +641,11 @@ func (s *Server) handleDrainShard(w http.ResponseWriter, r *http.Request) {
 
 // statusFor maps engine errors to HTTP statuses. Context errors are serving
 // outcomes, not engine faults: a canceled client maps to 499 (nginx
-// convention; nobody reads it) and an expired deadline that could not
-// degrade maps to 504. Quorum loss must be checked before the context
-// errors: the quorum error wraps the per-shard causes, which can include
-// budget timeouts (context.DeadlineExceeded), and the client should see the
-// retryable 503, not a 504 blamed on its own deadline.
+// convention; nobody reads it) and a deadline that expired before
+// refinement could answer maps to 504. Quorum loss must be checked before
+// the context errors: the quorum error wraps the per-shard causes, which can
+// include budget timeouts (context.DeadlineExceeded), and the client should
+// see the retryable 503, not a 504 blamed on its own deadline.
 func statusFor(err error) int {
 	switch {
 	case errors.Is(err, shard.ErrQuorum):

@@ -341,9 +341,9 @@ func TestStatsEndpoint(t *testing.T) {
 
 func TestCacheLRUBehavior(t *testing.T) {
 	c := newResultCache(2)
-	r1 := []videorec.Recommendation{{VideoID: "a"}}
-	r2 := []videorec.Recommendation{{VideoID: "b"}}
-	r3 := []videorec.Recommendation{{VideoID: "c"}}
+	r1 := RecommendResponse{Results: []videorec.Recommendation{{VideoID: "a"}}}
+	r2 := RecommendResponse{Results: []videorec.Recommendation{{VideoID: "b"}}}
+	r3 := RecommendResponse{Results: []videorec.Recommendation{{VideoID: "c"}}}
 	c.put("k1", r1)
 	c.put("k2", r2)
 	if _, ok := c.get("k1"); !ok { // touch k1: k2 becomes LRU
@@ -353,10 +353,10 @@ func TestCacheLRUBehavior(t *testing.T) {
 	if _, ok := c.get("k2"); ok {
 		t.Error("k2 should have been evicted")
 	}
-	if got, ok := c.get("k1"); !ok || got[0].VideoID != "a" {
+	if got, ok := c.get("k1"); !ok || got.Results[0].VideoID != "a" {
 		t.Error("k1 lost")
 	}
-	if got, ok := c.get("k3"); !ok || got[0].VideoID != "c" {
+	if got, ok := c.get("k3"); !ok || got.Results[0].VideoID != "c" {
 		t.Error("k3 lost")
 	}
 }

@@ -3,8 +3,10 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"videorec"
@@ -55,6 +57,36 @@ func TestStatsPerShardBreakdown(t *testing.T) {
 	populate(t, ts1)
 	if st1 := getStats(t, ts1); len(st1.Shards) != 1 {
 		t.Errorf("single engine reported %d shard entries, want 1", len(st1.Shards))
+	}
+}
+
+// A cache hit answers with the body of the miss that filled it, shard
+// accounting included: two identical requests to a 4-shard server return
+// byte-identical bodies, the second from the cache.
+func TestShardedCacheHitKeepsShardsTotal(t *testing.T) {
+	ts, _ := newShardedServer(t, 4)
+	populate(t, ts)
+	var bodies [2]string
+	for i := range bodies {
+		resp, err := http.Get(ts.URL + "/recommend?id=clip-0&k=3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = string(b)
+	}
+	if bodies[0] != bodies[1] {
+		t.Fatalf("the cache hit's body differs from the miss's\nmiss: %s\nhit:  %s", bodies[0], bodies[1])
+	}
+	if !strings.Contains(bodies[1], `"shardsTotal":4`) {
+		t.Errorf("answer %s does not report 4 shards", bodies[1])
+	}
+	if st := getStats(t, ts); st.CacheHits != 1 {
+		t.Errorf("cache hits = %d, want 1", st.CacheHits)
 	}
 }
 

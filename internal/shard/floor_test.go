@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"videorec"
 	"videorec/internal/core"
@@ -190,6 +191,69 @@ func TestFloorFailureRescoresSurvivors(t *testing.T) {
 	}
 	if partials == 0 {
 		t.Fatal("no query lost a shard mid-refinement")
+	}
+}
+
+// TestRefineCutShardMergesOnFusedScale: a shard whose router budget cuts
+// its refinement short answers on the same fused scale as its siblings, so
+// the merge ranks one kind of score. The fan-out's first κJ stalls past the
+// ShardMargin budget, so that shard refines nothing; the query still
+// succeeds, marked Degraded with no shard failed, and every merged result
+// carries its clip's exact fused score or, with Content = 0, the lower bound
+// ω·s̃J — never s̃J itself, which would outrank fully scored clips of the
+// other shards. The serial fan-out cuts shard 0 every time, and some of its
+// unrefined clips must reach the merged top 10.
+func TestRefineCutShardMergesOnFusedScale(t *testing.T) {
+	defer faults.Reset()
+	const budget, omega = 100 * time.Millisecond, 0.7
+	f := loadFixture(t, 21)
+	ref := buildRef(t, f, videorec.Options{})
+	refFull := fullRanking(t, ref, f.queries)
+	r := buildRouter(t, f, 4, videorec.Options{})
+	r.SetResilience(Resilience{ShardMargin: time.Hour, BreakerThreshold: -1})
+
+	for _, procs := range []int{1, 4} {
+		unrefined := 0
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, q := range f.queries[:3] {
+				exact := map[string]videorec.Recommendation{}
+				for _, e := range refFull[q] {
+					exact[e.VideoID] = e
+				}
+				var calls atomic.Int64
+				faults.Arm(faults.RefineScore, func() error {
+					if calls.Add(1) == 1 {
+						time.Sleep(budget + 50*time.Millisecond)
+					}
+					return nil
+				})
+				ctx, cancel := context.WithTimeout(context.Background(), time.Hour+budget)
+				got, meta, err := r.RecommendCtx(ctx, q, 10)
+				cancel()
+				faults.Disarm(faults.RefineScore)
+				label := fmt.Sprintf("procs=%d query %s", procs, q)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !meta.Degraded || meta.ShardsFailed != 0 {
+					t.Fatalf("%s: degraded=%v with %d shards failed, want a degraded answer from every shard", label, meta.Degraded, meta.ShardsFailed)
+				}
+				for i, g := range got {
+					e := exact[g.VideoID]
+					switch {
+					case g == e:
+					case g.Content == 0 && g.Social == e.Social && g.Score == omega*e.Social:
+						unrefined++
+					default:
+						t.Fatalf("%s: rank %d is %+v; its exact result is %+v and its lower bound ω·s̃J = %v", label, i, g, e, omega*e.Social)
+					}
+				}
+			}
+		}()
+		if procs == 1 && unrefined == 0 {
+			t.Fatal("serial fan-out: no unrefined clip reached a merged answer; the cut is not exercised")
+		}
 	}
 }
 

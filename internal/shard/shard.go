@@ -90,10 +90,11 @@ func SiteForShard(site string, i int) string {
 type Resilience struct {
 	// ShardMargin is the headroom reserved from the request deadline for the
 	// merge: each shard's fan-out call runs under (deadline − margin), so one
-	// stuck shard exhausts its own budget — becoming a shard failure the
-	// quorum logic can tolerate — while the router still has margin left to
-	// merge the survivors and answer inside the request deadline. 0 disables
-	// budgets: a stuck shard then rides the request deadline itself.
+	// stuck shard exhausts its own budget — answering degraded if refinement
+	// had begun, otherwise becoming a shard failure the quorum logic can
+	// tolerate — while the router still has margin left to merge and answer
+	// inside the request deadline. 0 disables budgets: a stuck shard then
+	// rides the request deadline itself.
 	ShardMargin time.Duration
 	// MinShardQuorum is the minimum number of shards that must answer for a
 	// query to succeed. <= 0 requires every shard (any failure fails the
@@ -417,8 +418,8 @@ func (r *Router) shareLocked(s *shardSet) error {
 // shard's view supplies the query, every shard's view runs the unchanged
 // gather/refine pipeline against it in parallel, and the per-shard top-K
 // merge selects the global winners under (score desc, id asc). Degradation
-// is sticky: if any shard answered coarse, the merged ranking is flagged
-// degraded.
+// is sticky: if any shard's refinement was cut short, the merged ranking is
+// flagged degraded.
 func (r *Router) RecommendCtx(ctx context.Context, clipID string, topK int) ([]videorec.Recommendation, videorec.RecommendMeta, error) {
 	s := r.set()
 	meta := videorec.RecommendMeta{ViewVersion: r.fingerprint(s)}
@@ -606,9 +607,11 @@ func (r *Router) fanOut(ctx context.Context, s *shardSet, views []*core.View, q 
 	// dispatch starts together, so each shard runs under the absolute budget
 	// deadline; in the serial path (GOMAXPROCS=1) each shard gets its own
 	// window, so one slow shard exhausts only its own budget, not the later
-	// shards' — the parent deadline still caps the total. A non-positive
-	// budget means the request was nearly dead on arrival; the engines' own
-	// degrade machinery is the right tool there.
+	// shards' — the parent deadline still caps the total. A shard whose
+	// budget ends during refinement answers from what it refined, on the
+	// fused scale of the others; one whose budget ends earlier fails. A
+	// non-positive budget means the request was nearly dead on arrival: the
+	// shards then run under the request deadline itself.
 	var budget time.Duration
 	if res.ShardMargin > 0 {
 		if d, ok := ctx.Deadline(); ok {

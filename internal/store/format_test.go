@@ -6,8 +6,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -50,6 +52,41 @@ func builtSnapshot(t *testing.T, n int) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestLoadIgnoresRetiredOptions: a version 2 file written while
+// core.Options still had DegradeMargin carries that field in its opts JSON.
+// The decoder ignores it, and the snapshot restores with the options it
+// would have without it.
+func TestLoadIgnoresRetiredOptions(t *testing.T) {
+	b := builtSnapshot(t, 6)
+	opts := sections(t, b)[1]
+	if opts.tag != tagOpts || b[opts.payload] != '{' {
+		t.Fatalf("section 1 is %q starting %q, want an opts JSON object", opts.tag, b[opts.payload])
+	}
+	payload := append([]byte(`{"DegradeMargin":20000000,`), b[opts.payload+1:opts.payload+opts.n]...)
+	var h [16]byte
+	copy(h[:4], tagOpts)
+	binary.LittleEndian.PutUint64(h[4:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(h[12:], crc32.Checksum(h[:12], castagnoli))
+	old := slices.Concat(b[:opts.start], h[:], payload)
+	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(payload, castagnoli))
+	old = append(old, b[opts.payload+opts.n+4:]...)
+
+	want, err := Load(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("a snapshot whose opts hold DegradeMargin: %v", err)
+	}
+	if !reflect.DeepEqual(got.Options, want.Options) {
+		t.Fatalf("options %+v, want %+v", got.Options, want.Options)
+	}
+	if _, err := core.FromSnapshot(got); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestSectionChecksums: a flipped byte in any section's header or payload

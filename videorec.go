@@ -64,11 +64,6 @@ type Options struct {
 	// 0 uses GOMAXPROCS, 1 forces the serial path. Either way the ranking is
 	// bit-identical: parallelism changes latency, never results.
 	RefineWorkers int
-	// DegradeMargin is the deadline headroom below which the Ctx variants of
-	// Recommend skip (or abandon) EMD refinement and answer with the coarse
-	// SAR ranking, flagged degraded. 0 uses the default (20ms); negative
-	// disables degradation so tight deadlines fail with DeadlineExceeded.
-	DegradeMargin time.Duration
 }
 
 // Frame is one grayscale frame; intensities are clamped to [0, 255].
@@ -211,7 +206,6 @@ func New(opts Options) *Engine {
 		c.Omega = 0
 	}
 	c.RefineWorkers = opts.RefineWorkers
-	c.DegradeMargin = opts.DegradeMargin
 	e := &Engine{rec: core.NewRecommender(c)}
 	e.cur.Store(&engineView{view: e.rec.Freeze(), version: 0})
 	return e
@@ -276,28 +270,32 @@ func (e *Engine) Build() {
 
 // RecommendMeta describes how a Ctx-variant query was answered: the view
 // version that served it (for version-keyed caches) and whether the answer
-// is degraded — coarse SAR-ranked results returned because the context
-// deadline left no room for full EMD refinement, or (on a sharded
-// deployment) a partial merge over the shards that answered. Degraded
-// results are usable rankings, but serving layers should not cache them.
+// is degraded — the context deadline cut EMD refinement short, so only the
+// candidates refined before it carry exact scores and the rest the lower
+// bound ω·s̃J with Content = 0, or (on a sharded deployment) a partial
+// merge over the shards that answered. Degraded results are usable
+// rankings, but serving layers should not cache them.
 type RecommendMeta struct {
 	ViewVersion uint64
 	Degraded    bool
 	// ShardsFailed / ShardsTotal describe a scatter-gather answer: how many
 	// shards the query fanned out to and how many of them failed (errored,
-	// exhausted their budget, or were skipped by an open breaker). A partial
+	// exhausted their budget before refining, or were skipped by an open
+	// breaker). A shard whose budget ends mid-refinement does not fail: it
+	// answers degraded, on the same scale as the others. A partial
 	// answer (ShardsFailed > 0) is always also Degraded. A single engine
 	// leaves both zero.
 	ShardsFailed int
 	ShardsTotal  int
 	// Candidates is how many clips candidate generation gathered for the
 	// query and Refined how many of them needed a κJ before the top-K was
-	// decided (summed over shards; Refined is 0 on a deadline-degraded
-	// answer). Refined/Candidates drifting towards 1 means the score bound
-	// has stopped pruning on this corpus. The shards of a router prune
-	// against one shared score floor, so with a parallel fan-out Refined
-	// depends on which shard scored first; it always lies between the
-	// results returned and Candidates, and the answer never depends on it.
+	// decided — or, on a deadline-degraded answer, got one before the
+	// deadline (summed over shards). Refined/Candidates drifting towards 1
+	// means the score bound has stopped pruning on this corpus. The shards
+	// of a router prune against one shared score floor, so with a parallel
+	// fan-out Refined depends on which shard scored first; on a complete
+	// answer it always lies between the results returned and Candidates,
+	// and the answer never depends on it.
 	Candidates int
 	Refined    int
 }
@@ -322,8 +320,9 @@ func (e *Engine) RecommendVersioned(clipID string, topK int) ([]Recommendation, 
 // RecommendCtx is Recommend with deadline-aware serving: cancellation is
 // honored cooperatively through the whole kNN pipeline (a canceled request
 // stops burning CPU within about one EMD evaluation and returns ctx.Err()),
-// and a deadline too tight for full refinement degrades to the coarse SAR
-// ranking instead of failing — see Options.DegradeMargin.
+// and a deadline that passes during refinement answers from the candidates
+// refined so far, flagged Degraded, instead of failing; one that passes
+// while candidates are still being gathered fails with DeadlineExceeded.
 func (e *Engine) RecommendCtx(ctx context.Context, clipID string, topK int) ([]Recommendation, RecommendMeta, error) {
 	cur := e.cur.Load()
 	meta := RecommendMeta{ViewVersion: cur.version}
