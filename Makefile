@@ -119,9 +119,6 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/newsroom
 	$(GO) run ./examples/adcampaign
-	$(GO) run ./examples/livestream
-	$(GO) run ./examples/archive
-	$(GO) run ./examples/copyrightbot
 
 clean:
 	$(GO) clean -testcache

@@ -1,6 +1,7 @@
 package videorec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -69,7 +70,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				}
 				src := sources[rng.Intn(len(sources))]
 				k := 1 + rng.Intn(10)
-				recs, version, err := eng.RecommendVersioned(src, k)
+				recs, meta, err := eng.RecommendCtx(context.Background(), src, k)
+				version := meta.ViewVersion
 				reads.Add(1)
 				if err != nil {
 					// Between Add and Build the published view is unbuilt;
@@ -176,7 +178,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 
 	// The engine is coherent after the dust settles.
 	eng.Build()
-	recs, _, err := eng.RecommendVersioned(sources[0], 10)
+	recs, err := eng.Recommend(sources[0], 10)
 	if err != nil || len(recs) == 0 {
 		t.Fatalf("post-stress recommend: %d recs, err=%v", len(recs), err)
 	}

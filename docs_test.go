@@ -10,10 +10,11 @@ import (
 )
 
 // TestDocsNameOnlyWhatExists holds README.md, the Makefile and the CI
-// workflow to the tree: every make target, command directory, vrecd flag and
-// root-level JSON file they name must exist. A JSON file one of them writes
-// with -out is an output, not a reference. Back the other way, every fuzz
-// target in the module must be on the Makefile's fuzz list, which CI runs.
+// workflow to the tree: every make target, command and example directory,
+// vrecd flag and root-level JSON file they name must exist. A JSON file one
+// of them writes with -out is an output, not a reference. Back the other
+// way, every fuzz target in the module must be on the Makefile's fuzz list
+// and every example on its examples target, both of which CI runs.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	read := func(name string) string {
 		b, err := os.ReadFile(name)
@@ -39,7 +40,7 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 
-	cmdRef := regexp.MustCompile(`\./cmd/(\w+)`)
+	dirRef := regexp.MustCompile(`\./((?:cmd|examples)/\w+)`)
 	jsonRef := regexp.MustCompile("(?:^|[\\s`'\"(=])([\\w.-]+\\.json)\\b")
 	outputs := map[string]bool{}
 	for _, text := range docs {
@@ -48,9 +49,9 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 	for name, text := range docs {
-		for _, m := range cmdRef.FindAllStringSubmatch(text, -1) {
-			if fi, err := os.Stat("cmd/" + m[1]); err != nil || !fi.IsDir() {
-				t.Errorf("%s: ./cmd/%s is not a directory", name, m[1])
+		for _, m := range dirRef.FindAllStringSubmatch(text, -1) {
+			if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
+				t.Errorf("%s: ./%s is not a directory", name, m[1])
 			}
 		}
 		for _, m := range jsonRef.FindAllStringSubmatch(text, -1) {
@@ -60,8 +61,22 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		}
 	}
 
+	recipe := regexp.MustCompile(`(?m)^examples:\n((?:\t.*\n)*)`).FindStringSubmatch(makefile)
+	if recipe == nil {
+		t.Fatal("Makefile: no examples target")
+	}
+	examples, err := os.ReadDir("examples")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range examples {
+		if d.IsDir() && !strings.Contains(recipe[1], "$(GO) run ./examples/"+d.Name()+"\n") {
+			t.Errorf("examples/%s is not on the Makefile's examples target", d.Name())
+		}
+	}
+
 	fuzzDef := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}

@@ -14,7 +14,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
@@ -463,23 +462,9 @@ func (r *Recommender) vectorizeAll() {
 
 // ExtractSeries runs cuboid-signature extraction with the recommender's
 // configured parameters. It touches no recommender state beyond the
-// immutable options and is safe to call from many goroutines — batch ingest
-// parallelizes extraction this way.
+// immutable options and is safe to call from many goroutines.
 func (r *Recommender) ExtractSeries(v *video.Video) signature.Series {
 	return signature.Extract(v, r.opts.Sig)
-}
-
-// ExtractSeriesCtx is ExtractSeries with cooperative cancellation: the
-// context is polled inside the extraction loop (per shot and per q-gram
-// window), so a cancelled bulk ingest abandons even a very long clip within
-// one signature of the cancellation instead of finishing it. Returns the
-// context's error and a nil series when cancelled.
-func (r *Recommender) ExtractSeriesCtx(ctx context.Context, v *video.Video) (signature.Series, error) {
-	series, ok := signature.ExtractCancelled(v, r.opts.Sig, func() bool { return ctx.Err() != nil })
-	if !ok {
-		return nil, ctx.Err()
-	}
-	return series, nil
 }
 
 // AdHocQuery builds a Query from a clip that is not part of the collection

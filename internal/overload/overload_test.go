@@ -372,6 +372,8 @@ func TestBrownoutTierHysteresis(t *testing.T) {
 	}
 	var ws []qw
 	push := func() {
+		// Read the depth before the waiter can enqueue, or want overshoots.
+		want := c.Snapshot().QueueDepth + 1
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		go func() {
@@ -381,7 +383,6 @@ func TestBrownoutTierHysteresis(t *testing.T) {
 				rel()
 			}
 		}()
-		want := c.Snapshot().QueueDepth + 1
 		ws = append(ws, qw{cancel, done})
 		waitFor(t, "enqueue", func() bool { return c.Snapshot().QueueDepth == want })
 	}

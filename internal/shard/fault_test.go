@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -219,6 +221,55 @@ func TestFanOutBudgetSlowShard(t *testing.T) {
 	requireSameList(t, "budget partial", got, partialExpect(refFull[q], owned[1], 10))
 	if shardFail, _, _ := r.FaultCounters(); shardFail != 1 {
 		t.Errorf("shardFailTotal = %d, want 1", shardFail)
+	}
+}
+
+// TestFanOutDeadlineMidRefineDegrades: a request deadline that passes
+// inside one shard's refinement degrades the answer; it does not fail the
+// query. With no ShardMargin every shard runs under the request deadline,
+// and the third κJ of the fan-out stalls past it. The other shards answer
+// exactly and the stalled one from what it refined, so the query returns a
+// full, degraded top 10 with no shard failed, at one P as at four.
+func TestFanOutDeadlineMidRefineDegrades(t *testing.T) {
+	defer faults.Reset()
+	const deadline, omega = 100 * time.Millisecond, 0.7
+	f := loadFixture(t, 21)
+	ref := buildRef(t, f, videorec.Options{})
+	q := f.queries[0]
+	exact := map[string]videorec.Recommendation{}
+	for _, e := range fullRanking(t, ref, []string{q})[q] {
+		exact[e.VideoID] = e
+	}
+	r := buildRouter(t, f, 4, videorec.Options{})
+	r.SetResilience(Resilience{BreakerThreshold: -1})
+
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			var calls atomic.Int64
+			faults.Arm(faults.RefineScore, func() error {
+				if calls.Add(1) == 3 {
+					time.Sleep(deadline + 50*time.Millisecond)
+				}
+				return nil
+			})
+			defer faults.Disarm(faults.RefineScore)
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			got, meta, err := r.RecommendCtx(ctx, q, 10)
+			label := fmt.Sprintf("procs=%d", procs)
+			if err != nil || len(got) != 10 {
+				t.Fatalf("%s: %d results, %v; want 10 degraded results", label, len(got), err)
+			}
+			if !meta.Degraded || meta.ShardsFailed != 0 {
+				t.Fatalf("%s: degraded=%v with %d shards failed, want a degraded answer from every shard", label, meta.Degraded, meta.ShardsFailed)
+			}
+			for i, g := range got {
+				if e := exact[g.VideoID]; g != e && (g.Content != 0 || g.Social != e.Social || g.Score != omega*e.Social) {
+					t.Fatalf("%s: rank %d is %+v; its exact result is %+v and its lower bound ω·s̃J = %v", label, i, g, e, omega*e.Social)
+				}
+			}
+		}()
 	}
 }
 

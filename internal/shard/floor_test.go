@@ -61,8 +61,8 @@ func requireBitIdentical(t *testing.T, label string, got []videorec.Recommendati
 }
 
 // TestSharedFloorMatchesFloorlessMerge is the exactness property: for every
-// fixture query, stored and ad hoc, every k, 2 and 4 shards, serial and
-// parallel fan-out, the router's answer is bit-identical to the merge of its
+// fixture query, stored and ad hoc, every k, 2 and 4 shards, GOMAXPROCS 1
+// and 4, the router's answer is bit-identical to the merge of its
 // shards' floorless answers, and the shards refine no more candidates than
 // they do without the floor. Over the whole run the floor must have pruned
 // something, or the property says nothing.
@@ -201,8 +201,8 @@ func TestFloorFailureRescoresSurvivors(t *testing.T) {
 // succeeds, marked Degraded with no shard failed, and every merged result
 // carries its clip's exact fused score or, with Content = 0, the lower bound
 // ω·s̃J — never s̃J itself, which would outrank fully scored clips of the
-// other shards. The serial fan-out cuts shard 0 every time, and some of its
-// unrefined clips must reach the merged top 10.
+// other shards. At every GOMAXPROCS some of the cut shard's unrefined clips
+// must reach a merged top 10, or the cut is not exercised.
 func TestRefineCutShardMergesOnFusedScale(t *testing.T) {
 	defer faults.Reset()
 	const budget, omega = 100 * time.Millisecond, 0.7
@@ -251,15 +251,15 @@ func TestRefineCutShardMergesOnFusedScale(t *testing.T) {
 				}
 			}
 		}()
-		if procs == 1 && unrefined == 0 {
-			t.Fatal("serial fan-out: no unrefined clip reached a merged answer; the cut is not exercised")
+		if unrefined == 0 {
+			t.Fatalf("procs=%d: no unrefined clip reached a merged answer; the cut is not exercised", procs)
 		}
 	}
 }
 
-// TestRouterRecommendAllocs pins the fan-out's allocations: the pooled score
-// floor adds none, so a 4-shard stored-clip query allocates no more than it
-// did before the floor (12 per query on this fixture).
+// TestRouterRecommendAllocs pins the fan-out's allocations at 17 per 4-shard
+// stored-clip query on this fixture, one goroutine per shard included; the
+// pooled score floor adds none.
 func TestRouterRecommendAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -272,7 +272,7 @@ func TestRouterRecommendAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 12 {
-		t.Errorf("4-shard RecommendCtx allocates %.0f times per query, want at most 12", allocs)
+	if allocs > 17 {
+		t.Errorf("4-shard RecommendCtx allocates %.0f times per query, want at most 17", allocs)
 	}
 }

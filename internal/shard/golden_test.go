@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"videorec"
@@ -392,11 +391,11 @@ func TestRouterVersionFingerprint(t *testing.T) {
 // only its own answer (wrapping ErrNotFound), and a batch context that is
 // already done fails every answer with its error.
 //
-// The one exception is a parallel router's Refined count: its shards prune
-// against one shared score floor, so how many candidates each refines
-// depends on which shard offers its scores first. There the answer's
-// Refined must lie between the results returned and the candidates
-// gathered; under GOMAXPROCS(1) the fan-out is serial and it is exact again.
+// The one exception is the router's Refined count: its shards run in
+// parallel and prune against one shared score floor, so how many candidates
+// each refines depends on which shard offers its scores first. There the
+// answer's Refined must lie between the results returned and the candidates
+// gathered.
 func TestRecommendBatchCtxMatchesRecommendCtx(t *testing.T) {
 	f := loadFixture(t, 21)
 	type backend interface {
@@ -408,21 +407,15 @@ func TestRecommendBatchCtxMatchesRecommendCtx(t *testing.T) {
 		reqs = append(reqs, videorec.BatchRequest{ClipID: id, TopK: 10})
 	}
 	reqs = append(reqs, videorec.BatchRequest{ClipID: f.queries[0], TopK: 3})
-	router := buildRouter(t, f, 4, videorec.Options{})
 	for _, tc := range []struct {
 		name         string
 		be           backend
-		procs        int // GOMAXPROCS for the case; 0 leaves it
 		exactRefined bool
 	}{
-		{"engine", buildRef(t, f, videorec.Options{}), 0, true},
-		{"router/4", router, 0, false},
-		{"router/4 serial", router, 1, true},
+		{"engine", buildRef(t, f, videorec.Options{}), true},
+		{"router/4", buildRouter(t, f, 4, videorec.Options{}), false},
 	} {
 		name, be := tc.name, tc.be
-		if tc.procs > 0 {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
-		}
 		answers := be.RecommendBatchCtx(context.Background(), reqs)
 		if len(answers) != len(reqs) {
 			t.Fatalf("%s: %d answers for %d requests", name, len(answers), len(reqs))

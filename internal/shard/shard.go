@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -540,16 +539,9 @@ func callShard(ctx context.Context, i int, v *core.View, q core.Query, topK int,
 	a.res, a.info, a.err = v.RecommendCtx(ctx, q, topK, exclude)
 }
 
-// eachShard calls fn for every shard index 0..n-1 and returns once all
-// calls have: on the calling goroutine when serial, else one goroutine per
-// shard.
-func eachShard(n int, serial bool, fn func(i int)) {
-	if serial {
-		for i := range n {
-			fn(i)
-		}
-		return
-	}
+// eachShard calls fn for every shard index 0..n-1, each on its own
+// goroutine, and returns once all calls have.
+func eachShard(n int, fn func(i int)) {
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := range n {
@@ -577,9 +569,9 @@ func (r *Router) scoreFloor(topK int) *core.ScoreFloor {
 //     (core.ScoreFloor): each stops refining once nothing it has left can
 //     beat the K-th best score any shard has refined, so the fan-out refines
 //     about what one engine would, and the merge is unchanged;
-//   - every shard call runs under the per-shard budget (request deadline
-//     minus Resilience.ShardMargin), so a stuck shard times out while the
-//     router still has margin to merge the survivors;
+//   - every shard call runs under the shard budget (request deadline minus
+//     Resilience.ShardMargin), so a stuck shard times out while the router
+//     still has margin to merge the survivors;
 //   - a shard whose breaker is open is skipped outright — its recent history
 //     says the call would fail anyway, and skipping is free;
 //   - shard failures (error, budget timeout, panic, open breaker) drop that
@@ -602,20 +594,18 @@ func (r *Router) fanOut(ctx context.Context, s *shardSet, views []*core.View, q 
 	res := r.res.Load()
 	meta.ShardsTotal = len(views)
 
-	// Derive the per-shard budget: the time between fan-out start and
-	// (deadline − margin), applied per dispatch. In the parallel path every
-	// dispatch starts together, so each shard runs under the absolute budget
-	// deadline; in the serial path (GOMAXPROCS=1) each shard gets its own
-	// window, so one slow shard exhausts only its own budget, not the later
-	// shards' — the parent deadline still caps the total. A shard whose
-	// budget ends during refinement answers from what it refined, on the
-	// fused scale of the others; one whose budget ends earlier fails. A
-	// non-positive budget means the request was nearly dead on arrival: the
-	// shards then run under the request deadline itself.
-	var budget time.Duration
-	if res.ShardMargin > 0 {
-		if d, ok := ctx.Deadline(); ok {
-			budget = time.Until(d.Add(-res.ShardMargin))
+	// Every shard runs at once, under one budget deadline: the request
+	// deadline minus the margin. A shard whose budget ends during refinement
+	// answers from what it refined, on the fused scale of the others; one
+	// whose budget ends earlier fails. A budget deadline already past means
+	// the request was nearly dead on arrival: the shards then run under the
+	// request deadline itself.
+	callCtx := ctx
+	if d, ok := ctx.Deadline(); ok && res.ShardMargin > 0 {
+		if budget := d.Add(-res.ShardMargin); time.Now().Before(budget) {
+			var cancel context.CancelFunc
+			callCtx, cancel = context.WithDeadline(ctx, budget)
+			defer cancel()
 		}
 	}
 
@@ -625,13 +615,8 @@ func (r *Router) fanOut(ctx context.Context, s *shardSet, views []*core.View, q 
 		defer r.floors.Put(floor)
 		fq = q.WithFloor(floor)
 	}
-	// Single shard — or a single P, where goroutines per shard buy no
-	// wall-clock and only pay spawn + scheduling: stay on the calling
-	// goroutine. Results are identical either way; only latency and the
-	// Refined count differ.
-	serial := len(views) == 1 || runtime.GOMAXPROCS(0) == 1
 	answers := make([]shardAnswer, len(views))
-	eachShard(len(views), serial, func(i int) {
+	eachShard(len(views), func(i int) {
 		a := &answers[i]
 		if err := ctx.Err(); err != nil {
 			// Don't dispatch against a dead context; the classification
@@ -645,16 +630,10 @@ func (r *Router) fanOut(ctx context.Context, s *shardSet, views []*core.View, q 
 			return
 		}
 		a.probe = probe
-		callCtx := ctx
-		if budget > 0 {
-			var cancel context.CancelFunc
-			callCtx, cancel = context.WithTimeout(ctx, budget)
-			defer cancel()
-		}
 		callShard(callCtx, i, views[i], fq, topK, exclude, true, a)
 	})
 	if floored && ctx.Err() == nil && slices.ContainsFunc(answers, func(a shardAnswer) bool { return a.err != nil && a.ran }) {
-		eachShard(len(views), serial, func(i int) {
+		eachShard(len(views), func(i int) {
 			if a := &answers[i]; a.err == nil {
 				callShard(ctx, i, views[i], q, topK, exclude, false, a)
 			}

@@ -113,26 +113,12 @@ func DefaultOptions() Options {
 // contributes one signature built from its available keyframes (with the
 // last keyframe repeated), so no shot is silently dropped.
 func Extract(v *video.Video, opts Options) Series {
-	s, _ := ExtractCancelled(v, opts, nil)
-	return s
-}
-
-// ExtractCancelled is Extract with cooperative cancellation: cancelled (when
-// non-nil) is polled between shots and between q-gram windows — every window
-// builds one signature's worth of cuboids, so a cancellation lands within
-// one signature of being requested even inside a very long single clip. A
-// true return abandons the extraction; the second result reports whether the
-// series is complete.
-func ExtractCancelled(v *video.Video, opts Options, cancelled func() bool) (Series, bool) {
 	if opts.Grid <= 0 || opts.Q < 2 {
 		panic(fmt.Sprintf("signature: invalid options %+v", opts))
 	}
 	shots := video.Shots(v, opts.Cut)
 	var series Series
 	for _, shot := range shots {
-		if cancelled != nil && cancelled() {
-			return nil, false
-		}
 		if shot.Len() <= 0 {
 			continue
 		}
@@ -144,16 +130,13 @@ func ExtractCancelled(v *video.Video, opts Options, cancelled func() bool) (Seri
 			keys = append(keys, keys[len(keys)-1])
 		}
 		for w := 0; w+opts.Q <= len(keys); w++ {
-			if cancelled != nil && cancelled() {
-				return nil, false
-			}
 			sig := buildSignature(keys[w:w+opts.Q], opts)
 			if len(sig.Cuboids) > 0 {
 				series = append(series, sig)
 			}
 		}
 	}
-	return series, true
+	return series
 }
 
 // buildSignature constructs one cuboid signature over q consecutive

@@ -171,7 +171,7 @@ func (e *Engine) PrepareClip(clip Clip) (PreparedClip, error) {
 	}, nil
 }
 
-// AddPrepared ingests a prepared clip — the shard-side half of Add.
+// AddPrepared ingests a prepared clip — the second half of Add.
 func (e *Engine) AddPrepared(p PreparedClip) error {
 	if p.ID == "" {
 		return ErrEmptyID

@@ -72,19 +72,6 @@ type Frame struct {
 	Pix  []float64 // row-major, length W*H
 }
 
-// FrameFromBytes builds a Frame from 8-bit grayscale pixel data (row-major,
-// length w*h) — the form decoders and the wire format produce.
-func FrameFromBytes(w, h int, pix []byte) (Frame, error) {
-	if w <= 0 || h <= 0 || len(pix) != w*h {
-		return Frame{}, fmt.Errorf("videorec: %d bytes for a %dx%d frame", len(pix), w, h)
-	}
-	f := Frame{W: w, H: h, Pix: make([]float64, len(pix))}
-	for i, b := range pix {
-		f.Pix[i] = float64(b)
-	}
-	return f, nil
-}
-
 // Clip is a video document with its sharing-community context: Q = (q_f,
 // q_s) in the paper's notation. Frames carry q_f; Owner and Commenters carry
 // q_s.
@@ -144,13 +131,13 @@ func summaryFromReport(rep core.UpdateReport) UpdateSummary {
 
 // Engine is the recommender. All methods are safe for concurrent use.
 //
-// Reads (Recommend, RecommendClip, RecommendSegment, Len, SubCommunities,
-// Version) are lock-free: they load the current immutable view through an
-// atomic pointer and never contend with each other or with writers.
-// Mutations (Add, AddAll, Build, Remove, ApplyUpdates) serialize behind a
-// writer mutex; each builds the next state copy-on-write and publishes it as
-// a new view with a monotonically increasing version, so in-flight readers
-// keep the view they loaded until they finish.
+// Reads (Recommend, RecommendClip, Len, SubCommunities, Version) are
+// lock-free: they load the current immutable view through an atomic pointer
+// and never contend with each other or with writers. Mutations (Add, Build,
+// Remove, ApplyUpdates) serialize behind a writer mutex; each builds the
+// next state copy-on-write and publishes it as a new view with a
+// monotonically increasing version, so in-flight readers keep the view they
+// loaded until they finish.
 type Engine struct {
 	writeMu sync.Mutex        // serializes mutations, Build, Save and journal management
 	rec     *core.Recommender // write-side builder; touch only under writeMu
@@ -220,7 +207,7 @@ func (e *Engine) publishLocked() {
 
 // Version returns the version of the currently published view. It starts at
 // 0 for a fresh engine (1 for a loaded one), and every successful mutation
-// — Add, AddAll, Build, Remove, ApplyUpdates — increments it by exactly one.
+// — Add, Build, Remove, ApplyUpdates — increments it by exactly one.
 // Serving caches key entries by this version so stale results lapse
 // naturally when a new view is published.
 func (e *Engine) Version() uint64 {
@@ -238,23 +225,11 @@ func (e *Engine) Len() int {
 // extraction runs before the writer lock is taken, so concurrent readers
 // and other writers only wait for the index insertion itself.
 func (e *Engine) Add(clip Clip) error {
-	if clip.ID == "" {
-		return ErrEmptyID
-	}
-	if len(clip.Frames) == 0 {
-		return ErrNoFrames
-	}
-	v, err := toVideo(clip)
+	p, err := e.PrepareClip(clip)
 	if err != nil {
 		return err
 	}
-	series := e.rec.ExtractSeries(v)
-	desc := social.NewDescriptor(clip.Owner, clip.Commenters...)
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	e.rec.IngestSeries(clip.ID, series, desc)
-	e.publishLocked()
-	return nil
+	return e.AddPrepared(p)
 }
 
 // Build constructs the social machinery (user interest graph, k
@@ -292,10 +267,10 @@ type RecommendMeta struct {
 	// decided — or, on a deadline-degraded answer, got one before the
 	// deadline (summed over shards). Refined/Candidates drifting towards 1
 	// means the score bound has stopped pruning on this corpus. The shards
-	// of a router prune against one shared score floor, so with a parallel
-	// fan-out Refined depends on which shard scored first; on a complete
-	// answer it always lies between the results returned and Candidates,
-	// and the answer never depends on it.
+	// of a router run in parallel and prune against one shared score floor,
+	// so Refined depends on which shard scored first; on a complete answer
+	// it always lies between the results returned and Candidates, and the
+	// answer never depends on it.
 	Candidates int
 	Refined    int
 }
@@ -307,14 +282,6 @@ type RecommendMeta struct {
 func (e *Engine) Recommend(clipID string, topK int) ([]Recommendation, error) {
 	recs, _, err := e.RecommendCtx(context.Background(), clipID, topK)
 	return recs, err
-}
-
-// RecommendVersioned is Recommend plus the version of the view that answered
-// the query, so serving layers can key caches by exactly the state a result
-// was computed from.
-func (e *Engine) RecommendVersioned(clipID string, topK int) ([]Recommendation, uint64, error) {
-	recs, meta, err := e.RecommendCtx(context.Background(), clipID, topK)
-	return recs, meta.ViewVersion, err
 }
 
 // RecommendCtx is Recommend with deadline-aware serving: cancellation is
@@ -538,23 +505,4 @@ func convert(in []core.Result) []Recommendation {
 		}
 	}
 	return out
-}
-
-// RecommendSegment recommends for a sub-range [from, to) of an ad-hoc
-// clip's frames — "the matched clips in content of a video" scenario: the
-// viewer is reacting to one scene, not the whole clip.
-func (e *Engine) RecommendSegment(clip Clip, from, to, topK int) ([]Recommendation, error) {
-	recs, _, err := e.RecommendSegmentCtx(context.Background(), clip, from, to, topK)
-	return recs, err
-}
-
-// RecommendSegmentCtx is RecommendSegment with the deadline-aware semantics
-// of RecommendCtx.
-func (e *Engine) RecommendSegmentCtx(ctx context.Context, clip Clip, from, to, topK int) ([]Recommendation, RecommendMeta, error) {
-	if from < 0 || to > len(clip.Frames) || from >= to {
-		return nil, RecommendMeta{ViewVersion: e.Version()}, fmt.Errorf("videorec: invalid segment [%d, %d) of %d frames", from, to, len(clip.Frames))
-	}
-	sub := clip
-	sub.Frames = clip.Frames[from:to]
-	return e.RecommendClipCtx(ctx, sub, topK)
 }

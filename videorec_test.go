@@ -74,8 +74,7 @@ func overflowClip() Clip {
 }
 
 // A frame whose W·H wraps around to len(Pix) must be rejected as
-// inconsistent on every path that decodes clip frames — including AddAll's
-// extraction goroutines, where nothing would recover a panic.
+// inconsistent on every path that decodes clip frames.
 func TestOverflowingFrameRejected(t *testing.T) {
 	eng := New(Options{})
 	huge := overflowClip()
@@ -86,7 +85,6 @@ func TestOverflowingFrameRejected(t *testing.T) {
 		}
 	}
 	check("Add", eng.Add(huge))
-	check("AddAll", eng.AddAll([]Clip{huge}, 2))
 	_, err := eng.RecommendClip(huge, 3)
 	check("RecommendClip", err)
 	if eng.Len() != 0 {
@@ -242,41 +240,6 @@ func TestEngineRemove(t *testing.T) {
 	eng.Build()
 	if _, err := eng.Recommend(src, 5); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFrameFromBytes(t *testing.T) {
-	f, err := FrameFromBytes(2, 2, []byte{0, 128, 255, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Pix[1] != 128 || f.Pix[2] != 255 {
-		t.Errorf("pixels = %v", f.Pix)
-	}
-	if _, err := FrameFromBytes(2, 2, []byte{1}); err == nil {
-		t.Error("short pixel buffer accepted")
-	}
-	if _, err := FrameFromBytes(0, 2, nil); err == nil {
-		t.Error("zero width accepted")
-	}
-}
-
-func TestRecommendSegment(t *testing.T) {
-	eng, col := buildEngine(t, Options{})
-	v := col.Items[0].Render(col.Opts.Synth)
-	clip := clipFrom(v, "", col.Users[0])
-	recs, err := eng.RecommendSegment(clip, 0, len(clip.Frames)/2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("no recommendations for segment")
-	}
-	if _, err := eng.RecommendSegment(clip, 5, 2, 5); err == nil {
-		t.Error("inverted segment accepted")
-	}
-	if _, err := eng.RecommendSegment(clip, 0, len(clip.Frames)+9, 5); err == nil {
-		t.Error("out-of-range segment accepted")
 	}
 }
 
