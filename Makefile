@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCompiledFromSorted$$' -fuzztime=20s ./internal/signature/
 	$(GO) test -run='^$$' -fuzz='^FuzzSketchBound$$' -fuzztime=20s ./internal/signature/
 	$(GO) test -run='^$$' -fuzz='^FuzzDeriveFrom$$' -fuzztime=20s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzGraphDelta$$' -fuzztime=20s ./internal/community/
 	$(GO) test -run='^$$' -fuzzminimizetime=100x -fuzz='^FuzzLoad$$' -fuzztime=20s ./internal/store/
 	$(GO) test -run='^$$' -fuzzminimizetime=100x -fuzz='^FuzzFromSnapshot$$' -fuzztime=20s ./internal/store/
 	$(GO) test -run='^$$' -fuzz='^FuzzReplayJournal$$' -fuzztime=20s ./internal/store/

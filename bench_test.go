@@ -375,30 +375,6 @@ func BenchmarkBTreeLCPWalk(b *testing.B) {
 	}
 }
 
-// BenchmarkRefineSerialVsParallel: step-3 refinement with the worker pool
-// off (RefineWorkers=1) vs on (0 = GOMAXPROCS). Unbounded budgets maximize
-// the candidate set so the κJ EMD work dominates. Rankings are bit-identical
-// either way — this measures latency only.
-func BenchmarkRefineSerialVsParallel(b *testing.B) {
-	e := benchEnv(b)
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			opts := core.DefaultOptions()
-			opts.CandidateLimit, opts.ContentProbe = 1<<30, 1<<30
-			opts.RefineWorkers = cfg.workers
-			r := e.BuildRecommender(opts, e.Col)
-			src := e.Sources()[0]
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.RecommendID(src, 10)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationLSBForest: probe cost of the LSB forest at different
 // sizes (1 tree = [28]'s single-curve degradation risk; more trees = better
 // recall at proportional walk cost).

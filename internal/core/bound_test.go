@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"videorec/internal/faults"
@@ -16,9 +15,8 @@ import (
 )
 
 // withOptions returns a view that differs from v only in the query-time
-// options tweak sets, such as RefineWorkers or CandidateLimit (the fixture
-// is expensive to build; the scratch pools are shared, which a sequential
-// test may do).
+// options tweak sets, such as CandidateLimit (the fixture is expensive to
+// build; the scratch pools are shared, which a sequential test may do).
 func withOptions(v *View, tweak func(*Options)) *View {
 	vv := *v
 	tweak(&vv.opts)
@@ -26,8 +24,8 @@ func withOptions(v *View, tweak func(*Options)) *View {
 }
 
 // eagerRefine is refine without the bound ladder: KJUpperBound for every
-// gathered candidate, one sort by (bound desc, idx asc), then the same rounds
-// and stopping test. The ladder claims to visit candidates in exactly this
+// gathered candidate, one sort by (bound desc, idx asc), then the same
+// stopping test. The ladder claims to visit candidates in exactly this
 // order, so results and the Refined count must both match it.
 func eagerRefine(t *testing.T, v *View, q Query, topK int, exclude ...string) ([]Result, int) {
 	t.Helper()
@@ -53,71 +51,56 @@ func eagerRefine(t *testing.T, v *View, q Query, topK int, exclude ...string) ([
 		}
 		return cmp.Compare(a.idx, b.idx)
 	})
-	workers, round := max(v.opts.RefineWorkers, 1), 1
-	if workers > 1 && len(bounds) >= minParallelRefine {
-		round = workers * refineRoundPerWorker
-	}
 	sel := qs.resultSelector(topK)
 	refined := 0
-	for len(bounds) > 0 {
-		n := 0
-		for n < round && n < len(bounds) && (sel.Len() < topK || bounds[n].bound >= sel.Worst().Score) {
-			n++
-		}
-		if n == 0 {
+	for _, c := range bounds {
+		if sel.Len() >= topK && c.bound < sel.Worst().Score {
 			break
 		}
-		results := make([]Result, n)
-		if err := j.scoreRound(bounds[:n], results, workers); err != nil {
+		r, err := j.score(c)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range results {
-			sel.Offer(r)
-		}
-		refined += n
-		bounds = bounds[n:]
+		sel.Offer(r)
+		refined++
 	}
 	return sel.Sorted(), refined
 }
 
 // Bounded refinement must be indistinguishable from refining everything:
-// across the seven mode variants, list lengths from 1 to past the candidate
-// count, and serial and parallel rounds, ids, scores and both component
-// relevances equal the refine-everything reference (referenceRecommend: raw
-// κJ for every reference candidate, full sort). It must actually stop early
+// across the mode variants and list lengths from 1 to past the candidate
+// count, ids, scores and both component relevances equal the
+// refine-everything reference (referenceRecommend: raw κJ for every
+// reference candidate, full sort). It must actually stop early
 // where there is something to skip, and the lazy bound ladder must refine
 // exactly as many candidates as tightening every bound up front does.
 func TestBoundedRefineMatchesExhaustive(t *testing.T) {
 	for _, tc := range modeVariants {
 		t.Run(tc.name, func(t *testing.T) {
-			base := buildGolden(t, tc.mutate)
-			for _, id := range goldenQueries(t, base, 6) {
-				q, _ := base.QueryFor(id)
-				cands := len(referenceCandidates(base, q, id))
-				for _, workers := range []int{1, 4} {
-					v := withOptions(base, func(o *Options) { o.RefineWorkers = workers })
-					for _, topK := range []int{1, 10, cands, cands + 5} {
-						got, info, err := v.RecommendCtx(context.Background(), q, topK, id)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if want := referenceRecommend(v, q, topK, id); !resultsEqual(got, want) {
-							t.Fatalf("query %s, topK %d, %d workers: bounded refine diverged\nbounded:    %+v\nexhaustive: %+v",
-								id, topK, workers, got, want)
-						}
-						if info.Candidates != cands || info.Refined > cands || info.Refined < len(got) {
-							t.Fatalf("query %s, topK %d: info %+v with %d candidates and %d results", id, topK, info, cands, len(got))
-						}
-						if topK >= cands && info.Refined != cands {
-							t.Fatalf("query %s, topK %d: refined %d of %d although every candidate is returned", id, topK, info.Refined, cands)
-						}
-						if topK == 1 && workers == 1 && info.Refined == cands && cands > 10 {
-							t.Errorf("query %s: top-1 refined all %d candidates — the bound prunes nothing", id, cands)
-						}
-						if eager, refined := eagerRefine(t, v, q, topK, id); refined != info.Refined || !resultsEqual(got, eager) {
-							t.Fatalf("query %s, topK %d, %d workers: refined %d, eager tightening refines %d (answers equal: %v)",
-								id, topK, workers, info.Refined, refined, resultsEqual(got, eager))
-						}
+			v := buildGolden(t, tc.mutate)
+			for _, id := range goldenQueries(t, v, 6) {
+				q, _ := v.QueryFor(id)
+				cands := len(referenceCandidates(v, q, id))
+				for _, topK := range []int{1, 10, cands, cands + 5} {
+					got, info, err := v.RecommendCtx(context.Background(), q, topK, id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := referenceRecommend(v, q, topK, id); !resultsEqual(got, want) {
+						t.Fatalf("query %s, topK %d: bounded refine diverged\nbounded:    %+v\nexhaustive: %+v", id, topK, got, want)
+					}
+					if info.Candidates != cands || info.Refined > cands || info.Refined < len(got) {
+						t.Fatalf("query %s, topK %d: info %+v with %d candidates and %d results", id, topK, info, cands, len(got))
+					}
+					if topK >= cands && info.Refined != cands {
+						t.Fatalf("query %s, topK %d: refined %d of %d although every candidate is returned", id, topK, info.Refined, cands)
+					}
+					if topK == 1 && info.Refined == cands && cands > 10 {
+						t.Errorf("query %s: top-1 refined all %d candidates — the bound prunes nothing", id, cands)
+					}
+					if eager, refined := eagerRefine(t, v, q, topK, id); refined != info.Refined || !resultsEqual(got, eager) {
+						t.Fatalf("query %s, topK %d: refined %d, eager tightening refines %d (answers equal: %v)",
+							id, topK, info.Refined, refined, resultsEqual(got, eager))
 					}
 				}
 			}
@@ -138,9 +121,9 @@ func TestBoundedRefineTieAtCutoff(t *testing.T) {
 		name   string
 		mutate func(*Options)
 	}{
-		{"fused", func(o *Options) { o.RefineWorkers = 1 }},
-		{"social-only", func(o *Options) { o.Omega = 1; o.RefineWorkers = 1 }},
-		{"content-only", func(o *Options) { o.Omega = 0; o.RefineWorkers = 1 }},
+		{"fused", nil},
+		{"social-only", func(o *Options) { o.Omega = 1 }},
+		{"content-only", func(o *Options) { o.Omega = 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := buildGolden(t, tc.mutate)
@@ -289,17 +272,16 @@ func recallAt(got, want []Result) float64 {
 
 // A refinement that the deadline interrupts answers from what it has. The
 // deadline expires when the (n+1)-th candidate is about to be scored, so
-// with one candidate per round exactly n are refined. At n = 0 nothing is
-// exact and the ids come in s̃J order — the coarse ranking; uncut, the
-// answer is exact; at every n each score is exact or the candidate's lower
-// bound fuse(0, s̃J), and the mean recall@10 against the exact answer is at
-// least the coarse ranking's. The query shares a score floor, which must
+// exactly n are refined. At n = 0 nothing is exact and the ids come in s̃J
+// order — the coarse ranking; uncut, the answer is exact; at every n each
+// score is exact or the candidate's lower bound fuse(0, s̃J), and the mean
+// recall@10 against the exact answer is at least the coarse ranking's. The query shares a score floor, which must
 // never see an unrefined score: below n = K it stays empty. -v logs the
 // recall table.
 func TestBoundedRefineInterruptedSweep(t *testing.T) {
 	defer faults.Reset()
 	const topK = 10
-	v := withOptions(buildGolden(t, nil), func(o *Options) { o.RefineWorkers = 1 })
+	v := buildGolden(t, nil)
 	cuts := []int{0, 1, 2, 4, 8, 16, 32, -1} // -1: never cut
 	recall := make([]float64, len(cuts))
 	cutShort := make([]int, len(cuts))
@@ -366,65 +348,62 @@ func TestBoundedRefineInterruptedSweep(t *testing.T) {
 }
 
 // A deadline can pass in any phase of refinement — the bound pass,
-// tightening, or a κJ, serial or with a parallel round in flight — and each
-// answers from what it has. The refine job is driven directly, with a poll
-// that reports the deadline passed from poll p on, for every p up to the
-// first that the refinement outlives. A cut in the bound pass leaves nothing
-// tightened or refined, and its ids in coarse order.
+// tightening, or a κJ — and each answers from what it has. The refine job is
+// driven directly, with a poll that reports the deadline passed from poll p
+// on, for every p up to the first that the refinement outlives. A cut in the
+// bound pass leaves nothing tightened or refined, and its ids in coarse
+// order.
 func TestBoundedRefineDeadlineInEveryPhase(t *testing.T) {
 	const topK = 10
-	base := buildGolden(t, nil)
-	for _, workers := range []int{1, 4} {
-		v := withOptions(base, func(o *Options) { o.RefineWorkers = workers })
-		for _, id := range goldenQueries(t, v, 3) {
-			q, _ := v.QueryFor(id)
-			all := referenceRecommend(v, q, len(referenceCandidates(v, q, id)), id)
-			exact, want := byID(all), all[:min(topK, len(all))]
-			coarse := coarseReference(v, q, topK, id)
-			boundPolls := (len(all) + cancelCheckStride - 1) / cancelCheckStride
-			// Every poll of the bound pass and of the first tightenings and
-			// scores, then every quarter further: a κJ polls between EMDs.
-			next := func(p int64) int64 {
-				if p < int64(boundPolls)+32 {
-					return p + 1
-				}
-				return p + p/4
+	v := buildGolden(t, nil)
+	for _, id := range goldenQueries(t, v, 3) {
+		q, _ := v.QueryFor(id)
+		all := referenceRecommend(v, q, len(referenceCandidates(v, q, id)), id)
+		exact, want := byID(all), all[:min(topK, len(all))]
+		coarse := coarseReference(v, q, topK, id)
+		boundPolls := (len(all) + cancelCheckStride - 1) / cancelCheckStride
+		// Every poll of the bound pass and of the first tightenings and
+		// scores, then every quarter further: a κJ polls between EMDs.
+		next := func(p int64) int64 {
+			if p < int64(boundPolls)+32 {
+				return p + 1
 			}
-			for p := int64(1); ; p = next(p) {
-				var polls atomic.Int64
-				qs := v.getScratch()
-				v.resolveExcludes(qs, []string{id})
-				if err := v.gather(context.Background(), q, qs); err != nil {
-					t.Fatal(err)
+			return p + p/4
+		}
+		for p := int64(1); ; p = next(p) {
+			var polls int64
+			qs := v.getScratch()
+			v.resolveExcludes(qs, []string{id})
+			if err := v.gather(context.Background(), q, qs); err != nil {
+				t.Fatal(err)
+			}
+			j := &qs.job
+			*j = refineJob{v: v, q: q, qs: qs, cause: func() error { return context.DeadlineExceeded }}
+			j.cancelled = func() bool { polls++; return polls >= p }
+			var info RecommendInfo
+			got, err := j.refine(topK, &info)
+			v.putScratch(qs)
+			label := fmt.Sprintf("query %s, deadline at poll %d", id, p)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if polls < p {
+				if info.Degraded || !resultsEqual(got, want) {
+					t.Fatalf("%s: uncut answer degraded=%v\ngot:  %+v\nwant: %+v", label, info.Degraded, got, want)
 				}
-				j := &qs.job
-				*j = refineJob{v: v, q: q, qs: qs, cause: func() error { return context.DeadlineExceeded }}
-				j.cancelled = func() bool { return polls.Add(1) >= p }
-				var info RecommendInfo
-				got, err := j.refine(topK, workers, &info)
-				v.putScratch(qs)
-				label := fmt.Sprintf("%d workers, query %s, deadline at poll %d", workers, id, p)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+				break
+			}
+			if !info.Degraded {
+				t.Fatalf("%s: cut answer not degraded", label)
+			}
+			requireAnytime(t, label, v, got, exact, topK)
+			if p <= int64(boundPolls) {
+				if info.Refined != 0 || info.Tightened != 0 {
+					t.Fatalf("%s: bound pass cut with info %+v", label, info)
 				}
-				if polls.Load() < p {
-					if info.Degraded || !resultsEqual(got, want) {
-						t.Fatalf("%s: uncut answer degraded=%v\ngot:  %+v\nwant: %+v", label, info.Degraded, got, want)
-					}
-					break
-				}
-				if !info.Degraded {
-					t.Fatalf("%s: cut answer not degraded", label)
-				}
-				requireAnytime(t, label, v, got, exact, topK)
-				if p <= int64(boundPolls) {
-					if info.Refined != 0 || info.Tightened != 0 {
-						t.Fatalf("%s: bound pass cut with info %+v", label, info)
-					}
-					for i := range got {
-						if got[i].VideoID != coarse[i].VideoID {
-							t.Fatalf("%s: rank %d is %s, the coarse ranking has %s", label, i, got[i].VideoID, coarse[i].VideoID)
-						}
+				for i := range got {
+					if got[i].VideoID != coarse[i].VideoID {
+						t.Fatalf("%s: rank %d is %s, the coarse ranking has %s", label, i, got[i].VideoID, coarse[i].VideoID)
 					}
 				}
 			}
@@ -442,7 +421,7 @@ func TestBoundedRefineCancelledWhileTightening(t *testing.T) {
 	defer faults.Reset()
 	scored := 0
 	faults.Arm(faults.RefineScore, func() error { scored++; return nil })
-	v := withOptions(buildGolden(t, nil), func(o *Options) { o.RefineWorkers = 1 })
+	v := buildGolden(t, nil)
 	for _, id := range goldenQueries(t, v, 3) {
 		q, _ := v.QueryFor(id)
 		for extra := 0; extra < 8; extra++ {
@@ -463,7 +442,7 @@ func TestBoundedRefineCancelledWhileTightening(t *testing.T) {
 				}
 				return ctxDone(ctx.Done())
 			}
-			res, err := j.refine(10, 1, &RecommendInfo{})
+			res, err := j.refine(10, &RecommendInfo{})
 			v.putScratch(qs)
 			cancel()
 			if err != context.Canceled || res != nil {
@@ -483,7 +462,7 @@ func TestBoundedRefineSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	v := withOptions(buildGolden(t, nil), func(o *Options) { o.RefineWorkers = 1 })
+	v := buildGolden(t, nil)
 	ids := v.SortedIDs()
 	ctx := context.Background()
 	for _, id := range ids {

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"videorec/internal/btree"
@@ -38,7 +39,10 @@ type Options struct {
 	MinUserVideos  int // UIG dictionary ignores users seen on fewer videos
 	ContentProbe   int // LCP walker pops per recommendation
 	CandidateLimit int // refinement budget per recommendation
-	RefineWorkers  int // step-3 refinement goroutines: 0 = GOMAXPROCS, 1 = serial
+
+	// Deprecated: ignored, as refinement runs on the calling goroutine. The
+	// next benchmark change deletes this field.
+	RefineWorkers int
 }
 
 // DefaultOptions uses the paper's tuned parameters (ω=0.7, k=60).
@@ -191,7 +195,7 @@ func NewRecommender(opts Options) *Recommender {
 	if opts.Sig.Grid == 0 {
 		opts.Sig = signature.DefaultOptions()
 	}
-	if err := checkGrid(opts.Sig); err != nil {
+	if err := checkOptions(opts); err != nil {
 		panic(err)
 	}
 	if opts.MatchThreshold == 0 {
@@ -206,11 +210,27 @@ func NewRecommender(opts Options) *Recommender {
 	return &Recommender{opts: opts, state: st, holders: map[string][]uint32{}}
 }
 
-// checkGrid rejects a Grid whose signatures could outgrow what a compiled
-// series holds (signature.MaxCuboids cuboids, at most Grid² per signature).
-func checkGrid(o signature.Options) error {
-	if o.Grid > signature.MaxGrid {
-		return fmt.Errorf("core: signature grid %d exceeds %d", o.Grid, signature.MaxGrid)
+// checkOptions rejects options the index constructors would panic on or
+// that could not be served: a Grid whose signatures could outgrow what a
+// compiled series holds (signature.MaxCuboids cuboids, at most Grid² per
+// signature), and LSB hash families or value domains lsh cannot build. An
+// LSB with M = 0 stands for index.DefaultLSBOptions and is not checked.
+func checkOptions(o Options) error {
+	if o.Sig.Grid > signature.MaxGrid {
+		return fmt.Errorf("core: signature grid %d exceeds %d", o.Sig.Grid, signature.MaxGrid)
+	}
+	l := o.LSB
+	if l.M == 0 {
+		return nil
+	}
+	if l.M < 1 || l.Bits < 1 || l.M > 64 || l.Bits > 64 || l.M*l.Bits > 64 {
+		return fmt.Errorf("core: LSB family of %d hashes × %d bits does not fit 64 bits", l.M, l.Bits)
+	}
+	if !(l.W > 0) || math.IsInf(l.W, 1) {
+		return fmt.Errorf("core: LSB bucket width %g is not finite and positive", l.W)
+	}
+	if !(l.VMax > l.VMin) {
+		return fmt.Errorf("core: LSB value domain [%g, %g] is empty", l.VMin, l.VMax)
 	}
 	return nil
 }

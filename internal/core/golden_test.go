@@ -7,7 +7,7 @@ import (
 )
 
 // buildGolden is buildSmallTweaked frozen into a view, so golden variants
-// can set budgets, ω and worker counts on the same generated collection.
+// can set budgets and ω on the same generated collection.
 func buildGolden(t testing.TB, mutate func(*Options)) *View {
 	t.Helper()
 	r, _ := buildSmallTweaked(t, mutate)
@@ -19,14 +19,13 @@ func buildGolden(t testing.TB, mutate func(*Options)) *View {
 const unbounded = 1 << 30
 
 // modeVariants are the variants the golden and bound claims are checked
-// against: the default, serial refinement, unbounded budgets, and each
-// single-signal baseline (ω = 0 and ω = 1).
+// against: the default, unbounded budgets, and each single-signal baseline
+// (ω = 0 and ω = 1).
 var modeVariants = []struct {
 	name   string
 	mutate func(*Options)
 }{
 	{"sarhash", nil},
-	{"sarhash-serial", func(o *Options) { o.RefineWorkers = 1 }},
 	{"sarhash-fullscan", func(o *Options) { o.CandidateLimit, o.ContentProbe = unbounded, unbounded }},
 	{"content-only", func(o *Options) { o.Omega = 0 }},
 	{"social-only", func(o *Options) { o.Omega = 1 }},
@@ -104,7 +103,7 @@ func TestCompiledRefineGoldenAdHoc(t *testing.T) {
 }
 
 // The per-candidate refinement step — compiled κJ between a real query and a
-// real stored record, with a warmed worker scratch — must allocate nothing.
+// real stored record, with a warmed scratch — must allocate nothing.
 func TestRefineStepZeroAlloc(t *testing.T) {
 	v := buildGolden(t, nil)
 	ids := v.SortedIDs()

@@ -3,11 +3,8 @@ package core
 import (
 	"cmp"
 	"context"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"videorec/internal/bitset"
 	"videorec/internal/faults"
@@ -16,15 +13,6 @@ import (
 	"videorec/internal/social"
 	"videorec/internal/topk"
 )
-
-// minParallelRefine is the candidate count below which step-3 refinement
-// stays on the calling goroutine: spawning workers for a handful of κJ
-// computations costs more than it saves.
-const minParallelRefine = 16
-
-// refineRoundPerWorker sizes a parallel refinement round: each worker gets a
-// few candidates per spawn, and the stopping test runs between rounds.
-const refineRoundPerWorker = 4
 
 // cancelCheckStride bounds how many cheap candidate-gathering steps run
 // between context polls.
@@ -174,9 +162,9 @@ func siftDown(h []boundCand, i int) {
 // queryScratch is everything one query needs beyond its inputs: the query
 // vector and its s̃J accumulator, the candidate and exclude bitsets, the
 // merged candidate-index buffer, the LCP walker, the scored social
-// candidates, the refinement order, result slots and selector, and a
-// serial-path EMD scratch. It is pooled per view (View.scratch), so a
-// steady-state query allocates only its answer.
+// candidates, the refinement heap and selector, and the EMD scratch. It is
+// pooled per view (View.scratch), so a steady-state query allocates only its
+// answer.
 type queryScratch struct {
 	qvec    social.Vector
 	qmass   uint32     // |q| = Σ qvec
@@ -189,10 +177,9 @@ type queryScratch struct {
 	merged  []uint32   // gathered candidates (exclusions already applied)
 	walker  index.Walker
 	scored  []scoredCand // every touched clip with its s̃J, for the budget cut
-	bounds  []boundCand  // refinement heap; popped rounds collect behind it
-	results []Result
+	bounds  []boundCand  // refinement heap
 	resSel  *topk.Selector[Result]
-	kj      signature.KJScratch // serial refinement scratch, warm across queries
+	kj      signature.KJScratch // EMD scratch, warm across queries
 	job     refineJob
 }
 
@@ -229,7 +216,6 @@ func (v *View) putScratch(qs *queryScratch) {
 	qs.touched = qs.touched[:0]
 	qs.exclIdx = qs.exclIdx[:0]
 	qs.merged = qs.merged[:0]
-	qs.results = qs.results[:0]
 	qs.job = refineJob{} // drop the query's series and context closures
 	v.scratch.Put(qs)
 }
@@ -266,11 +252,10 @@ func (v *View) resolveExcludes(qs *queryScratch, exclude []string) {
 // role of the paper's stopping rule.
 //
 // Refinement is deterministic: a candidate is skipped only when its score
-// bound proves it cannot enter the top K, so the parallel pool produces
-// bit-identical rankings to the serial path (Options.RefineWorkers = 1)
-// regardless of scheduling. So do the Refined and Tightened counts of a
-// query without a score floor; a query sharing one (Query.WithFloor) keeps
-// its ranking, but its counts depend on when the other views offered their
+// bound proves it cannot enter the top K, so the ranking is that of scoring
+// every candidate. So are the Refined and Tightened counts of a query
+// without a score floor; a query sharing one (Query.WithFloor) keeps its
+// ranking, but its counts depend on when the other views offered their
 // scores.
 func (v *View) Recommend(q Query, topK int, exclude ...string) []Result {
 	res, _, _ := v.RecommendCtx(context.Background(), q, topK, exclude...)
@@ -280,8 +265,8 @@ func (v *View) Recommend(q Query, topK int, exclude ...string) []Result {
 // RecommendCtx is Recommend with deadline-aware serving semantics:
 //
 //   - Cancellation is cooperative through the whole pipeline: candidate
-//     gathering polls the context between probes and every refinement worker
-//     polls it between EMD evaluations (signature.KJCancelCompiled), so a canceled
+//     gathering polls the context between probes and refinement polls it
+//     between EMD evaluations (signature.KJCancelCompiled), so a canceled
 //     request stops burning CPU within about one EMD evaluation and returns
 //     ctx.Err().
 //   - A deadline that expires during refinement stops it and answers from
@@ -315,11 +300,7 @@ func (v *View) RecommendCtx(ctx context.Context, q Query, topK int, exclude ...s
 		job.cancelled = func() bool { return ctxDone(done) }
 		job.cause = ctx.Err
 	}
-	workers := v.opts.RefineWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results, err := job.refine(topK, workers, &info)
+	results, err := job.refine(topK, &info)
 	if err != nil {
 		return nil, info, err
 	}
@@ -464,16 +445,6 @@ func ctxDone(done <-chan struct{}) bool {
 	}
 }
 
-// resultSlots returns the scratch's result buffer resized to n.
-func (qs *queryScratch) resultSlots(n int) []Result {
-	if cap(qs.results) >= n {
-		qs.results = qs.results[:n]
-	} else {
-		qs.results = make([]Result, n)
-	}
-	return qs.results
-}
-
 // RanksBelow is the ranking order of every answer: a ranks strictly below b
 // under (score desc, id asc). It is total, so a top-K selection under it
 // equals sort-and-truncate, and merging the top-Ks of disjoint corpora under
@@ -499,8 +470,7 @@ func (qs *queryScratch) resultSelector(topK int) *topk.Selector[Result] {
 
 // refineJob is one query's step-3 refinement: the inputs every candidate's
 // score needs, and how the query cancels. It lives in the pooled
-// queryScratch so that refinement workers can share it without a per-query
-// allocation.
+// queryScratch, so a query builds it without an allocation.
 type refineJob struct {
 	v         *View
 	q         Query
@@ -534,18 +504,13 @@ type refineJob struct {
 // first top strictly below the floor, and offers the floor every score it
 // computes: the other views of its fan-out prune against them.
 //
-// With workers > 1 (and enough candidates to be worth it) candidates are
-// consumed in rounds: up to a round's worth of tight tops are popped into the
-// slots behind the heap, scored concurrently, then offered to the selector,
-// and the stopping test runs between rounds — without a floor, a
-// schedule-independent superset of the serial visit. The bound pass and
-// tightening poll for cancellation every cancelCheckStride bounds; workers
-// poll between candidates and, through signature.KJCancelCompiled, between
-// EMD evaluations. An expired deadline ends the search with an answer (see
-// stop); a cancellation or an injected fault fails the query.
-// Everything but the goroutines and the returned answer lives in pooled
+// The bound pass and tightening poll for cancellation every
+// cancelCheckStride bounds; scoring polls before each candidate and, through
+// signature.KJCancelCompiled, between EMD evaluations. An expired deadline
+// ends the search with an answer (see stop); a cancellation or an injected
+// fault fails the query. Everything but the returned answer lives in pooled
 // scratch.
-func (j *refineJob) refine(topK, workers int, info *RecommendInfo) ([]Result, error) {
+func (j *refineJob) refine(topK int, info *RecommendInfo) ([]Result, error) {
 	v, qs := j.v, j.qs
 	j.qc = j.q.compiled()
 	sel := qs.resultSelector(topK)
@@ -573,62 +538,50 @@ func (j *refineJob) refine(topK, workers int, info *RecommendInfo) ([]Result, er
 		siftDown(heap, i)
 	}
 
-	round := 1
-	if workers > 1 && len(heap) >= minParallelRefine {
-		round = workers * refineRoundPerWorker
-	}
 	floor := j.q.floor
 	refined, tightened := 0, 0
-	for {
-		n := 0
-		for n < round && len(heap) > 0 {
-			top := &heap[0]
-			if sel.Len() >= topK && top.bound < sel.Worst().Score {
-				break
+	for len(heap) > 0 {
+		top := &heap[0]
+		if sel.Len() >= topK && top.bound < sel.Worst().Score {
+			break
+		}
+		if floor != nil && top.bound < floor.load() {
+			break
+		}
+		if !top.tight {
+			if tightened%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
+				return j.stop(j.cause(), sel, heap, refined, tightened, info)
 			}
-			if floor != nil && top.bound < floor.load() {
-				break
-			}
-			if !top.tight {
-				if tightened%cancelCheckStride == 0 && j.cancelled != nil && j.cancelled() {
-					return j.stop(j.cause(), sel, qs.bounds[:len(heap)+n], refined, tightened, info)
-				}
-				tightened++
-				ub := signature.KJUpperBound(j.qc, v.sketches.At(top.idx), v.opts.MatchThreshold, &qs.kj)
-				top.bound, top.tight = v.fuse(ub, top.soc), true
-				siftDown(heap, 0)
-				continue
-			}
-			last := len(heap) - 1
-			heap[0], heap[last] = heap[last], heap[0]
-			heap = heap[:last]
+			tightened++
+			ub := signature.KJUpperBound(j.qc, v.sketches.At(top.idx), v.opts.MatchThreshold, &qs.kj)
+			top.bound, top.tight = v.fuse(ub, top.soc), true
 			siftDown(heap, 0)
-			n++
+			continue
 		}
-		if n == 0 {
-			info.Refined, info.Tightened = refined, tightened
-			return sel.Sorted(), nil
+		r, err := j.score(*top)
+		if err != nil {
+			return j.stop(err, sel, heap, refined, tightened, info)
 		}
-		cands := qs.bounds[len(heap) : len(heap)+n]
-		results := qs.resultSlots(n)
-		if err := j.scoreRound(cands, results, workers); err != nil {
-			return j.stop(err, sel, qs.bounds[:len(heap)+n], refined, tightened, info)
+		sel.Offer(r)
+		if floor != nil {
+			floor.offer(r.Score)
 		}
-		for _, r := range results {
-			sel.Offer(r)
-			if floor != nil {
-				floor.offer(r.Score)
-			}
-		}
-		refined += n
+		refined++
+		last := len(heap) - 1
+		heap[0] = heap[last]
+		heap = heap[:last]
+		siftDown(heap, 0)
 	}
+	info.Refined, info.Tightened = refined, tightened
+	return sel.Sorted(), nil
 }
 
 // stop ends a refinement that err interrupted. On a deadline it answers from
 // what it has: the selector's exact scores, and each unscored candidate (the
-// heap and any round in flight, or all of them when the bound pass was cut)
-// with score's result for a κJ of 0 — a lower bound, as fuse is monotone in
-// κJ. A ScoreFloor sees only exact scores. Any other error fails the query.
+// heap, the candidate being scored included, or every candidate when the
+// bound pass was cut) with score's result for a κJ of 0 — a lower bound, as
+// fuse is monotone in κJ. A ScoreFloor sees only exact scores. Any other
+// error fails the query.
 func (j *refineJob) stop(err error, sel *topk.Selector[Result], unscored []boundCand, refined, tightened int, info *RecommendInfo) ([]Result, error) {
 	if err != context.DeadlineExceeded {
 		return nil, err
@@ -640,52 +593,10 @@ func (j *refineJob) stop(err error, sel *topk.Selector[Result], unscored []bound
 	return sel.Sorted(), nil
 }
 
-// scoreRound scores one round of candidates into their result slots: a
-// round of one (every serial round) on the calling goroutine, a wider one
-// across the worker pool. Workers claim from a shared atomic cursor (κJ cost
-// varies with series length) and each draws a warm signature.KJScratch from
-// the view's pool, strictly private while held.
-func (j *refineJob) scoreRound(cands []boundCand, results []Result, workers int) error {
-	if len(cands) == 1 {
-		r, err := j.score(cands[0], &j.qs.kj)
-		results[0] = r
-		return err
-	}
-	var failure atomic.Pointer[error]
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(workers, len(cands)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := j.v.kjScratch.Get().(*signature.KJScratch)
-			defer j.v.kjScratch.Put(scratch)
-			for failure.Load() == nil {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(cands) {
-					return
-				}
-				r, err := j.score(cands[i], scratch)
-				if err != nil {
-					e := err // keep the per-iteration err off the heap
-					failure.CompareAndSwap(nil, &e)
-					return
-				}
-				results[i] = r
-			}
-		}()
-	}
-	wg.Wait()
-	if p := failure.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // score computes one candidate's fused relevance: κJ through the compiled
 // kernel (the cached series resolved by dense index, no string re-hash),
 // fused with the s̃J the bound pass already computed.
-func (j *refineJob) score(c boundCand, scratch *signature.KJScratch) (Result, error) {
+func (j *refineJob) score(c boundCand) (Result, error) {
 	v := j.v
 	if err := faults.Inject(faults.RefineScore); err != nil {
 		return Result{}, err
@@ -696,7 +607,7 @@ func (j *refineJob) score(c boundCand, scratch *signature.KJScratch) (Result, er
 	var content float64
 	if rec := v.recs.At(c.idx); rec != nil {
 		var complete bool
-		content, complete = signature.KJCancelCompiled(j.qc, rec.Compiled, v.opts.MatchThreshold, j.cancelled, scratch)
+		content, complete = signature.KJCancelCompiled(j.qc, rec.Compiled, v.opts.MatchThreshold, j.cancelled, &j.qs.kj)
 		if !complete {
 			return Result{}, j.cause()
 		}

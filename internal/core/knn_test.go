@@ -121,8 +121,8 @@ func TestRecommendCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// A cancellation landing mid-refinement must stop the worker pool well
-// before the full EMD cost is paid, and the view must keep answering.
+// A cancellation landing mid-refinement must stop refinement well before
+// the full EMD cost is paid, and the view must keep answering.
 func TestRecommendCtxCancelMidRefine(t *testing.T) {
 	defer faults.Reset()
 	r, c := buildSmall(t)

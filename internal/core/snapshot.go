@@ -103,7 +103,7 @@ func FromSnapshot(s *Snapshot) (*Recommender, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
 	}
-	if err := checkGrid(s.Options.Sig); err != nil {
+	if err := checkOptions(s.Options); err != nil {
 		return nil, err
 	}
 	for i := range s.Records {

@@ -67,20 +67,17 @@ type View struct {
 	built      bool
 
 	// scratch hands out per-query scratch (candidate bitset, qvec, merged
-	// index buffer, LCP walker, scored social candidates, refinement order
-	// and result selector); kjScratch hands out per-refinement-worker EMD
-	// scratch. Both are per-view so every pooled buffer is already sized for
-	// this view's id space, and both survive only as long as the view — a
-	// clone starts fresh pools.
-	scratch   *sync.Pool
-	kjScratch *sync.Pool
+	// index buffer, LCP walker, scored social candidates, refinement heap,
+	// result selector and EMD scratch). It is per-view so every pooled buffer
+	// is already sized for this view's id space, and it survives only as
+	// long as the view — a clone starts a fresh pool.
+	scratch *sync.Pool
 }
 
-// newPools builds the view's scratch pools. Called by NewRecommender and
-// clone; the pool pointers are never shared between views.
+// newPools builds the view's scratch pool. Called by NewRecommender and
+// clone; the pool pointer is never shared between views.
 func (v *View) newPools() {
 	v.scratch = &sync.Pool{New: func() any { return new(queryScratch) }}
-	v.kjScratch = &sync.Pool{New: func() any { return new(signature.KJScratch) }}
 }
 
 // clone returns the View the writer grows next. Everything reachable from v

@@ -36,44 +36,6 @@ func buildSmallTweaked(t testing.TB, tweak func(*Options)) (*Recommender, *datas
 	return r, c
 }
 
-// Parallel step-3 refinement must be byte-identical to the serial path: a
-// round's scores land in pre-assigned slots and a candidate is skipped only
-// when its bound proves it cannot rank, so worker scheduling cannot perturb a
-// single bit of the ranking. Unbounded budgets make every stored clip a
-// candidate, well past minParallelRefine; the CR (ω = 0) and SR (ω = 1)
-// weights bound refinement differently from the fused default.
-func TestParallelRefinementMatchesSerial(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		omega float64
-	}{{"CSF-SAR-H", 0.7}, {"CR", 0}, {"SR", 1}} {
-		t.Run(tc.name, func(t *testing.T) {
-			build := func(workers int) (*Recommender, *dataset.Collection) {
-				return buildSmallTweaked(t, func(o *Options) {
-					o.Omega = tc.omega
-					o.CandidateLimit, o.ContentProbe = unbounded, unbounded
-					o.RefineWorkers = workers
-				})
-			}
-			serial, c := build(1)
-			parallel, _ := build(8)
-			for _, q := range c.Queries {
-				src := q.Sources[0]
-				a := serial.RecommendID(src, 15)
-				b := parallel.RecommendID(src, 15)
-				if len(a) != len(b) {
-					t.Fatalf("%s: %d serial vs %d parallel results", src, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("%s rank %d: serial %+v vs parallel %+v", src, i, a[i], b[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // frozenState is everything a reader can observe through a view, copied out
 // so that a later write into anything the view still references shows up as
 // a difference: per record the descriptor members and SAR vector, the

@@ -5,7 +5,7 @@
 // incremental maintenance path.
 //
 // The serving path is deadline-aware and overload-safe: request contexts
-// thread into the engine's EMD refinement workers (a dropped client stops
+// thread into the engine's EMD refinement (a dropped client stops
 // burning CPU), an admission controller sheds excess load with 503 +
 // Retry-After instead of queueing unboundedly, a query whose deadline passes
 // mid-refinement answers degraded (exact where refinement got to, a lower

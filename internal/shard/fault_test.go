@@ -428,13 +428,11 @@ func TestMergedPartialOrderingGolden(t *testing.T) {
 	for _, vr := range variants {
 		vr := vr
 		t.Run(vr.name, func(t *testing.T) {
-			opts := vr.opts
-			opts.RefineWorkers = 1
-			ref := buildRef(t, f, opts)
+			ref := buildRef(t, f, vr.opts)
 			refFull := fullRanking(t, ref, f.queries)
 			for _, n := range []int{2, 4} {
 				t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-					r := buildRouter(t, f, n, opts)
+					r := buildRouter(t, f, n, vr.opts)
 					r.SetResilience(Resilience{MinShardQuorum: 1, BreakerThreshold: -1})
 					owned := ownedIDs(r)
 

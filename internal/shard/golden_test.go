@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"videorec"
@@ -13,9 +14,9 @@ import (
 
 // The golden suite: an N-shard router must return bit-identical rankings to
 // a single engine holding the whole corpus — same ids, same fused scores,
-// same component relevances — across the fused and baseline weights, serial
-// and parallel refinement, and through the whole lifecycle: build, incremental updates,
-// remove, re-ingest, and shard drain. The corpus is sized so the per-shard
+// same component relevances — across the fused and baseline weights, one
+// and many scheduler threads, and through the whole lifecycle: build,
+// incremental updates, remove, re-ingest, and shard drain. The corpus is sized so the per-shard
 // candidate budgets never bind (the regime where the scatter-gather merge
 // is provably exact; see the package comment).
 
@@ -155,18 +156,22 @@ func TestShardGolden(t *testing.T) {
 	for _, vr := range variants {
 		vr := vr
 		t.Run(vr.name, func(t *testing.T) {
+			// workers is the scheduler parallelism the shard fan-out and
+			// its shared score floor run under: 1 pins GOMAXPROCS to one
+			// thread, 0 keeps the process's own setting.
 			for _, workers := range []int{1, 0} {
 				if workers == 0 && testing.Short() {
 					continue
 				}
 				workers := workers
 				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-					refOpts := vr.opts
-					refOpts.RefineWorkers = workers
+					if workers > 0 {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+					}
 					for _, n := range shardCounts(testing.Short()) {
 						n := n
 						t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-							runGoldenLifecycle(t, f, refOpts, n)
+							runGoldenLifecycle(t, f, vr.opts, n)
 						})
 					}
 				})

@@ -172,7 +172,7 @@ func forcedUnionBatch(f *fixture, assign map[string]int) map[string][]string {
 
 func pr10Scenario(t *testing.T, f *fixture, n int, journalDir string) ([]pr10Step, map[string]string) {
 	t.Helper()
-	r, err := New(n, videorec.Options{RefineWorkers: 1})
+	r, err := New(n, videorec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

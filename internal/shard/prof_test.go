@@ -14,7 +14,7 @@ func BenchmarkFanOut(b *testing.B) {
 	for _, n := range []int{1, 16} {
 		b.Run(map[int]string{1: "shards1", 16: "shards16"}[n], func(b *testing.B) {
 			f := loadFixture(b, 21)
-			r, err := New(n, videorec.Options{RefineWorkers: 1})
+			r, err := New(n, videorec.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -39,7 +39,7 @@ var journalNames = []string{"ann", "ben<b>", "cal&co", `dee"q`, `eve\x`, "fay\u2
 // returns the router with its journals closed.
 func journalHistory(t testing.TB, dir string) *Router {
 	t.Helper()
-	r, err := New(4, videorec.Options{SubCommunities: 3, RefineWorkers: 1})
+	r, err := New(4, videorec.Options{SubCommunities: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSharedStateLockstepWithSingleEngine(t *testing.T) {
 }
 
 func runLockstep(t *testing.T, f *fixture, n int) {
-	opts := videorec.Options{RefineWorkers: 1}
+	opts := videorec.Options{}
 	ref := videorec.New(opts)
 	ingestAll(t, f, ref.Add)
 	ref.Build()
@@ -323,7 +323,7 @@ func captureView(t *testing.T, v *core.View, queries map[string]core.Query) view
 // into anything it shares is reported.
 func TestSharedFollowerViewIsolated(t *testing.T) {
 	f := loadFixture(t, 21)
-	r, err := New(4, videorec.Options{RefineWorkers: 1})
+	r, err := New(4, videorec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestSharedStateReplayNeverDoubleApplies(t *testing.T) {
 	f := loadFixture(t, 21)
 	dir := t.TempDir()
 	snap, wal := filepath.Join(dir, "deploy.snap"), filepath.Join(dir, "deploy.wal")
-	live, err := New(4, videorec.Options{RefineWorkers: 1})
+	live, err := New(4, videorec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestSharedStateReplayNeverDoubleApplies(t *testing.T) {
 // and the drained router still matches the engine that never drained.
 func TestSharedStateSurvivesDrain(t *testing.T) {
 	f := loadFixture(t, 21)
-	opts := videorec.Options{RefineWorkers: 1}
+	opts := videorec.Options{}
 	ref := videorec.New(opts)
 	ingestAll(t, f, ref.Add)
 	ref.Build()
@@ -548,7 +548,7 @@ func TestSharedStateSurvivesDrain(t *testing.T) {
 // A clip frame whose W·H overflows int must come back from the router's add
 // as an error, not a panic in frame construction.
 func TestRouterAddRejectsOverflowingFrame(t *testing.T) {
-	r, err := New(2, videorec.Options{RefineWorkers: 1})
+	r, err := New(2, videorec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

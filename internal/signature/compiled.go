@@ -503,9 +503,9 @@ func (p *pairHeap) Swap(a, b int) {
 }
 
 // KJScratch holds the buffers one κJ evaluation needs — candidate pairs and
-// the matched-row/column marks — and the centroid cut of its threshold. A refine worker allocates one scratch and
-// reuses it across every candidate it scores; after the buffers have grown to
-// the workload's high-water mark, KJCancelCompiled performs no heap
+// the matched-row/column marks — and the centroid cut of its threshold. A
+// query's refinement reuses one scratch across every candidate it scores;
+// after the buffers have grown to the workload's high-water mark, KJCancelCompiled performs no heap
 // allocation at all. A scratch must never be shared between concurrently
 // running evaluations.
 type KJScratch struct {

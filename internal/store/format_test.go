@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"videorec/internal/core"
+	"videorec/internal/index"
 	"videorec/internal/signature"
 	"videorec/internal/social"
 )
@@ -54,6 +56,20 @@ func builtSnapshot(t *testing.T, n int) []byte {
 	return buf.Bytes()
 }
 
+// withOptsPayload returns the version 2 file b with its opts section's
+// payload replaced and both of that section's checksums recomputed.
+func withOptsPayload(t *testing.T, b, payload []byte) []byte {
+	t.Helper()
+	opts := sections(t, b)[1]
+	var h [16]byte
+	copy(h[:4], tagOpts)
+	binary.LittleEndian.PutUint64(h[4:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(h[12:], crc32.Checksum(h[:12], castagnoli))
+	out := slices.Concat(b[:opts.start], h[:], payload)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	return append(out, b[opts.payload+opts.n+4:]...)
+}
+
 // TestLoadIgnoresRetiredOptions: a version 2 file written while
 // core.Options still had DegradeMargin carries that field in its opts JSON.
 // The decoder ignores it, and the snapshot restores with the options it
@@ -64,14 +80,7 @@ func TestLoadIgnoresRetiredOptions(t *testing.T) {
 	if opts.tag != tagOpts || b[opts.payload] != '{' {
 		t.Fatalf("section 1 is %q starting %q, want an opts JSON object", opts.tag, b[opts.payload])
 	}
-	payload := append([]byte(`{"DegradeMargin":20000000,`), b[opts.payload+1:opts.payload+opts.n]...)
-	var h [16]byte
-	copy(h[:4], tagOpts)
-	binary.LittleEndian.PutUint64(h[4:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(h[12:], crc32.Checksum(h[:12], castagnoli))
-	old := slices.Concat(b[:opts.start], h[:], payload)
-	old = binary.LittleEndian.AppendUint32(old, crc32.Checksum(payload, castagnoli))
-	old = append(old, b[opts.payload+opts.n+4:]...)
+	old := withOptsPayload(t, b, append([]byte(`{"DegradeMargin":20000000,`), b[opts.payload+1:opts.payload+opts.n]...))
 
 	want, err := Load(bytes.NewReader(b))
 	if err != nil {
@@ -86,6 +95,45 @@ func TestLoadIgnoresRetiredOptions(t *testing.T) {
 	}
 	if _, err := core.FromSnapshot(got); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRestoreRejectsHostileLSBOptions: a version 2 file whose opts JSON
+// carries LSB options the hash family or the embedder cannot be built from
+// decodes, and FromSnapshot refuses it with an error instead of panicking
+// in lsh.
+func TestRestoreRejectsHostileLSBOptions(t *testing.T) {
+	b := builtSnapshot(t, 6)
+	good, err := Load(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		bad  func(*index.LSBOptions)
+	}{
+		{"bits=9", func(o *index.LSBOptions) { o.Bits = 9 }},
+		{"w=-1", func(o *index.LSBOptions) { o.W = -1 }},
+		{"vmax=vmin", func(o *index.LSBOptions) { o.VMax = o.VMin }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := good.Options
+			tc.bad(&opts.LSB)
+			payload, err := json.Marshal(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := Load(bytes.NewReader(withOptsPayload(t, b, payload)))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if snap.Options.LSB != opts.LSB {
+				t.Fatalf("decoded LSB options %+v, want %+v", snap.Options.LSB, opts.LSB)
+			}
+			if _, err := core.FromSnapshot(snap); err == nil {
+				t.Fatalf("restored a snapshot with LSB options %+v", opts.LSB)
+			}
+		})
 	}
 }
 

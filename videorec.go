@@ -60,9 +60,8 @@ type Options struct {
 	// SocialOnly ranks by social relevance alone (ω = 1, the SR baseline).
 	// ContentOnly wins when both are set.
 	SocialOnly bool
-	// RefineWorkers bounds the worker pool used for step-3 kNN refinement.
-	// 0 uses GOMAXPROCS, 1 forces the serial path. Either way the ranking is
-	// bit-identical: parallelism changes latency, never results.
+	// Deprecated: ignored, as refinement runs on the calling goroutine. The
+	// next benchmark change deletes this field.
 	RefineWorkers int
 }
 
@@ -192,7 +191,6 @@ func New(opts Options) *Engine {
 	if opts.ContentOnly {
 		c.Omega = 0
 	}
-	c.RefineWorkers = opts.RefineWorkers
 	e := &Engine{rec: core.NewRecommender(c)}
 	e.cur.Store(&engineView{view: e.rec.Freeze(), version: 0})
 	return e
